@@ -11,7 +11,6 @@ distance as the net refines. Closed forms replace the net wherever they exist.
 import itertools
 
 import numpy as np
-from scipy import stats
 from scipy.special import ndtri
 
 from .errors import DimensionMismatch, InfeasibleConstraint, NonConvergence
@@ -34,7 +33,9 @@ def direction_net(dim, n_directions):
         ang = np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False)
         net = np.column_stack([np.cos(ang), np.sin(ang)])
     else:
-        sob = stats.qmc.Sobol(d=dim, scramble=True, seed=_NET_SEED)
+        from scipy.stats import qmc  # slow to import; only Sobol nets need it
+
+        sob = qmc.Sobol(d=dim, scramble=True, seed=_NET_SEED)
         u = sob.random(n_directions)
         z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
         norms = np.linalg.norm(z, axis=1)

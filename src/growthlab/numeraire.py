@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import FullSpace
 from .errors import DimensionMismatch
-from .quadform import cov_norm, nullspace_split, optimal_fraction_batch
+from .quadform import optimal_fraction_batch
 
 __all__ = [
     "WealthPaths", "GrowthPath", "growth_rate", "growth_path", "wealth_paths",
@@ -123,41 +122,40 @@ def _constraint_at(constraint, k):
     return constraint
 
 
+def _solve_steps(cov, drifts, constraint):
+    """Optimal fractions for drifts (P, N, d) under per-step covariances
+    (N, d, d). Each run of consecutive steps sharing one covariance and one
+    constraint object is solved as a single (P * steps, d) batch."""
+    n_paths, n_steps, dim = drifts.shape
+    out = np.empty_like(drifts)
+    start = 0
+    for k in range(1, n_steps + 1):
+        cset = _constraint_at(constraint, start)
+        if k < n_steps and _constraint_at(constraint, k) is cset \
+                and np.array_equal(cov[k], cov[start]):
+            continue
+        rows = drifts[:, start:k].reshape(-1, dim)
+        out[:, start:k] = optimal_fraction_batch(cov[start], rows, cset) \
+            .reshape(n_paths, k - start, dim)
+        start = k
+    return out
+
+
 def numeraire_fractions(bundle, constraint, *, drifts=None):
     """Optimal fraction per step (and per path when drifts are path based).
 
     constraint is a single set or a per-step sequence. drifts defaults to
     the market reference drift; pass an array of shape (n_paths, n_steps,
-    dim) for estimated, path-dependent drifts. Duplicate drift rows within
-    a step are solved once and fanned back out.
+    dim) for estimated, path-dependent drifts.
     """
     if drifts is None:
-        out = np.empty((bundle.n_steps, bundle.dim))
-        for k in range(bundle.n_steps):
-            out[k] = optimal_fraction_batch(
-                bundle.cov[k], bundle.drift[k], _constraint_at(constraint, k)
-            )
-        return out
+        return _solve_steps(bundle.cov, bundle.drift[None], constraint)[0]
     drifts = np.asarray(drifts, dtype=float)
     if drifts.shape != (bundle.n_paths, bundle.n_steps, bundle.dim):
         raise DimensionMismatch(
             f"drift array shape {drifts.shape} does not match bundle"
         )
-    out = np.empty_like(drifts)
-    for k in range(bundle.n_steps):
-        split = nullspace_split(bundle.cov[k])
-        cset = _constraint_at(constraint, k)
-        rows = drifts[:, k, :]
-        if isinstance(cset, FullSpace):
-            # Plain range projection; deduplication buys nothing here.
-            out[:, k, :] = optimal_fraction_batch(
-                bundle.cov[k], rows, cset, split=split
-            )
-            continue
-        uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-        sol = optimal_fraction_batch(bundle.cov[k], uniq, cset, split=split)
-        out[:, k, :] = sol[inverse]
-    return out
+    return _solve_steps(bundle.cov, drifts, constraint)
 
 
 def numeraire_paths(bundle, constraint, *, drifts=None, true_drift=None):
@@ -193,13 +191,11 @@ def growth_path(cov, drift, constraint, dG):
     cov = np.asarray(cov, dtype=float)
     drift = np.asarray(drift, dtype=float)
     dG = np.asarray(dG, dtype=float)
-    n = cov.shape[0]
-    integrand = np.empty(n)
-    bound = np.empty(n)
-    for k in range(n):
-        f = optimal_fraction_batch(cov[k], drift[k], _constraint_at(constraint, k))
-        integrand[k] = growth_rate(cov[k], drift[k], f)
-        bound[k] = 0.5 * cov_norm(cov[k], drift[k]) ** 2
+    f = _solve_steps(cov, drift[None], constraint)[0]
+    ca = np.einsum("kij,kj->ki", cov, drift)
+    integrand = np.einsum("ki,ki->k", f, ca) \
+        - 0.5 * np.einsum("ki,kij,kj->k", f, cov, f)
+    bound = 0.5 * np.maximum(np.einsum("ki,ki->k", drift, ca), 0.0)
     cumulative = np.concatenate(([0.0], np.cumsum(integrand * dG)))
     return GrowthPath(integrand=integrand, cumulative=cumulative,
                       unconstrained_bound=bound)

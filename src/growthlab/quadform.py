@@ -8,10 +8,11 @@ The growth-optimal fraction for covariance rate ``c`` (symmetric PSD), drift
 where ``N`` is the nullspace of ``c`` and ``N⊥`` its orthogonal complement.
 Restricting to ``N⊥`` makes the objective strictly concave, so the maximizer
 is unique. With ``K`` the full space the solution is the range-projected
-drift; in general it is computed by accelerated projected gradient with step
-``1 / lambda_max(c)``, the feasible projection being exact per constraint
-variant and a Dykstra alternation with the range projector when ``c`` is
-rank-deficient.
+drift, and so it is for every drift whose range projection already lies in
+``K``. The remaining rows are solved by accelerated projected gradient with
+step ``1 / lambda_max(c)``, each row on its own, the feasible projection
+being exact per constraint variant and a Dykstra alternation with the range
+projector when ``c`` is rank-deficient.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintSet, FullSpace, dykstra_project
-from .errors import DimensionMismatch, InfeasibleConstraint, NonConvergence
+from .errors import (
+    DimensionMismatch, InfeasibleConstraint, InvalidSpec, NonConvergence,
+)
 
 SOLVER_MAX_ITER = 100_000
 SOLVER_RESIDUAL_TOL = 1e-8
@@ -159,22 +162,28 @@ def project_feasible(constraint, split, x):
     return proj(x)
 
 
-def optimal_fraction_batch(c, drifts, constraint, *, split=None,
+def optimal_fraction_batch(c, drifts, constraint, *,
                            residual_tol=SOLVER_RESIDUAL_TOL,
                            max_iter=SOLVER_MAX_ITER):
     """Solve the constrained growth maximization for a batch of drift rows
     sharing one covariance and one constraint set. Returns an array matching
-    ``drifts`` in shape."""
+    ``drifts`` in shape.
+
+    Rows are solved independently: a row whose range-projected drift is a
+    fixed point of the feasible projection is answered by that drift, and
+    only the remaining rows are iterated, each with its own momentum and
+    stopping test."""
     c = np.asarray(c, dtype=float)
     drifts = np.asarray(drifts, dtype=float)
     if drifts.shape[-1] != c.shape[0]:
         raise DimensionMismatch(
             f"drift dim {drifts.shape[-1]} does not match covariance {c.shape}"
         )
+    if not np.all(np.isfinite(drifts)):
+        raise InvalidSpec("drift rows must be finite")
     single = drifts.ndim == 1
     rows = np.atleast_2d(drifts)
-    if split is None:
-        split = nullspace_split(c)
+    split = nullspace_split(c)
     if not isinstance(constraint, ConstraintSet):
         raise InfeasibleConstraint(f"constraint must be a ConstraintSet, got {constraint!r}")
     constraint.validate(c.shape[0])
@@ -185,17 +194,19 @@ def optimal_fraction_batch(c, drifts, constraint, *, split=None,
         out = np.zeros_like(rows)
         return out[0] if single else out
 
+    # The unconstrained maximizer over N⊥ is the range-projected drift.
+    pa = split.project_range(rows)
     if isinstance(constraint, FullSpace):
-        out = split.project_range(rows)
-        return out[0] if single else out
-    if _is_isotropic(c, split.eigenvalues):
-        # c proportional to the identity: the objective is a scaled Euclidean
-        # distance to the drift, so the maximizer is the plain projection.
-        out = constraint.project(rows)
-        return out[0] if single else out
-
+        return pa[0] if single else pa
     proj = feasible_projector(constraint, split)
-    out = _fista(c, rows, proj, top, residual_tol, max_iter)
+    out = proj(pa)
+    if not _is_isotropic(c, split.eigenvalues):
+        # Rows the projection leaves in place are feasible maximizers. With c
+        # proportional to the identity the objective is a scaled Euclidean
+        # distance to the drift, so the projection answers every row.
+        hard = np.any(out != pa, axis=1)
+        if np.any(hard):
+            out[hard] = _fista(c, rows[hard], proj, top, residual_tol, max_iter)
     return out[0] if single else out
 
 
@@ -205,34 +216,46 @@ def optimal_fraction(c, drift, constraint, **kwargs):
 
 
 def _fista(c, rows, proj, lipschitz, residual_tol, max_iter):
+    # Every row carries its own momentum, restart test and stopping test,
+    # and leaves the live set once it stops, so its answer does not depend
+    # on the other rows of the batch. einsum, unlike a BLAS matmul, also
+    # rounds each row the same way whatever the batch size.
+    def apply_c(x):
+        return np.einsum("ij,nj->ni", c, x)
+
     step = 1.0 / lipschitz
-    ca = rows @ c.T
-    x = proj(rows @ c.T * step)  # cheap feasible start aligned with the gradient
+    ca = apply_c(rows)
+    x = proj(ca * step)  # cheap feasible start aligned with the gradient
     z = x.copy()
-    t = 1.0
+    t = np.ones(len(rows))
+    out = np.empty_like(rows)
+    live = np.arange(len(rows))
     check_every = 8
     for it in range(1, max_iter + 1):
-        grad = ca - z @ c.T
+        grad = ca - apply_c(z)
         x_new = proj(z + step * grad)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         momentum = (t - 1.0) / t_new
         # Function-free adaptive restart: kill momentum when it points against
         # the last move.
         dx = x_new - x
-        if np.sum(dx * (x_new - z)) < 0.0:
-            z = x_new.copy()
-            t_new = 1.0
-        else:
-            z = x_new + momentum * dx
+        restart = np.einsum("ij,ij->i", dx, x_new - z) < 0.0
+        z = np.where(restart[:, None], x_new, x_new + momentum[:, None] * dx)
+        t_new[restart] = 1.0
         x_prev, x, t = x, x_new, t_new
         if it % check_every == 0 or it == max_iter:
-            grad_x = ca - x @ c.T
+            grad_x = ca - apply_c(x)
             mapped = proj(x + step * grad_x)
             residual = np.linalg.norm(mapped - x, axis=1) / step
-            if np.max(residual) <= residual_tol:
-                return mapped
-            if np.max(np.abs(x - x_prev)) < FIXED_POINT_TOL and np.max(residual) <= 10 * residual_tol:
-                return mapped
+            still = np.max(np.abs(x - x_prev), axis=1) < FIXED_POINT_TOL
+            done = (residual <= residual_tol) | (still & (residual <= 10 * residual_tol))
+            if np.any(done):
+                out[live[done]] = mapped[done]
+                keep = ~done
+                live, ca, x, z, t = live[keep], ca[keep], x[keep], z[keep], t[keep]
+                if live.size == 0:
+                    return out
     raise NonConvergence(
-        f"projected gradient did not reach residual {residual_tol:g} in {max_iter} iterations"
+        f"projected gradient did not reach residual {residual_tol:g} in "
+        f"{max_iter} iterations on {live.size} of {len(rows)} rows"
     )

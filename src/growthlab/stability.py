@@ -109,11 +109,13 @@ class LadderReport:
                              "zero": True, "passed": True}
                 continue
             slope = _fit_slope(x, means)
-            boots = np.empty(n_boot)
+            # One resample per row of draws; its counts weight the paths.
             n_p = arr.shape[1]
-            for b in range(n_boot):
-                sel = rng.integers(0, n_p, n_p)
-                boots[b] = _fit_slope(x, arr[:, sel].mean(axis=1))
+            sel = rng.integers(0, n_p, (n_boot, n_p))
+            sel += n_p * np.arange(n_boot)[:, None]
+            counts = np.bincount(sel.ravel(), minlength=n_boot * n_p)
+            boot_means = arr @ counts.reshape(n_boot, n_p).T.astype(float) / n_p
+            boots = _fit_slope(x, boot_means)
             lo, hi = np.percentile(boots, [2.5, 97.5])
             out[name] = {"slope": float(slope), "ci": (float(lo), float(hi)),
                          "zero": False, "passed": bool(hi < 0.0)}
@@ -129,10 +131,12 @@ class LadderReport:
 
 
 def _fit_slope(x, values):
+    """Least-squares slope of log(values) on x, per column of values."""
     # Guard exact zeros inside an otherwise positive column before logging.
-    floor = max(np.max(values) * 1e-300, 1e-300)
+    floor = np.maximum(np.max(values, axis=0) * 1e-300, 1e-300)
     y = np.log(np.maximum(values, floor))
-    return np.polyfit(x, y, 1)[0]
+    xc = x - x.mean()
+    return xc @ (y - y.mean(axis=0)) / (xc @ xc)
 
 
 def _relative_errors(w_n, w_limit):

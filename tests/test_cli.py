@@ -45,6 +45,19 @@ def test_solve_roundtrip(tmp_path):
     assert "summary.json" in manifest["files"]
 
 
+def test_solve_non_finite_drift_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "nan.yaml", {
+        "kind": "solve",
+        "covariance": [[0.5, 0.1], [0.1, 0.4]],
+        "drift": [float("nan"), 0.4],
+        "constraint": {"type": "ball", "radius": 1.0},
+    })
+    assert run_cli("solve", "--config", cfg,
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = write_config(tmp_path, "bad.yaml", {
         "kind": "solve",

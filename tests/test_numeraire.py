@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import growthlab.numeraire as numeraire
+
 from growthlab.constraints import Ball, Box, FullSpace
 from growthlab.market import MarketSpec, simulate_paths
 from growthlab.numeraire import (
@@ -14,8 +16,8 @@ DRIFT = np.array([0.8, 0.5])
 
 
 def make_bundle(n_paths=200, seed=0, n_steps=30, **kwargs):
-    spec = MarketSpec(dim=2, n_steps=n_steps, covariance=COV, drift=DRIFT,
-                      **kwargs)
+    kwargs.setdefault("covariance", COV)
+    spec = MarketSpec(dim=2, n_steps=n_steps, drift=DRIFT, **kwargs)
     return simulate_paths(spec, n_paths, seed)
 
 
@@ -144,3 +146,39 @@ def test_fullspace_fractions_equal_drift():
     b = make_bundle(n_paths=3)
     fractions = numeraire_fractions(b, FullSpace())
     assert np.max(np.abs(fractions - b.drift)) < 1e-9
+
+
+def test_time_varying_covariance_matches_per_step_solves(monkeypatch):
+    # Piecewise-constant covariance: three runs of equal steps, the first
+    # and last sharing one matrix. Each run is one solver call, and every
+    # row matches its own per-step solve.
+    other = np.array([[0.3, -0.05], [-0.05, 0.6]])
+
+    def cov(t):
+        return other if 0.3 <= t < 0.6 else COV
+
+    b = make_bundle(n_paths=40, n_steps=10, covariance=cov)
+    calls = []
+    solve = numeraire.optimal_fraction_batch
+
+    def counting(c, rows, constraint, **kwargs):
+        calls.append(len(rows))
+        return solve(c, rows, constraint, **kwargs)
+
+    monkeypatch.setattr(numeraire, "optimal_fraction_batch", counting)
+    rng = np.random.default_rng(4)
+    drifts = rng.standard_normal((40, 10, 2)) * 1.5
+    constraint = Ball(0.9)
+    fractions = numeraire_fractions(b, constraint, drifts=drifts)
+    assert calls == [40 * 3, 40 * 3, 40 * 4]
+    reference = numeraire_fractions(b, constraint)
+    gp = growth_path(b.cov, b.drift, constraint, b.dG)
+    assert len(calls) == 9
+    for k in range(b.n_steps):
+        for p in range(b.n_paths):
+            ref = solve(b.cov[k], drifts[p, k], constraint)
+            assert np.max(np.abs(fractions[p, k] - ref)) <= 1e-13
+        ref = solve(b.cov[k], b.drift[k], constraint)
+        assert np.max(np.abs(reference[k] - ref)) <= 1e-13
+        assert gp.integrand[k] == pytest.approx(
+            growth_rate(b.cov[k], b.drift[k], ref), abs=1e-13)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growthlab.constraints import Ball, Box, FullSpace, NonnegativeOrthant
-from growthlab.errors import InfeasibleConstraint, NonConvergence
+from growthlab.errors import InfeasibleConstraint, InvalidSpec, NonConvergence
 from growthlab.quadform import (
     cov_inner, cov_norm, nullspace_split, optimal_fraction,
     optimal_fraction_batch,
@@ -115,13 +115,45 @@ def test_nullspace_outside_constraint_raises():
 
 
 def test_batch_matches_single():
+    # Each row stops on its own test, so its answer must not depend on the
+    # rest of the batch.
     rng = np.random.default_rng(5)
     c = random_psd(rng, 3, min_eig=0.1)
-    drifts = rng.standard_normal((25, 3))
-    batch = optimal_fraction_batch(c, drifts, Ball(0.8))
-    for k in range(25):
-        single = optimal_fraction(c, drifts[k], Ball(0.8))
-        assert np.max(np.abs(batch[k] - single)) < 1e-8
+    assert np.ptp(np.linalg.eigvalsh(c)) > 0.1
+    drifts = rng.standard_normal((200, 3)) * 2.0
+    for constraint in (Ball(0.8), Box([-0.5, -0.3, -1.0], [0.4, 1.0, 0.2])):
+        batch = optimal_fraction_batch(c, drifts, constraint)
+        for k in range(len(drifts)):
+            single = optimal_fraction(c, drifts[k], constraint)
+            assert np.max(np.abs(batch[k] - single)) <= 1e-13
+
+
+def test_interior_rows_are_exact_and_boundary_rows_match_oracle():
+    # Stopping at projected-gradient residual r bounds a row's error by
+    # 2 r / lambda_min(c), so r = 1e-10 puts every row within 1e-8.
+    rng = np.random.default_rng(8)
+    radius = 1.0
+    for _ in range(10):
+        d = int(rng.integers(2, 5))
+        c = random_psd(rng, d, min_eig=0.2)
+        drifts = rng.standard_normal((300, d)) * 0.8
+        f = optimal_fraction_batch(c, drifts, Ball(radius), residual_tol=1e-10)
+        interior = np.linalg.norm(drifts, axis=1) <= radius
+        assert 0 < np.sum(interior) < len(drifts)
+        assert np.array_equal(f[interior], drifts[interior])
+        for k in np.flatnonzero(~interior):
+            ref = ball_kkt_fraction(c, drifts[k], radius)
+            assert np.max(np.abs(f[k] - ref)) <= 1e-8
+
+
+@pytest.mark.parametrize("constraint", [FullSpace(), Ball(1.0)])
+def test_non_finite_drift_rejected(constraint):
+    c = np.array([[0.5, 0.1], [0.1, 0.4]])
+    drifts = np.array([[0.3, 0.2], [np.nan, 0.1], [2.0, -1.0]])
+    with pytest.raises(InvalidSpec):
+        optimal_fraction_batch(c, drifts, constraint)
+    with pytest.raises(InvalidSpec):
+        optimal_fraction(c, np.array([np.inf, 0.0]), constraint)
 
 
 def test_nonconvergence_raises():

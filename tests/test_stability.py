@@ -159,6 +159,35 @@ def test_slope_fit_flags_increasing_columns():
     assert slopes["down"]["passed"]
 
 
+def test_bootstrap_matches_per_draw_resampling():
+    # The count-matrix bootstrap draws the same resamples, in the same
+    # order, as one rng.integers call per draw, and its closed-form slope
+    # agrees with a degree-one polyfit.
+    rng = np.random.default_rng(3)
+    scales = 2.0 ** -np.arange(1, 6)
+    per_path = {
+        "a": rng.exponential(1.0, (5, 101)) * scales[:, None],
+        "zero": np.zeros((5, 101)),
+        "b": rng.exponential(1.0, (5, 101)) * scales[:, None] ** 2,
+    }
+    report = LadderReport(family="synthetic", indices=np.arange(1, 6),
+                          scales=scales, per_path=per_path)
+    slopes = report.slopes(n_boot=60, seed=11)
+    x = -np.log(scales)
+    draws = np.random.default_rng(11)
+    for name in ("a", "b"):
+        arr = per_path[name]
+        boots = [np.polyfit(x, np.log(arr[:, draws.integers(0, 101, 101)]
+                                      .mean(axis=1)), 1)[0]
+                 for _ in range(60)]
+        lo, hi = np.percentile(boots, [2.5, 97.5])
+        assert slopes[name]["slope"] == pytest.approx(
+            np.polyfit(x, np.log(arr.mean(axis=1)), 1)[0], abs=1e-12)
+        assert slopes[name]["ci"] == (pytest.approx(lo, abs=1e-12),
+                                      pytest.approx(hi, abs=1e-12))
+    assert slopes["zero"]["zero"]
+
+
 def test_ladder_rows_are_long_format():
     report = LadderReport(
         family="synthetic", indices=np.array([1, 2]),
