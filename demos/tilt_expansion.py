@@ -12,9 +12,7 @@ import numpy as np
 
 from growthlab import MarketSpec, TiltSpec
 from growthlab.market import density_paths, simulate_paths
-from growthlab.sensitivity import (
-    first_order_check, response_quotient, second_order_check,
-)
+from growthlab.sensitivity import expansion_ladder, response_quotient
 
 
 def main():
@@ -29,8 +27,8 @@ def main():
     print(f"pathwise identity residual at eps=0.25: {gap:.2e}")
 
     eps = np.array([0.2, 0.1, 0.05, 0.025])
-    for label, table in (("first", first_order_check(bundle, record, eps)),
-                         ("second", second_order_check(bundle, record, eps))):
+    _, first, second = expansion_ladder(bundle, record, eps)
+    for label, table in (("first", first), ("second", second)):
         print(f"\n{label}-order remainder:")
         print(f"{'eps':>8s} {'fv error':>12s} {'qv error':>12s}")
         for i, e in enumerate(eps):

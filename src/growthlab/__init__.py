@@ -26,6 +26,7 @@ from .market import (
     DensityRecord, GaussianSignalModel, MarketSpec, PathBundle, TiltSpec,
     brownian_increments, density_paths, event_probabilities, filtered_drift,
     girsanov_drift, simulate_paths, simulate_signal_paths, tilt_decomposition,
+    tilt_field,
 )
 from .numeraire import (
     GrowthPath, WealthPaths, growth_path, growth_rate, numeraire_fractions,
@@ -38,8 +39,8 @@ from .stability import (
     probability_ladder,
 )
 from .sensitivity import (
-    ExpansionRecord, expansion_record, first_order_check, response_quotient,
-    second_order_check,
+    ExpansionRecord, expansion_ladder, expansion_record, first_order_check,
+    reference_increments, response_quotient, second_order_check,
 )
 from .discrete import (
     OnePeriodMarket, OnePeriodResult, ScenarioTree, discontinuity_report,

@@ -33,7 +33,7 @@ from .quadform import cov_norm, optimal_fraction
 from .reporting import (
     RunManifest, write_csv, write_json, write_ladder_csv, write_wealth_csv,
 )
-from .sensitivity import first_order_check, response_quotient, second_order_check
+from .sensitivity import expansion_ladder
 from .stability import (
     LadderReport, constraint_ladder, density_sequence_check,
     excursion_density_ladder, filtration_ladder, lognormal_density_ladder,
@@ -292,6 +292,8 @@ def cmd_stability(cfg, args, out_dir, manifest):
             spec, sets, limit, paths, seed, threads=threads,
             bound_slack=float(cfg.get("bound_slack", 1e-6)))
         manifest.record_check("per_step_bound", report.meta["bound_ok"])
+        manifest.record_diagnostic("bound_unchecked_steps",
+                                   report.meta["bound_unchecked_steps"])
     path = os.path.join(out_dir, "ladder.csv")
     write_ladder_csv(path, report)
     manifest.record_file(path)
@@ -321,13 +323,7 @@ def cmd_sensitivity(cfg, args, out_dir, manifest):
     tol = float(cfg.get("identity_tol", 1e-8))
     bundle = simulate_paths(spec, paths, seed, threads=threads)
     record = density_paths(bundle, tilt)
-    identity_err = 0.0
-    for eps in eps_ladder:
-        quot = response_quotient(bundle, record, float(eps))
-        identity_err = max(identity_err, float(
-            np.max(np.abs(quot["direct"] - quot["formula"]))))
-    first = first_order_check(bundle, record, eps_ladder)
-    second = second_order_check(bundle, record, eps_ladder)
+    identity_err, first, second = expansion_ladder(bundle, record, eps_ladder)
     rows = []
     for table, tag in ((first, "first"), (second, "second")):
         for i in range(len(eps_ladder)):

@@ -31,6 +31,12 @@ DENSITY_FLOOR = 1e-12
 ORTHOGONAL_STREAM = 165
 
 
+def cumsum_from_zero(increments):
+    """Paths (P, N + 1) from zero of per-step increments (P, N)."""
+    zeros = np.zeros((increments.shape[0], 1))
+    return np.concatenate((zeros, np.cumsum(increments, axis=1)), axis=1)
+
+
 def _as_step_array(value, n_steps, shape_tail, grid, name):
     """Broadcast a constant, per-step array, or callable-of-time to (n_steps, *tail)."""
     if callable(value):
@@ -411,9 +417,7 @@ def density_paths(bundle, tilt, seed=None):
         )
     expo = np.einsum("ki,pki->pk", lam, bundle.dM)
     expo -= 0.5 * (lam_sq * bundle.dG)[None, :]
-    log_z = np.concatenate(
-        (np.zeros((bundle.n_paths, 1)), np.cumsum(expo, axis=1)), axis=1)
-    z = np.exp(log_z)
+    z = np.exp(cumsum_from_zero(expo))
     if tilt.orthogonal_vol != 0.0:
         if seed is None:
             seed = np.random.SeedSequence((int(bundle.seed), ORTHOGONAL_STREAM))
@@ -421,8 +425,7 @@ def density_paths(bundle, tilt, seed=None):
         dw = rng.standard_normal((bundle.n_paths, bundle.n_steps))
         dw *= np.sqrt(bundle.dG)[None, :]
         rho = tilt.orthogonal_vol
-        log_n = np.cumsum(rho * dw - 0.5 * rho * rho * bundle.dG[None, :], axis=1)
-        orth = np.concatenate((np.ones((bundle.n_paths, 1)), np.exp(log_n)), axis=1)
+        orth = np.exp(cumsum_from_zero(rho * dw - 0.5 * rho * rho * bundle.dG[None, :]))
         z = z * orth
     else:
         orth = np.ones_like(z)
@@ -452,19 +455,23 @@ class DensityDecomposition:
         return float(np.max(np.abs(self.exp_factor * self.remainder - self.density)))
 
 
-def tilt_decomposition(bundle, record, eps):
-    """Mixture density at size eps with its multiplicative decomposition."""
+def tilt_field(record, eps):
+    """Tilt field lam^eps = (Z1 / Z^eps) lam1 at left endpoints, (P, N, d)."""
     if not 0.0 <= eps <= 1.0:
         raise InvalidSpec(f"mixture size must lie in [0, 1], got {eps}")
+    z_left = record.z[:, :-1]
+    return (z_left / ((1.0 - eps) + eps * z_left))[:, :, None] * record.lam1
+
+
+def tilt_decomposition(bundle, record, eps):
+    """Mixture density at size eps with its multiplicative decomposition."""
+    lam_path = tilt_field(record, eps)
     z_eps = (1.0 - eps) + eps * record.z
-    lam_path = (record.z[:, :-1] / z_eps[:, :-1])[:, :, None] * record.lam1[None, :, :]
     scaled = eps * lam_path
     expo = np.einsum("pki,pki->pk", scaled, bundle.dM)
     expo -= 0.5 * np.einsum("pki,kij,pkj->pk", scaled, bundle.cov, scaled) \
         * bundle.dG[None, :]
-    log_e = np.concatenate(
-        (np.zeros((bundle.n_paths, 1)), np.cumsum(expo, axis=1)), axis=1)
-    exp_factor = np.exp(log_e)
+    exp_factor = np.exp(cumsum_from_zero(expo))
     remainder = z_eps / exp_factor
     return DensityDecomposition(eps=eps, density=z_eps, lam_path=lam_path,
                                 exp_factor=exp_factor, remainder=remainder)

@@ -37,12 +37,12 @@ def check_psd_matrix(c, clock_normalized=False, sym_tol=1e-12, trace_tol=1e-10):
         raise DimensionMismatch(f"covariance must be square, got shape {c.shape}")
     scale = max(1.0, float(np.max(np.abs(c))))
     if np.max(np.abs(c - c.T)) > sym_tol * scale:
-        raise ValueError("covariance is not symmetric")
+        raise InvalidSpec("covariance is not symmetric")
     w = np.linalg.eigvalsh(0.5 * (c + c.T))
     if w[0] < -1e-10 * max(scale, 1.0):
-        raise ValueError(f"covariance has negative eigenvalue {w[0]:.3e}")
+        raise InvalidSpec(f"covariance has negative eigenvalue {w[0]:.3e}")
     if clock_normalized and abs(np.trace(c) - 1.0) > trace_tol:
-        raise ValueError(f"clock-normalized covariance needs trace 1, got {np.trace(c)!r}")
+        raise InvalidSpec(f"clock-normalized covariance needs trace 1, got {np.trace(c)!r}")
     return c
 
 

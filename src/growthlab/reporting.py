@@ -100,7 +100,11 @@ def atomic_write_json(path, payload):
 
 
 class RunManifest:
-    """Collects run metadata and writes manifest.json atomically."""
+    """Collects run metadata and writes manifest.json atomically.
+
+    checks hold the pass/fail verdicts; diagnostics hold counts that
+    qualify them (say, steps a check left out) and decide nothing.
+    """
 
     def __init__(self, config, seed, version):
         self.config = config
@@ -108,10 +112,14 @@ class RunManifest:
         self.version = version
         self.started = time.time()
         self.checks = {}
+        self.diagnostics = {}
         self.files = []
 
     def record_check(self, name, passed):
         self.checks[name] = bool(passed)
+
+    def record_diagnostic(self, name, value):
+        self.diagnostics[name] = value
 
     def record_file(self, path):
         self.files.append(os.path.basename(path))
@@ -127,6 +135,7 @@ class RunManifest:
             "seed": self.seed,
             "wall_clock_seconds": time.time() - self.started,
             "checks": self.checks,
+            "diagnostics": self.diagnostics,
             "files": sorted(self.files),
         }
         path = os.path.join(out_dir, "manifest.json")

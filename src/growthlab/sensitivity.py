@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import FullSpace
-from .errors import InvalidSpec
-from .market import girsanov_drift, tilt_decomposition
+from .errors import DimensionMismatch, InvalidSpec
+from .market import cumsum_from_zero, tilt_field
 from .numeraire import numeraire_fractions, wealth_paths
 
 __all__ = [
-    "ExpansionRecord", "response_quotient", "expansion_record",
-    "first_order_check", "second_order_check",
+    "ExpansionRecord", "reference_increments", "response_quotient",
+    "expansion_record", "expansion_ladder", "first_order_check",
+    "second_order_check",
 ]
 
 
@@ -36,35 +37,38 @@ def _quad(cov, field_a, field_b, dG):
     return np.einsum("pki,kij,pkj->pk", field_a, cov, field_b) * dG[None, :]
 
 
-def response_quotient(bundle, record, eps):
+def reference_increments(bundle):
+    """Untilted numéraire log-wealth increments dB + dL, shape (P, N)."""
+    ref = wealth_paths(bundle, numeraire_fractions(bundle, FullSpace()))
+    return ref.dB + ref.dL
+
+
+def response_quotient(bundle, record, eps, *, reference=None):
     """The rescaled log-wealth response at one tilt size, both routes.
 
     Returns a dict with cumulative paths "direct" (from the two wealth
     processes) and "formula" (the right side of the identity), both of
-    shape (P, N + 1), plus the formula's finite-variation and martingale
-    increments for distance computations.
+    shape (P, N + 1), plus per-step increments: the formula's
+    finite-variation and martingale parts and the tilt energy
+    |lam^eps|_c^2 dG. reference, when given, is the bundle's
+    reference_increments, which do not depend on eps.
     """
     if not 0.0 < eps <= 1.0:
         raise InvalidSpec(f"tilt size must lie in (0, 1], got {eps}")
-    decomp = tilt_decomposition(bundle, record, eps)
-    a_eps = girsanov_drift(bundle, decomp)
-    frac_eps = numeraire_fractions(bundle, FullSpace(), drifts=a_eps)
-    frac_ref = numeraire_fractions(bundle, FullSpace())
-    w_eps = wealth_paths(bundle, frac_eps)
-    w_ref = wealth_paths(bundle, frac_ref)
-    diff = (w_eps.dB + w_eps.dL) - (w_ref.dB + w_ref.dL)
-    direct = np.concatenate(
-        (np.zeros((bundle.n_paths, 1)), np.cumsum(diff / eps, axis=1)), axis=1)
-
-    lam = decomp.lam_path
-    fv_inc = -(eps / 2.0) * _quad(bundle.cov, lam, lam, bundle.dG)
+    reference = reference_increments(bundle) if reference is None else reference
+    if np.shape(reference) != (bundle.n_paths, bundle.n_steps):
+        raise DimensionMismatch(f"reference shape {np.shape(reference)} "
+                                "is not (n_paths, n_steps)")
+    lam = tilt_field(record, eps)
+    w_eps = wealth_paths(bundle, numeraire_fractions(
+        bundle, FullSpace(), drifts=bundle.drift + eps * lam))
+    direct = cumsum_from_zero(((w_eps.dB + w_eps.dL) - reference) / eps)
+    energy = _quad(bundle.cov, lam, lam, bundle.dG)
+    fv_inc = -(eps / 2.0) * energy
     mart_inc = np.einsum("pki,pki->pk", lam, bundle.dM)
-    formula = np.concatenate(
-        (np.zeros((bundle.n_paths, 1)), np.cumsum(fv_inc + mart_inc, axis=1)),
-        axis=1)
-    return {"direct": direct, "formula": formula,
+    return {"direct": direct, "formula": cumsum_from_zero(fv_inc + mart_inc),
             "fv_increments": fv_inc, "mart_increments": mart_inc,
-            "lam_path": lam}
+            "energy_increments": energy, "lam_path": lam}
 
 
 @dataclass
@@ -83,12 +87,8 @@ def expansion_record(bundle, record):
     first_inc = np.einsum("pki,pki->pk", lam0, bundle.dM)
     second_inc = -0.5 * _quad(bundle.cov, lam0, lam0, bundle.dG)
     second_inc -= (z_left - 1.0) * first_inc
-    zeros = np.zeros((bundle.n_paths, 1))
-    return ExpansionRecord(
-        lam0=lam0,
-        first_order=np.concatenate((zeros, np.cumsum(first_inc, axis=1)), axis=1),
-        second_order=np.concatenate((zeros, np.cumsum(second_inc, axis=1)), axis=1),
-    )
+    return ExpansionRecord(lam0=lam0, first_order=cumsum_from_zero(first_inc),
+                           second_order=cumsum_from_zero(second_inc))
 
 
 def _order_fit(eps_ladder, means):
@@ -98,45 +98,47 @@ def _order_fit(eps_ladder, means):
     return float(np.polyfit(np.log(eps_ladder), y, 1)[0])
 
 
-def first_order_check(bundle, record, eps_ladder):
-    """Distance from the rescaled response to its first-order limit.
+def expansion_ladder(bundle, record, eps_ladder):
+    """(worst identity error, first-order table, second-order table), with
+    one quotient per eps, each reduced to per-path errors at once.
 
-    Per tilt size: finite-variation error (total variation of the drift
-    part, which the limit lacks entirely) and quadratic-variation error of
-    the martingale part. Both scale like eps; the table carries the fitted
-    order and consecutive ratios.
+    First order: total variation of the quotient's drift part (the limit
+    has none) and quadratic variation of its martingale part against the
+    first-order limit. Second order: the same distances from the centered,
+    rescaled remainder to the second-order limit. All scale like eps.
     """
     eps_ladder = np.asarray(eps_ladder, dtype=float)
+    if eps_ladder.ndim != 1 or eps_ladder.size == 0:
+        raise InvalidSpec(f"need a nonempty 1-d eps ladder, got {eps_ladder}")
     exp_rec = expansion_record(bundle, record)
-    lim_inc = np.diff(exp_rec.first_order, axis=1)
-    fv_rows, qv_rows = [], []
+    first_inc = np.diff(exp_rec.first_order, axis=1)
+    lim_fv = -0.5 * _quad(bundle.cov, exp_rec.lam0, exp_rec.lam0, bundle.dG)
+    lim_mart = np.diff(exp_rec.second_order, axis=1) - lim_fv
+    reference = reference_increments(bundle)
+    identity, first_fv, first_qv, second_fv, second_qv = [], [], [], [], []
     for eps in eps_ladder:
-        q = response_quotient(bundle, record, eps)
-        fv_rows.append(np.sum(np.abs(q["fv_increments"]), axis=1))
-        qv_rows.append(np.sum((q["mart_increments"] - lim_inc) ** 2, axis=1))
-    return _error_table(eps_ladder, fv_rows, qv_rows, exp_rec)
+        q = response_quotient(bundle, record, eps, reference=reference)
+        identity.append(np.max(np.abs(q["direct"] - q["formula"])))
+        mart_gap = q["mart_increments"] - first_inc
+        rem_fv = -0.5 * q["energy_increments"]
+        first_fv.append(np.sum(np.abs(q["fv_increments"]), axis=1))
+        first_qv.append(np.sum(mart_gap ** 2, axis=1))
+        second_fv.append(np.sum(np.abs(rem_fv - lim_fv), axis=1))
+        second_qv.append(np.sum((mart_gap / eps - lim_mart) ** 2, axis=1))
+        del q, mart_gap, rem_fv  # freed before the next quotient is solved
+    return (float(np.max(identity)),
+            _error_table(eps_ladder, first_fv, first_qv, exp_rec),
+            _error_table(eps_ladder, second_fv, second_qv, exp_rec))
+
+
+def first_order_check(bundle, record, eps_ladder):
+    """First-order error table of expansion_ladder."""
+    return expansion_ladder(bundle, record, eps_ladder)[1]
 
 
 def second_order_check(bundle, record, eps_ladder):
-    """Distance from the centered, rescaled remainder to the second-order
-    limit; errors scale like eps again."""
-    eps_ladder = np.asarray(eps_ladder, dtype=float)
-    exp_rec = expansion_record(bundle, record)
-    first_inc = np.diff(exp_rec.first_order, axis=1)
-    second_inc = np.diff(exp_rec.second_order, axis=1)
-    lam0 = exp_rec.lam0
-    z_left = record.z[:, :-1]
-    fv_rows, qv_rows = [], []
-    for eps in eps_ladder:
-        q = response_quotient(bundle, record, eps)
-        lam = q["lam_path"]
-        rem_fv = -0.5 * _quad(bundle.cov, lam, lam, bundle.dG)
-        rem_mart = (q["mart_increments"] - first_inc) / eps
-        lim_fv = -0.5 * _quad(bundle.cov, lam0, lam0, bundle.dG)
-        lim_mart = second_inc - lim_fv
-        fv_rows.append(np.sum(np.abs(rem_fv - lim_fv), axis=1))
-        qv_rows.append(np.sum((rem_mart - lim_mart) ** 2, axis=1))
-    return _error_table(eps_ladder, fv_rows, qv_rows, exp_rec)
+    """Second-order error table of expansion_ladder."""
+    return expansion_ladder(bundle, record, eps_ladder)[2]
 
 
 def _error_table(eps_ladder, fv_rows, qv_rows, exp_rec):
@@ -144,15 +146,15 @@ def _error_table(eps_ladder, fv_rows, qv_rows, exp_rec):
     qv = np.stack(qv_rows)
     fv_mean = fv.mean(axis=1)
     qv_mean = qv.mean(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fv_ratios = fv_mean[:-1] / fv_mean[1:]
     return {
         "eps": eps_ladder,
         "fv_error": fv_mean,
         "fv_stderr": fv.std(axis=1) / np.sqrt(fv.shape[1]),
         "qv_error": qv_mean,
         "qv_stderr": qv.std(axis=1) / np.sqrt(qv.shape[1]),
-        "fv_ratios": fv_ratios,
+        # None (JSON null) where the next error is zero, as on a flat tilt
+        "fv_ratios": [float(a / b) if b != 0.0 else None
+                      for a, b in zip(fv_mean[:-1], fv_mean[1:])],
         "order_fv": _order_fit(eps_ladder, fv_mean),
         # qv is a squared distance, so first-order behavior means order 2
         # in eps; report half the fitted exponent for comparability.

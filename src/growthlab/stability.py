@@ -23,8 +23,8 @@ import numpy as np
 from .constraints import truncated_pair_distance
 from .errors import DensityFloorHit, InvalidSpec
 from .market import (
-    density_paths, filtered_drift, event_probabilities, girsanov_drift,
-    simulate_paths, simulate_signal_paths, tilt_decomposition,
+    cumsum_from_zero, density_paths, filtered_drift, event_probabilities,
+    girsanov_drift, simulate_paths, simulate_signal_paths, tilt_decomposition,
 )
 from .numeraire import (
     growth_path, numeraire_fractions, wealth_paths, wealth_process_gap,
@@ -392,9 +392,7 @@ def lognormal_density_ladder(vols, n_paths, n_steps, horizon, seed):
     dw = rng.standard_normal((n_paths, n_steps)) * np.sqrt(dt)
     out = []
     for s in vols:
-        log_z = np.cumsum(s * dw - 0.5 * s * s * dt, axis=1)
-        out.append(np.concatenate(
-            (np.ones((n_paths, 1)), np.exp(log_z)), axis=1))
+        out.append(np.exp(cumsum_from_zero(s * dw - 0.5 * s * s * dt)))
     return out
 
 
@@ -406,8 +404,7 @@ def excursion_density_ladder(sizes, kappa, n_paths, n_steps, horizon, seed):
     dt = horizon / n_steps
     dw = rng.standard_normal((n_paths, n_steps)) * np.sqrt(dt)
     u = rng.random(n_paths)
-    log_z = np.cumsum(kappa * dw - 0.5 * kappa * kappa * dt, axis=1)
-    big = np.concatenate((np.ones((n_paths, 1)), np.exp(log_z)), axis=1)
+    big = np.exp(cumsum_from_zero(kappa * dw - 0.5 * kappa * kappa * dt))
     out = []
     for size in sizes:
         flag = (u < 1.0 / size)[:, None]

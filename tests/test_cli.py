@@ -64,6 +64,45 @@ def test_constraint_ladder_outside_bound_regime_exits_0(tmp_path):
     assert manifest["checks"]["per_step_bound"] is True
     assert all(manifest["checks"].values())
 
+CONSTRAINT_MARKET = {"dim": 2, "n_steps": 20,
+                     "covariance": [[0.5, 0.0], [0.0, 0.5]],
+                     "drift": [2.0, 0.0], "normalize_clock": False}
+
+
+@pytest.mark.parametrize("radii, limit, unchecked", [
+    # every radius above |a|_c = sqrt(2): no step is in the bound's regime
+    ((2.0, 1.75, 1.625, 1.5625), 1.5, [20, 20, 20, 20]),
+    # every radius below it: every step is checked
+    ((1.25, 1.125, 1.0625, 1.03125), 1.0, [0, 0, 0, 0]),
+], ids=["outside-regime", "inside-regime"])
+def test_constraint_ladder_manifest_counts_unchecked_steps(
+        tmp_path, radii, limit, unchecked):
+    cfg = write_config(tmp_path, "constraint.yaml", {
+        "kind": "stability-constraint", "market": CONSTRAINT_MARKET,
+        "sets": [{"type": "ball", "radius": r} for r in radii],
+        "limit_set": {"type": "ball", "radius": limit},
+        "paths": 64,
+    })
+    out = tmp_path / "run"
+    assert run_cli("stability", "--config", cfg, "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["checks"]["per_step_bound"] is True
+    assert manifest["diagnostics"] == {"bound_unchecked_steps": unchecked}
+
+
+def test_solve_asymmetric_covariance_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "asym.yaml", {
+        "kind": "solve",
+        "covariance": [[0.5, 0.2], [0.1, 0.4]],
+        "drift": [0.3, 0.4],
+    })
+    assert run_cli("solve", "--config", cfg,
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "symmetric" in err
+    assert "Traceback" not in err
+
+
 def test_solve_non_finite_drift_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "nan.yaml", {
         "kind": "solve",
@@ -199,6 +238,65 @@ def test_sensitivity_command_checks_identity(tmp_path):
                    "--out", out) == 0
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["checks"]["response_identity"]
+
+
+def test_sensitivity_flat_tilt_writes_strict_json(tmp_path):
+    cfg = write_config(tmp_path, "flat.yaml", {
+        "kind": "sensitivity", "market": MARKET,
+        "tilt": {"lam1": [0.0, 0.0]}, "paths": 64,
+    })
+    out = tmp_path / "run"
+    assert run_cli("sensitivity", "--config", cfg, "--seed", "5",
+                   "--out", str(out)) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=reject)
+    assert summary["first_order"]["fv_ratios"] == [None, None, None]
+    assert summary["identity_max_error"] == 0.0
+
+
+@pytest.mark.parametrize("eps_ladder", [[], 0.1], ids=["empty", "scalar"])
+def test_sensitivity_malformed_eps_ladder_exits_2(tmp_path, capsys,
+                                                  eps_ladder):
+    cfg = write_config(tmp_path, "sens.yaml", {
+        "kind": "sensitivity", "market": MARKET,
+        "tilt": {"lam1": [0.4, -0.2]}, "paths": 16,
+        "eps_ladder": eps_ladder,
+    })
+    assert run_cli("sensitivity", "--config", cfg,
+                   "--out", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_sensitivity_solves_reference_once(tmp_path, monkeypatch):
+    import growthlab.sensitivity as sensitivity
+
+    calls = {"quotient": 0, "reference": 0}
+    quotient = sensitivity.response_quotient
+    fractions = sensitivity.numeraire_fractions
+
+    def counted_quotient(*args, **kwargs):
+        calls["quotient"] += 1
+        return quotient(*args, **kwargs)
+
+    def counted_fractions(bundle, constraint, *, drifts=None):
+        calls["reference"] += drifts is None
+        return fractions(bundle, constraint, drifts=drifts)
+
+    monkeypatch.setattr(sensitivity, "response_quotient", counted_quotient)
+    monkeypatch.setattr(sensitivity, "numeraire_fractions", counted_fractions)
+    cfg = write_config(tmp_path, "sens.yaml", {
+        "kind": "sensitivity", "market": MARKET,
+        "tilt": {"lam1": [0.4, -0.2]}, "paths": 64,
+        "eps_ladder": [0.2, 0.1, 0.05],
+    })
+    assert run_cli("sensitivity", "--config", cfg,
+                   "--out", str(tmp_path / "run")) == 0
+    assert calls == {"quotient": 3, "reference": 1}
 
 
 def test_bad_seed_exits_2(tmp_path):

@@ -5,7 +5,7 @@ from growthlab.errors import InvalidSpec, UnsupportedSignalModel
 from growthlab.market import (
     GaussianSignalModel, MarketSpec, TiltSpec, density_paths,
     event_probabilities, filtered_drift, girsanov_drift, simulate_paths,
-    simulate_signal_paths, tilt_decomposition,
+    simulate_signal_paths, tilt_decomposition, tilt_field,
 )
 from growthlab.quadform import cov_inner
 
@@ -176,6 +176,22 @@ def test_interpolated_tilt_matches_identity():
     rhs = rec.z[:, :-1, None] * np.broadcast_to(
         rec.lam1, (b.n_paths, b.n_steps, 2))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_tilt_field_is_the_decomposition_field():
+    spec = make_spec(n_steps=25)
+    b = simulate_paths(spec, 300, 13)
+    rec = density_paths(b, TiltSpec(lam1=np.array([0.3, 0.2]),
+                                    orthogonal_vol=0.4))
+    for eps in (0.0, 0.025, 0.5, 1.0):
+        field = tilt_field(rec, eps)
+        assert np.array_equal(field, tilt_decomposition(b, rec, eps).lam_path)
+        # the field as computed from the whole mixture density
+        z_eps = (1.0 - eps) + eps * rec.z
+        full = (rec.z[:, :-1] / z_eps[:, :-1])[:, :, None] * rec.lam1[None]
+        assert np.array_equal(field, full)
+    with pytest.raises(InvalidSpec):
+        tilt_field(rec, 1.5)
 
 
 def test_girsanov_drift_shifts_by_scaled_tilt():

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from growthlab.market import MarketSpec, TiltSpec, density_paths, simulate_paths
+from growthlab.constraints import FullSpace
+from growthlab.errors import DimensionMismatch
+from growthlab.market import (
+    MarketSpec, TiltSpec, density_paths, girsanov_drift, simulate_paths,
+    tilt_decomposition,
+)
+from growthlab.numeraire import numeraire_fractions, wealth_paths
 from growthlab.sensitivity import (
-    expansion_record, first_order_check, response_quotient,
-    second_order_check,
+    expansion_ladder, expansion_record, first_order_check,
+    reference_increments, response_quotient, second_order_check,
 )
 
 COV = np.array([[0.5, 0.1], [0.1, 0.4]])
@@ -44,6 +50,7 @@ def test_zero_tilt_gives_zero_everywhere():
     assert np.max(first["fv_error"]) == 0.0
     assert np.max(first["qv_error"]) == 0.0
     assert first["order_fv"] is None and first["order_qv"] is None
+    assert first["fv_ratios"] == [None] * 3
 
 
 def test_first_order_error_halves_with_eps():
@@ -106,3 +113,81 @@ def test_rejects_eps_outside_unit_interval():
         response_quotient(b, rec, 0.0)
     with pytest.raises(ValueError):
         response_quotient(b, rec, 1.5)
+
+
+def three_pass_rows(bundle, record, eps_ladder):
+    """The expansion checks computed the long way: a separate pass for the
+    identity and for each order, every quotient built from the full tilt
+    decomposition and solving its own reference wealth."""
+    def quad(lam):
+        return np.einsum("pki,kij,pkj->pk", lam, bundle.cov, lam) \
+            * bundle.dG[None, :]
+
+    def cumulative(inc):
+        return np.concatenate(
+            (np.zeros((bundle.n_paths, 1)), np.cumsum(inc, axis=1)), axis=1)
+
+    def quotient(eps):
+        decomp = tilt_decomposition(bundle, record, eps)
+        w_eps = wealth_paths(bundle, numeraire_fractions(
+            bundle, FullSpace(), drifts=girsanov_drift(bundle, decomp)))
+        w_ref = wealth_paths(bundle, numeraire_fractions(bundle, FullSpace()))
+        diff = (w_eps.dB + w_eps.dL) - (w_ref.dB + w_ref.dL)
+        lam = decomp.lam_path
+        fv_inc = -(eps / 2.0) * quad(lam)
+        mart_inc = np.einsum("pki,pki->pk", lam, bundle.dM)
+        return (cumulative(diff / eps), cumulative(fv_inc + mart_inc),
+                fv_inc, mart_inc, lam)
+
+    identity = 0.0
+    for eps in eps_ladder:
+        direct, formula = quotient(float(eps))[:2]
+        identity = max(identity, float(np.max(np.abs(direct - formula))))
+    exp_rec = expansion_record(bundle, record)
+    first_inc = np.diff(exp_rec.first_order, axis=1)
+    second_inc = np.diff(exp_rec.second_order, axis=1)
+    rows = {"first_fv": [], "first_qv": [], "second_fv": [], "second_qv": []}
+    for eps in eps_ladder:
+        fv_inc, mart_inc = quotient(eps)[2:4]
+        rows["first_fv"].append(np.sum(np.abs(fv_inc), axis=1))
+        rows["first_qv"].append(np.sum((mart_inc - first_inc) ** 2, axis=1))
+    for eps in eps_ladder:
+        mart_inc, lam = quotient(eps)[3:]
+        lim_fv = -0.5 * quad(exp_rec.lam0)
+        rows["second_fv"].append(
+            np.sum(np.abs(-0.5 * quad(lam) - lim_fv), axis=1))
+        rows["second_qv"].append(np.sum(
+            ((mart_inc - first_inc) / eps - (second_inc - lim_fv)) ** 2,
+            axis=1))
+    return identity, {k: np.stack(v) for k, v in rows.items()}
+
+
+@pytest.mark.parametrize("cov", [COV, np.array([[0.5, 0.5], [0.5, 0.5]])],
+                         ids=["full-rank", "rank-deficient"])
+def test_one_pass_matches_three_passes_bitwise(cov):
+    b = make_bundle(n_paths=200, cov=cov)
+    rec = density_paths(b, TiltSpec(lam1=np.array([0.5, -0.3])))
+    identity, rows = three_pass_rows(b, rec, EPS)
+    got_identity, first, second = expansion_ladder(b, rec, EPS)
+    assert got_identity == identity
+    for tag, table in (("first", first), ("second", second)):
+        assert np.array_equal(table["per_path"]["fv"], rows[f"{tag}_fv"])
+        assert np.array_equal(table["per_path"]["qv"], rows[f"{tag}_qv"])
+    for key in ("fv_error", "fv_stderr", "qv_error", "qv_stderr"):
+        assert np.array_equal(first_order_check(b, rec, EPS)[key], first[key])
+        assert np.array_equal(second_order_check(b, rec, EPS)[key],
+                              second[key])
+
+
+def test_precomputed_reference_gives_the_same_quotient():
+    b = make_bundle(n_paths=100)
+    rec = density_paths(b, TiltSpec(lam1=np.array([0.5, -0.3])))
+    reference = reference_increments(b)
+    for eps in (1.0, 0.1):
+        default = response_quotient(b, rec, eps)
+        given = response_quotient(b, rec, eps, reference=reference)
+        assert default.keys() == given.keys()
+        for key in default:
+            assert np.array_equal(default[key], given[key]), key
+    with pytest.raises(DimensionMismatch):
+        response_quotient(b, rec, 0.1, reference=reference[:, :-1])
