@@ -20,13 +20,12 @@ from .constraints import (
 )
 from .quadform import (
     cov_inner, cov_norm, nullspace_split, optimal_fraction,
-    optimal_fraction_batch, project_feasible,
+    optimal_fraction_batch,
 )
 from .market import (
     DensityRecord, GaussianSignalModel, MarketSpec, PathBundle, TiltSpec,
-    brownian_increments, density_paths, event_probabilities, filtered_drift,
-    girsanov_drift, simulate_paths, simulate_signal_paths, tilt_decomposition,
-    tilt_field,
+    density_paths, event_probabilities, filtered_drift, girsanov_drift,
+    simulate_paths, simulate_signal_paths, tilt_decomposition, tilt_field,
 )
 from .numeraire import (
     GrowthPath, WealthPaths, growth_path, growth_rate, numeraire_fractions,

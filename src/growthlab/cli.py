@@ -26,7 +26,8 @@ from .errors import (
     QuadratureUnderResolved, ThresholdFailure, UnsupportedSignalModel,
 )
 from .market import (
-    GaussianSignalModel, MarketSpec, TiltSpec, density_paths, simulate_paths,
+    GaussianSignalModel, MarketSpec, TiltSpec, cumsum_from_zero,
+    density_paths, simulate_paths,
 )
 from .numeraire import growth_path, growth_rate, numeraire_fractions, wealth_paths
 from .quadform import cov_norm, optimal_fraction
@@ -80,21 +81,40 @@ def _require_keys(cfg, required, optional, where):
         raise ConfigError(f"missing keys in {where}: {', '.join(missing)}")
 
 
-def _positive_int(cfg_value, name):
+def _int(value, name):
     try:
-        value = int(cfg_value)
+        return int(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got {cfg_value!r}")
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _positive_int(cfg_value, name):
+    value = _int(cfg_value, name)
     if value <= 0:
         raise ConfigError(f"{name} must be positive, got {value}")
     return value
 
 
-def _seed_value(raw):
+def _floats(value, name):
+    """A config number or nested list of numbers as a float array (0-d for
+    a number); ConfigError when it is missing, not numeric or ragged."""
     try:
-        seed = int(raw)
+        if value is not None:
+            return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigError(f"seed must be an integer, got {raw!r}")
+        pass
+    raise ConfigError(f"{name} must be numeric, got {value!r}")
+
+
+def _float(value, name):
+    arr = _floats(value, name)
+    if arr.ndim != 0:
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(arr)
+
+
+def _seed_value(raw):
+    seed = _int(raw, "seed")
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"seed must fit in 64 bits, got {seed}")
     return seed
@@ -106,16 +126,17 @@ def _market_spec(cfg):
                   "market")
     clock = cfg.get("clock", "uniform")
     if isinstance(clock, list):
-        clock = np.asarray(clock, dtype=float)
+        clock = _floats(clock, "market.clock")
     cov = cfg.get("covariance")
     drift = cfg.get("drift")
     try:
         return MarketSpec(
             dim=_positive_int(cfg["dim"], "market.dim"),
             n_steps=_positive_int(cfg["n_steps"], "market.n_steps"),
-            horizon=float(cfg.get("horizon", 1.0)),
-            covariance=None if cov is None else np.asarray(cov, dtype=float),
-            drift=None if drift is None else np.asarray(drift, dtype=float),
+            horizon=_float(cfg.get("horizon", 1.0), "market.horizon"),
+            covariance=None if cov is None
+            else _floats(cov, "market.covariance"),
+            drift=None if drift is None else _floats(drift, "market.drift"),
             clock=clock,
             normalize_clock=bool(cfg.get("normalize_clock", True)),
         )
@@ -139,11 +160,11 @@ def _signal_model(cfg):
                   ("prior_mean", "prior_std", "noise_scales"), "signal")
     try:
         return GaussianSignalModel(
-            direction=np.asarray(cfg["direction"], dtype=float),
-            prior_mean=float(cfg.get("prior_mean", 0.0)),
-            prior_std=float(cfg.get("prior_std", 1.0)),
+            direction=_floats(cfg["direction"], "signal.direction"),
+            prior_mean=_float(cfg.get("prior_mean", 0.0), "signal.prior_mean"),
+            prior_std=_float(cfg.get("prior_std", 1.0), "signal.prior_std"),
             noise_scales=None if cfg.get("noise_scales") is None
-            else np.asarray(cfg["noise_scales"], dtype=float),
+            else _floats(cfg["noise_scales"], "signal.noise_scales"),
         )
     except (InvalidSpec, UnsupportedSignalModel, ValueError) as exc:
         raise ConfigError(f"bad signal config: {exc}") from exc
@@ -154,10 +175,11 @@ def _tilt_spec(cfg):
                   "tilt")
     try:
         return TiltSpec(
-            lam1=np.asarray(cfg["lam1"], dtype=float),
-            orthogonal_vol=float(cfg.get("orthogonal_vol", 0.0)),
-            energy_cap=float(cfg.get("energy_cap", 50.0)),
-            floor=float(cfg.get("floor", 1e-12)),
+            lam1=_floats(cfg["lam1"], "tilt.lam1"),
+            orthogonal_vol=_float(cfg.get("orthogonal_vol", 0.0),
+                                  "tilt.orthogonal_vol"),
+            energy_cap=_float(cfg.get("energy_cap", 50.0), "tilt.energy_cap"),
+            floor=_float(cfg.get("floor", 1e-12), "tilt.floor"),
         )
     except (InvalidSpec, ValueError) as exc:
         raise ConfigError(f"bad tilt config: {exc}") from exc
@@ -208,11 +230,24 @@ def _write_summary(out_dir, manifest, payload):
     return path
 
 
+def _write_ladder(out_dir, manifest, csv_name, report, payload):
+    """Ladder table, one decay check per metric, and a summary of payload
+    plus the slopes."""
+    path = os.path.join(out_dir, csv_name)
+    write_ladder_csv(path, report)
+    manifest.record_file(path)
+    slopes = report.slopes()
+    for name, res in slopes.items():
+        manifest.record_check(f"decay:{name}", res["passed"])
+    _write_summary(out_dir, manifest,
+                   dict(payload, slopes=_slope_summary(slopes)))
+
+
 def cmd_solve(cfg, args, out_dir, manifest):
     _require_keys(cfg, ("kind", "covariance", "drift"),
                   ("constraint",) + SHARED_KEYS[1:], "config")
-    cov = np.asarray(cfg["covariance"], dtype=float)
-    drift = np.asarray(cfg["drift"], dtype=float)
+    cov = _floats(cfg["covariance"], "covariance")
+    drift = _floats(cfg["drift"], "drift")
     constraint = _constraint(cfg.get("constraint"))
     fraction = optimal_fraction(cov, drift, constraint)
     growth = float(growth_rate(cov, drift, fraction))
@@ -237,12 +272,10 @@ def cmd_simulate(cfg, args, out_dir, manifest):
     fractions = numeraire_fractions(bundle, constraint)
     wealth = wealth_paths(bundle, fractions)
     gp = growth_path(bundle.cov, bundle.drift, constraint, bundle.dG)
-    zero = np.zeros((paths, 1))
-    log_x = np.concatenate((zero, wealth.log_wealth), axis=1)
-    b_part = np.concatenate((zero, np.cumsum(wealth.dB, axis=1)), axis=1)
-    l_part = np.concatenate((zero, np.cumsum(wealth.dL, axis=1)), axis=1)
+    dB, dL = wealth.dB[:1], wealth.dL[:1]  # the table shows the first path
     path = os.path.join(out_dir, "wealth.csv")
-    write_wealth_csv(path, spec.grid, log_x[0], b_part[0], l_part[0],
+    write_wealth_csv(path, spec.grid, cumsum_from_zero(dB + dL)[0],
+                     cumsum_from_zero(dB)[0], cumsum_from_zero(dL)[0],
                      gp.cumulative)
     manifest.record_file(path)
     terminal = wealth.terminal_log_wealth
@@ -271,7 +304,8 @@ def cmd_stability(cfg, args, out_dir, manifest):
         threshold = cfg.get("event_threshold")
         report = filtration_ladder(
             spec, model, constraint, paths, seed, threads=threads,
-            event_threshold=None if threshold is None else float(threshold))
+            event_threshold=None if threshold is None
+            else _float(threshold, "event_threshold"))
     elif kind == "stability-probability":
         _require_keys(cfg, ("kind", "market", "tilt"),
                       ("constraint", "eps_ladder") + SHARED_KEYS[1:], "config")
@@ -281,7 +315,7 @@ def cmd_stability(cfg, args, out_dir, manifest):
         eps = cfg.get("eps_ladder")
         report = probability_ladder(
             spec, tilt, constraint, paths, seed, threads=threads,
-            eps_ladder=None if eps is None else np.asarray(eps, dtype=float))
+            eps_ladder=None if eps is None else _floats(eps, "eps_ladder"))
     else:
         _require_keys(cfg, ("kind", "market", "sets", "limit_set"),
                       ("bound_slack",) + SHARED_KEYS[1:], "config")
@@ -290,20 +324,13 @@ def cmd_stability(cfg, args, out_dir, manifest):
         limit = _constraint(cfg["limit_set"], default_fullspace=False)
         report = constraint_ladder(
             spec, sets, limit, paths, seed, threads=threads,
-            bound_slack=float(cfg.get("bound_slack", 1e-6)))
+            bound_slack=_float(cfg.get("bound_slack", 1e-6), "bound_slack"))
         manifest.record_check("per_step_bound", report.meta["bound_ok"])
-        manifest.record_diagnostic("bound_unchecked_steps",
-                                   report.meta["bound_unchecked_steps"])
-    path = os.path.join(out_dir, "ladder.csv")
-    write_ladder_csv(path, report)
-    manifest.record_file(path)
-    slopes = report.slopes()
-    for name, res in slopes.items():
-        manifest.record_check(f"decay:{name}", res["passed"])
-    _write_summary(out_dir, manifest, {
+        for key in ("bound_unchecked_steps", "ladder_scale"):
+            manifest.record_diagnostic(key, report.meta[key])
+    _write_ladder(out_dir, manifest, "ladder.csv", report, {
         "family": report.family,
         "scales": report.scales,
-        "slopes": _slope_summary(slopes),
         "n_paths": paths,
         "seed": seed,
     })
@@ -316,11 +343,11 @@ def cmd_sensitivity(cfg, args, out_dir, manifest):
     seed, paths, threads = _runtime(cfg, args)
     spec = _market_spec(cfg["market"])
     tilt = _tilt_spec(cfg["tilt"])
-    eps_ladder = np.asarray(cfg.get("eps_ladder", [0.2, 0.1, 0.05, 0.025]),
-                            dtype=float)
+    eps_ladder = _floats(cfg.get("eps_ladder", [0.2, 0.1, 0.05, 0.025]),
+                         "eps_ladder")
     if np.any(eps_ladder <= 0.0) or np.any(eps_ladder > 1.0):
         raise ConfigError("eps_ladder entries must lie in (0, 1]")
-    tol = float(cfg.get("identity_tol", 1e-8))
+    tol = _float(cfg.get("identity_tol", 1e-8), "identity_tol")
     bundle = simulate_paths(spec, paths, seed, threads=threads)
     record = density_paths(bundle, tilt)
     identity_err, first, second = expansion_ladder(bundle, record, eps_ladder)
@@ -362,8 +389,8 @@ def cmd_counterexample(cfg, args, out_dir, manifest):
     _require_keys(cfg, ("kind", "p"),
                   ("levels", "quad_nodes", "quad_range", "signal_mean",
                    "theta_tol") + SHARED_KEYS[1:], "config")
-    p = float(cfg["p"])
-    levels = [int(n) for n in cfg.get("levels", range(1, 9))]
+    p = _float(cfg["p"], "p")
+    levels = [_int(n, "levels") for n in cfg.get("levels", range(1, 9))]
     kwargs = {}
     for key in ("quad_nodes", "quad_range", "signal_mean"):
         if key in cfg:
@@ -375,7 +402,7 @@ def cmd_counterexample(cfg, args, out_dir, manifest):
                                report["gap"])]
     _write_table(out_dir, manifest, "gaps.csv",
                  ["level", "theta_star", "gap"], rows)
-    theta_tol = float(cfg.get("theta_tol", 1e-3))
+    theta_tol = _float(cfg.get("theta_tol", 1e-3), "theta_tol")
     theta_max = max(abs(t) for t in report["theta_star"])
     manifest.record_check("theta_near_zero", theta_max <= theta_tol)
     _write_summary(out_dir, manifest, {
@@ -397,9 +424,9 @@ def cmd_tree(cfg, args, out_dir, manifest):
         tree = ScenarioTree(
             depth=depth,
             up_probs=None if cfg.get("up_probs") is None
-            else np.asarray(cfg["up_probs"], dtype=float),
+            else _floats(cfg["up_probs"], "up_probs"),
             clock_increments=None if cfg.get("clock_increments") is None
-            else np.asarray(cfg["clock_increments"], dtype=float),
+            else _floats(cfg["clock_increments"], "clock_increments"),
         )
     except InvalidSpec as exc:
         raise ConfigError(f"bad tree config: {exc}") from exc
@@ -408,14 +435,14 @@ def cmd_tree(cfg, args, out_dir, manifest):
     if ("leaf_indicator" in chi_cfg) == ("values" in chi_cfg):
         raise ConfigError("chi needs exactly one of leaf_indicator, values")
     if "leaf_indicator" in chi_cfg:
-        idx = int(chi_cfg["leaf_indicator"])
+        idx = _int(chi_cfg["leaf_indicator"], "leaf_indicator")
         if not 0 <= idx < tree.n_scenarios:
             raise ConfigError(f"leaf_indicator {idx} out of range")
         chi = np.zeros(tree.n_scenarios)
         chi[idx] = 1.0
     else:
-        chi = np.asarray(chi_cfg["values"], dtype=float)
-    caps = [int(n) for n in cfg.get("caps", range(depth + 1))]
+        chi = _floats(chi_cfg["values"], "chi.values")
+    caps = [_int(n, "caps") for n in cfg.get("caps", range(depth + 1))]
     conv = tree_projection_convergence(tree, chi, caps)
     expected = conv["expected"]
     rows = [{"cap": n, "expected_gap": g} for n, g in zip(caps, expected)]
@@ -439,42 +466,29 @@ def cmd_density_check(cfg, args, out_dir, manifest):
     seed, paths, _ = _runtime(cfg, args)
     family = cfg["family"]
     n_steps = _positive_int(cfg.get("n_steps", 256), "n_steps")
-    horizon = float(cfg.get("horizon", 1.0))
+    horizon = _float(cfg.get("horizon", 1.0), "horizon")
     if family == "lognormal":
         if "vols" not in cfg:
             raise ConfigError("lognormal family needs vols")
-        vols = np.asarray(cfg["vols"], dtype=float)
+        vols = _floats(cfg["vols"], "vols")
         z_list = lognormal_density_ladder(vols, paths, n_steps, horizon, seed)
         scales = vols
     elif family == "excursion":
         if "sizes" not in cfg:
             raise ConfigError("excursion family needs sizes")
-        sizes = np.asarray(cfg["sizes"], dtype=float)
-        kappa = float(cfg.get("kappa", 1.0))
+        sizes = _floats(cfg["sizes"], "sizes")
+        kappa = _float(cfg.get("kappa", 1.0), "kappa")
         z_list = excursion_density_ladder(sizes, kappa, paths, n_steps,
                                           horizon, seed)
         scales = 1.0 / sizes
     else:
         raise ConfigError(f"unknown density family: {family!r}")
-    table = density_sequence_check(z_list)
-    rows = []
-    for name in ("z_l1", "z_sup", "zz_qv", "rr_qv"):
-        for i in range(len(z_list)):
-            rows.append({"ladder_index": i + 1, "metric": name,
-                         "value": table[name][i],
-                         "stderr": table["stderr"][name][i]})
-    _write_table(out_dir, manifest, "density.csv",
-                 ["ladder_index", "metric", "value", "stderr"], rows)
     report = LadderReport(family=f"density-{family}",
                           indices=np.arange(1, len(z_list) + 1),
                           scales=np.asarray(scales, dtype=float),
-                          per_path=table["per_path"])
-    slopes = report.slopes()
-    for name, res in slopes.items():
-        manifest.record_check(f"decay:{name}", res["passed"])
-    _write_summary(out_dir, manifest, {
+                          per_path=density_sequence_check(z_list)["per_path"])
+    _write_ladder(out_dir, manifest, "density.csv", report, {
         "family": family,
-        "slopes": _slope_summary(slopes),
         "n_paths": paths,
         "seed": seed,
     })

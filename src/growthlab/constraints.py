@@ -74,8 +74,6 @@ def dykstra_project(x, projectors, tol=1e-12, max_iter=2000, raise_on_cap=False)
 class ConstraintSet:
     """Closed convex subset of R^d containing the origin."""
 
-    kind = "abstract"
-
     def dimension(self):
         """Ambient dimension when the set pins one down, else None."""
         return None
@@ -108,8 +106,6 @@ class ConstraintSet:
 
 
 class FullSpace(ConstraintSet):
-    kind = "full_space"
-
     def validate(self, dim):
         return self
 
@@ -129,8 +125,6 @@ class FullSpace(ConstraintSet):
 
 class Ball(ConstraintSet):
     """Euclidean ball of given radius centered at the origin."""
-
-    kind = "ball"
 
     def __init__(self, radius):
         self.radius = float(radius)
@@ -159,8 +153,6 @@ class Ball(ConstraintSet):
 
 class Box(ConstraintSet):
     """Axis-aligned box [lower, upper] per coordinate; must straddle 0."""
-
-    kind = "box"
 
     def __init__(self, lower, upper):
         self.lower = np.asarray(lower, dtype=float).ravel()
@@ -208,8 +200,6 @@ class Box(ConstraintSet):
 
 
 class NonnegativeOrthant(ConstraintSet):
-    kind = "nonnegative_orthant"
-
     def validate(self, dim):
         return self
 
@@ -230,8 +220,6 @@ class NonnegativeOrthant(ConstraintSet):
 
 class HalfspacePolytope(ConstraintSet):
     """Intersection of halfspaces {x : <n_i, x> <= b_i} with b_i >= 0."""
-
-    kind = "polytope"
 
     def __init__(self, normals, offsets):
         self.normals = np.atleast_2d(np.asarray(normals, dtype=float))
@@ -284,8 +272,6 @@ class HalfspacePolytope(ConstraintSet):
 
 
 class Intersection(ConstraintSet):
-    kind = "intersection"
-
     def __init__(self, members):
         self.members = list(members)
         if not self.members:

@@ -88,10 +88,6 @@ class OnePeriodResult:
     expected_log: float
     interior: bool = True
 
-    def wealth_gap_to(self, other_values):
-        """Largest jump-scenario gap between two terminal wealth pairs."""
-        return float(np.max(np.abs(self.wealth_values - other_values)))
-
 
 def _log_wealth_derivative(theta, pts, w, p):
     up = 1.0 + theta * pts
@@ -163,8 +159,9 @@ def discontinuity_report(p, levels, **market_kwargs):
     revealed = one_period_optimal(OnePeriodMarket(p=p, level=None))
     rows = {"level": [], "theta_star": [], "gap": []}
     for n in levels:
-        res = one_period_optimal(OnePeriodMarket(p=p, level=n, **market_kwargs))
-        pts, w = OnePeriodMarket(p=p, level=n, **market_kwargs).quadrature()
+        market = OnePeriodMarket(p=p, level=n, **market_kwargs)
+        res = one_period_optimal(market)
+        pts, w = market.quadrature()
         mean_up = 1.0 + res.theta_star * float(np.dot(w, pts))
         mean_down = 1.0 - res.theta_star * float(np.dot(w, pts))
         gap = max(abs(mean_up - revealed.wealth_values[0]),

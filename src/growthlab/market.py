@@ -16,7 +16,7 @@ own spawned bit generator in a fixed order.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -131,9 +131,9 @@ class MarketSpec:
 class PathBundle:
     """Simulated increments for a batch of paths under one market spec.
 
-    dM holds the martingale increments, dS the full price increments. Both
-    have shape (n_paths, n_steps, dim). The per-step structure arrays are
-    shared across paths.
+    dM holds the martingale increments, shape (n_paths, n_steps, dim); the
+    price increments add the drift compensator c_k a_k dG_k. The per-step
+    structure arrays are shared across paths.
     """
 
     spec: MarketSpec
@@ -143,11 +143,6 @@ class PathBundle:
     sqrt_cov: np.ndarray
     drift: np.ndarray
     dM: np.ndarray
-    dS: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        comp = np.einsum("kij,kj->ki", self.cov, self.drift) * self.dG[:, None]
-        self.dS = self.dM + comp[None, :, :]
 
     @property
     def n_paths(self):
@@ -160,14 +155,6 @@ class PathBundle:
     @property
     def dim(self):
         return self.dM.shape[2]
-
-    def prices(self, initial=0.0):
-        """Cumulative price paths, shape (n_paths, n_steps + 1, dim)."""
-        out = np.empty((self.n_paths, self.n_steps + 1, self.dim))
-        out[:, 0, :] = initial
-        np.cumsum(self.dS, axis=1, out=out[:, 1:, :])
-        out[:, 1:, :] += initial
-        return out
 
 
 def _fill_block(dM, sqrt_cov, dG, seed_seq, lo, hi):
@@ -204,21 +191,6 @@ def simulate_paths(spec, n_paths, seed, threads=1):
             _fill_block(dM, sqrt_cov, dg, ss, lo, hi)
     return PathBundle(spec=spec, seed=seed, dG=dg, cov=cov,
                       sqrt_cov=sqrt_cov, drift=drift, dM=dM)
-
-
-def brownian_increments(bundle):
-    """Recover the driving standard-normal scaled increments sqrt(dG) xi.
-
-    Only valid when every step covariance has full rank; raises otherwise.
-    """
-    out = np.empty_like(bundle.dM)
-    for k in range(bundle.n_steps):
-        w, v = np.linalg.eigh(bundle.cov[k])
-        if w[0] <= 1e-12 * max(w[-1], 1.0):
-            raise DimensionMismatch("step covariance is singular; increments not recoverable")
-        inv_sqrt = (v / np.sqrt(w)) @ v.T
-        out[:, k, :] = bundle.dM[:, k, :] @ inv_sqrt.T
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +298,20 @@ def filtered_drift(signal, level):
     """
     model, base = signal.model, signal.base
     v = model.direction
-    if level is None:
-        mean = np.broadcast_to(signal.theta[:, None],
-                               (signal.n_paths, base.n_steps)).copy()
-        prec = np.full(base.n_steps, np.inf)
-        return signal.true_drift(), mean, prec
-    if not 0 <= level < model.n_levels:
+    if level is not None and not 0 <= level < model.n_levels:
         raise InvalidSpec(f"ladder level {level} out of range")
-    sigma_n = model.noise_scales[level]
-    vcv = np.einsum("i,kij,j->k", v, base.cov, v) * base.dG
-    info = np.concatenate(([0.0], np.cumsum(vcv)))[:-1]
-    stat = np.einsum("pki,i->pk", signal.dS, v)
-    stat = np.concatenate(
-        (np.zeros((signal.n_paths, 1)), np.cumsum(stat, axis=1)), axis=1)[:, :-1]
-    prior_prec = 1.0 / model.prior_std ** 2
+    sigma_n = 0.0 if level is None else model.noise_scales[level]
     peek_prec = np.inf if sigma_n == 0.0 else 1.0 / sigma_n ** 2
     if np.isinf(peek_prec):
+        # a noiseless peek reveals theta, as the limit does
         mean = np.broadcast_to(signal.theta[:, None],
                                (signal.n_paths, base.n_steps)).copy()
         prec = np.full(base.n_steps, np.inf)
     else:
+        vcv = np.einsum("i,kij,j->k", v, base.cov, v) * base.dG
+        info = np.concatenate(([0.0], np.cumsum(vcv)))[:-1]
+        stat = cumsum_from_zero(np.einsum("pki,i->pk", signal.dS, v))[:, :-1]
+        prior_prec = 1.0 / model.prior_std ** 2
         peek = signal.theta + sigma_n * signal.zeta
         prec = prior_prec + peek_prec + info
         mean = (model.prior_mean * prior_prec

@@ -48,10 +48,6 @@ class WealthPaths:
     def terminal_log_wealth(self):
         return np.sum(self.dB, axis=1) + np.sum(self.dL, axis=1)
 
-    @property
-    def terminal_wealth(self):
-        return np.exp(self.terminal_log_wealth)
-
 
 def growth_rate(c, drift, fraction):
     """Instantaneous growth rate <f, c a> - 0.5 <f, c f> of a fraction."""
@@ -201,22 +197,25 @@ def growth_path(cov, drift, constraint, dG):
                       unconstrained_bound=bound)
 
 
-def wealth_process_gap(a, b, dG=None):
+def wealth_process_gap(a, b):
     """Pathwise distance between two wealth decompositions.
 
     Returns per-path arrays: fv = sum |dB_a - dB_b| (total variation of the
     drift gap), qv = sum (dL_a - dL_b)^2 (quadratic variation of the
-    martingale gap), and sup = max_k |log X_a - log X_b| on the grid.
+    martingale gap), and from one cumulative log gap on the grid
+    sup = max_k |log X_a - log X_b| and the relative wealth errors
+    sup_rel_inf = max_k |X_a / X_b - 1|, sup_rel_n = max_k |X_b / X_a - 1|.
     """
     if a.dB.shape != b.dB.shape:
         raise DimensionMismatch(
             f"wealth shapes {a.dB.shape} and {b.dB.shape} differ"
         )
-    fv = np.sum(np.abs(a.dB - b.dB), axis=1)
-    qv = np.sum((a.dL - b.dL) ** 2, axis=1)
     gap = np.cumsum((a.dB + a.dL) - (b.dB + b.dL), axis=1)
-    sup = np.max(np.abs(gap), axis=1)
-    return {"fv": fv, "qv": qv, "sup": sup}
+    return {"fv": np.sum(np.abs(a.dB - b.dB), axis=1),
+            "qv": np.sum((a.dL - b.dL) ** 2, axis=1),
+            "sup": np.max(np.abs(gap), axis=1),
+            "sup_rel_inf": np.max(np.abs(np.expm1(gap)), axis=1),
+            "sup_rel_n": np.max(np.abs(np.expm1(-gap)), axis=1)}
 
 
 def relative_log_error(a, b):

@@ -30,8 +30,8 @@ FIXED_POINT_TOL = 1e-10
 NULLSPACE_RTOL = 1e-12
 
 
-def check_psd_matrix(c, clock_normalized=False, sym_tol=1e-12, trace_tol=1e-10):
-    """Validate a symmetric PSD matrix; optionally require unit trace."""
+def check_psd_matrix(c, sym_tol=1e-12):
+    """Validate a symmetric PSD matrix."""
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionMismatch(f"covariance must be square, got shape {c.shape}")
@@ -41,8 +41,6 @@ def check_psd_matrix(c, clock_normalized=False, sym_tol=1e-12, trace_tol=1e-10):
     w = np.linalg.eigvalsh(0.5 * (c + c.T))
     if w[0] < -1e-10 * max(scale, 1.0):
         raise InvalidSpec(f"covariance has negative eigenvalue {w[0]:.3e}")
-    if clock_normalized and abs(np.trace(c) - 1.0) > trace_tol:
-        raise InvalidSpec(f"clock-normalized covariance needs trace 1, got {np.trace(c)!r}")
     return c
 
 
@@ -90,9 +88,6 @@ class NullspaceSplit:
             return x.copy()
         r = self.range_basis
         return np.einsum("...j,ij->...i", np.einsum("...i,ij->...j", x, r), r)
-
-    def project_null(self, x):
-        return np.asarray(x, dtype=float) - self.project_range(x)
 
 
 def nullspace_split(c):
@@ -151,15 +146,6 @@ def feasible_projector(constraint, split, dykstra_tol=1e-13, dykstra_cap=4000):
         )
 
     return proj
-
-
-def project_feasible(constraint, split, x):
-    """Projection of points onto the feasible slice K ∩ N⊥."""
-    x = np.asarray(x, dtype=float)
-    proj = feasible_projector(constraint, split)
-    if x.ndim == 1:
-        return proj(x[None, :])[0]
-    return proj(x)
 
 
 def optimal_fraction_batch(c, drifts, constraint, *,

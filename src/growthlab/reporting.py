@@ -142,28 +142,3 @@ class RunManifest:
         atomic_write_json(path, payload)
         return path
 
-
-def bundle_cache_path(cache_dir, spec_config, seed):
-    key = config_hash({"spec": spec_config, "seed": int(seed)})
-    return os.path.join(cache_dir, f"paths-{key[:16]}.npz")
-
-
-def save_bundle_arrays(path, **arrays):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".npz")
-    os.close(fd)
-    try:
-        np.savez_compressed(tmp, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def load_bundle_arrays(path):
-    if not os.path.exists(path):
-        return None
-    with np.load(path) as data:
-        return {k: data[k] for k in data.files}

@@ -3,10 +3,11 @@ r"""Perturbation ladders for the growth-optimal portfolio.
 Three families, one protocol: build a ladder of markets that converges to a
 limit market along one axis (information, probability measure, constraint
 set), compute the optimal wealth process at every rung on common random
-numbers, and measure its distance to the limit rung. Distances are the
-finite-variation gap, the quadratic-variation gap, and terminal relative
-wealth errors in both orientations. A report column passes when its log-log
-decay slope against the ladder scale is negative with bootstrap confidence.
+numbers, and measure its distance to the limit rung with one
+wealth_process_gap: the finite-variation gap, the quadratic-variation gap,
+and the uniform relative wealth errors in both orientations. A report
+column passes when its log-log decay slope against the ladder scale is
+negative with bootstrap confidence.
 
 The probability family additionally reports the density diagnostics
 (terminal L^1 gap, uniform gap, quadratic variation of the density and of
@@ -24,16 +25,19 @@ from .constraints import truncated_pair_distance
 from .errors import DensityFloorHit, InvalidSpec
 from .market import (
     cumsum_from_zero, density_paths, filtered_drift, event_probabilities,
-    girsanov_drift, simulate_paths, simulate_signal_paths, tilt_decomposition,
+    simulate_paths, simulate_signal_paths, tilt_field,
 )
 from .numeraire import (
-    growth_path, numeraire_fractions, wealth_paths, wealth_process_gap,
+    growth_path, numeraire_fractions, numeraire_paths, wealth_paths,
+    wealth_process_gap,
 )
 from .quadform import cov_norm
 
 ZERO_COLUMN_LEVEL = 1e-14
 BOOTSTRAP_DRAWS = 400
 BOOTSTRAP_SEED = 20260817
+WEALTH_COLUMNS = ("fv", "qv", "sup_rel_inf", "sup_rel_n")
+DENSITY_COLUMNS = ("z_l1", "z_sup", "zz_qv", "rr_qv")
 
 
 @dataclass
@@ -51,15 +55,6 @@ class LadderReport:
     per_path: dict = field(default_factory=dict)
     deterministic: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-
-    @property
-    def n_paths(self):
-        for arr in self.per_path.values():
-            return arr.shape[1]
-        return 0
-
-    def metric_names(self):
-        return list(self.per_path) + list(self.deterministic)
 
     def summary(self):
         """mean/stderr/median/95th percentile per metric and rung."""
@@ -80,8 +75,7 @@ class LadderReport:
         """Long-format rows (ladder_index, metric, value, stderr)."""
         summ = self.summary()
         rows = []
-        for name in self.metric_names():
-            s = summ[name]
+        for name, s in summ.items():
             for i, idx in enumerate(self.indices):
                 rows.append({
                     "ladder_index": int(idx),
@@ -102,31 +96,24 @@ class LadderReport:
         x = -np.log(self.scales)
         rng = np.random.default_rng(seed)
         out = {}
-        for name, arr in self.per_path.items():
-            means = arr.mean(axis=1)
+        for name, arr in {**self.per_path, **self.deterministic}.items():
+            means = arr.mean(axis=1) if arr.ndim == 2 else arr
             if np.max(np.abs(means)) <= ZERO_COLUMN_LEVEL:
                 out[name] = {"slope": None, "ci": (None, None),
                              "zero": True, "passed": True}
                 continue
-            slope = _fit_slope(x, means)
-            # One resample per row of draws; its counts weight the paths.
-            n_p = arr.shape[1]
-            sel = rng.integers(0, n_p, (n_boot, n_p))
-            sel += n_p * np.arange(n_boot)[:, None]
-            counts = np.bincount(sel.ravel(), minlength=n_boot * n_p)
-            boot_means = arr @ counts.reshape(n_boot, n_p).T.astype(float) / n_p
-            boots = _fit_slope(x, boot_means)
-            lo, hi = np.percentile(boots, [2.5, 97.5])
-            out[name] = {"slope": float(slope), "ci": (float(lo), float(hi)),
+            slope = float(_fit_slope(x, means))
+            lo = hi = slope  # a deterministic column has no sampling error
+            if arr.ndim == 2:
+                # One resample per row of draws; its counts weight the paths.
+                n_p = arr.shape[1]
+                sel = rng.integers(0, n_p, (n_boot, n_p))
+                sel += n_p * np.arange(n_boot)[:, None]
+                counts = np.bincount(sel.ravel(), minlength=n_boot * n_p)
+                boot_means = arr @ counts.reshape(n_boot, n_p).T.astype(float) / n_p
+                lo, hi = np.percentile(_fit_slope(x, boot_means), [2.5, 97.5])
+            out[name] = {"slope": slope, "ci": (float(lo), float(hi)),
                          "zero": False, "passed": bool(hi < 0.0)}
-        for name, vals in self.deterministic.items():
-            if np.max(np.abs(vals)) <= ZERO_COLUMN_LEVEL:
-                out[name] = {"slope": None, "ci": (None, None),
-                             "zero": True, "passed": True}
-                continue
-            slope = _fit_slope(x, vals)
-            out[name] = {"slope": float(slope), "ci": (float(slope), float(slope)),
-                         "zero": False, "passed": bool(slope < 0.0)}
         return out
 
 
@@ -139,11 +126,27 @@ def _fit_slope(x, values):
     return xc @ (y - y.mean(axis=0)) / (xc @ xc)
 
 
-def _relative_errors(w_n, w_limit):
-    gap = np.cumsum((w_n.dB + w_n.dL) - (w_limit.dB + w_limit.dL), axis=1)
-    against_limit = np.max(np.abs(np.expm1(gap)), axis=1)
-    against_index = np.max(np.abs(np.expm1(-gap)), axis=1)
-    return against_limit, against_index
+def _rung_columns(bundle, constraint, drifts, w_limit, true_drift=None):
+    """Solve one rung, build its wealth and measure it against the limit
+    wealth: returns the optimal fractions and the wealth_process_gap
+    columns, as a dict the caller may extend."""
+    fractions = numeraire_fractions(bundle, constraint, drifts=drifts)
+    w_n = wealth_paths(bundle, fractions, drift=true_drift)
+    return fractions, wealth_process_gap(w_n, w_limit)
+
+
+def _stack(rows, names):
+    """per_path arrays (L, P) of the named columns of per-rung rows."""
+    return {k: np.stack([row[k] for row in rows]) for k in names}
+
+
+def _density_columns(z):
+    """Per-path diagnostics of density paths z, shape (P, N + 1)."""
+    dz = np.diff(z, axis=1)
+    return {"z_l1": np.abs(z[:, -1] - 1.0),
+            "z_sup": np.max(np.abs(z - 1.0), axis=1),
+            "zz_qv": np.sum(dz ** 2, axis=1),
+            "rr_qv": np.sum((dz / z[:, :-1]) ** 2, axis=1)}
 
 
 def filtration_ladder(spec, model, constraint, n_paths, seed, *,
@@ -159,36 +162,27 @@ def filtration_ladder(spec, model, constraint, n_paths, seed, *,
     v = model.direction
     vcv = np.einsum("i,kij,j->k", v, base.cov, v)
 
-    drift_inf, mean_inf, prec_inf = filtered_drift(signal, None)
-    frac_inf = numeraire_fractions(base, constraint, drifts=drift_inf)
-    w_inf = wealth_paths(base, frac_inf, drift=true_drift)
+    w_inf = numeraire_paths(base, constraint,
+                            drifts=filtered_drift(signal, None)[0],
+                            true_drift=true_drift)
     hit = (signal.theta > event_threshold).astype(float)
 
-    levels = range(model.n_levels)
-    cols = {k: [] for k in ("fv", "qv", "sup_rel_inf", "sup_rel_n",
-                            "drift_gap", "event_gap")}
-    for n in levels:
+    rows = []
+    for n in range(model.n_levels):
         drift_n, mean_n, prec_n = filtered_drift(signal, n)
-        frac_n = numeraire_fractions(base, constraint, drifts=drift_n)
-        w_n = wealth_paths(base, frac_n, drift=true_drift)
-        gaps = wealth_process_gap(w_n, w_inf)
-        rel_inf, rel_n = _relative_errors(w_n, w_inf)
+        _, row = _rung_columns(base, constraint, drift_n, w_inf, true_drift)
         err = mean_n - signal.theta[:, None]
-        drift_gap = np.sum(err ** 2 * (vcv * base.dG)[None, :], axis=1)
+        row["drift_gap"] = np.sum(err ** 2 * (vcv * base.dG)[None, :], axis=1)
         probs = event_probabilities(mean_n, prec_n, event_threshold)
-        event_gap = np.sum(np.abs(probs - hit[:, None]) * base.dG[None, :], axis=1)
-        cols["fv"].append(gaps["fv"])
-        cols["qv"].append(gaps["qv"])
-        cols["sup_rel_inf"].append(rel_inf)
-        cols["sup_rel_n"].append(rel_n)
-        cols["drift_gap"].append(drift_gap)
-        cols["event_gap"].append(event_gap)
+        row["event_gap"] = np.sum(np.abs(probs - hit[:, None])
+                                  * base.dG[None, :], axis=1)
+        rows.append(row)
 
     return LadderReport(
         family="filtration",
         indices=np.arange(1, model.n_levels + 1),
         scales=model.noise_scales.copy(),
-        per_path={k: np.stack(vs) for k, vs in cols.items()},
+        per_path=_stack(rows, WEALTH_COLUMNS + ("drift_gap", "event_gap")),
         meta={"n_paths": n_paths, "seed": seed,
               "event_threshold": float(event_threshold)},
     )
@@ -212,45 +206,33 @@ def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
             f"{record.floor_hits} of {n_paths} density paths hit the "
             f"positivity floor"
         )
-    frac_ref = numeraire_fractions(bundle, constraint)
-    w_ref = wealth_paths(bundle, frac_ref)
+    w_ref = numeraire_paths(bundle, constraint)
 
-    names = ("z_l1", "z_sup", "zz_qv", "rr_qv", "drift_gap",
-             "main1_fv", "main1_qv", "main2_fv", "main2_qv",
-             "sup_rel_inf", "sup_rel_n")
-    cols = {k: [] for k in names}
+    rows = []
     zeros = np.zeros(n_paths)
     for eps in eps_ladder:
-        decomp = tilt_decomposition(bundle, record, eps)
-        z = decomp.density
-        dz = np.diff(z, axis=1)
-        cols["z_l1"].append(np.abs(z[:, -1] - 1.0))
-        cols["z_sup"].append(np.max(np.abs(z - 1.0), axis=1))
-        cols["zz_qv"].append(np.sum(dz ** 2, axis=1))
-        cols["rr_qv"].append(np.sum((dz / z[:, :-1]) ** 2, axis=1))
-        tilt_field = eps * decomp.lam_path
-        cols["drift_gap"].append(np.sum(
-            np.einsum("pki,kij,pkj->pk", tilt_field, bundle.cov, tilt_field)
-            * bundle.dG[None, :], axis=1))
-        a_eps = girsanov_drift(bundle, decomp)
-        frac_eps = numeraire_fractions(bundle, constraint, drifts=a_eps)
-        w_eps = wealth_paths(bundle, frac_eps)
-        gaps = wealth_process_gap(w_eps, w_ref)
-        rel_inf, rel_n = _relative_errors(w_eps, w_ref)
+        row = _density_columns((1.0 - eps) + eps * record.z)
+        # Girsanov: the tilted drift is a + eps * lam^eps.
+        shift = eps * tilt_field(record, eps)
+        row["drift_gap"] = np.sum(
+            np.einsum("pki,kij,pkj->pk", shift, bundle.cov, shift)
+            * bundle.dG[None, :], axis=1)
+        _, gaps = _rung_columns(bundle, constraint,
+                                bundle.drift[None, :, :] + shift, w_ref)
+        row.update(gaps)
         # The filtration is held fixed along this ladder, so the
         # information component of the proof split is identically zero.
-        cols["main1_fv"].append(zeros)
-        cols["main1_qv"].append(zeros)
-        cols["main2_fv"].append(gaps["fv"])
-        cols["main2_qv"].append(gaps["qv"])
-        cols["sup_rel_inf"].append(rel_inf)
-        cols["sup_rel_n"].append(rel_n)
+        row.update(main1_fv=zeros, main1_qv=zeros,
+                   main2_fv=gaps["fv"], main2_qv=gaps["qv"])
+        rows.append(row)
 
     return LadderReport(
         family="probability",
         indices=np.arange(1, eps_ladder.size + 1),
         scales=eps_ladder.copy(),
-        per_path={k: np.stack(vs) for k, vs in cols.items()},
+        per_path=_stack(rows, DENSITY_COLUMNS + (
+            "drift_gap", "main1_fv", "main1_qv", "main2_fv", "main2_qv",
+            "sup_rel_inf", "sup_rel_n")),
         meta={"n_paths": n_paths, "seed": seed,
               "floor_hits": record.floor_hits,
               "orthogonal_vol": tilt.orthogonal_vol},
@@ -270,8 +252,9 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
     fractions lie in B(|a|_c), 0 lies in both sets and lambda_max(c) <= 4,
     so only those steps are checked: the excess is nonpositive when the
     bound holds on every checked step, and 0 on a rung with no checked
-    step. meta["bound_unchecked_steps"] counts, per
-    rung, the steps left unchecked (zero drift included).
+    step. meta["bound_unchecked_steps"] counts, per rung, the steps left
+    unchecked (zero drift included). meta["ladder_scale"] names the slope
+    axis: "set_distance", or "rung_index" (1/n) when a set distance is 0.
     """
     if len(sets) == 0:
         raise InvalidSpec("constraint ladder needs at least one set")
@@ -294,17 +277,10 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
     weight = bundle.n_steps if steps_alike else 1
     origin = np.zeros(bundle.dim)
     small_cov = np.linalg.eigvalsh(bundle.cov)[:, -1] <= 4.0
-    cols = {k: [] for k in ("fv", "qv", "sup_rel_inf", "sup_rel_n")}
-    dists, excesses, unchecked, growth_gaps = [], [], [], []
+    rows, dists, excesses, unchecked, growth_gaps = [], [], [], [], []
     for K_n in sets:
-        frac_n = numeraire_fractions(bundle, K_n)
-        w_n = wealth_paths(bundle, frac_n)
-        gaps = wealth_process_gap(w_n, w_inf)
-        rel_inf, rel_n = _relative_errors(w_n, w_inf)
-        cols["fv"].append(gaps["fv"])
-        cols["qv"].append(gaps["qv"])
-        cols["sup_rel_inf"].append(rel_inf)
-        cols["sup_rel_n"].append(rel_n)
+        frac_n, row = _rung_columns(bundle, K_n, None, w_inf)
+        rows.append(row)
 
         ks = [0] if steps_alike else range(bundle.n_steps)
         origin_in_both = bool(K_n.contains(origin)
@@ -334,35 +310,36 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
         growth_gaps.append(abs(growth_n.total - growth_inf.total))
 
     dists = np.asarray(dists)
-    scales = dists if np.all(dists > 0.0) else 1.0 / np.arange(1, len(sets) + 1)
+    # A zero set distance has no logarithm: fit against the rung index.
+    by_distance = bool(np.all(dists > 0.0))
+    scales = dists if by_distance else 1.0 / np.arange(1, len(sets) + 1)
     return LadderReport(
         family="constraint",
         indices=np.arange(1, len(sets) + 1),
         scales=scales,
-        per_path={k: np.stack(vs) for k, vs in cols.items()},
+        per_path=_stack(rows, WEALTH_COLUMNS),
         deterministic={"set_distance": dists,
                        "growth_gap": np.asarray(growth_gaps)},
         meta={"n_paths": n_paths, "seed": seed,
               "bound_excess": [float(e) for e in excesses],
               "bound_unchecked_steps": unchecked,
               "bound_slack": bound_slack,
-              "bound_ok": bool(max(excesses) <= bound_slack)},
+              "bound_ok": bool(max(excesses) <= bound_slack),
+              "ladder_scale": "set_distance" if by_distance
+              else "rung_index"},
     )
 
 
 def density_sequence_check(z_paths):
     """Four-column diagnostic table for a ladder of density paths.
 
-    z_paths is a sequence of (P, N + 1) arrays with first column one.
-    Columns: terminal L^1 gap E|Z_T - 1|, uniform gap E sup|Z - 1|, mean
-    quadratic variation of Z, mean quadratic variation of the stochastic
-    logarithm dZ/Z_-.
+    z_paths is a nonempty sequence of (P, N + 1) arrays with first column
+    one. Columns: terminal L^1 gap E|Z_T - 1|, uniform gap E sup|Z - 1|,
+    mean quadratic variation of Z, mean quadratic variation of the
+    stochastic logarithm dZ/Z_-.
     """
-    table = {"index": [], "z_l1": [], "z_sup": [], "zz_qv": [], "rr_qv": [],
-             "stderr": {}}
-    names = ("z_l1", "z_sup", "zz_qv", "rr_qv")
-    per_path = {k: [] for k in names}
-    for i, z in enumerate(z_paths):
+    rows = []
+    for z in z_paths:
         z = np.asarray(z, dtype=float)
         if z.ndim != 2 or z.shape[1] < 2:
             raise InvalidSpec(f"density paths must be (paths, steps+1), got {z.shape}")
@@ -370,17 +347,15 @@ def density_sequence_check(z_paths):
             raise InvalidSpec("density paths must be strictly positive")
         if np.max(np.abs(z[:, 0] - 1.0)) > 1e-12:
             raise InvalidSpec("density paths must start at one")
-        dz = np.diff(z, axis=1)
-        per_path["z_l1"].append(np.abs(z[:, -1] - 1.0))
-        per_path["z_sup"].append(np.max(np.abs(z - 1.0), axis=1))
-        per_path["zz_qv"].append(np.sum(dz ** 2, axis=1))
-        per_path["rr_qv"].append(np.sum((dz / z[:, :-1]) ** 2, axis=1))
-        table["index"].append(i + 1)
-    for k in names:
-        arr = np.stack(per_path[k])
+        rows.append(_density_columns(z))
+    if not rows:
+        raise InvalidSpec("density ladder needs at least one rung")
+    per_path = _stack(rows, DENSITY_COLUMNS)
+    table = {"index": list(range(1, len(rows) + 1)), "stderr": {},
+             "per_path": per_path}
+    for k, arr in per_path.items():
         table[k] = arr.mean(axis=1)
         table["stderr"][k] = arr.std(axis=1) / np.sqrt(arr.shape[1])
-    table["per_path"] = {k: np.stack(v) for k, v in per_path.items()}
     return table
 
 

@@ -7,8 +7,7 @@ import yaml
 
 from growthlab.cli import main
 from growthlab.reporting import (
-    atomic_write_json, canonical_json, config_hash, load_bundle_arrays,
-    save_bundle_arrays, write_csv,
+    atomic_write_json, canonical_json, config_hash, write_csv,
 )
 
 MARKET = {
@@ -69,14 +68,15 @@ CONSTRAINT_MARKET = {"dim": 2, "n_steps": 20,
                      "drift": [2.0, 0.0], "normalize_clock": False}
 
 
-@pytest.mark.parametrize("radii, limit, unchecked", [
-    # every radius above |a|_c = sqrt(2): no step is in the bound's regime
-    ((2.0, 1.75, 1.625, 1.5625), 1.5, [20, 20, 20, 20]),
+@pytest.mark.parametrize("radii, limit, unchecked, scale", [
+    # every radius above |a|_c = sqrt(2): no step is in the bound's regime,
+    # and every truncated set distance is 0, so slopes use the rung index
+    ((2.0, 1.75, 1.625, 1.5625), 1.5, [20, 20, 20, 20], "rung_index"),
     # every radius below it: every step is checked
-    ((1.25, 1.125, 1.0625, 1.03125), 1.0, [0, 0, 0, 0]),
+    ((1.25, 1.125, 1.0625, 1.03125), 1.0, [0, 0, 0, 0], "set_distance"),
 ], ids=["outside-regime", "inside-regime"])
 def test_constraint_ladder_manifest_counts_unchecked_steps(
-        tmp_path, radii, limit, unchecked):
+        tmp_path, radii, limit, unchecked, scale):
     cfg = write_config(tmp_path, "constraint.yaml", {
         "kind": "stability-constraint", "market": CONSTRAINT_MARKET,
         "sets": [{"type": "ball", "radius": r} for r in radii],
@@ -87,7 +87,8 @@ def test_constraint_ladder_manifest_counts_unchecked_steps(
     assert run_cli("stability", "--config", cfg, "--out", str(out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["checks"]["per_step_bound"] is True
-    assert manifest["diagnostics"] == {"bound_unchecked_steps": unchecked}
+    assert manifest["diagnostics"] == {"bound_unchecked_steps": unchecked,
+                                       "ladder_scale": scale}
 
 
 def test_solve_asymmetric_covariance_exits_2(tmp_path, capsys):
@@ -299,6 +300,38 @@ def test_sensitivity_solves_reference_once(tmp_path, monkeypatch):
     assert calls == {"quotient": 3, "reference": 1}
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("solve", {"kind": "solve", "covariance": [[1.0, 0.0], [0.0]],
+               "drift": [0.1, 0.2]}),
+    ("solve", {"kind": "solve", "covariance": [[1.0, 0.0], [0.0, 1.0]],
+               "drift": [0.1, [0.2]]}),
+    ("density-check", {"kind": "density-check", "family": "lognormal",
+                       "vols": ["a", 0.1], "paths": 16, "n_steps": 8}),
+    ("sensitivity", {"kind": "sensitivity", "market": MARKET,
+                     "tilt": {"lam1": [0.4, -0.2]}, "paths": 16,
+                     "eps_ladder": [[0.1], [0.2, 0.3]]}),
+    ("stability", {"kind": "stability-probability", "market": MARKET,
+                   "tilt": {"lam1": [0.4, -0.2]}, "paths": 16,
+                   "eps_ladder": ["x"]}),
+    ("tree", {"kind": "tree-projection", "depth": 3,
+              "chi": {"values": [1, [2]]}}),
+    ("counterexample", {"kind": "counterexample", "p": "abc"}),
+    ("counterexample", {"kind": "counterexample", "p": 0.6,
+                        "levels": ["a"]}),
+    ("tree", {"kind": "tree-projection", "depth": 3,
+              "chi": {"leaf_indicator": "x"}}),
+], ids=["solve-ragged-covariance", "solve-ragged-drift",
+        "density-check-text-vol", "sensitivity-ragged-eps",
+        "probability-text-eps", "tree-ragged-chi", "counterexample-text-p",
+        "counterexample-text-level", "tree-text-leaf"])
+def test_malformed_config_numbers_exit_2(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, "bad.yaml", payload)
+    assert run_cli(command, "--config", cfg,
+                   "--out", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_bad_seed_exits_2(tmp_path):
     cfg = write_config(tmp_path, "sim.yaml", {
         "kind": "simulate", "market": MARKET, "paths": 16,
@@ -333,11 +366,3 @@ def test_csv_float_format_round_trips():
         back = float(fh.readline())
     assert back == value
 
-
-def test_bundle_cache_round_trip(tmp_path):
-    path = str(tmp_path / "cache" / "b.npz")
-    arrays = {"dM": np.arange(6.0).reshape(2, 3), "dG": np.array([0.1])}
-    save_bundle_arrays(path, **arrays)
-    back = load_bundle_arrays(path)
-    assert np.array_equal(back["dM"], arrays["dM"])
-    assert load_bundle_arrays(str(tmp_path / "missing.npz")) is None

@@ -57,9 +57,6 @@ def test_increment_moments_match_market():
     step_cov = np.einsum("pki,pkj->kij", b.dM, b.dM) / b.n_paths
     expected = b.cov * b.dG[:, None, None]
     assert np.max(np.abs(step_cov - expected)) < 6e-4
-    drift_term = b.dS - b.dM
-    expected_drift = np.einsum("kij,kj->ki", b.cov, b.drift) * b.dG[:, None]
-    assert np.max(np.abs(drift_term - expected_drift)) < 1e-12
 
 
 def test_explicit_clock_increments():
@@ -89,6 +86,17 @@ def test_posterior_matches_particle_filter():
         sig.base.cov, sig.base.dG, sig.dS[path],
         model.noise_scales[1], noisy, n_particles=400_000, seed=11)
     assert np.max(np.abs(mean[path] - ref)) < 5e-3
+
+
+def test_limit_level_is_the_true_drift():
+    spec = make_spec(n_steps=10)
+    model = GaussianSignalModel(direction=np.array([1.0, 0.3]),
+                                noise_scales=np.array([0.5, 0.25]))
+    sig = simulate_signal_paths(spec, model, 8, 21)
+    drift, mean, prec = filtered_drift(sig, None)
+    assert np.array_equal(drift, sig.true_drift())
+    assert np.array_equal(mean, np.broadcast_to(sig.theta[:, None], (8, 10)))
+    assert np.all(np.isinf(prec))
 
 
 def test_zero_noise_level_reveals_theta():

@@ -118,8 +118,31 @@ def test_wealth_gap_metrics_vanish_for_identical_strategies():
     assert np.max(gaps["fv"]) == 0.0
     assert np.max(gaps["qv"]) == 0.0
     assert np.max(gaps["sup"]) == 0.0
+    assert np.max(gaps["sup_rel_inf"]) == 0.0
+    assert np.max(gaps["sup_rel_n"]) == 0.0
     rel = relative_log_error(w1, w2)
     assert rel["a_over_b"] == 0.0 and rel["b_over_a"] == 0.0
+
+
+def test_wealth_gap_metrics_for_different_strategies():
+    b = make_bundle(n_paths=40)
+    w_a = wealth_paths(b, numeraire_fractions(b, Ball(1.0)))
+    w_b = wealth_paths(b, numeraire_fractions(b, Ball(0.4)))
+    gaps = wealth_process_gap(w_a, w_b)
+    diff = w_a.log_wealth - w_b.log_wealth
+    assert np.min(np.max(np.abs(diff), axis=1)) > 0.0
+    assert np.allclose(gaps["sup"], np.max(np.abs(diff), axis=1),
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(gaps["sup_rel_inf"],
+                       np.max(np.abs(np.exp(diff) - 1.0), axis=1),
+                       rtol=1e-9, atol=0.0)
+    assert np.allclose(gaps["sup_rel_n"],
+                       np.max(np.abs(np.exp(-diff) - 1.0), axis=1),
+                       rtol=1e-9, atol=0.0)
+    assert np.allclose(gaps["fv"], np.sum(np.abs(w_a.dB - w_b.dB), axis=1),
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(gaps["qv"], np.sum((w_a.dL - w_b.dL) ** 2, axis=1),
+                       rtol=1e-12, atol=0.0)
 
 
 def test_per_path_drifts_give_per_path_fractions():

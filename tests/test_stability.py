@@ -4,7 +4,9 @@ from scipy.stats import norm
 
 from growthlab.constraints import Ball, FullSpace
 from growthlab.errors import DensityFloorHit, InvalidSpec
-from growthlab.market import GaussianSignalModel, MarketSpec, TiltSpec
+from growthlab.market import (
+    GaussianSignalModel, MarketSpec, TiltSpec, density_paths, simulate_paths,
+)
 from growthlab.stability import (
     LadderReport, constraint_ladder, density_sequence_check,
     excursion_density_ladder, filtration_ladder, lognormal_density_ladder,
@@ -81,6 +83,24 @@ def test_probability_ladder_drift_diagnostic_scales_like_eps_squared():
     assert np.all(ratios > 2.5) and np.all(ratios < 6.0)
 
 
+@pytest.mark.parametrize("orthogonal_vol", [0.0, 0.5])
+def test_probability_ladder_density_columns_match_sequence_check(
+        orthogonal_vol):
+    spec = make_spec()
+    tilt = TiltSpec(lam1=np.array([0.5, -0.3]), orthogonal_vol=orthogonal_vol)
+    eps = np.array([0.5, 0.25, 0.125])
+    report = probability_ladder(spec, tilt, Ball(2.0), 128, 13,
+                                eps_ladder=eps)
+    record = density_paths(simulate_paths(spec, 128, 13), tilt)
+    table = density_sequence_check([(1.0 - e) + e * record.z for e in eps])
+    for name in ("z_l1", "z_sup", "zz_qv", "rr_qv"):
+        assert np.array_equal(report.per_path[name],
+                              table["per_path"][name]), name
+    assert list(report.per_path) == [
+        "z_l1", "z_sup", "zz_qv", "rr_qv", "drift_gap", "main1_fv",
+        "main1_qv", "main2_fv", "main2_qv", "sup_rel_inf", "sup_rel_n"]
+
+
 def test_density_floor_guard():
     spec = make_spec(n_steps=200)
     tilt = TiltSpec(lam1=np.array([4.0, -3.0]), floor=1e-3, energy_cap=1e9)
@@ -115,6 +135,8 @@ def test_constraint_ladder_checks_euclidean_bound_only_in_its_regime():
 
 
 def test_density_check_rejects_bad_paths():
+    with pytest.raises(InvalidSpec):
+        density_sequence_check([])
     with pytest.raises(InvalidSpec):
         density_sequence_check([np.array([[1.0, -0.5]])])
     with pytest.raises(InvalidSpec):
