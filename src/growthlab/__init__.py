@@ -43,8 +43,8 @@ from .sensitivity import (
 )
 from .discrete import (
     OnePeriodMarket, OnePeriodResult, ScenarioTree, discontinuity_report,
-    natural_constraint_interval, one_period_optimal, range_trend,
-    tree_predictable_projection, tree_projection_convergence,
+    one_period_optimal, tree_predictable_projection,
+    tree_projection_convergence,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -88,6 +88,12 @@ def _int(value, name):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _ints(value, name):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a nonempty list of integers, got {value!r}")
+    return [_int(n, name) for n in value]
+
+
 def _positive_int(cfg_value, name):
     value = _int(cfg_value, name)
     if value <= 0:
@@ -390,7 +396,7 @@ def cmd_counterexample(cfg, args, out_dir, manifest):
                   ("levels", "quad_nodes", "quad_range", "signal_mean",
                    "theta_tol") + SHARED_KEYS[1:], "config")
     p = _float(cfg["p"], "p")
-    levels = [_int(n, "levels") for n in cfg.get("levels", range(1, 9))]
+    levels = _ints(cfg.get("levels", list(range(1, 9))), "levels")
     kwargs = {}
     for key in ("quad_nodes", "quad_range", "signal_mean"):
         if key in cfg:
@@ -442,7 +448,7 @@ def cmd_tree(cfg, args, out_dir, manifest):
         chi[idx] = 1.0
     else:
         chi = _floats(chi_cfg["values"], "chi.values")
-    caps = [_int(n, "caps") for n in cfg.get("caps", range(depth + 1))]
+    caps = _ints(cfg.get("caps", list(range(depth + 1))), "caps")
     conv = tree_projection_convergence(tree, chi, caps)
     expected = conv["expected"]
     rows = [{"cap": n, "expected_gap": g} for n, g in zip(caps, expected)]

@@ -172,39 +172,6 @@ def discontinuity_report(p, levels, **market_kwargs):
     return rows
 
 
-def range_trend(p, level, ranges, **market_kwargs):
-    """Optimal fraction per quadrature range for an off-center slice.
-
-    With a nonzero signal mean the wealth-positivity cap 1 / max|node|
-    tightens as the range grows, so the computed optimum drifts toward the
-    exact-model answer of zero.
-    """
-    out = {"range": [], "theta_star": [], "cap": []}
-    for r in ranges:
-        market = OnePeriodMarket(p=p, level=level, quad_range=r, **market_kwargs)
-        res = one_period_optimal(market)
-        pts, _ = market.quadrature()
-        out["range"].append(float(r))
-        out["theta_star"].append(res.theta_star)
-        out["cap"].append(float(1.0 / np.max(np.abs(pts))))
-    return out
-
-
-def natural_constraint_interval(level, signal_value=None):
-    """Fractions keeping one-period wealth positive in the exact model.
-
-    Finite truncation leaves the residual with full-line support, so only
-    the zero fraction survives; full revelation of a nonzero signal allows
-    the closed interval of size 2 / |signal|.
-    """
-    if level is not None:
-        return (0.0, 0.0)
-    if signal_value is None or signal_value == 0.0:
-        raise InvalidSpec("full revelation needs a nonzero signal value")
-    bound = 1.0 / abs(signal_value)
-    return (-bound, bound)
-
-
 # ---------------------------------------------------------------------------
 # Finite binary scenario tree with exact conditional expectations.
 

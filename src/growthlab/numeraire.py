@@ -64,10 +64,8 @@ def _broadcast_fractions(fractions, n_paths, n_steps, dim):
     f = np.asarray(fractions, dtype=float)
     if f.shape == (dim,):
         f = np.broadcast_to(f, (n_steps, dim))
-    if f.shape == (n_steps, dim):
-        return f, False
-    if f.shape == (n_paths, n_steps, dim):
-        return f, True
+    if f.shape in ((n_steps, dim), (n_paths, n_steps, dim)):
+        return f
     raise DimensionMismatch(
         f"fractions shape {f.shape} incompatible with "
         f"{(n_paths, n_steps, dim)} paths"
@@ -83,33 +81,26 @@ def wealth_paths(bundle, fractions, drift=None):
     predictability: a path-dependent fraction at step k must only use
     information up to step k - 1.
     """
-    f, pathwise = _broadcast_fractions(
+    f = _broadcast_fractions(
         fractions, bundle.n_paths, bundle.n_steps, bundle.dim
     )
     a = bundle.drift if drift is None else np.asarray(drift, dtype=float)
     if a.ndim == 1:
         a = np.broadcast_to(a, (bundle.n_steps, bundle.dim))
-    if a.ndim == 3:
-        ca = np.einsum("kij,pkj->pki", bundle.cov, a)
-        pathwise_drift = True
-    else:
-        ca = np.einsum("kij,kj->ki", bundle.cov, a)
-        pathwise_drift = False
-    if pathwise or pathwise_drift:
-        if not pathwise:
-            f = np.broadcast_to(f[None, :, :], bundle.dM.shape)
-        lin = np.einsum("pki,pki->pk", f, ca) if pathwise_drift \
-            else np.einsum("pki,ki->pk", f, ca)
-        quad = np.einsum("pki,kij,pkj->pk", f, bundle.cov, f)
-        dB = (lin - 0.5 * quad) * bundle.dG[None, :]
-        dL = np.einsum("pki,pki->pk", f, bundle.dM)
-    else:
-        lin = np.einsum("ki,ki->k", f, ca)
-        quad = np.einsum("ki,kij,kj->k", f, bundle.cov, f)
-        dB = np.broadcast_to(((lin - 0.5 * quad) * bundle.dG)[None, :],
-                             (bundle.n_paths, bundle.n_steps)).copy()
-        dL = np.einsum("ki,pki->pk", f, bundle.dM)
+    growth = _cov_dot(bundle.cov, f, a) - 0.5 * _cov_dot(bundle.cov, f, f)
+    dB = np.broadcast_to(growth * bundle.dG, bundle.dM.shape[:2]).copy()
+    dL = np.einsum("...ki,...ki->...k", f, bundle.dM)
     return WealthPaths(fractions=f, dB=dB, dL=dL)
+
+
+def _cov_dot(cov, x, y):
+    """<x_k, c_k y_k> over the steps k of x and y, each (N, d) or (P, N, d).
+    c is applied with one matmul per run of steps sharing one covariance,
+    and the (.., N, d) product is freed on return."""
+    cy = np.empty(y.shape)
+    for lo, hi in _runs(cov):
+        np.matmul(y[..., lo:hi, :], cov[lo].T, out=cy[..., lo:hi, :])
+    return np.einsum("...ki,...ki->...k", x, cy)
 
 
 def _constraint_at(constraint, k):
@@ -118,22 +109,27 @@ def _constraint_at(constraint, k):
     return constraint
 
 
+def _runs(cov, constraint=None):
+    """(start, stop) of each run of consecutive steps sharing one
+    covariance and one constraint object."""
+    new = np.logical_or(np.any(cov[1:] != cov[:-1], axis=(1, 2)), [
+        _constraint_at(constraint, k) is not _constraint_at(constraint, k - 1)
+        for k in range(1, len(cov))])
+    edges = [0, *(np.flatnonzero(new) + 1).tolist(), len(cov)]
+    return zip(edges[:-1], edges[1:])
+
+
 def _solve_steps(cov, drifts, constraint):
     """Optimal fractions for drifts (P, N, d) under per-step covariances
     (N, d, d). Each run of consecutive steps sharing one covariance and one
     constraint object is solved as a single (P * steps, d) batch."""
-    n_paths, n_steps, dim = drifts.shape
+    n_paths, _, dim = drifts.shape
     out = np.empty_like(drifts)
-    start = 0
-    for k in range(1, n_steps + 1):
-        cset = _constraint_at(constraint, start)
-        if k < n_steps and _constraint_at(constraint, k) is cset \
-                and np.array_equal(cov[k], cov[start]):
-            continue
-        rows = drifts[:, start:k].reshape(-1, dim)
-        out[:, start:k] = optimal_fraction_batch(cov[start], rows, cset) \
-            .reshape(n_paths, k - start, dim)
-        start = k
+    for lo, hi in _runs(cov, constraint):
+        rows = drifts[:, lo:hi].reshape(-1, dim)
+        out[:, lo:hi] = optimal_fraction_batch(
+            cov[lo], rows, _constraint_at(constraint, lo)
+        ).reshape(n_paths, hi - lo, dim)
     return out
 
 
@@ -188,10 +184,8 @@ def growth_path(cov, drift, constraint, dG):
     drift = np.asarray(drift, dtype=float)
     dG = np.asarray(dG, dtype=float)
     f = _solve_steps(cov, drift[None], constraint)[0]
-    ca = np.einsum("kij,kj->ki", cov, drift)
-    integrand = np.einsum("ki,ki->k", f, ca) \
-        - 0.5 * np.einsum("ki,kij,kj->k", f, cov, f)
-    bound = 0.5 * np.maximum(np.einsum("ki,ki->k", drift, ca), 0.0)
+    integrand = _cov_dot(cov, f, drift) - 0.5 * _cov_dot(cov, f, f)
+    bound = 0.5 * np.maximum(_cov_dot(cov, drift, drift), 0.0)
     cumulative = np.concatenate(([0.0], np.cumsum(integrand * dG)))
     return GrowthPath(integrand=integrand, cumulative=cumulative,
                       unconstrained_bound=bound)

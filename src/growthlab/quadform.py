@@ -9,9 +9,13 @@ where ``N`` is the nullspace of ``c`` and ``N⊥`` its orthogonal complement.
 Restricting to ``N⊥`` makes the objective strictly concave, so the maximizer
 is unique. With ``K`` the full space the solution is the range-projected
 drift, and so it is for every drift whose range projection already lies in
-``K``. The remaining rows are solved by accelerated projected gradient with
-step ``1 / lambda_max(c)``, each row on its own, the feasible projection
-being exact per constraint variant and a Dykstra alternation with the range
+``K``. For a ``Ball`` the remaining rows are exact: in the eigenbasis of
+``c`` the maximizer is ``(c + mu I)^-1 c a`` with ``|f| = r``, and a
+monotone Newton iteration on the secular equation finds ``mu`` (the trust
+region step of Moré & Sorensen, 1983). Every other set solves its remaining
+rows by accelerated projected gradient (FISTA) with step
+``1 / lambda_max(c)``, each row on its own, the feasible projection being
+exact per constraint variant and a Dykstra alternation with the range
 projector when ``c`` is rank-deficient.
 """
 
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet, FullSpace, dykstra_project
+from .constraints import Ball, ConstraintSet, FullSpace, dykstra_project
 from .errors import (
     DimensionMismatch, InfeasibleConstraint, InvalidSpec, NonConvergence,
 )
@@ -136,8 +140,8 @@ def feasible_projector(constraint, split, dykstra_tol=1e-13, dykstra_cap=4000):
     """Euclidean projection onto (constraint ∩ N⊥), vectorized over rows."""
     if isinstance(constraint, FullSpace):
         return split.project_range
-    if split.null_dim == 0:
-        return constraint.project
+    if split.null_dim == 0 or isinstance(constraint, Ball):
+        return constraint.project  # radial scaling stays in range(c)
 
     def proj(x):
         return dykstra_project(
@@ -157,8 +161,8 @@ def optimal_fraction_batch(c, drifts, constraint, *,
 
     Rows are solved independently: a row whose range-projected drift is a
     fixed point of the feasible projection is answered by that drift, and
-    only the remaining rows are iterated, each with its own momentum and
-    stopping test."""
+    only the remaining rows are iterated, each with its own stopping test:
+    Newton on the multiplier for a Ball, FISTA for every other set."""
     c = np.asarray(c, dtype=float)
     drifts = np.asarray(drifts, dtype=float)
     if drifts.shape[-1] != c.shape[0]:
@@ -192,13 +196,42 @@ def optimal_fraction_batch(c, drifts, constraint, *,
         # distance to the drift, so the projection answers every row.
         hard = np.any(out != pa, axis=1)
         if np.any(hard):
-            out[hard] = _fista(c, rows[hard], proj, top, residual_tol, max_iter)
+            out[hard] = _ball_rows(split, rows[hard], constraint, max_iter) \
+                if isinstance(constraint, Ball) else \
+                _fista(c, rows[hard], proj, top, residual_tol, max_iter)
     return out[0] if single else out
 
 
 def optimal_fraction(c, drift, constraint, **kwargs):
     """Growth-optimal fraction for a single drift vector."""
     return optimal_fraction_batch(c, np.asarray(drift, dtype=float), constraint, **kwargs)
+
+
+def _ball_rows(split, rows, ball, max_iter):
+    # On range(c) with eigenpairs (lam, V) the maximizer is f = V (b / (lam
+    # + mu)), b = lam * V^T a, with mu >= 0 fixing |f| = r. Newton on the
+    # concave, increasing phi(mu) = 1 / |f(mu)| - 1 / r rises from mu = 0 to
+    # its root without overshoot, so a row stops once its mu stops rising.
+    # Elementwise arithmetic keeps each row's bits independent of the batch.
+    lam = split.eigenvalues[split.eigenvalues > split.threshold]
+    b = lam * np.einsum("ni,ij->nj", rows, split.range_basis)
+    mu = np.zeros(len(rows))
+    live = np.arange(len(rows))
+    for _ in range(max_iter):
+        shifted = lam + mu[live, None]
+        q = b[live] / shifted
+        s = np.einsum("nj,nj->n", q, q)
+        step = s * (np.sqrt(s) / ball.radius - 1.0) \
+            / np.einsum("nj,nj->n", q, q / shifted)
+        nxt = mu[live] + step
+        rising = nxt > mu[live]
+        mu[live[rising]] = nxt[rising]
+        live = live[rising]
+        if live.size == 0:
+            f = np.einsum("nj,ij->ni", b / (lam + mu[:, None]), split.range_basis)
+            return ball.project(f)
+    raise NonConvergence(f"ball multiplier did not settle in {max_iter} "
+                         f"Newton steps on {live.size} of {len(rows)} rows")
 
 
 def _fista(c, rows, proj, lipschitz, residual_tol, max_iter):

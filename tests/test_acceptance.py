@@ -353,14 +353,16 @@ def test_c11_byte_identical_reruns(tmp_path):
                    "drift": [0.8, 0.5]},
         "signal": {"direction": [1.0, 0.3],
                    "noise_scales": [0.5, 0.25, 0.125]},
-        "paths": 512,
+        "constraint": {"type": "ball", "radius": 1.0},
+        "paths": 2048,
     }))
-    outs = [str(tmp_path / name) for name in ("t1", "t8", "t1b")]
-    for out, threads in zip(outs, ("1", "8", "1")):
+    # Two 1024-path simulation blocks, so --threads splits real work, and
+    # a ball that binds on many rows, so the exact ball solve runs.
+    names = ("t1", "t2", "t8", "t1b")
+    for name, threads in zip(names, ("1", "2", "8", "1")):
         code = main(["stability", "--config", str(cfg), "--seed", "13",
-                     "--threads", threads, "--out", out])
+                     "--threads", threads, "--out", str(tmp_path / name)])
         assert code == 0
     for fname in ("ladder.csv", "summary.json"):
-        blobs = [(tmp_path / o / fname).read_bytes()
-                 for o in ("t1", "t8", "t1b")]
-        assert blobs[0] == blobs[1] == blobs[2], fname
+        blobs = {(tmp_path / o / fname).read_bytes() for o in names}
+        assert len(blobs) == 1, fname

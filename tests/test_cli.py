@@ -332,6 +332,24 @@ def test_malformed_config_numbers_exit_2(tmp_path, capsys, command, payload):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("counterexample", {"kind": "counterexample", "p": 0.6, "levels": 5}),
+    ("counterexample", {"kind": "counterexample", "p": 0.6, "levels": []}),
+    ("tree", {"kind": "tree-projection", "depth": 3,
+              "chi": {"leaf_indicator": 1}, "caps": 3}),
+    ("tree", {"kind": "tree-projection", "depth": 3,
+              "chi": {"leaf_indicator": 1}, "caps": []}),
+], ids=["counterexample-scalar-levels", "counterexample-empty-levels",
+        "tree-scalar-caps", "tree-empty-caps"])
+def test_malformed_config_int_lists_exit_2(tmp_path, capsys, command,
+                                           payload):
+    cfg = write_config(tmp_path, "bad.yaml", payload)
+    assert run_cli(command, "--config", cfg,
+                   "--out", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_bad_seed_exits_2(tmp_path):
     cfg = write_config(tmp_path, "sim.yaml", {
         "kind": "simulate", "market": MARKET, "paths": 16,

@@ -3,8 +3,8 @@ import pytest
 
 from growthlab.discrete import (
     OnePeriodMarket, ScenarioTree, discontinuity_report,
-    natural_constraint_interval, one_period_optimal, range_trend,
-    tree_predictable_projection, tree_projection_convergence,
+    one_period_optimal, tree_predictable_projection,
+    tree_projection_convergence,
 )
 from growthlab.errors import (
     InvalidSpec, NonNestedPartitions, QuadratureUnderResolved,
@@ -62,23 +62,6 @@ def test_gap_table_is_constant_at_two_p_minus_one():
 def test_under_resolved_quadrature_raises():
     with pytest.raises(QuadratureUnderResolved):
         one_period_optimal(OnePeriodMarket(p=0.6, level=8, signal_mean=1.0))
-
-
-def test_range_trend_decays_once_cap_binds():
-    trend = range_trend(0.6, 2, [8.0, 12.0, 16.0, 20.0, 24.0, 28.0],
-                        signal_mean=0.2)
-    thetas = trend["theta_star"]
-    assert all(b <= a + 1e-12 for a, b in zip(thetas, thetas[1:]))
-    assert thetas[-1] < 0.5 * thetas[0]
-    with pytest.raises(QuadratureUnderResolved):
-        range_trend(0.6, 2, [8.0], signal_mean=0.2, quad_nodes=801)
-
-
-def test_natural_constraint_interval():
-    assert natural_constraint_interval(5) == (0.0, 0.0)
-    assert natural_constraint_interval(None, signal_value=0.25) == (-4.0, 4.0)
-    with pytest.raises(InvalidSpec):
-        natural_constraint_interval(None, signal_value=0.0)
 
 
 def test_invalid_one_period_parameters():

@@ -205,3 +205,37 @@ def test_time_varying_covariance_matches_per_step_solves(monkeypatch):
         assert np.max(np.abs(reference[k] - ref)) <= 1e-13
         assert gp.integrand[k] == pytest.approx(
             growth_rate(b.cov[k], b.drift[k], ref), abs=1e-13)
+
+
+def _einsum_wealth(b, f, a):
+    # The per-step einsum formulas the matmul kernel replaced.
+    if a.ndim == 3 or f.ndim == 3:
+        f = np.broadcast_to(f, b.dM.shape)
+        ca = np.einsum("kij,pkj->pki", b.cov, np.broadcast_to(a, b.dM.shape))
+        lin = np.einsum("pki,pki->pk", f, ca)
+        quad = np.einsum("pki,kij,pkj->pk", f, b.cov, f)
+        return (lin - 0.5 * quad) * b.dG[None, :], \
+            np.einsum("pki,pki->pk", f, b.dM)
+    ca = np.einsum("kij,kj->ki", b.cov, a)
+    lin = np.einsum("ki,ki->k", f, ca)
+    quad = np.einsum("ki,kij,kj->k", f, b.cov, f)
+    return np.broadcast_to((lin - 0.5 * quad) * b.dG, b.dM.shape[:2]), \
+        np.einsum("ki,pki->pk", f, b.dM)
+
+
+@pytest.mark.parametrize("covariance", [
+    COV, lambda t: np.array([[0.5 + t, 0.1 - 0.2 * t], [0.1 - 0.2 * t, 0.4]]),
+], ids=["constant", "time-varying"])
+@pytest.mark.parametrize("pathwise_f", [False, True], ids=["step-f", "path-f"])
+@pytest.mark.parametrize("pathwise_a", [False, True], ids=["step-a", "path-a"])
+def test_wealth_paths_match_einsum_reference(covariance, pathwise_f,
+                                             pathwise_a):
+    b = make_bundle(n_paths=60, n_steps=20, covariance=covariance)
+    rng = np.random.default_rng(9)
+    f = rng.standard_normal((60, 20, 2) if pathwise_f else (20, 2))
+    a = rng.standard_normal((60, 20, 2)) if pathwise_a else b.drift
+    w = wealth_paths(b, f, drift=a if pathwise_a else None)
+    dB, dL = _einsum_wealth(b, f, a)
+    for new, old in ((w.dB, dB), (w.dL, dL)):
+        assert new.shape == old.shape
+        assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))

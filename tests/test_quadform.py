@@ -129,8 +129,9 @@ def test_batch_matches_single():
 
 
 def test_interior_rows_are_exact_and_boundary_rows_match_oracle():
-    # Stopping at projected-gradient residual r bounds a row's error by
-    # 2 r / lambda_min(c), so r = 1e-10 puts every row within 1e-8.
+    # Ball rows are solved exactly (Newton on the KKT multiplier), so the
+    # residual tolerance, which steers only FISTA, does not enter; every
+    # boundary row lies within 1e-8 of the bisection oracle.
     rng = np.random.default_rng(8)
     radius = 1.0
     for _ in range(10):
@@ -282,3 +283,42 @@ def test_set_perturbation_probe_bound_covers_unbounded_pairs():
             p2 = _c_project_ball_cap_cball(c, f2, r1, m)
         p1 = _c_project_ball_cap_cball(c, f1, r, m)
         check(c, a, f1, f2, p1, p2)
+
+
+def test_ball_rows_satisfy_kkt():
+    # A hard row (range-projected drift outside the ball) solves
+    # c (a - f) = mu f with mu >= 0 and |f| = r. The oracle bisects to
+    # float resolution (tol=0): its default stop at 1e-14 in mu moves f by
+    # up to 1e-10 when lambda_min(c) is near 0.01.
+    rng = np.random.default_rng(11)
+    for d in range(1, 6):
+        for rank in (None, d - 1):
+            if rank == 0:
+                continue
+            c = random_psd(rng, d, rank=rank)
+            r = float(rng.uniform(1.0, 2.0))
+            drifts = rng.standard_normal((200, d)) * 3.0
+            f = optimal_fraction_batch(c, drifts, Ball(r))
+            pa = nullspace_split(c).project_range(drifts)
+            hard = np.flatnonzero(np.linalg.norm(pa, axis=1) > r)
+            assert hard.size > 50
+            for k in hard:
+                fk, ak = f[k], drifts[k]
+                assert abs(np.linalg.norm(fk) - r) <= 1e-12
+                resid = c @ (ak - fk)
+                mu = resid @ fk / (fk @ fk)
+                assert mu >= 0.0
+                assert np.max(np.abs(resid - mu * fk)) <= 1e-10
+                ref = ball_kkt_fraction(c, ak, r, tol=0.0)
+                assert np.max(np.abs(fk - ref)) <= 1e-10
+
+
+def test_fista_nonconvergence_raises():
+    # The optimum lies inside a face of the box, not at a vertex, so two
+    # projected-gradient steps cannot reach the residual tolerance.
+    rng = np.random.default_rng(6)
+    c = random_psd(rng, 3, min_eig=0.1)
+    assert np.ptp(np.linalg.eigvalsh(c)) > 0.1
+    with pytest.raises(NonConvergence):
+        optimal_fraction(c, np.array([0.9, 0.1, -0.2]),
+                         Box([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5]), max_iter=2)
