@@ -29,8 +29,7 @@ from .market import (
 )
 from .numeraire import (
     GrowthPath, WealthPaths, growth_path, growth_rate, numeraire_fractions,
-    numeraire_paths, relative_log_error, terminal_deflation, wealth_paths,
-    wealth_process_gap,
+    numeraire_paths, terminal_deflation, wealth_paths, wealth_process_gap,
 )
 from .stability import (
     LadderReport, constraint_ladder, density_sequence_check,

@@ -17,6 +17,8 @@ from .errors import DimensionMismatch, InfeasibleConstraint, NonConvergence
 
 _NET_SEED = 20260817
 _net_cache = {}
+SUPPORT_ASCENT_STEPS = 300
+VERTEX_TOL = 1e-9
 
 
 def direction_net(dim, n_directions):
@@ -246,7 +248,7 @@ class HalfspacePolytope(ConstraintSet):
         slack = np.einsum("...d,hd->...h", x, self.normals) - self.offsets
         return np.all(slack <= tol, axis=-1)
 
-    def project(self, x, tol=1e-12, max_iter=2000):
+    def project(self, x):
         x = np.asarray(x, dtype=float)
         shape = x.shape
         flat = x.reshape(-1, shape[-1])
@@ -257,7 +259,7 @@ class HalfspacePolytope(ConstraintSet):
                 (lambda n, b: (lambda y: _halfspace_project(y, n, b)))(n, b)
                 for n, b in zip(self.normals, self.offsets)
             ]
-            out = dykstra_project(flat, projectors, tol=tol, max_iter=max_iter)
+            out = dykstra_project(flat, projectors)
         return out.reshape(shape)
 
     def vertices(self):
@@ -295,12 +297,12 @@ class Intersection(ConstraintSet):
             out = out & m.contains(x, tol)
         return out
 
-    def project(self, x, tol=1e-12, max_iter=2000):
+    def project(self, x):
         x = np.asarray(x, dtype=float)
         shape = x.shape
         flat = x.reshape(-1, shape[-1])
         projectors = [m.project for m in self.members]
-        out = dykstra_project(flat, projectors, tol=tol, max_iter=max_iter)
+        out = dykstra_project(flat, projectors)
         return out.reshape(shape)
 
     def to_config(self):
@@ -313,7 +315,7 @@ def _halfspace_project(x, normal, offset):
     return x - np.outer(np.maximum(excess, 0.0) / nn, normal)
 
 
-def _support_truncated_numeric(cset, radius, dirs, iters=300):
+def _support_truncated_numeric(cset, radius, dirs):
     """Support of (cset ∩ ball(radius)) by accelerated projected ascent on the
     linear objective <u, x>, run on all directions at once. Feasible iterates
     make the result a valid lower bound."""
@@ -326,7 +328,7 @@ def _support_truncated_numeric(cset, radius, dirs, iters=300):
     step = float(radius)
     x = proj(dirs * radius)
     z = x.copy()
-    for k in range(1, iters + 1):
+    for k in range(1, SUPPORT_ASCENT_STEPS + 1):
         x_new = proj(z + step * dirs)
         z = x_new + ((k - 1.0) / (k + 2.0)) * (x_new - x)
         x = x_new
@@ -385,7 +387,7 @@ def polytope_hausdorff_oracle(set_a, set_b):
     return float(max(d_ab, d_ba))
 
 
-def polytope_vertices(normals, offsets, tol=1e-9):
+def polytope_vertices(normals, offsets):
     """Vertices of {x : N x <= b} by enumerating active-constraint systems.
     Intended for small dimensions; raises if the polytope has no vertex."""
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
@@ -399,13 +401,13 @@ def polytope_vertices(normals, offsets, tol=1e-9):
         if abs(np.linalg.det(a)) < 1e-12:
             continue
         x = np.linalg.solve(a, offsets[list(rows)])
-        if np.all(normals @ x <= offsets + tol):
+        if np.all(normals @ x <= offsets + VERTEX_TOL):
             verts.append(x)
     if not verts:
         raise InfeasibleConstraint("polytope has no vertices (empty or degenerate)")
     out = []
     for v in verts:
-        if not any(np.allclose(v, w, atol=1e-9) for w in out):
+        if not any(np.allclose(v, w, atol=VERTEX_TOL) for w in out):
             out.append(v)
     return np.array(out)
 

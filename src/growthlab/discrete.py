@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.optimize import brentq
 
 from .errors import (
     InvalidSpec, NonNestedPartitions, QuadratureUnderResolved,
@@ -131,6 +130,8 @@ def one_period_optimal(market):
     d_hi = _log_wealth_derivative(cap, pts, w, p)
     interior = d_lo > 0.0 > d_hi
     if interior:
+        from scipy.optimize import brentq  # only this branch needs scipy.optimize
+
         theta = brentq(_log_wealth_derivative, -cap, cap, args=(pts, w, p),
                        xtol=1e-14, rtol=1e-15)
     else:
@@ -257,16 +258,16 @@ def tree_predictable_projection(tree, chi, n):
     return out
 
 
-def tree_projection_convergence(tree, chi, caps, require_nested=True):
+def tree_projection_convergence(tree, chi, caps):
     """Clock-weighted gap between capped and uncapped projections.
 
     Returns per-cap, per-scenario sums over levels 1..depth of
     |projection_n - projection_full| * clock increment, plus their
-    expectation under the scenario probabilities. Caps must increase when
-    nestedness is asserted.
+    expectation under the scenario probabilities. Caps must strictly
+    increase, so the partitions are nested.
     """
     caps = [int(n) for n in caps]
-    if require_nested and any(b <= a for a, b in zip(caps, caps[1:])):
+    if any(b <= a for a, b in zip(caps, caps[1:])):
         raise NonNestedPartitions(
             f"cap ladder {caps} is not strictly increasing"
         )

@@ -24,7 +24,7 @@ from scipy.special import ndtr
 from .errors import (
     DimensionMismatch, InvalidSpec, UnsupportedSignalModel,
 )
-from .quadform import check_psd_matrix
+from .quadform import check_psd_matrix, cov_inner
 
 PATH_BLOCK = 1024
 DENSITY_FLOOR = 1e-12
@@ -161,6 +161,7 @@ def _fill_block(dM, sqrt_cov, dG, seed_seq, lo, hi):
     rng = np.random.default_rng(seed_seq)
     xi = rng.standard_normal((hi - lo,) + dM.shape[1:])
     scale = np.sqrt(dG)[:, None]
+    # applies sqrt_cov to the noise, no inner product: kept out of cov_inner
     np.einsum("pkj,kij->pki", xi, sqrt_cov, out=dM[lo:hi])
     dM[lo:hi] *= scale[None, :, :]
 
@@ -283,7 +284,7 @@ def simulate_signal_paths(spec, model, n_paths, seed, threads=1):
                    covariance=spec.covariance, drift=np.zeros(spec.dim),
                    clock=spec.clock, normalize_clock=spec.normalize_clock),
         n_paths, path_ss, threads=threads)
-    cv = np.einsum("kij,j->ki", base.cov, model.direction)
+    cv = np.einsum("kij,j->ki", base.cov, model.direction)  # c v, not <., c v>
     dS = base.dM + theta[:, None, None] * (cv * base.dG[:, None])[None, :, :]
     return SignalBundle(base=base, model=model, theta=theta, zeta=zeta, dS=dS)
 
@@ -308,7 +309,7 @@ def filtered_drift(signal, level):
                                (signal.n_paths, base.n_steps)).copy()
         prec = np.full(base.n_steps, np.inf)
     else:
-        vcv = np.einsum("i,kij,j->k", v, base.cov, v) * base.dG
+        vcv = cov_inner(base.cov, v, v) * base.dG
         info = np.concatenate(([0.0], np.cumsum(vcv)))[:-1]
         stat = cumsum_from_zero(np.einsum("pki,i->pk", signal.dS, v))[:, :-1]
         prior_prec = 1.0 / model.prior_std ** 2
@@ -375,7 +376,7 @@ class DensityRecord:
 def density_paths(bundle, tilt, seed=None):
     """Stochastic-exponential density Z1 of a tilt along simulated paths."""
     lam = tilt.field(bundle.n_steps, bundle.dim)
-    lam_sq = np.einsum("ki,kij,kj->k", lam, bundle.cov, lam)
+    lam_sq = cov_inner(bundle.cov, lam, lam)
     energy = float(np.sum(lam_sq * bundle.dG))
     if energy > tilt.energy_cap:
         raise InvalidSpec(
@@ -435,8 +436,7 @@ def tilt_decomposition(bundle, record, eps):
     z_eps = (1.0 - eps) + eps * record.z
     scaled = eps * lam_path
     expo = np.einsum("pki,pki->pk", scaled, bundle.dM)
-    expo -= 0.5 * np.einsum("pki,kij,pkj->pk", scaled, bundle.cov, scaled) \
-        * bundle.dG[None, :]
+    expo -= 0.5 * cov_inner(bundle.cov, scaled, scaled) * bundle.dG
     exp_factor = np.exp(cumsum_from_zero(expo))
     remainder = z_eps / exp_factor
     return DensityDecomposition(eps=eps, density=z_eps, lam_path=lam_path,

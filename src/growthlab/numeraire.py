@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .quadform import optimal_fraction_batch
+from .quadform import cov_inner, optimal_fraction_batch, step_runs
 
 __all__ = [
     "WealthPaths", "GrowthPath", "growth_rate", "growth_path", "wealth_paths",
     "numeraire_fractions", "numeraire_paths", "wealth_process_gap",
-    "relative_log_error", "terminal_deflation",
+    "terminal_deflation",
 ]
 
 
@@ -32,11 +32,9 @@ __all__ = [
 class WealthPaths:
     """Log-wealth decomposition for a batch of paths.
 
-    dB, dL have shape (n_paths, n_steps); fractions is either (n_steps, dim)
-    for a deterministic strategy or (n_paths, n_steps, dim) path by path.
+    dB, dL have shape (n_paths, n_steps).
     """
 
-    fractions: np.ndarray
     dB: np.ndarray
     dL: np.ndarray
 
@@ -50,14 +48,9 @@ class WealthPaths:
 
 
 def growth_rate(c, drift, fraction):
-    """Instantaneous growth rate <f, c a> - 0.5 <f, c f> of a fraction."""
-    c = np.asarray(c, dtype=float)
-    a = np.asarray(drift, dtype=float)
-    f = np.asarray(fraction, dtype=float)
-    ca = np.einsum("ij,...j->...i", c, a)
-    return np.einsum("...i,...i->...", f, ca) - 0.5 * np.einsum(
-        "...i,ij,...j->...", f, c, f
-    )
+    """Growth rate <f, c a> - 0.5 <f, c f> of a fraction, over the shapes
+    cov_inner takes: one step, per step, or path by path."""
+    return cov_inner(c, fraction, drift) - 0.5 * cov_inner(c, fraction, fraction)
 
 
 def _broadcast_fractions(fractions, n_paths, n_steps, dim):
@@ -84,39 +77,12 @@ def wealth_paths(bundle, fractions, drift=None):
     f = _broadcast_fractions(
         fractions, bundle.n_paths, bundle.n_steps, bundle.dim
     )
-    a = bundle.drift if drift is None else np.asarray(drift, dtype=float)
-    if a.ndim == 1:
-        a = np.broadcast_to(a, (bundle.n_steps, bundle.dim))
-    growth = _cov_dot(bundle.cov, f, a) - 0.5 * _cov_dot(bundle.cov, f, f)
+    a = bundle.drift if drift is None else drift
+    growth = growth_rate(bundle.cov, a, f)
     dB = np.broadcast_to(growth * bundle.dG, bundle.dM.shape[:2]).copy()
+    # <f, dM> has no covariance in it: a plain dot
     dL = np.einsum("...ki,...ki->...k", f, bundle.dM)
-    return WealthPaths(fractions=f, dB=dB, dL=dL)
-
-
-def _cov_dot(cov, x, y):
-    """<x_k, c_k y_k> over the steps k of x and y, each (N, d) or (P, N, d).
-    c is applied with one matmul per run of steps sharing one covariance,
-    and the (.., N, d) product is freed on return."""
-    cy = np.empty(y.shape)
-    for lo, hi in _runs(cov):
-        np.matmul(y[..., lo:hi, :], cov[lo].T, out=cy[..., lo:hi, :])
-    return np.einsum("...ki,...ki->...k", x, cy)
-
-
-def _constraint_at(constraint, k):
-    if isinstance(constraint, (list, tuple)):
-        return constraint[k]
-    return constraint
-
-
-def _runs(cov, constraint=None):
-    """(start, stop) of each run of consecutive steps sharing one
-    covariance and one constraint object."""
-    new = np.logical_or(np.any(cov[1:] != cov[:-1], axis=(1, 2)), [
-        _constraint_at(constraint, k) is not _constraint_at(constraint, k - 1)
-        for k in range(1, len(cov))])
-    edges = [0, *(np.flatnonzero(new) + 1).tolist(), len(cov)]
-    return zip(edges[:-1], edges[1:])
+    return WealthPaths(dB=dB, dL=dL)
 
 
 def _solve_steps(cov, drifts, constraint):
@@ -125,11 +91,12 @@ def _solve_steps(cov, drifts, constraint):
     constraint object is solved as a single (P * steps, d) batch."""
     n_paths, _, dim = drifts.shape
     out = np.empty_like(drifts)
-    for lo, hi in _runs(cov, constraint):
+    steps = constraint if isinstance(constraint, (list, tuple)) \
+        else [constraint] * len(cov)
+    for lo, hi in step_runs(cov, steps):
         rows = drifts[:, lo:hi].reshape(-1, dim)
         out[:, lo:hi] = optimal_fraction_batch(
-            cov[lo], rows, _constraint_at(constraint, lo)
-        ).reshape(n_paths, hi - lo, dim)
+            cov[lo], rows, steps[lo]).reshape(n_paths, hi - lo, dim)
     return out
 
 
@@ -184,8 +151,8 @@ def growth_path(cov, drift, constraint, dG):
     drift = np.asarray(drift, dtype=float)
     dG = np.asarray(dG, dtype=float)
     f = _solve_steps(cov, drift[None], constraint)[0]
-    integrand = _cov_dot(cov, f, drift) - 0.5 * _cov_dot(cov, f, f)
-    bound = 0.5 * np.maximum(_cov_dot(cov, drift, drift), 0.0)
+    integrand = growth_rate(cov, drift, f)
+    bound = 0.5 * np.maximum(cov_inner(cov, drift, drift), 0.0)
     cumulative = np.concatenate(([0.0], np.cumsum(integrand * dG)))
     return GrowthPath(integrand=integrand, cumulative=cumulative,
                       unconstrained_bound=bound)
@@ -210,19 +177,6 @@ def wealth_process_gap(a, b):
             "sup": np.max(np.abs(gap), axis=1),
             "sup_rel_inf": np.max(np.abs(np.expm1(gap)), axis=1),
             "sup_rel_n": np.max(np.abs(np.expm1(-gap)), axis=1)}
-
-
-def relative_log_error(a, b):
-    """Terminal relative wealth errors in both orientations.
-
-    max over paths of |X_a / X_b - 1| and |X_b / X_a - 1|, computed through
-    the log difference for stability.
-    """
-    diff = a.terminal_log_wealth - b.terminal_log_wealth
-    return {
-        "a_over_b": float(np.max(np.abs(np.expm1(diff)))),
-        "b_over_a": float(np.max(np.abs(np.expm1(-diff)))),
-    }
 
 
 def terminal_deflation(candidate, benchmark):

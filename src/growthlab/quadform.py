@@ -34,13 +34,13 @@ FIXED_POINT_TOL = 1e-10
 NULLSPACE_RTOL = 1e-12
 
 
-def check_psd_matrix(c, sym_tol=1e-12):
+def check_psd_matrix(c):
     """Validate a symmetric PSD matrix."""
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionMismatch(f"covariance must be square, got shape {c.shape}")
     scale = max(1.0, float(np.max(np.abs(c))))
-    if np.max(np.abs(c - c.T)) > sym_tol * scale:
+    if np.max(np.abs(c - c.T)) > 1e-12 * scale:
         raise InvalidSpec("covariance is not symmetric")
     w = np.linalg.eigvalsh(0.5 * (c + c.T))
     if w[0] < -1e-10 * max(scale, 1.0):
@@ -48,16 +48,39 @@ def check_psd_matrix(c, sym_tol=1e-12):
     return c
 
 
+def step_runs(cov, steps=None):
+    """(start, stop) of each run of consecutive steps sharing one covariance
+    of cov (N, d, d) and, when given, one object of the per-step sequence
+    steps."""
+    new = np.any(cov[1:] != cov[:-1], axis=(1, 2))
+    if steps is not None:
+        new |= [b is not a for a, b in zip(steps[:-1], steps[1:])]
+    edges = [0, *(np.flatnonzero(new) + 1).tolist(), len(cov)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def cov_inner(c, x, y):
-    """Pseudo inner product <x, c y>, vectorized over leading axes."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if x.shape[-1] != c.shape[0] or y.shape[-1] != c.shape[1]:
-        raise DimensionMismatch(
-            f"vectors of dim {x.shape[-1]}/{y.shape[-1]} against matrix {c.shape}"
-        )
-    return np.einsum("...i,ij,...j->...", x, c, y)
+    """Pseudo inner product <x, c y>. c is one (d, d) matrix or one per step
+    (N, d, d); x and y broadcast against each other and c's steps over (d,),
+    (N, d) and (P, N, d). c is applied to y with one matmul per run of steps
+    sharing one covariance, and that product is freed on return."""
+    c, x, y = (np.asarray(v, dtype=float) for v in (c, x, y))
+    try:
+        if c.ndim not in (2, 3) or not \
+                c.shape[-2:-1] == x.shape[-1:] == y.shape[-1:] == c.shape[-1:]:
+            raise ValueError
+        np.broadcast_shapes(x.shape, y.shape, c.shape[:-1])
+    except ValueError:
+        raise DimensionMismatch(f"vectors of shape {x.shape}/{y.shape} "
+                                f"against matrices {c.shape}") from None
+    if c.ndim == 2:
+        cy = y @ c.T
+    else:
+        cy = np.empty(np.broadcast_shapes(y.shape, c.shape[:-1]))
+        y = np.broadcast_to(y, cy.shape)
+        for lo, hi in step_runs(c):
+            np.matmul(y[..., lo:hi, :], c[lo].T, out=cy[..., lo:hi, :])
+    return np.einsum("...i,...i->...", x, cy)
 
 
 def cov_norm(c, x):
@@ -73,10 +96,6 @@ class NullspaceSplit:
     range_basis: np.ndarray  # (d, d - k)
     threshold: float
     eigenvalues: np.ndarray
-
-    @property
-    def dim(self):
-        return self.null_basis.shape[0]
 
     @property
     def null_dim(self):
@@ -109,7 +128,7 @@ def nullspace_split(c):
     )
 
 
-def _check_null_in_constraint(constraint, split, tol=1e-9):
+def _check_null_in_constraint(constraint, split):
     # Weak feasibility check: unit nullspace directions (both signs) must be
     # fixed points of the constraint projection, else the nullspace is not
     # contained in the constraint set and the problem is rejected.
@@ -119,24 +138,24 @@ def _check_null_in_constraint(constraint, split, tol=1e-9):
         v = split.null_basis[:, j]
         for s in (1.0, -1.0):
             p = constraint.project((s * v)[None, :])[0]
-            if np.linalg.norm(p - s * v) > tol:
+            if np.linalg.norm(p - s * v) > 1e-9:
                 raise InfeasibleConstraint(
                     "constraint set does not contain the covariance nullspace "
                     f"direction {np.round(v, 6).tolist()}"
                 )
 
 
-def _is_isotropic(c, eigenvalues, rel=1e-12):
+def _is_isotropic(c, eigenvalues):
     top = eigenvalues[-1]
     if top <= 0.0:
         return False
     if eigenvalues[0] < top * (1.0 - 1e-12):
         return False
     off = c - np.eye(c.shape[0]) * top
-    return np.max(np.abs(off)) <= rel * max(top, 1.0)
+    return np.max(np.abs(off)) <= 1e-12 * max(top, 1.0)
 
 
-def feasible_projector(constraint, split, dykstra_tol=1e-13, dykstra_cap=4000):
+def feasible_projector(constraint, split):
     """Euclidean projection onto (constraint ∩ N⊥), vectorized over rows."""
     if isinstance(constraint, FullSpace):
         return split.project_range
@@ -146,7 +165,7 @@ def feasible_projector(constraint, split, dykstra_tol=1e-13, dykstra_cap=4000):
     def proj(x):
         return dykstra_project(
             x, [constraint.project, split.project_range],
-            tol=dykstra_tol, max_iter=dykstra_cap,
+            tol=1e-13, max_iter=4000,
         )
 
     return proj
@@ -212,7 +231,8 @@ def _ball_rows(split, rows, ball, max_iter):
     # + mu)), b = lam * V^T a, with mu >= 0 fixing |f| = r. Newton on the
     # concave, increasing phi(mu) = 1 / |f(mu)| - 1 / r rises from mu = 0 to
     # its root without overshoot, so a row stops once its mu stops rising.
-    # Elementwise arithmetic keeps each row's bits independent of the batch.
+    # Elementwise arithmetic and einsum, unlike a BLAS matmul, keep each
+    # row's bits independent of the batch.
     lam = split.eigenvalues[split.eigenvalues > split.threshold]
     b = lam * np.einsum("ni,ij->nj", rows, split.range_basis)
     mu = np.zeros(len(rows))

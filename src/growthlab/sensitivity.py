@@ -25,16 +25,13 @@ from .constraints import FullSpace
 from .errors import DimensionMismatch, InvalidSpec
 from .market import cumsum_from_zero, tilt_field
 from .numeraire import numeraire_fractions, wealth_paths
+from .quadform import cov_inner
 
 __all__ = [
     "ExpansionRecord", "reference_increments", "response_quotient",
     "expansion_record", "expansion_ladder", "first_order_check",
     "second_order_check",
 ]
-
-
-def _quad(cov, field_a, field_b, dG):
-    return np.einsum("pki,kij,pkj->pk", field_a, cov, field_b) * dG[None, :]
 
 
 def reference_increments(bundle):
@@ -63,7 +60,7 @@ def response_quotient(bundle, record, eps, *, reference=None):
     w_eps = wealth_paths(bundle, numeraire_fractions(
         bundle, FullSpace(), drifts=bundle.drift + eps * lam))
     direct = cumsum_from_zero(((w_eps.dB + w_eps.dL) - reference) / eps)
-    energy = _quad(bundle.cov, lam, lam, bundle.dG)
+    energy = cov_inner(bundle.cov, lam, lam) * bundle.dG
     fv_inc = -(eps / 2.0) * energy
     mart_inc = np.einsum("pki,pki->pk", lam, bundle.dM)
     return {"direct": direct, "formula": cumsum_from_zero(fv_inc + mart_inc),
@@ -85,7 +82,7 @@ def expansion_record(bundle, record):
     z_left = record.z[:, :-1]
     lam0 = z_left[:, :, None] * record.lam1[None, :, :]
     first_inc = np.einsum("pki,pki->pk", lam0, bundle.dM)
-    second_inc = -0.5 * _quad(bundle.cov, lam0, lam0, bundle.dG)
+    second_inc = -0.5 * cov_inner(bundle.cov, lam0, lam0) * bundle.dG
     second_inc -= (z_left - 1.0) * first_inc
     return ExpansionRecord(lam0=lam0, first_order=cumsum_from_zero(first_inc),
                            second_order=cumsum_from_zero(second_inc))
@@ -112,7 +109,7 @@ def expansion_ladder(bundle, record, eps_ladder):
         raise InvalidSpec(f"need a nonempty 1-d eps ladder, got {eps_ladder}")
     exp_rec = expansion_record(bundle, record)
     first_inc = np.diff(exp_rec.first_order, axis=1)
-    lim_fv = -0.5 * _quad(bundle.cov, exp_rec.lam0, exp_rec.lam0, bundle.dG)
+    lim_fv = -0.5 * cov_inner(bundle.cov, exp_rec.lam0, exp_rec.lam0) * bundle.dG
     lim_mart = np.diff(exp_rec.second_order, axis=1) - lim_fv
     reference = reference_increments(bundle)
     identity, first_fv, first_qv, second_fv, second_qv = [], [], [], [], []

@@ -31,11 +31,12 @@ from .numeraire import (
     growth_path, numeraire_fractions, numeraire_paths, wealth_paths,
     wealth_process_gap,
 )
-from .quadform import cov_norm
+from .quadform import cov_inner, cov_norm
 
 ZERO_COLUMN_LEVEL = 1e-14
 BOOTSTRAP_DRAWS = 400
 BOOTSTRAP_SEED = 20260817
+DENSITY_FLOOR_FRACTION = 1e-3  # share of paths allowed below the floor
 WEALTH_COLUMNS = ("fv", "qv", "sup_rel_inf", "sup_rel_n")
 DENSITY_COLUMNS = ("z_l1", "z_sup", "zz_qv", "rr_qv")
 
@@ -160,7 +161,7 @@ def filtration_ladder(spec, model, constraint, n_paths, seed, *,
     if event_threshold is None:
         event_threshold = model.prior_mean
     v = model.direction
-    vcv = np.einsum("i,kij,j->k", v, base.cov, v)
+    vcv = cov_inner(base.cov, v, v)
 
     w_inf = numeraire_paths(base, constraint,
                             drifts=filtered_drift(signal, None)[0],
@@ -189,7 +190,7 @@ def filtration_ladder(spec, model, constraint, n_paths, seed, *,
 
 
 def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
-                       eps_ladder=None, threads=1, floor_fraction=1e-3):
+                       eps_ladder=None, threads=1):
     """Measure ladder: mixtures (1 - eps) + eps Z1 shrinking to the
     reference measure. Reports density diagnostics and wealth distances
     between the tilted-measure optimum and the reference optimum."""
@@ -201,7 +202,7 @@ def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
 
     bundle = simulate_paths(spec, n_paths, seed, threads=threads)
     record = density_paths(bundle, tilt)
-    if record.floor_hits > floor_fraction * n_paths:
+    if record.floor_hits > DENSITY_FLOOR_FRACTION * n_paths:
         raise DensityFloorHit(
             f"{record.floor_hits} of {n_paths} density paths hit the "
             f"positivity floor"
@@ -215,8 +216,7 @@ def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
         # Girsanov: the tilted drift is a + eps * lam^eps.
         shift = eps * tilt_field(record, eps)
         row["drift_gap"] = np.sum(
-            np.einsum("pki,kij,pkj->pk", shift, bundle.cov, shift)
-            * bundle.dG[None, :], axis=1)
+            cov_inner(bundle.cov, shift, shift) * bundle.dG, axis=1)
         _, gaps = _rung_columns(bundle, constraint,
                                 bundle.drift[None, :, :] + shift, w_ref)
         row.update(gaps)
@@ -277,10 +277,12 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
     weight = bundle.n_steps if steps_alike else 1
     origin = np.zeros(bundle.dim)
     small_cov = np.linalg.eigvalsh(bundle.cov)[:, -1] <= 4.0
+    drift_norm = cov_norm(bundle.cov, bundle.drift)
     rows, dists, excesses, unchecked, growth_gaps = [], [], [], [], []
     for K_n in sets:
         frac_n, row = _rung_columns(bundle, K_n, None, w_inf)
         rows.append(row)
+        gap_norm = cov_norm(bundle.cov, frac_n - frac_inf)
 
         ks = [0] if steps_alike else range(bundle.n_steps)
         origin_in_both = bool(K_n.contains(origin)
@@ -289,7 +291,7 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
         dist_here = 0.0
         skipped = 0
         for k in ks:
-            m = float(cov_norm(bundle.cov[k], bundle.drift[k]))
+            m = float(drift_norm[k])
             if m <= 0.0:
                 skipped += weight
                 continue
@@ -301,7 +303,7 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
                     and np.linalg.norm(frac_inf[k]) <= m):
                 skipped += weight
                 continue
-            lhs = float(cov_norm(bundle.cov[k], frac_n[k] - frac_inf[k])) ** 2
+            lhs = float(gap_norm[k]) ** 2
             worst = max(worst, lhs - 4.0 * m * dist_k)
         dists.append(dist_here)
         excesses.append(worst if np.isfinite(worst) else 0.0)

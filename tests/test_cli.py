@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -384,3 +386,17 @@ def test_csv_float_format_round_trips():
         back = float(fh.readline())
     assert back == value
 
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about a quarter second of start-up and only the
+    # counterexample's interior root search uses it.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    script = ("import sys, growthlab.cli; "
+              "assert 'scipy.optimize' not in sys.modules")
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

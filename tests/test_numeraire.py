@@ -7,7 +7,7 @@ from growthlab.constraints import Ball, Box, FullSpace
 from growthlab.market import MarketSpec, simulate_paths
 from growthlab.numeraire import (
     growth_path, growth_rate, numeraire_fractions, numeraire_paths,
-    relative_log_error, terminal_deflation, wealth_paths, wealth_process_gap,
+    terminal_deflation, wealth_paths, wealth_process_gap,
 )
 from growthlab.quadform import cov_inner, cov_norm, optimal_fraction
 
@@ -120,8 +120,6 @@ def test_wealth_gap_metrics_vanish_for_identical_strategies():
     assert np.max(gaps["sup"]) == 0.0
     assert np.max(gaps["sup_rel_inf"]) == 0.0
     assert np.max(gaps["sup_rel_n"]) == 0.0
-    rel = relative_log_error(w1, w2)
-    assert rel["a_over_b"] == 0.0 and rel["b_over_a"] == 0.0
 
 
 def test_wealth_gap_metrics_for_different_strategies():

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growthlab.constraints import Ball, Box, FullSpace, NonnegativeOrthant
-from growthlab.errors import InfeasibleConstraint, InvalidSpec, NonConvergence
+from growthlab.errors import (
+    DimensionMismatch, InfeasibleConstraint, InvalidSpec, NonConvergence,
+)
 from growthlab.quadform import (
     cov_inner, cov_norm, nullspace_split, optimal_fraction,
-    optimal_fraction_batch,
+    optimal_fraction_batch, step_runs,
 )
 
 from oracles import ball_kkt_fraction, grid_argmax_fraction, quadratic_growth
@@ -18,6 +20,39 @@ def random_psd(rng, d, min_eig=0.0, rank=None):
     if rank is not None:
         eigs[rank:] = 0.0
     return (q * eigs) @ q.T
+
+
+def test_cov_inner_matches_einsum():
+    # Against the 3-operand einsum formulas cov_inner replaced, for one
+    # covariance and for a per-step covariance in three runs.
+    rng = np.random.default_rng(12)
+    n_paths, n_steps, d = 7, 9, 3
+    c = random_psd(rng, d, min_eig=0.1)
+    runs = [random_psd(rng, d, rank=r) for r in (3, 2, 3)]
+    cov = np.stack([runs[0]] * 4 + [runs[1]] * 2 + [runs[2]] * 3)
+    assert step_runs(cov) == [(0, 4), (4, 6), (6, 9)]
+    full = (n_paths, n_steps, d)
+    shapes = [(d,), (n_steps, d), full]
+    for sx in shapes:
+        for sy in shapes:
+            x = rng.standard_normal(sx)
+            y = rng.standard_normal(sy)
+            ref = np.einsum("...i,ij,...j->...", x, c, y)
+            got = cov_inner(c, x, y)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+            ref = np.einsum("pki,kij,pkj->pk", np.broadcast_to(x, full), cov,
+                            np.broadcast_to(y, full))
+            got = cov_inner(cov, x, y)
+            assert got.shape == np.broadcast_shapes(sx, sy, (n_steps, d))[:-1]
+            assert np.max(np.abs(np.broadcast_to(got, ref.shape) - ref)) \
+                <= 1e-14 * np.max(np.abs(ref))
+    for bad in ((cov, np.ones((n_steps + 1, d)), np.ones(d)),
+                (cov, np.ones(d + 1), np.ones(d)),
+                (c[:, :2], np.ones(d), np.ones(d)),
+                (cov[0, 0], np.ones(d), np.ones(d))):
+        with pytest.raises(DimensionMismatch):
+            cov_inner(*bad)
 
 
 def test_fullspace_returns_drift_exactly():

@@ -8,6 +8,7 @@ from growthlab.market import (
     tilt_decomposition,
 )
 from growthlab.numeraire import numeraire_fractions, wealth_paths
+from growthlab.quadform import cov_inner
 from growthlab.sensitivity import (
     expansion_ladder, expansion_record, first_order_check,
     reference_increments, response_quotient, second_order_check,
@@ -120,8 +121,7 @@ def three_pass_rows(bundle, record, eps_ladder):
     identity and for each order, every quotient built from the full tilt
     decomposition and solving its own reference wealth."""
     def quad(lam):
-        return np.einsum("pki,kij,pkj->pk", lam, bundle.cov, lam) \
-            * bundle.dG[None, :]
+        return cov_inner(bundle.cov, lam, lam) * bundle.dG
 
     def cumulative(inc):
         return np.concatenate(
