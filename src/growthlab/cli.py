@@ -61,10 +61,8 @@ def _load_config(path):
     with open(path) as fh:
         text = fh.read()
     try:
-        if path.endswith(".json"):
-            cfg = json.loads(text)
-        else:
-            cfg = yaml.safe_load(text)
+        cfg = json.loads(text) if path.endswith(".json") \
+            else yaml.safe_load(text)
     except (json.JSONDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -357,15 +355,10 @@ def cmd_sensitivity(cfg, args, out_dir, manifest):
     bundle = simulate_paths(spec, paths, seed, threads=threads)
     record = density_paths(bundle, tilt)
     identity_err, first, second = expansion_ladder(bundle, record, eps_ladder)
-    rows = []
-    for table, tag in ((first, "first"), (second, "second")):
-        for i in range(len(eps_ladder)):
-            rows.append({"ladder_index": i + 1, "metric": f"{tag}_fv",
-                         "value": table["fv_error"][i],
-                         "stderr": table["fv_stderr"][i]})
-            rows.append({"ladder_index": i + 1, "metric": f"{tag}_qv",
-                         "value": table["qv_error"][i],
-                         "stderr": table["qv_stderr"][i]})
+    rows = [{"ladder_index": i + 1, "metric": f"{tag}_{m}",
+             "value": table[f"{m}_error"][i], "stderr": table[f"{m}_stderr"][i]}
+            for table, tag in ((first, "first"), (second, "second"))
+            for i in range(len(eps_ladder)) for m in ("fv", "qv")]
     _write_table(out_dir, manifest, "errors.csv",
                  ["ladder_index", "metric", "value", "stderr"], rows)
     manifest.record_check("response_identity", identity_err <= tol)
@@ -397,10 +390,8 @@ def cmd_counterexample(cfg, args, out_dir, manifest):
                    "theta_tol") + SHARED_KEYS[1:], "config")
     p = _float(cfg["p"], "p")
     levels = _ints(cfg.get("levels", list(range(1, 9))), "levels")
-    kwargs = {}
-    for key in ("quad_nodes", "quad_range", "signal_mean"):
-        if key in cfg:
-            kwargs[key] = cfg[key]
+    kwargs = {key: cfg[key] for key in ("quad_nodes", "quad_range",
+                                        "signal_mean") if key in cfg}
     report = discontinuity_report(p, levels, **kwargs)
     limit = one_period_optimal(OnePeriodMarket(p=p, level=None))
     rows = [{"level": n, "theta_star": t, "gap": g}

@@ -142,9 +142,13 @@ class Ball(ConstraintSet):
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
-        norms = np.linalg.norm(x, axis=-1, keepdims=True)
-        scale = np.where(norms > self.radius, self.radius / np.maximum(norms, 1e-300), 1.0)
-        return x * scale
+        rows = x.reshape(-1, x.shape[-1])
+        # np.linalg.norm's summation order below eight terms, at less cost
+        norms = np.sqrt(sum(rows[:, j] ** 2 for j in range(rows.shape[1])))
+        hit = np.flatnonzero(norms > self.radius)  # only these rows move
+        out = rows.copy()
+        out[hit] = rows[hit] * (self.radius / norms[hit])[:, None]
+        return out.reshape(x.shape)
 
     def support_truncated(self, dirs, radius):
         return np.full(len(dirs), min(self.radius, float(radius)))

@@ -16,7 +16,7 @@ own spawned bit generator in a fixed order.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -157,41 +157,53 @@ class PathBundle:
         return self.dM.shape[2]
 
 
-def _fill_block(dM, sqrt_cov, dG, seed_seq, lo, hi):
-    rng = np.random.default_rng(seed_seq)
-    xi = rng.standard_normal((hi - lo,) + dM.shape[1:])
-    scale = np.sqrt(dG)[:, None]
-    # applies sqrt_cov to the noise, no inner product: kept out of cov_inner
-    np.einsum("pkj,kij->pki", xi, sqrt_cov, out=dM[lo:hi])
-    dM[lo:hi] *= scale[None, :, :]
+def market_steps(spec, seed):
+    """A PathBundle of spec's per-step arrays with no paths yet: the ladders
+    solve on it what no path changes, and stream_paths draws its blocks."""
+    return PathBundle(spec, seed, *spec.materialize(),
+                      dM=np.empty((0, spec.n_steps, spec.dim)))
+
+
+def stream_paths(market, n_paths, seed, job, threads=1, out=None):
+    """Results, in block order, of job(block, lo, hi) on each fixed
+    PATH_BLOCK-path block lo:hi. Block b draws from the b-th child of seed,
+    shares market's per-step arrays, writes its noise dM to out[lo:hi] if out
+    is given, and runs on worker b % threads (0 is the caller), so no path
+    depends on the thread count or on later blocks."""
+    if n_paths < 1:
+        raise InvalidSpec(f"need at least one path, got {n_paths}")
+    ss = seed if isinstance(seed, np.random.SeedSequence) \
+        else np.random.SeedSequence(seed)
+    n_blocks = (n_paths + PATH_BLOCK - 1) // PATH_BLOCK
+    children = ss.spawn(n_blocks)
+    workers = max(1, min(threads, n_blocks))
+    results = [None] * n_blocks
+
+    def stripe(w):
+        for b in range(w, n_blocks, workers):
+            lo, hi = b * PATH_BLOCK, min((b + 1) * PATH_BLOCK, n_paths)
+            xi = np.random.default_rng(children[b]).standard_normal(
+                (hi - lo,) + market.dM.shape[1:])
+            dM = np.empty_like(xi) if out is None else out[lo:hi]
+            # applies sqrt_cov to the noise, no inner product: not cov_inner
+            np.einsum("pkj,kij->pki", xi, market.sqrt_cov, out=dM)
+            dM *= np.sqrt(market.dG)[None, :, None]
+            results[b] = job(replace(market, dM=dM), lo, hi)
+
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        futures = [pool.submit(stripe, w) for w in range(1, workers)]
+        stripe(0)
+        for f in futures:
+            f.result()
+    return results
 
 
 def simulate_paths(spec, n_paths, seed, threads=1):
     """Generate a PathBundle; identical output for any thread count."""
-    if n_paths < 1:
-        raise InvalidSpec(f"need at least one path, got {n_paths}")
-    dg, cov, sqrt_cov, drift = spec.materialize()
-    dM = np.empty((n_paths, spec.n_steps, spec.dim))
-    n_blocks = (n_paths + PATH_BLOCK - 1) // PATH_BLOCK
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(n_blocks)
-    jobs = [
-        (children[b], b * PATH_BLOCK, min((b + 1) * PATH_BLOCK, n_paths))
-        for b in range(n_blocks)
-    ]
-    if threads > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_fill_block, dM, sqrt_cov, dg, ss, lo, hi)
-                for ss, lo, hi in jobs
-            ]
-            for f in futures:
-                f.result()
-    else:
-        for ss, lo, hi in jobs:
-            _fill_block(dM, sqrt_cov, dg, ss, lo, hi)
-    return PathBundle(spec=spec, seed=seed, dG=dg, cov=cov,
-                      sqrt_cov=sqrt_cov, drift=drift, dM=dM)
+    market = market_steps(spec, seed)
+    dM = np.empty((max(n_paths, 0), spec.n_steps, spec.dim))
+    stream_paths(market, n_paths, seed, lambda *block: None, threads, out=dM)
+    return replace(market, dM=dM)
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +255,26 @@ class SignalBundle:
 
     base.dM is the shared martingale noise; dS adds the theta-scaled drift
     compensator. theta and zeta are the latent draw and the shared peek
-    noise per path.
+    noise per path. stat is the observation statistic sum_{j<k} <dS_j, v>,
+    shape (P, N): no ladder level changes it, so it is formed once.
     """
 
     base: PathBundle
     model: GaussianSignalModel
     theta: np.ndarray
     zeta: np.ndarray
-    dS: np.ndarray
+    stat: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        obs = np.einsum("pki,i->pk", self.dS, self.model.direction)
+        self.stat = cumsum_from_zero(obs)[:, :-1]
 
     @property
-    def n_paths(self):
-        return self.base.n_paths
+    def dS(self):
+        """Price increments dM + theta c v dG, shape (P, N, d)."""
+        base = self.base
+        cv = np.einsum("kij,j->ki", base.cov, self.model.direction)  # c v, not <., c v>
+        return base.dM + self.theta[:, None, None] * (cv * base.dG[:, None])[None, :, :]
 
     def true_drift(self):
         """Per-path drift array theta_p * direction, shape (P, N, d)."""
@@ -263,30 +283,25 @@ class SignalBundle:
         return np.broadcast_to(out, self.base.dM.shape).copy()
 
 
-def simulate_signal_paths(spec, model, n_paths, seed, threads=1):
-    """Simulate paths with hidden drift theta * direction.
-
-    The market spec's own drift field is ignored; the signal model supplies
-    it. Draw order is fixed: theta, zeta, then path noise, so results do not
-    depend on the thread count.
-    """
+def signal_draws(spec, model, n_paths, seed):
+    """The drift-free market, theta, zeta and the path noise seed of a
+    signal simulation, drawn in that fixed order whatever the thread count."""
     if model.direction.shape != (spec.dim,):
-        raise DimensionMismatch(
-            f"signal direction dim {model.direction.shape} vs market dim {spec.dim}"
-        )
-    root = np.random.SeedSequence(seed)
-    latent_ss, path_ss = root.spawn(2)
+        raise DimensionMismatch(f"signal direction dim {model.direction.shape}"
+                                f" vs market dim {spec.dim}")
+    latent_ss, path_ss = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(latent_ss)
     theta = model.prior_mean + model.prior_std * rng.standard_normal(n_paths)
     zeta = rng.standard_normal(n_paths)
-    base = simulate_paths(
-        MarketSpec(dim=spec.dim, n_steps=spec.n_steps, horizon=spec.horizon,
-                   covariance=spec.covariance, drift=np.zeros(spec.dim),
-                   clock=spec.clock, normalize_clock=spec.normalize_clock),
-        n_paths, path_ss, threads=threads)
-    cv = np.einsum("kij,j->ki", base.cov, model.direction)  # c v, not <., c v>
-    dS = base.dM + theta[:, None, None] * (cv * base.dG[:, None])[None, :, :]
-    return SignalBundle(base=base, model=model, theta=theta, zeta=zeta, dS=dS)
+    return replace(spec, drift=np.zeros(spec.dim)), theta, zeta, path_ss
+
+
+def simulate_signal_paths(spec, model, n_paths, seed, threads=1):
+    """Simulate paths with hidden drift theta * direction, which replaces
+    the market spec's own drift field (see signal_draws)."""
+    market, theta, zeta, path_ss = signal_draws(spec, model, n_paths, seed)
+    base = simulate_paths(market, n_paths, path_ss, threads=threads)
+    return SignalBundle(base=base, model=model, theta=theta, zeta=zeta)
 
 
 def filtered_drift(signal, level):
@@ -305,18 +320,16 @@ def filtered_drift(signal, level):
     peek_prec = np.inf if sigma_n == 0.0 else 1.0 / sigma_n ** 2
     if np.isinf(peek_prec):
         # a noiseless peek reveals theta, as the limit does
-        mean = np.broadcast_to(signal.theta[:, None],
-                               (signal.n_paths, base.n_steps)).copy()
+        mean = np.broadcast_to(signal.theta[:, None], base.dM.shape[:2]).copy()
         prec = np.full(base.n_steps, np.inf)
     else:
         vcv = cov_inner(base.cov, v, v) * base.dG
         info = np.concatenate(([0.0], np.cumsum(vcv)))[:-1]
-        stat = cumsum_from_zero(np.einsum("pki,i->pk", signal.dS, v))[:, :-1]
         prior_prec = 1.0 / model.prior_std ** 2
         peek = signal.theta + sigma_n * signal.zeta
         prec = prior_prec + peek_prec + info
         mean = (model.prior_mean * prior_prec
-                + peek[:, None] * peek_prec + stat) / prec[None, :]
+                + peek[:, None] * peek_prec + signal.stat) / prec[None, :]
     drift = mean[:, :, None] * v[None, None, :]
     return drift, mean, prec
 
@@ -373,8 +386,16 @@ class DensityRecord:
     floor_hits: int
 
 
-def density_paths(bundle, tilt, seed=None):
-    """Stochastic-exponential density Z1 of a tilt along simulated paths."""
+def orthogonal_draws(seed, n_paths, n_steps):
+    """Standard normals (P, N) behind the orthogonal tilt factor: one draw
+    from stream ORTHOGONAL_STREAM of the integer path seed, row p for path p."""
+    ss = np.random.SeedSequence((int(seed), ORTHOGONAL_STREAM))
+    return np.random.default_rng(ss).standard_normal((n_paths, n_steps))
+
+
+def density_paths(bundle, tilt, xi=None):
+    """Stochastic-exponential density Z1 of a tilt along simulated paths;
+    xi defaults to orthogonal_draws of the bundle's seed."""
     lam = tilt.field(bundle.n_steps, bundle.dim)
     lam_sq = cov_inner(bundle.cov, lam, lam)
     energy = float(np.sum(lam_sq * bundle.dG))
@@ -386,11 +407,9 @@ def density_paths(bundle, tilt, seed=None):
     expo -= 0.5 * (lam_sq * bundle.dG)[None, :]
     z = np.exp(cumsum_from_zero(expo))
     if tilt.orthogonal_vol != 0.0:
-        if seed is None:
-            seed = np.random.SeedSequence((int(bundle.seed), ORTHOGONAL_STREAM))
-        rng = np.random.default_rng(seed)
-        dw = rng.standard_normal((bundle.n_paths, bundle.n_steps))
-        dw *= np.sqrt(bundle.dG)[None, :]
+        if xi is None:
+            xi = orthogonal_draws(bundle.seed, bundle.n_paths, bundle.n_steps)
+        dw = xi * np.sqrt(bundle.dG)[None, :]
         rho = tilt.orthogonal_vol
         orth = np.exp(cumsum_from_zero(rho * dw - 0.5 * rho * rho * bundle.dG[None, :]))
         z = z * orth

@@ -77,15 +77,23 @@ class ExpansionRecord:
     second_order: np.ndarray
 
 
-def expansion_record(bundle, record):
-    """First- and second-order limit paths from the base density."""
+def _expansion(bundle, record):
+    """The ExpansionRecord and the per-step increments of its limits: the
+    first-order <lam0, dM>, and the second order's finite-variation part
+    -0.5 |lam0|_c^2 dG and martingale part (1 - Z1_-) <lam0, dM>."""
     z_left = record.z[:, :-1]
     lam0 = z_left[:, :, None] * record.lam1[None, :, :]
     first_inc = np.einsum("pki,pki->pk", lam0, bundle.dM)
-    second_inc = -0.5 * cov_inner(bundle.cov, lam0, lam0) * bundle.dG
-    second_inc -= (z_left - 1.0) * first_inc
-    return ExpansionRecord(lam0=lam0, first_order=cumsum_from_zero(first_inc),
-                           second_order=cumsum_from_zero(second_inc))
+    lim_fv = -0.5 * cov_inner(bundle.cov, lam0, lam0) * bundle.dG
+    lim_mart = (1.0 - z_left) * first_inc
+    rec = ExpansionRecord(lam0=lam0, first_order=cumsum_from_zero(first_inc),
+                          second_order=cumsum_from_zero(lim_fv + lim_mart))
+    return rec, first_inc, lim_fv, lim_mart
+
+
+def expansion_record(bundle, record):
+    """First- and second-order limit paths from the base density."""
+    return _expansion(bundle, record)[0]
 
 
 def _order_fit(eps_ladder, means):
@@ -107,10 +115,7 @@ def expansion_ladder(bundle, record, eps_ladder):
     eps_ladder = np.asarray(eps_ladder, dtype=float)
     if eps_ladder.ndim != 1 or eps_ladder.size == 0:
         raise InvalidSpec(f"need a nonempty 1-d eps ladder, got {eps_ladder}")
-    exp_rec = expansion_record(bundle, record)
-    first_inc = np.diff(exp_rec.first_order, axis=1)
-    lim_fv = -0.5 * cov_inner(bundle.cov, exp_rec.lam0, exp_rec.lam0) * bundle.dG
-    lim_mart = np.diff(exp_rec.second_order, axis=1) - lim_fv
+    exp_rec, first_inc, lim_fv, lim_mart = _expansion(bundle, record)
     reference = reference_increments(bundle)
     identity, first_fv, first_qv, second_fv, second_qv = [], [], [], [], []
     for eps in eps_ladder:
@@ -139,10 +144,8 @@ def second_order_check(bundle, record, eps_ladder):
 
 
 def _error_table(eps_ladder, fv_rows, qv_rows, exp_rec):
-    fv = np.stack(fv_rows)
-    qv = np.stack(qv_rows)
-    fv_mean = fv.mean(axis=1)
-    qv_mean = qv.mean(axis=1)
+    fv, qv = np.stack(fv_rows), np.stack(qv_rows)
+    fv_mean, qv_mean = fv.mean(axis=1), qv.mean(axis=1)
     return {
         "eps": eps_ladder,
         "fv_error": fv_mean,

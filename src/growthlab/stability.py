@@ -3,11 +3,11 @@ r"""Perturbation ladders for the growth-optimal portfolio.
 Three families, one protocol: build a ladder of markets that converges to a
 limit market along one axis (information, probability measure, constraint
 set), compute the optimal wealth process at every rung on common random
-numbers, and measure its distance to the limit rung with one
-wealth_process_gap: the finite-variation gap, the quadratic-variation gap,
-and the uniform relative wealth errors in both orientations. A report
-column passes when its log-log decay slope against the ladder scale is
-negative with bootstrap confidence.
+numbers, one stream_paths block at a time, and measure its distance to the
+limit rung with one wealth_process_gap: the finite-variation gap, the
+quadratic-variation gap, and the uniform relative wealth errors both ways.
+A report column passes when its log-log decay slope against the ladder
+scale is negative with bootstrap confidence.
 
 The probability family additionally reports the density diagnostics
 (terminal L^1 gap, uniform gap, quadratic variation of the density and of
@@ -24,8 +24,9 @@ import numpy as np
 from .constraints import truncated_pair_distance
 from .errors import DensityFloorHit, InvalidSpec
 from .market import (
-    cumsum_from_zero, density_paths, filtered_drift, event_probabilities,
-    simulate_paths, simulate_signal_paths, tilt_field,
+    SignalBundle, cumsum_from_zero, density_paths, event_probabilities,
+    filtered_drift, market_steps, orthogonal_draws, signal_draws,
+    stream_paths, tilt_field,
 )
 from .numeraire import (
     growth_path, numeraire_fractions, numeraire_paths, wealth_paths,
@@ -127,18 +128,14 @@ def _fit_slope(x, values):
     return xc @ (y - y.mean(axis=0)) / (xc @ xc)
 
 
-def _rung_columns(bundle, constraint, drifts, w_limit, true_drift=None):
-    """Solve one rung, build its wealth and measure it against the limit
-    wealth: returns the optimal fractions and the wealth_process_gap
-    columns, as a dict the caller may extend."""
-    fractions = numeraire_fractions(bundle, constraint, drifts=drifts)
-    w_n = wealth_paths(bundle, fractions, drift=true_drift)
-    return fractions, wealth_process_gap(w_n, w_limit)
-
-
 def _stack(rows, names):
     """per_path arrays (L, P) of the named columns of per-rung rows."""
     return {k: np.stack([row[k] for row in rows]) for k in names}
+
+
+def _join(parts):
+    """per_path arrays (L, P) of per-block (L, block) arrays, in path order."""
+    return {k: np.concatenate([p[k] for p in parts], axis=1) for k in parts[0]}
 
 
 def _density_columns(z):
@@ -155,35 +152,38 @@ def filtration_ladder(spec, model, constraint, n_paths, seed, *,
     """Information ladder: noisy peeks at the latent drift, sharpening to
     full revelation. Reports wealth distances to the revealed-limit
     numéraire plus drift and conditional-event diagnostics."""
-    signal = simulate_signal_paths(spec, model, n_paths, seed, threads=threads)
-    base = signal.base
-    true_drift = signal.true_drift()
+    market_spec, theta, zeta, path_ss = signal_draws(spec, model, n_paths, seed)
+    market = market_steps(market_spec, path_ss)
     if event_threshold is None:
         event_threshold = model.prior_mean
     v = model.direction
-    vcv = cov_inner(base.cov, v, v)
+    vcv_dg = cov_inner(market.cov, v, v) * market.dG
 
-    w_inf = numeraire_paths(base, constraint,
-                            drifts=filtered_drift(signal, None)[0],
-                            true_drift=true_drift)
-    hit = (signal.theta > event_threshold).astype(float)
-
-    rows = []
-    for n in range(model.n_levels):
-        drift_n, mean_n, prec_n = filtered_drift(signal, n)
-        _, row = _rung_columns(base, constraint, drift_n, w_inf, true_drift)
-        err = mean_n - signal.theta[:, None]
-        row["drift_gap"] = np.sum(err ** 2 * (vcv * base.dG)[None, :], axis=1)
-        probs = event_probabilities(mean_n, prec_n, event_threshold)
-        row["event_gap"] = np.sum(np.abs(probs - hit[:, None])
-                                  * base.dG[None, :], axis=1)
-        rows.append(row)
+    def block(base, lo, hi):
+        signal = SignalBundle(base, model, theta[lo:hi], zeta[lo:hi])
+        true_drift = signal.true_drift()
+        w_inf = numeraire_paths(base, constraint,
+                                drifts=filtered_drift(signal, None)[0],
+                                true_drift=true_drift)
+        hit = (signal.theta > event_threshold).astype(float)
+        rows = []
+        for n in range(model.n_levels):
+            drift_n, mean_n, prec_n = filtered_drift(signal, n)
+            row = wealth_process_gap(numeraire_paths(
+                base, constraint, drifts=drift_n, true_drift=true_drift), w_inf)
+            err = mean_n - signal.theta[:, None]
+            row["drift_gap"] = np.sum(err ** 2 * vcv_dg[None, :], axis=1)
+            probs = event_probabilities(mean_n, prec_n, event_threshold)
+            row["event_gap"] = np.sum(np.abs(probs - hit[:, None])
+                                      * base.dG[None, :], axis=1)
+            rows.append(row)
+        return _stack(rows, WEALTH_COLUMNS + ("drift_gap", "event_gap"))
 
     return LadderReport(
         family="filtration",
         indices=np.arange(1, model.n_levels + 1),
         scales=model.noise_scales.copy(),
-        per_path=_stack(rows, WEALTH_COLUMNS + ("drift_gap", "event_gap")),
+        per_path=_join(stream_paths(market, n_paths, path_ss, block, threads)),
         meta={"n_paths": n_paths, "seed": seed,
               "event_threshold": float(event_threshold)},
     )
@@ -200,41 +200,48 @@ def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
     if np.any(eps_ladder <= 0.0) or np.any(np.diff(eps_ladder) >= 0.0):
         raise InvalidSpec("eps ladder must be positive and strictly decreasing")
 
-    bundle = simulate_paths(spec, n_paths, seed, threads=threads)
-    record = density_paths(bundle, tilt)
-    if record.floor_hits > DENSITY_FLOOR_FRACTION * n_paths:
-        raise DensityFloorHit(
-            f"{record.floor_hits} of {n_paths} density paths hit the "
-            f"positivity floor"
-        )
-    w_ref = numeraire_paths(bundle, constraint)
+    market = market_steps(spec, seed)
+    xi = None if tilt.orthogonal_vol == 0.0 \
+        else orthogonal_draws(seed, n_paths, spec.n_steps)
+    frac_ref = numeraire_fractions(market, constraint)
+    names = DENSITY_COLUMNS + ("drift_gap", "main1_fv", "main1_qv", "main2_fv",
+                               "main2_qv", "sup_rel_inf", "sup_rel_n")
 
-    rows = []
-    zeros = np.zeros(n_paths)
-    for eps in eps_ladder:
-        row = _density_columns((1.0 - eps) + eps * record.z)
-        # Girsanov: the tilted drift is a + eps * lam^eps.
-        shift = eps * tilt_field(record, eps)
-        row["drift_gap"] = np.sum(
-            cov_inner(bundle.cov, shift, shift) * bundle.dG, axis=1)
-        _, gaps = _rung_columns(bundle, constraint,
-                                bundle.drift[None, :, :] + shift, w_ref)
-        row.update(gaps)
-        # The filtration is held fixed along this ladder, so the
-        # information component of the proof split is identically zero.
-        row.update(main1_fv=zeros, main1_qv=zeros,
-                   main2_fv=gaps["fv"], main2_qv=gaps["qv"])
-        rows.append(row)
+    def block(bundle, lo, hi):
+        record = density_paths(bundle, tilt, None if xi is None else xi[lo:hi])
+        w_ref = wealth_paths(bundle, frac_ref)
+        rows = []
+        zeros = np.zeros(hi - lo)
+        for eps in eps_ladder:
+            row = _density_columns((1.0 - eps) + eps * record.z)
+            # Girsanov: the tilted drift is a + eps * lam^eps.
+            shift = eps * tilt_field(record, eps)
+            row["drift_gap"] = np.sum(
+                cov_inner(bundle.cov, shift, shift) * bundle.dG, axis=1)
+            gaps = wealth_process_gap(numeraire_paths(
+                bundle, constraint, drifts=bundle.drift[None, :, :] + shift),
+                w_ref)
+            row.update(gaps)
+            # The filtration is held fixed along this ladder, so the
+            # information component of the proof split is identically zero.
+            row.update(main1_fv=zeros, main1_qv=zeros,
+                       main2_fv=gaps["fv"], main2_qv=gaps["qv"])
+            rows.append(row)
+        floor_hits.append(record.floor_hits)
+        return _stack(rows, names)
 
+    floor_hits = []
+    per_path = _join(stream_paths(market, n_paths, seed, block, threads))
+    if sum(floor_hits) > DENSITY_FLOOR_FRACTION * n_paths:
+        raise DensityFloorHit(f"{sum(floor_hits)} of {n_paths} density paths "
+                              "hit the positivity floor")
     return LadderReport(
         family="probability",
         indices=np.arange(1, eps_ladder.size + 1),
         scales=eps_ladder.copy(),
-        per_path=_stack(rows, DENSITY_COLUMNS + (
-            "drift_gap", "main1_fv", "main1_qv", "main2_fv", "main2_qv",
-            "sup_rel_inf", "sup_rel_n")),
+        per_path=per_path,
         meta={"n_paths": n_paths, "seed": seed,
-              "floor_hits": record.floor_hits,
+              "floor_hits": sum(floor_hits),
               "orthogonal_vol": tilt.orthogonal_vol},
     )
 
@@ -258,15 +265,14 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
     """
     if len(sets) == 0:
         raise InvalidSpec("constraint ladder needs at least one set")
-    bundle = simulate_paths(spec, n_paths, seed, threads=threads)
-    frac_inf = numeraire_fractions(bundle, limit_set)
-    w_inf = wealth_paths(bundle, frac_inf)
-    growth_inf = growth_path(bundle.cov, bundle.drift, limit_set, bundle.dG)
+    market = market_steps(spec, seed)
+    frac_inf = numeraire_fractions(market, limit_set)
+    growth_inf = growth_path(market.cov, market.drift, limit_set, market.dG)
 
     steps_alike = all(
-        np.array_equal(bundle.cov[k], bundle.cov[0])
-        and np.array_equal(bundle.drift[k], bundle.drift[0])
-        for k in range(bundle.n_steps)
+        np.array_equal(market.cov[k], market.cov[0])
+        and np.array_equal(market.drift[k], market.drift[0])
+        for k in range(market.n_steps)
     )
     # Regime of the Euclidean form: the variational inequalities at phi and
     # phi', tested at the nearest points of the other truncated set, give
@@ -274,17 +280,17 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
     # sets (so |a - phi|_c <= |a|_c) and both fractions lie in B(|a|_c).
     # A rank-deficient c is covered too: the solver requires null(c) inside
     # every set, so each set is invariant along null(c).
-    weight = bundle.n_steps if steps_alike else 1
-    origin = np.zeros(bundle.dim)
-    small_cov = np.linalg.eigvalsh(bundle.cov)[:, -1] <= 4.0
-    drift_norm = cov_norm(bundle.cov, bundle.drift)
-    rows, dists, excesses, unchecked, growth_gaps = [], [], [], [], []
+    weight = market.n_steps if steps_alike else 1
+    origin = np.zeros(market.dim)
+    small_cov = np.linalg.eigvalsh(market.cov)[:, -1] <= 4.0
+    drift_norm = cov_norm(market.cov, market.drift)
+    fracs, dists, excesses, unchecked, growth_gaps = [], [], [], [], []
     for K_n in sets:
-        frac_n, row = _rung_columns(bundle, K_n, None, w_inf)
-        rows.append(row)
-        gap_norm = cov_norm(bundle.cov, frac_n - frac_inf)
+        frac_n = numeraire_fractions(market, K_n)
+        fracs.append(frac_n)
+        gap_norm = cov_norm(market.cov, frac_n - frac_inf)
 
-        ks = [0] if steps_alike else range(bundle.n_steps)
+        ks = [0] if steps_alike else range(market.n_steps)
         origin_in_both = bool(K_n.contains(origin)
                               and limit_set.contains(origin))
         worst = -np.inf
@@ -296,7 +302,7 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
                 skipped += weight
                 continue
             dist_k = truncated_pair_distance(K_n, limit_set, m,
-                                             dim=bundle.dim)
+                                             dim=market.dim)
             dist_here = max(dist_here, dist_k)
             if not (origin_in_both and small_cov[k]
                     and np.linalg.norm(frac_n[k]) <= m
@@ -308,8 +314,13 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
         dists.append(dist_here)
         excesses.append(worst if np.isfinite(worst) else 0.0)
         unchecked.append(skipped)
-        growth_n = growth_path(bundle.cov, bundle.drift, K_n, bundle.dG)
+        growth_n = growth_path(market.cov, market.drift, K_n, market.dG)
         growth_gaps.append(abs(growth_n.total - growth_inf.total))
+
+    def block(bundle, lo, hi):
+        w_inf = wealth_paths(bundle, frac_inf)
+        return _stack([wealth_process_gap(wealth_paths(bundle, f), w_inf)
+                       for f in fracs], WEALTH_COLUMNS)
 
     dists = np.asarray(dists)
     # A zero set distance has no logarithm: fit against the rung index.
@@ -319,7 +330,7 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
         family="constraint",
         indices=np.arange(1, len(sets) + 1),
         scales=scales,
-        per_path=_stack(rows, WEALTH_COLUMNS),
+        per_path=_join(stream_paths(market, n_paths, seed, block, threads)),
         deterministic={"set_distance": dists,
                        "growth_gap": np.asarray(growth_gaps)},
         meta={"n_paths": n_paths, "seed": seed,

@@ -376,16 +376,14 @@ def test_atomic_write_replaces_existing(tmp_path):
     assert leftovers == []
 
 
-def test_csv_float_format_round_trips():
-    import io
-    path = "/tmp/growthlab-csv-test.csv"
+def test_csv_float_format_round_trips(tmp_path):
+    path = tmp_path / "x.csv"
     value = 0.1 + 0.2
-    write_csv(path, ["x"], [[value]])
+    write_csv(str(path), ["x"], [[value]])
     with open(path) as fh:
         fh.readline()
         back = float(fh.readline())
     assert back == value
-
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -74,6 +74,29 @@ def test_projection_is_idempotent_and_feasible():
             assert np.max(np.abs(p2 - p)) < 1e-8
 
 
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_ball_projection_keeps_the_norm_formula_bits(dim):
+    # The formula Ball.project replaced, kept here as the reference.
+    def reference(x, r):
+        norms = np.linalg.norm(x, axis=-1, keepdims=True)
+        return x * np.where(norms > r, r / np.maximum(norms, 1e-300), 1.0)
+
+    rng = np.random.default_rng(dim)
+    r = 1.3
+    x = rng.standard_normal((4000, dim)) * rng.uniform(0.0, 3.0, (4000, 1))
+    x[:50] = 0.0
+    # rows on the sphere: their float norm is exactly r, so they stay put
+    on = np.zeros((20, dim))
+    on[np.arange(20), rng.integers(0, dim, 20)] = r * rng.choice([-1, 1], 20)
+    rows = np.concatenate([x, on])
+    ball = Ball(r)
+    assert np.array_equal(ball.project(rows), reference(rows, r))
+    assert np.array_equal(ball.project(on), on)
+    assert np.array_equal(ball.project(rows[7]), reference(rows[7], r))
+    stacked = rows[:4000].reshape(40, 100, dim)
+    assert np.array_equal(ball.project(stacked), reference(stacked, r))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 100_000))
 def test_projection_is_nonexpansive(seed):

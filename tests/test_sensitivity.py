@@ -143,9 +143,17 @@ def three_pass_rows(bundle, record, eps_ladder):
     for eps in eps_ladder:
         direct, formula = quotient(float(eps))[:2]
         identity = max(identity, float(np.max(np.abs(direct - formula))))
+    # The limits' increments, taken from their definitions; the expansion
+    # record's paths are their running sums.
+    z_left = record.z[:, :-1]
+    lam0 = z_left[:, :, None] * record.lam1[None, :, :]
+    first_inc = np.einsum("pki,pki->pk", lam0, bundle.dM)
+    lim_fv = -0.5 * quad(lam0)
+    lim_mart = -(z_left - 1.0) * first_inc
     exp_rec = expansion_record(bundle, record)
-    first_inc = np.diff(exp_rec.first_order, axis=1)
-    second_inc = np.diff(exp_rec.second_order, axis=1)
+    assert np.array_equal(exp_rec.lam0, lam0)
+    assert np.array_equal(exp_rec.first_order, cumulative(first_inc))
+    assert np.array_equal(exp_rec.second_order, cumulative(lim_fv + lim_mart))
     rows = {"first_fv": [], "first_qv": [], "second_fv": [], "second_qv": []}
     for eps in eps_ladder:
         fv_inc, mart_inc = quotient(eps)[2:4]
@@ -153,12 +161,10 @@ def three_pass_rows(bundle, record, eps_ladder):
         rows["first_qv"].append(np.sum((mart_inc - first_inc) ** 2, axis=1))
     for eps in eps_ladder:
         mart_inc, lam = quotient(eps)[3:]
-        lim_fv = -0.5 * quad(exp_rec.lam0)
         rows["second_fv"].append(
             np.sum(np.abs(-0.5 * quad(lam) - lim_fv), axis=1))
         rows["second_qv"].append(np.sum(
-            ((mart_inc - first_inc) / eps - (second_inc - lim_fv)) ** 2,
-            axis=1))
+            ((mart_inc - first_inc) / eps - lim_mart) ** 2, axis=1))
     return identity, {k: np.stack(v) for k, v in rows.items()}
 
 

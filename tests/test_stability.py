@@ -1,12 +1,19 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from growthlab.constraints import Ball, FullSpace
+from growthlab.constraints import Ball, Box, FullSpace
 from growthlab.errors import DensityFloorHit, InvalidSpec
 from growthlab.market import (
-    GaussianSignalModel, MarketSpec, TiltSpec, density_paths, simulate_paths,
+    PATH_BLOCK, GaussianSignalModel, MarketSpec, TiltSpec, density_paths,
+    event_probabilities, filtered_drift, market_steps, simulate_paths,
+    simulate_signal_paths, stream_paths, tilt_field,
 )
+from growthlab.numeraire import numeraire_paths, wealth_process_gap
+from growthlab.quadform import cov_inner
 from growthlab.stability import (
     LadderReport, constraint_ladder, density_sequence_check,
     excursion_density_ladder, filtration_ladder, lognormal_density_ladder,
@@ -234,3 +241,129 @@ def test_ladder_rows_are_long_format():
     assert len(rows) == 2
     assert rows[0] == {"ladder_index": 1, "metric": "m", "value": 2.0,
                        "stderr": pytest.approx(1.0 / np.sqrt(2.0))}
+
+
+def _small_ladders(n_paths, threads):
+    """The three ladders on a short market, few rungs each."""
+    spec = make_spec(n_steps=8)
+    model = GaussianSignalModel(direction=np.array([1.0, 0.3]),
+                                noise_scales=np.array([0.5, 0.25, 0.125]))
+    tilt = TiltSpec(lam1=np.array([0.5, -0.3]), orthogonal_vol=0.3)
+    return {
+        "filtration": filtration_ladder(spec, model, Ball(1.0), n_paths, 3,
+                                        threads=threads),
+        "probability": probability_ladder(
+            spec, tilt, Box([-1.0, -1.0], [1.0, 1.0]), n_paths, 3,
+            eps_ladder=[0.5, 0.25], threads=threads),
+        "constraint": constraint_ladder(
+            spec, [Ball(1.0 + 2.0 ** -n) for n in (1, 2, 3)], Ball(1.0),
+            n_paths, 3, threads=threads),
+    }
+
+
+@pytest.mark.parametrize("n_paths", [1, 1500, 2048])
+def test_ladders_are_bitwise_equal_across_threads(n_paths):
+    # 1500 paths end in a partial block
+    one = _small_ladders(n_paths, 1)
+    for threads in (2, 8):
+        other = _small_ladders(n_paths, threads)
+        for family, report in one.items():
+            assert list(other[family].per_path) == list(report.per_path)
+            for name, arr in report.per_path.items():
+                assert arr.shape[1] == n_paths
+                assert np.array_equal(other[family].per_path[name], arr), \
+                    (family, name, threads)
+
+
+def test_block_paths_do_not_depend_on_later_blocks():
+    short, long = _small_ladders(PATH_BLOCK, 1), _small_ladders(1500, 2)
+    for family in ("probability", "constraint"):
+        for name, arr in short[family].per_path.items():
+            assert np.array_equal(long[family].per_path[name][:, :PATH_BLOCK],
+                                  arr), (family, name)
+
+
+def test_stream_paths_stripes_blocks_over_workers():
+    spec = make_spec(n_steps=2)
+    market = market_steps(spec, 9)
+    caller = threading.get_ident()
+
+    def job(block, lo, hi):
+        return lo, hi, threading.get_ident(), block.dM
+
+    n_paths = 8 * PATH_BLOCK + 5
+    # more workers than cores, switching threads as often as possible
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = stream_paths(market, n_paths, 9, job, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [(lo, hi) for lo, hi, _, _ in runs] == [
+        (b * PATH_BLOCK, min((b + 1) * PATH_BLOCK, n_paths)) for b in range(9)]
+    workers = [ident for _, _, ident, _ in runs]
+    # block b on worker b % 4, the calling thread being worker 0
+    for w in range(4):
+        assert len({workers[b] for b in range(w, 9, 4)}) == 1
+    assert workers[0] == caller and caller not in workers[1:4]
+    whole = simulate_paths(spec, n_paths, 9, threads=3)
+    assert np.array_equal(np.concatenate([dM for *_, dM in runs]), whole.dM)
+    # more threads than blocks: one worker per block at most
+    solo = stream_paths(market, 3, 9, job, threads=8)
+    assert solo[0][2] == caller
+
+
+def test_streamed_filtration_ladder_matches_whole_bundle():
+    spec = make_spec(n_steps=20)
+    model = GaussianSignalModel(direction=np.array([1.0, 0.3]),
+                                noise_scales=np.array([0.5, 0.25, 0.125]))
+    constraint, n_paths, seed = Ball(1.0), 1500, 17
+    report = filtration_ladder(spec, model, constraint, n_paths, seed,
+                               threads=2)
+    # The whole-bundle pipeline: every rung over all paths at once.
+    signal = simulate_signal_paths(spec, model, n_paths, seed)
+    base, true_drift = signal.base, signal.true_drift()
+    w_inf = numeraire_paths(base, constraint,
+                            drifts=filtered_drift(signal, None)[0],
+                            true_drift=true_drift)
+    vcv_dg = cov_inner(base.cov, model.direction, model.direction) * base.dG
+    hit = (signal.theta > 0.0).astype(float)
+    for n in range(model.n_levels):
+        drift_n, mean_n, prec_n = filtered_drift(signal, n)
+        gaps = wealth_process_gap(
+            numeraire_paths(base, constraint, drifts=drift_n,
+                            true_drift=true_drift), w_inf)
+        gaps["drift_gap"] = np.sum(
+            (mean_n - signal.theta[:, None]) ** 2 * vcv_dg, axis=1)
+        probs = event_probabilities(mean_n, prec_n, 0.0)
+        gaps["event_gap"] = np.sum(np.abs(probs - hit[:, None]) * base.dG,
+                                   axis=1)
+        for name, arr in report.per_path.items():
+            assert np.array_equal(arr[n], gaps[name]), (n, name)
+
+
+def test_probability_ladder_with_orthogonal_factor_matches_whole_bundle():
+    # the market, constraint, paths and seed of test_c07
+    spec = make_spec(n_steps=100)
+    tilt = TiltSpec(lam1=np.array([0.5, -0.3]), orthogonal_vol=0.4)
+    eps_ladder = 2.0 ** -np.arange(1, 9)
+    report = probability_ladder(spec, tilt, Ball(2.0), 4096, 23, threads=2)
+    bundle = simulate_paths(spec, 4096, 23)
+    record = density_paths(bundle, tilt)
+    assert report.meta["floor_hits"] == record.floor_hits
+    w_ref = numeraire_paths(bundle, Ball(2.0))
+    table = density_sequence_check(
+        [(1.0 - e) + e * record.z for e in eps_ladder])
+    for i, eps in enumerate(eps_ladder):
+        shift = eps * tilt_field(record, eps)
+        gaps = wealth_process_gap(numeraire_paths(
+            bundle, Ball(2.0), drifts=bundle.drift + shift), w_ref)
+        expected = {name: table["per_path"][name][i]
+                    for name in ("z_l1", "z_sup", "zz_qv", "rr_qv")}
+        expected.update(
+            drift_gap=np.sum(cov_inner(bundle.cov, shift, shift) * bundle.dG,
+                             axis=1),
+            main2_fv=gaps["fv"], main2_qv=gaps["qv"],
+            sup_rel_inf=gaps["sup_rel_inf"], sup_rel_n=gaps["sup_rel_n"])
+        for name, arr in expected.items():
+            assert np.array_equal(report.per_path[name][i], arr), (i, name)
