@@ -39,6 +39,7 @@ from .stability import (
 from .sensitivity import (
     ExpansionRecord, expansion_ladder, expansion_record, first_order_check,
     reference_increments, response_quotient, second_order_check,
+    streamed_expansion_ladder,
 )
 from .discrete import (
     OnePeriodMarket, OnePeriodResult, ScenarioTree, discontinuity_report,

@@ -27,14 +27,14 @@ from .errors import (
 )
 from .market import (
     GaussianSignalModel, MarketSpec, TiltSpec, cumsum_from_zero,
-    density_paths, simulate_paths,
+    simulate_paths,
 )
 from .numeraire import growth_path, growth_rate, numeraire_fractions, wealth_paths
 from .quadform import cov_norm, optimal_fraction
 from .reporting import (
     RunManifest, write_csv, write_json, write_ladder_csv, write_wealth_csv,
 )
-from .sensitivity import expansion_ladder
+from .sensitivity import streamed_expansion_ladder
 from .stability import (
     LadderReport, constraint_ladder, density_sequence_check,
     excursion_density_ladder, filtration_ladder, lognormal_density_ladder,
@@ -100,14 +100,15 @@ def _positive_int(cfg_value, name):
 
 
 def _floats(value, name):
-    """A config number or nested list of numbers as a float array (0-d for
-    a number); ConfigError when it is missing, not numeric or ragged."""
+    """A finite config number or nested list of numbers as a float array
+    (0-d for a number); ConfigError otherwise, NaN and infinity included."""
     try:
-        if value is not None:
-            return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)  # a missing value gives NaN
+        if np.all(np.isfinite(arr)):
+            return arr
     except (TypeError, ValueError):
         pass
-    raise ConfigError(f"{name} must be numeric, got {value!r}")
+    raise ConfigError(f"{name} must be finite numbers, got {value!r}")
 
 
 def _float(value, name):
@@ -115,6 +116,11 @@ def _float(value, name):
     if arr.ndim != 0:
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(arr)
+
+
+def _optional(cfg, key, name, convert=_floats):
+    """convert(cfg[key], name), or None when key is unset or null."""
+    return None if cfg.get(key) is None else convert(cfg[key], name)
 
 
 def _seed_value(raw):
@@ -131,16 +137,13 @@ def _market_spec(cfg):
     clock = cfg.get("clock", "uniform")
     if isinstance(clock, list):
         clock = _floats(clock, "market.clock")
-    cov = cfg.get("covariance")
-    drift = cfg.get("drift")
     try:
         return MarketSpec(
             dim=_positive_int(cfg["dim"], "market.dim"),
             n_steps=_positive_int(cfg["n_steps"], "market.n_steps"),
             horizon=_float(cfg.get("horizon", 1.0), "market.horizon"),
-            covariance=None if cov is None
-            else _floats(cov, "market.covariance"),
-            drift=None if drift is None else _floats(drift, "market.drift"),
+            covariance=_optional(cfg, "covariance", "market.covariance"),
+            drift=_optional(cfg, "drift", "market.drift"),
             clock=clock,
             normalize_clock=bool(cfg.get("normalize_clock", True)),
         )
@@ -167,8 +170,7 @@ def _signal_model(cfg):
             direction=_floats(cfg["direction"], "signal.direction"),
             prior_mean=_float(cfg.get("prior_mean", 0.0), "signal.prior_mean"),
             prior_std=_float(cfg.get("prior_std", 1.0), "signal.prior_std"),
-            noise_scales=None if cfg.get("noise_scales") is None
-            else _floats(cfg["noise_scales"], "signal.noise_scales"),
+            noise_scales=_optional(cfg, "noise_scales", "signal.noise_scales"),
         )
     except (InvalidSpec, UnsupportedSignalModel, ValueError) as exc:
         raise ConfigError(f"bad signal config: {exc}") from exc
@@ -199,16 +201,10 @@ def _runtime(cfg, args):
 
 
 def _slope_summary(slopes):
-    return {
-        name: {
-            "slope": res["slope"],
-            "ci_low": res["ci"][0],
-            "ci_high": res["ci"][1],
-            "zero_column": res["zero"],
-            "passed": res["passed"],
-        }
-        for name, res in slopes.items()
-    }
+    return {name: {"slope": res["slope"], "ci_low": res["ci"][0],
+                   "ci_high": res["ci"][1], "zero_column": res["zero"],
+                   "passed": res["passed"]}
+            for name, res in slopes.items()}
 
 
 def _finish(manifest, out_dir):
@@ -220,31 +216,23 @@ def _finish(manifest, out_dir):
     return 0
 
 
-def _write_table(out_dir, manifest, name, header, rows):
+def _write(out_dir, manifest, name, writer, *args):
+    """writer(path, *args) for the file name in out_dir, recorded in the
+    manifest."""
     path = os.path.join(out_dir, name)
-    write_csv(path, header, rows)
+    writer(path, *args)
     manifest.record_file(path)
-    return path
-
-
-def _write_summary(out_dir, manifest, payload):
-    path = os.path.join(out_dir, "summary.json")
-    write_json(path, payload)
-    manifest.record_file(path)
-    return path
 
 
 def _write_ladder(out_dir, manifest, csv_name, report, payload):
     """Ladder table, one decay check per metric, and a summary of payload
     plus the slopes."""
-    path = os.path.join(out_dir, csv_name)
-    write_ladder_csv(path, report)
-    manifest.record_file(path)
+    _write(out_dir, manifest, csv_name, write_ladder_csv, report)
     slopes = report.slopes()
     for name, res in slopes.items():
         manifest.record_check(f"decay:{name}", res["passed"])
-    _write_summary(out_dir, manifest,
-                   dict(payload, slopes=_slope_summary(slopes)))
+    _write(out_dir, manifest, "summary.json", write_json,
+           dict(payload, slopes=_slope_summary(slopes)))
 
 
 def cmd_solve(cfg, args, out_dir, manifest):
@@ -255,7 +243,7 @@ def cmd_solve(cfg, args, out_dir, manifest):
     constraint = _constraint(cfg.get("constraint"))
     fraction = optimal_fraction(cov, drift, constraint)
     growth = float(growth_rate(cov, drift, fraction))
-    _write_summary(out_dir, manifest, {
+    _write(out_dir, manifest, "summary.json", write_json, {
         "fraction": fraction,
         "growth": growth,
         "drift_norm": cov_norm(cov, drift),
@@ -277,13 +265,11 @@ def cmd_simulate(cfg, args, out_dir, manifest):
     wealth = wealth_paths(bundle, fractions)
     gp = growth_path(bundle.cov, bundle.drift, constraint, bundle.dG)
     dB, dL = wealth.dB[:1], wealth.dL[:1]  # the table shows the first path
-    path = os.path.join(out_dir, "wealth.csv")
-    write_wealth_csv(path, spec.grid, cumsum_from_zero(dB + dL)[0],
-                     cumsum_from_zero(dB)[0], cumsum_from_zero(dL)[0],
-                     gp.cumulative)
-    manifest.record_file(path)
+    _write(out_dir, manifest, "wealth.csv", write_wealth_csv, spec.grid,
+           cumsum_from_zero(dB + dL)[0], cumsum_from_zero(dB)[0],
+           cumsum_from_zero(dL)[0], gp.cumulative)
     terminal = wealth.terminal_log_wealth
-    _write_summary(out_dir, manifest, {
+    _write(out_dir, manifest, "summary.json", write_json, {
         "mean_terminal_log_wealth": float(terminal.mean()),
         "stderr_terminal_log_wealth": float(terminal.std() / np.sqrt(paths)),
         "expected_growth": gp.total,
@@ -305,21 +291,19 @@ def cmd_stability(cfg, args, out_dir, manifest):
         spec = _market_spec(cfg["market"])
         model = _signal_model(cfg["signal"])
         constraint = _constraint(cfg.get("constraint"))
-        threshold = cfg.get("event_threshold")
         report = filtration_ladder(
             spec, model, constraint, paths, seed, threads=threads,
-            event_threshold=None if threshold is None
-            else _float(threshold, "event_threshold"))
+            event_threshold=_optional(cfg, "event_threshold",
+                                      "event_threshold", _float))
     elif kind == "stability-probability":
         _require_keys(cfg, ("kind", "market", "tilt"),
                       ("constraint", "eps_ladder") + SHARED_KEYS[1:], "config")
         spec = _market_spec(cfg["market"])
         tilt = _tilt_spec(cfg["tilt"])
         constraint = _constraint(cfg.get("constraint"))
-        eps = cfg.get("eps_ladder")
         report = probability_ladder(
             spec, tilt, constraint, paths, seed, threads=threads,
-            eps_ladder=None if eps is None else _floats(eps, "eps_ladder"))
+            eps_ladder=_optional(cfg, "eps_ladder", "eps_ladder"))
     else:
         _require_keys(cfg, ("kind", "market", "sets", "limit_set"),
                       ("bound_slack",) + SHARED_KEYS[1:], "config")
@@ -352,15 +336,16 @@ def cmd_sensitivity(cfg, args, out_dir, manifest):
     if np.any(eps_ladder <= 0.0) or np.any(eps_ladder > 1.0):
         raise ConfigError("eps_ladder entries must lie in (0, 1]")
     tol = _float(cfg.get("identity_tol", 1e-8), "identity_tol")
-    bundle = simulate_paths(spec, paths, seed, threads=threads)
-    record = density_paths(bundle, tilt)
-    identity_err, first, second = expansion_ladder(bundle, record, eps_ladder)
+    if tol <= 0.0:
+        raise ConfigError(f"identity_tol must be positive, got {tol}")
+    identity_err, first, second = streamed_expansion_ladder(
+        spec, tilt, eps_ladder, paths, seed, threads=threads)
     rows = [{"ladder_index": i + 1, "metric": f"{tag}_{m}",
              "value": table[f"{m}_error"][i], "stderr": table[f"{m}_stderr"][i]}
             for table, tag in ((first, "first"), (second, "second"))
             for i in range(len(eps_ladder)) for m in ("fv", "qv")]
-    _write_table(out_dir, manifest, "errors.csv",
-                 ["ladder_index", "metric", "value", "stderr"], rows)
+    _write(out_dir, manifest, "errors.csv", write_csv,
+           ["ladder_index", "metric", "value", "stderr"], rows)
     manifest.record_check("response_identity", identity_err <= tol)
     payload = {
         "identity_max_error": identity_err,
@@ -380,7 +365,7 @@ def cmd_sensitivity(cfg, args, out_dir, manifest):
             if order is not None:
                 manifest.record_check(f"{tag}_{key}_in_range",
                                       0.8 <= order <= 1.2)
-    _write_summary(out_dir, manifest, payload)
+    _write(out_dir, manifest, "summary.json", write_json, payload)
     return manifest
 
 
@@ -397,12 +382,12 @@ def cmd_counterexample(cfg, args, out_dir, manifest):
     rows = [{"level": n, "theta_star": t, "gap": g}
             for n, t, g in zip(report["level"], report["theta_star"],
                                report["gap"])]
-    _write_table(out_dir, manifest, "gaps.csv",
-                 ["level", "theta_star", "gap"], rows)
+    _write(out_dir, manifest, "gaps.csv", write_csv,
+           ["level", "theta_star", "gap"], rows)
     theta_tol = _float(cfg.get("theta_tol", 1e-3), "theta_tol")
     theta_max = max(abs(t) for t in report["theta_star"])
     manifest.record_check("theta_near_zero", theta_max <= theta_tol)
-    _write_summary(out_dir, manifest, {
+    _write(out_dir, manifest, "summary.json", write_json, {
         "p": p,
         "theta_max": theta_max,
         "limit_wealth_values": limit.wealth_values,
@@ -420,10 +405,9 @@ def cmd_tree(cfg, args, out_dir, manifest):
     try:
         tree = ScenarioTree(
             depth=depth,
-            up_probs=None if cfg.get("up_probs") is None
-            else _floats(cfg["up_probs"], "up_probs"),
-            clock_increments=None if cfg.get("clock_increments") is None
-            else _floats(cfg["clock_increments"], "clock_increments"),
+            up_probs=_optional(cfg, "up_probs", "up_probs"),
+            clock_increments=_optional(cfg, "clock_increments",
+                                       "clock_increments"),
         )
     except InvalidSpec as exc:
         raise ConfigError(f"bad tree config: {exc}") from exc
@@ -443,14 +427,14 @@ def cmd_tree(cfg, args, out_dir, manifest):
     conv = tree_projection_convergence(tree, chi, caps)
     expected = conv["expected"]
     rows = [{"cap": n, "expected_gap": g} for n, g in zip(caps, expected)]
-    _write_table(out_dir, manifest, "projection.csv",
-                 ["cap", "expected_gap"], rows)
+    _write(out_dir, manifest, "projection.csv", write_csv,
+           ["cap", "expected_gap"], rows)
     manifest.record_check("monotone",
                           bool(np.all(np.diff(expected) <= 1e-12)))
     if caps[-1] == depth:
         manifest.record_check("zero_at_full_cap",
                               bool(abs(expected[-1]) <= 1e-12))
-    _write_summary(out_dir, manifest, {
+    _write(out_dir, manifest, "summary.json", write_json, {
         "depth": depth, "caps": caps, "expected_gaps": expected,
     })
     return manifest

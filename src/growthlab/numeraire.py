@@ -21,12 +21,6 @@ import numpy as np
 from .errors import DimensionMismatch
 from .quadform import cov_inner, optimal_fraction_batch, step_runs
 
-__all__ = [
-    "WealthPaths", "GrowthPath", "growth_rate", "growth_path", "wealth_paths",
-    "numeraire_fractions", "numeraire_paths", "wealth_process_gap",
-    "terminal_deflation",
-]
-
 
 @dataclass
 class WealthPaths:

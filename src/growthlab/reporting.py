@@ -13,6 +13,8 @@ import time
 
 import numpy as np
 
+from .errors import GrowthlabError
+
 FLOAT_FORMAT = "%.17g"
 
 
@@ -54,24 +56,28 @@ def write_wealth_csv(path, grid, log_wealth, finite_variation, martingale,
 
 
 def canonical_json(payload):
-    """Stable serialization: sorted keys, no whitespace jitter."""
+    """Stable serialization: sorted keys, no whitespace jitter. JSON has no
+    NaN or infinity, so one raises GrowthlabError naming its key."""
 
-    def clean(obj):
+    def clean(obj, key="payload"):
         if isinstance(obj, dict):
-            return {str(k): clean(v) for k, v in sorted(obj.items())}
+            return {str(k): clean(v, k) for k, v in sorted(obj.items())}
         if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
+            return [clean(v, key) for v in obj]
         if isinstance(obj, np.ndarray):
-            return [clean(v) for v in obj.tolist()]
+            return [clean(v, key) for v in obj.tolist()]
         if isinstance(obj, (np.integer,)):
             return int(obj)
-        if isinstance(obj, (np.floating,)):
+        if isinstance(obj, (float, np.floating)):
+            if not np.isfinite(obj):
+                raise GrowthlabError(f"JSON cannot hold {key} = {obj}")
             return float(obj)
         if isinstance(obj, (np.bool_,)):
             return bool(obj)
         return obj
 
-    return json.dumps(clean(payload), sort_keys=True, separators=(",", ":"))
+    return json.dumps(clean(payload), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 def config_hash(config):
@@ -79,8 +85,9 @@ def config_hash(config):
 
 
 def write_json(path, payload):
+    text = canonical_json(payload)  # raises before the file is opened
     with open(path, "w") as fh:
-        fh.write(canonical_json(payload))
+        fh.write(text)
         fh.write("\n")
 
 

@@ -23,20 +23,19 @@ import numpy as np
 
 from .constraints import FullSpace
 from .errors import DimensionMismatch, InvalidSpec
-from .market import cumsum_from_zero, tilt_field
+from .market import (
+    cumsum_from_zero, density_paths, market_steps, orthogonal_draws,
+    stream_paths, tilt_field,
+)
 from .numeraire import numeraire_fractions, wealth_paths
 from .quadform import cov_inner
 
-__all__ = [
-    "ExpansionRecord", "reference_increments", "response_quotient",
-    "expansion_record", "expansion_ladder", "first_order_check",
-    "second_order_check",
-]
 
-
-def reference_increments(bundle):
-    """Untilted numéraire log-wealth increments dB + dL, shape (P, N)."""
-    ref = wealth_paths(bundle, numeraire_fractions(bundle, FullSpace()))
+def reference_increments(bundle, fractions=None):
+    """Untilted numéraire log-wealth increments dB + dL, shape (P, N), of
+    the FullSpace reference fractions, which are solved when not given."""
+    ref = wealth_paths(bundle, numeraire_fractions(bundle, FullSpace())
+                       if fractions is None else fractions)
     return ref.dB + ref.dL
 
 
@@ -77,8 +76,8 @@ class ExpansionRecord:
     second_order: np.ndarray
 
 
-def _expansion(bundle, record):
-    """The ExpansionRecord and the per-step increments of its limits: the
+def _limit_increments(bundle, record):
+    """lam0 = Z1_- lam1 and the per-step increments of the limits: the
     first-order <lam0, dM>, and the second order's finite-variation part
     -0.5 |lam0|_c^2 dG and martingale part (1 - Z1_-) <lam0, dM>."""
     z_left = record.z[:, :-1]
@@ -86,14 +85,14 @@ def _expansion(bundle, record):
     first_inc = np.einsum("pki,pki->pk", lam0, bundle.dM)
     lim_fv = -0.5 * cov_inner(bundle.cov, lam0, lam0) * bundle.dG
     lim_mart = (1.0 - z_left) * first_inc
-    rec = ExpansionRecord(lam0=lam0, first_order=cumsum_from_zero(first_inc),
-                          second_order=cumsum_from_zero(lim_fv + lim_mart))
-    return rec, first_inc, lim_fv, lim_mart
+    return lam0, first_inc, lim_fv, lim_mart
 
 
 def expansion_record(bundle, record):
     """First- and second-order limit paths from the base density."""
-    return _expansion(bundle, record)[0]
+    lam0, first_inc, lim_fv, lim_mart = _limit_increments(bundle, record)
+    return ExpansionRecord(lam0=lam0, first_order=cumsum_from_zero(first_inc),
+                           second_order=cumsum_from_zero(lim_fv + lim_mart))
 
 
 def _order_fit(eps_ladder, means):
@@ -103,9 +102,10 @@ def _order_fit(eps_ladder, means):
     return float(np.polyfit(np.log(eps_ladder), y, 1)[0])
 
 
-def expansion_ladder(bundle, record, eps_ladder):
-    """(worst identity error, first-order table, second-order table), with
-    one quotient per eps, each reduced to per-path errors at once.
+def _ladder_rows(bundle, record, eps_ladder, frac_ref=None):
+    """Worst identity error and the per-path errors, shape (4, L, P): first
+    fv, first qv, second fv, second qv, one quotient per eps at a time, all
+    against the reference wealth of frac_ref (see reference_increments).
 
     First order: total variation of the quotient's drift part (the limit
     has none) and quadratic variation of its martingale part against the
@@ -115,22 +115,53 @@ def expansion_ladder(bundle, record, eps_ladder):
     eps_ladder = np.asarray(eps_ladder, dtype=float)
     if eps_ladder.ndim != 1 or eps_ladder.size == 0:
         raise InvalidSpec(f"need a nonempty 1-d eps ladder, got {eps_ladder}")
-    exp_rec, first_inc, lim_fv, lim_mart = _expansion(bundle, record)
-    reference = reference_increments(bundle)
-    identity, first_fv, first_qv, second_fv, second_qv = [], [], [], [], []
+    _, first_inc, lim_fv, lim_mart = _limit_increments(bundle, record)
+    reference = reference_increments(bundle, frac_ref)
+    identity, rows = [], []
     for eps in eps_ladder:
         q = response_quotient(bundle, record, eps, reference=reference)
         identity.append(np.max(np.abs(q["direct"] - q["formula"])))
         mart_gap = q["mart_increments"] - first_inc
         rem_fv = -0.5 * q["energy_increments"]
-        first_fv.append(np.sum(np.abs(q["fv_increments"]), axis=1))
-        first_qv.append(np.sum(mart_gap ** 2, axis=1))
-        second_fv.append(np.sum(np.abs(rem_fv - lim_fv), axis=1))
-        second_qv.append(np.sum((mart_gap / eps - lim_mart) ** 2, axis=1))
+        rows.append([np.sum(np.abs(q["fv_increments"]), axis=1),
+                     np.sum(mart_gap ** 2, axis=1),
+                     np.sum(np.abs(rem_fv - lim_fv), axis=1),
+                     np.sum((mart_gap / eps - lim_mart) ** 2, axis=1)])
         del q, mart_gap, rem_fv  # freed before the next quotient is solved
-    return (float(np.max(identity)),
-            _error_table(eps_ladder, first_fv, first_qv, exp_rec),
-            _error_table(eps_ladder, second_fv, second_qv, exp_rec))
+    return float(np.max(identity)), np.stack(rows, axis=1)
+
+
+def _ladder_tables(eps_ladder, parts):
+    """(worst identity error, first-order table, second-order table) of
+    per-block _ladder_rows results, joined in path order."""
+    eps_ladder = np.asarray(eps_ladder, dtype=float)
+    rows = np.concatenate([p[1] for p in parts], axis=2)
+    return (float(np.max([p[0] for p in parts])),
+            _error_table(eps_ladder, rows[0], rows[1]),
+            _error_table(eps_ladder, rows[2], rows[3]))
+
+
+def expansion_ladder(bundle, record, eps_ladder):
+    """_ladder_tables of one whole bundle and its density record."""
+    return _ladder_tables(eps_ladder,
+                          [_ladder_rows(bundle, record, eps_ladder)])
+
+
+def streamed_expansion_ladder(spec, tilt, eps_ladder, n_paths, seed, *,
+                              threads=1):
+    """expansion_ladder of simulate_paths(spec, n_paths, seed) and its
+    density_paths, bit for bit, run one stream_paths block at a time."""
+    market = market_steps(spec, seed)
+    frac_ref = numeraire_fractions(market, FullSpace())
+    xi = None if tilt.orthogonal_vol == 0.0 \
+        else orthogonal_draws(seed, n_paths, spec.n_steps)
+
+    def block(bundle, lo, hi):
+        record = density_paths(bundle, tilt, None if xi is None else xi[lo:hi])
+        return _ladder_rows(bundle, record, eps_ladder, frac_ref)
+
+    return _ladder_tables(
+        eps_ladder, stream_paths(market, n_paths, seed, block, threads))
 
 
 def first_order_check(bundle, record, eps_ladder):
@@ -143,8 +174,7 @@ def second_order_check(bundle, record, eps_ladder):
     return expansion_ladder(bundle, record, eps_ladder)[2]
 
 
-def _error_table(eps_ladder, fv_rows, qv_rows, exp_rec):
-    fv, qv = np.stack(fv_rows), np.stack(qv_rows)
+def _error_table(eps_ladder, fv, qv):
     fv_mean, qv_mean = fv.mean(axis=1), qv.mean(axis=1)
     return {
         "eps": eps_ladder,
@@ -161,5 +191,4 @@ def _error_table(eps_ladder, fv_rows, qv_rows, exp_rec):
         "order_qv": None if _order_fit(eps_ladder, qv_mean) is None
         else 0.5 * _order_fit(eps_ladder, qv_mean),
         "per_path": {"fv": fv, "qv": qv},
-        "expansion": exp_rec,
     }

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from growthlab.cli import main
+from growthlab.errors import GrowthlabError
 from growthlab.reporting import (
     atomic_write_json, canonical_json, config_hash, write_csv,
 )
@@ -292,14 +293,33 @@ def test_sensitivity_solves_reference_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sensitivity, "response_quotient", counted_quotient)
     monkeypatch.setattr(sensitivity, "numeraire_fractions", counted_fractions)
-    cfg = write_config(tmp_path, "sens.yaml", {
+    # 1500 paths run as two blocks: one quotient per eps in every block,
+    # but one reference solve per run
+    for paths, blocks in ((64, 1), (1500, 2)):
+        calls.update(quotient=0, reference=0)
+        cfg = write_config(tmp_path, "sens.yaml", {
+            "kind": "sensitivity", "market": MARKET,
+            "tilt": {"lam1": [0.4, -0.2]}, "paths": paths,
+            "eps_ladder": [0.2, 0.1, 0.05],
+        })
+        assert run_cli("sensitivity", "--config", cfg,
+                       "--out", str(tmp_path / f"run{paths}")) == 0
+        assert calls == {"quotient": 3 * blocks, "reference": 1}, paths
+
+
+@pytest.mark.parametrize("tol", [".nan", ".inf", "0.0", "-1.0e-8"])
+def test_sensitivity_bad_identity_tol_exits_2(tmp_path, capsys, tol):
+    path = tmp_path / "sens.yaml"
+    path.write_text(yaml.safe_dump({
         "kind": "sensitivity", "market": MARKET,
-        "tilt": {"lam1": [0.4, -0.2]}, "paths": 64,
-        "eps_ladder": [0.2, 0.1, 0.05],
-    })
-    assert run_cli("sensitivity", "--config", cfg,
-                   "--out", str(tmp_path / "run")) == 0
-    assert calls == {"quotient": 3, "reference": 1}
+        "tilt": {"lam1": [0.4, -0.2]}, "paths": 16,
+    }) + f"identity_tol: {tol}\n")
+    assert run_cli("sensitivity", "--config", str(path),
+                   "--out", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "identity_tol" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -322,10 +342,19 @@ def test_sensitivity_solves_reference_once(tmp_path, monkeypatch):
                         "levels": ["a"]}),
     ("tree", {"kind": "tree-projection", "depth": 3,
               "chi": {"leaf_indicator": "x"}}),
+    ("counterexample", {"kind": "counterexample", "p": 0.6, "levels": [1],
+                        "theta_tol": float("nan")}),
+    ("simulate", {"kind": "simulate", "paths": 16,
+                  "market": dict(MARKET, horizon=float("inf"))}),
+    ("stability", {"kind": "stability-filtration", "market": MARKET,
+                   "signal": {"direction": [1.0, 0.3]}, "paths": 16,
+                   "event_threshold": float("nan")}),
 ], ids=["solve-ragged-covariance", "solve-ragged-drift",
         "density-check-text-vol", "sensitivity-ragged-eps",
         "probability-text-eps", "tree-ragged-chi", "counterexample-text-p",
-        "counterexample-text-level", "tree-text-leaf"])
+        "counterexample-text-level", "tree-text-leaf",
+        "counterexample-nan-tol", "simulate-inf-horizon",
+        "filtration-nan-threshold"])
 def test_malformed_config_numbers_exit_2(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, "bad.yaml", payload)
     assert run_cli(command, "--config", cfg,
@@ -365,6 +394,32 @@ def test_canonical_json_is_order_insensitive():
     b = {"c": {"x": 3, "y": 0.25}, "a": [1.5, 2], "b": 1}
     assert canonical_json(a) == canonical_json(b)
     assert config_hash(a) == config_hash(b)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   np.float64("-inf")])
+def test_canonical_json_rejects_non_finite_numbers(value):
+    # JSON has no NaN or infinity: the error names the offending entry
+    with pytest.raises(GrowthlabError,
+                       match=r"^JSON cannot hold b = -?(nan|inf)$"):
+        canonical_json({"a": 1.0, "b": [0.5, value]})
+
+
+def test_non_finite_json_exits_3_without_traceback(tmp_path, monkeypatch,
+                                                   capsys):
+    import growthlab.cli as cli
+
+    cfg = write_config(tmp_path, "solve.yaml", {
+        "kind": "solve", "covariance": [[1.0, 0.0], [0.0, 1.0]],
+        "drift": [0.1, 0.2],
+    })
+    monkeypatch.setattr(cli, "growth_rate", lambda *args: float("nan"))
+    assert run_cli("solve", "--config", cfg,
+                   "--out", str(tmp_path / "run")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "growth = nan" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run" / "summary.json").exists()
 
 
 def test_atomic_write_replaces_existing(tmp_path):

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from growthlab.constraints import FullSpace
-from growthlab.errors import DimensionMismatch
+from growthlab.errors import DimensionMismatch, InvalidSpec
 from growthlab.market import (
-    MarketSpec, TiltSpec, density_paths, girsanov_drift, simulate_paths,
-    tilt_decomposition,
+    PATH_BLOCK, MarketSpec, TiltSpec, density_paths, girsanov_drift,
+    simulate_paths, tilt_decomposition,
 )
 from growthlab.numeraire import numeraire_fractions, wealth_paths
 from growthlab.quadform import cov_inner
 from growthlab.sensitivity import (
     expansion_ladder, expansion_record, first_order_check,
     reference_increments, response_quotient, second_order_check,
+    streamed_expansion_ladder,
 )
 
 COV = np.array([[0.5, 0.1], [0.1, 0.4]])
@@ -197,3 +198,43 @@ def test_precomputed_reference_gives_the_same_quotient():
             assert np.array_equal(default[key], given[key]), key
     with pytest.raises(DimensionMismatch):
         response_quotient(b, rec, 0.1, reference=reference[:, :-1])
+
+
+@pytest.mark.parametrize("orthogonal_vol", [0.0, 0.5])
+@pytest.mark.parametrize("n_paths", [1, 1500, 2048])
+def test_streamed_sensitivity_matches_whole_bundle(n_paths, orthogonal_vol):
+    # 1500 paths end in a partial block; with the orthogonal factor on, each
+    # block must take its own rows of the one whole-run draw
+    spec = MarketSpec(dim=2, n_steps=30, covariance=COV, drift=DRIFT)
+    tilt = TiltSpec(lam1=np.array([0.5, -0.3]), orthogonal_vol=orthogonal_vol)
+    bundle = simulate_paths(spec, n_paths, 11)
+    identity, first, second = expansion_ladder(
+        bundle, density_paths(bundle, tilt), EPS)
+    for threads in (1, 2, 8):
+        got = streamed_expansion_ladder(spec, tilt, EPS, n_paths, 11,
+                                        threads=threads)
+        assert got[0] == identity, threads
+        for want, table in ((first, got[1]), (second, got[2])):
+            for key in ("fv", "qv"):
+                assert table["per_path"][key].shape == (EPS.size, n_paths)
+                assert np.array_equal(table["per_path"][key],
+                                      want["per_path"][key]), (threads, key)
+
+
+def test_streamed_sensitivity_blocks_do_not_depend_on_later_blocks():
+    spec = MarketSpec(dim=2, n_steps=30, covariance=COV, drift=DRIFT)
+    tilt = TiltSpec(lam1=np.array([0.5, -0.3]), orthogonal_vol=0.5)
+    short = streamed_expansion_ladder(spec, tilt, EPS, PATH_BLOCK, 11)
+    long = streamed_expansion_ladder(spec, tilt, EPS, 1500, 11, threads=2)
+    for table, longer in zip(short[1:], long[1:]):
+        for key in ("fv", "qv"):
+            assert np.array_equal(longer["per_path"][key][:, :PATH_BLOCK],
+                                  table["per_path"][key]), key
+
+
+@pytest.mark.parametrize("eps_ladder", [[], 0.1], ids=["empty", "scalar"])
+def test_streamed_sensitivity_rejects_malformed_eps_ladder(eps_ladder):
+    spec = MarketSpec(dim=2, n_steps=5, covariance=COV, drift=DRIFT)
+    with pytest.raises(InvalidSpec):
+        streamed_expansion_ladder(spec, TiltSpec(lam1=np.array([0.5, -0.3])),
+                                  eps_ladder, 10, 1)
