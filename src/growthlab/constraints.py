@@ -130,11 +130,11 @@ class Ball(ConstraintSet):
 
     def __init__(self, radius):
         self.radius = float(radius)
-
-    def validate(self, dim):
         if not np.isfinite(self.radius) or self.radius <= 0.0:
             raise InfeasibleConstraint(f"ball radius must be positive, got {self.radius}")
-        return self
+
+    def validate(self, dim):
+        return self  # the radius is checked when the ball is built
 
     def contains(self, x, tol=1e-9):
         x = np.asarray(x, dtype=float)
@@ -144,7 +144,10 @@ class Ball(ConstraintSet):
         x = np.asarray(x, dtype=float)
         rows = x.reshape(-1, x.shape[-1])
         # np.linalg.norm's summation order below eight terms, at less cost
-        norms = np.sqrt(sum(rows[:, j] ** 2 for j in range(rows.shape[1])))
+        norms = rows[:, 0] ** 2
+        for j in range(1, rows.shape[1]):
+            norms += rows[:, j] ** 2
+        np.sqrt(norms, out=norms)
         hit = np.flatnonzero(norms > self.radius)  # only these rows move
         out = rows.copy()
         out[hit] = rows[hit] * (self.radius / norms[hit])[:, None]

@@ -164,14 +164,18 @@ def market_steps(spec, seed):
                       dM=np.empty((0, spec.n_steps, spec.dim)))
 
 
+def _check_paths(n_paths):
+    if n_paths < 1:
+        raise InvalidSpec(f"need at least one path, got {n_paths}")
+
+
 def stream_paths(market, n_paths, seed, job, threads=1, out=None):
     """Results, in block order, of job(block, lo, hi) on each fixed
     PATH_BLOCK-path block lo:hi. Block b draws from the b-th child of seed,
     shares market's per-step arrays, writes its noise dM to out[lo:hi] if out
     is given, and runs on worker b % threads (0 is the caller), so no path
     depends on the thread count or on later blocks."""
-    if n_paths < 1:
-        raise InvalidSpec(f"need at least one path, got {n_paths}")
+    _check_paths(n_paths)
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     n_blocks = (n_paths + PATH_BLOCK - 1) // PATH_BLOCK
@@ -277,10 +281,11 @@ class SignalBundle:
         return base.dM + self.theta[:, None, None] * (cv * base.dG[:, None])[None, :, :]
 
     def true_drift(self):
-        """Per-path drift array theta_p * direction, shape (P, N, d)."""
+        """Per-path drift theta_p * direction as a read-only (P, N, d) view
+        of one (P, 1, d) array."""
         v = self.model.direction
         out = self.theta[:, None, None] * v[None, None, :]
-        return np.broadcast_to(out, self.base.dM.shape).copy()
+        return np.broadcast_to(out, self.base.dM.shape)
 
 
 def signal_draws(spec, model, n_paths, seed):
@@ -328,18 +333,22 @@ def filtered_drift(signal, level):
         prior_prec = 1.0 / model.prior_std ** 2
         peek = signal.theta + sigma_n * signal.zeta
         prec = prior_prec + peek_prec + info
-        mean = (model.prior_mean * prior_prec
-                + peek[:, None] * peek_prec + signal.stat) / prec[None, :]
-    drift = mean[:, :, None] * v[None, None, :]
+        mean = model.prior_mean * prior_prec \
+            + peek[:, None] * peek_prec + signal.stat
+        mean /= prec
+    drift = np.empty(mean.shape + v.shape)
+    for i, v_i in enumerate(v):  # one pass per coordinate, not one per pair
+        np.multiply(mean, v_i, out=drift[..., i])
     return drift, mean, prec
 
 
 def event_probabilities(mean, prec, threshold):
-    """Conditional probability P[theta > threshold | info] per path and step."""
-    prec = np.broadcast_to(prec[None, :], mean.shape)
+    """Conditional probability P[theta > threshold | info] per path and step
+    from the posterior mean (P, N) and precision (N,)."""
+    z = np.subtract(mean, threshold, dtype=float)
     with np.errstate(invalid="ignore"):
-        z = (mean - threshold) * np.sqrt(prec)
-    out = ndtr(z)
+        z *= np.sqrt(prec)
+    out = ndtr(z, out=z)
     exact = np.isinf(prec)
     if np.any(exact):
         out = np.where(exact, (mean > threshold).astype(float), out)
@@ -389,6 +398,7 @@ class DensityRecord:
 def orthogonal_draws(seed, n_paths, n_steps):
     """Standard normals (P, N) behind the orthogonal tilt factor: one draw
     from stream ORTHOGONAL_STREAM of the integer path seed, row p for path p."""
+    _check_paths(n_paths)
     ss = np.random.SeedSequence((int(seed), ORTHOGONAL_STREAM))
     return np.random.default_rng(ss).standard_normal((n_paths, n_steps))
 

@@ -15,6 +15,7 @@ which dominates the uniform gap of the log-wealth paths.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,9 +33,15 @@ class WealthPaths:
     dB: np.ndarray
     dL: np.ndarray
 
+    @cached_property
+    def increments(self):
+        """Log-wealth increments dB + dL, formed once: a ladder compares
+        one limit wealth with every rung."""
+        return self.dB + self.dL
+
     @property
     def log_wealth(self):
-        return np.cumsum(self.dB + self.dL, axis=1)
+        return np.cumsum(self.increments, axis=1)
 
     @property
     def terminal_log_wealth(self):
@@ -44,7 +51,9 @@ class WealthPaths:
 def growth_rate(c, drift, fraction):
     """Growth rate <f, c a> - 0.5 <f, c f> of a fraction, over the shapes
     cov_inner takes: one step, per step, or path by path."""
-    return cov_inner(c, fraction, drift) - 0.5 * cov_inner(c, fraction, fraction)
+    rate = cov_inner(c, fraction, drift)
+    rate -= 0.5 * cov_inner(c, fraction, fraction)
+    return rate
 
 
 def _broadcast_fractions(fractions, n_paths, n_steps, dim):
@@ -72,8 +81,10 @@ def wealth_paths(bundle, fractions, drift=None):
         fractions, bundle.n_paths, bundle.n_steps, bundle.dim
     )
     a = bundle.drift if drift is None else drift
-    growth = growth_rate(bundle.cov, a, f)
-    dB = np.broadcast_to(growth * bundle.dG, bundle.dM.shape[:2]).copy()
+    dB = growth_rate(bundle.cov, a, f)
+    dB *= bundle.dG
+    if dB.shape != bundle.dM.shape[:2]:  # one fraction and drift per step
+        dB = np.broadcast_to(dB, bundle.dM.shape[:2]).copy()
     # <f, dM> has no covariance in it: a plain dot
     dL = np.einsum("...ki,...ki->...k", f, bundle.dM)
     return WealthPaths(dB=dB, dL=dL)
@@ -84,10 +95,14 @@ def _solve_steps(cov, drifts, constraint):
     (N, d, d). Each run of consecutive steps sharing one covariance and one
     constraint object is solved as a single (P * steps, d) batch."""
     n_paths, _, dim = drifts.shape
-    out = np.empty_like(drifts)
     steps = constraint if isinstance(constraint, (list, tuple)) \
         else [constraint] * len(cov)
-    for lo, hi in step_runs(cov, steps):
+    runs = step_runs(cov, steps)
+    if len(runs) == 1:
+        return optimal_fraction_batch(
+            cov[0], drifts.reshape(-1, dim), steps[0]).reshape(drifts.shape)
+    out = np.empty_like(drifts)
+    for lo, hi in runs:
         rows = drifts[:, lo:hi].reshape(-1, dim)
         out[:, lo:hi] = optimal_fraction_batch(
             cov[lo], rows, steps[lo]).reshape(n_paths, hi - lo, dim)
@@ -165,12 +180,22 @@ def wealth_process_gap(a, b):
         raise DimensionMismatch(
             f"wealth shapes {a.dB.shape} and {b.dB.shape} differ"
         )
-    gap = np.cumsum((a.dB + a.dL) - (b.dB + b.dL), axis=1)
-    return {"fv": np.sum(np.abs(a.dB - b.dB), axis=1),
-            "qv": np.sum((a.dL - b.dL) ** 2, axis=1),
-            "sup": np.max(np.abs(gap), axis=1),
-            "sup_rel_inf": np.max(np.abs(np.expm1(gap)), axis=1),
-            "sup_rel_n": np.max(np.abs(np.expm1(-gap)), axis=1)}
+    work = np.subtract(a.dB, b.dB)
+    fv = np.sum(np.abs(work, out=work), axis=1)
+    np.subtract(a.dL, b.dL, out=work)
+    qv = np.sum(np.square(work, out=work), axis=1)
+    np.add(a.dB, a.dL, out=work)
+    work -= b.increments
+    gap = np.cumsum(work, axis=1, out=work)
+    # The largest |g|, |expm1(g)| and |expm1(-g)| of a row sit at its
+    # largest or smallest g: both functions are monotone.
+    hi, lo = np.max(gap, axis=1), np.min(gap, axis=1)
+    return {"fv": fv, "qv": qv,
+            "sup": np.maximum(np.abs(hi), np.abs(lo)),
+            "sup_rel_inf": np.maximum(np.abs(np.expm1(hi)),
+                                      np.abs(np.expm1(lo))),
+            "sup_rel_n": np.maximum(np.abs(np.expm1(-hi)),
+                                    np.abs(np.expm1(-lo)))}
 
 
 def terminal_deflation(candidate, benchmark):

@@ -203,18 +203,22 @@ def optimal_fraction_batch(c, drifts, constraint, *,
         out = np.zeros_like(rows)
         return out[0] if single else out
 
-    # The unconstrained maximizer over N⊥ is the range-projected drift.
-    pa = split.project_range(rows)
+    # The unconstrained maximizer over N⊥ is the range-projected drift. Every
+    # projection returns a new array, so with null(c) trivial the rows
+    # themselves can stand for it.
     if isinstance(constraint, FullSpace):
+        pa = split.project_range(rows)
         return pa[0] if single else pa
+    pa = rows if split.null_dim == 0 else split.project_range(rows)
     proj = feasible_projector(constraint, split)
     out = proj(pa)
     if not _is_isotropic(c, split.eigenvalues):
         # Rows the projection leaves in place are feasible maximizers. With c
         # proportional to the identity the objective is a scaled Euclidean
         # distance to the drift, so the projection answers every row.
-        hard = np.any(out != pa, axis=1)
-        if np.any(hard):
+        hard = np.flatnonzero(out != pa) // rows.shape[1]
+        hard = hard[np.diff(hard, prepend=-1) != 0]  # sorted: drop repeats
+        if hard.size:
             out[hard] = _ball_rows(split, rows[hard], constraint, max_iter) \
                 if isinstance(constraint, Ball) else \
                 _fista(c, rows[hard], proj, top, residual_tol, max_iter)
@@ -232,21 +236,24 @@ def _ball_rows(split, rows, ball, max_iter):
     # concave, increasing phi(mu) = 1 / |f(mu)| - 1 / r rises from mu = 0 to
     # its root without overshoot, so a row stops once its mu stops rising.
     # Elementwise arithmetic and einsum, unlike a BLAS matmul, keep each
-    # row's bits independent of the batch.
+    # row's bits independent of the batch. The live rows' b and mu stay
+    # packed and are repacked only when a row stops.
     lam = split.eigenvalues[split.eigenvalues > split.threshold]
     b = lam * np.einsum("ni,ij->nj", rows, split.range_basis)
     mu = np.zeros(len(rows))
-    live = np.arange(len(rows))
+    live, b_live, mu_live = np.arange(len(rows)), b, np.zeros(len(rows))
     for _ in range(max_iter):
-        shifted = lam + mu[live, None]
-        q = b[live] / shifted
+        shifted = lam + mu_live[:, None]
+        q = b_live / shifted
         s = np.einsum("nj,nj->n", q, q)
         step = s * (np.sqrt(s) / ball.radius - 1.0) \
             / np.einsum("nj,nj->n", q, q / shifted)
-        nxt = mu[live] + step
-        rising = nxt > mu[live]
-        mu[live[rising]] = nxt[rising]
-        live = live[rising]
+        nxt = mu_live + step
+        rising = nxt > mu_live
+        if not rising.all():
+            mu[live] = mu_live
+            live, b_live, nxt = live[rising], b_live[rising], nxt[rising]
+        mu_live = nxt
         if live.size == 0:
             f = np.einsum("nj,ij->ni", b / (lam + mu[:, None]), split.range_basis)
             return ball.project(f)

@@ -8,6 +8,7 @@ import csv
 import json
 import hashlib
 import os
+import resource
 import tempfile
 import time
 
@@ -110,7 +111,9 @@ class RunManifest:
     """Collects run metadata and writes manifest.json atomically.
 
     checks hold the pass/fail verdicts; diagnostics hold counts that
-    qualify them (say, steps a check left out) and decide nothing.
+    qualify them (say, steps a check left out) and decide nothing. write
+    adds the process's peak RSS and, since the manifest was made, its minor
+    page faults and user and system CPU seconds.
     """
 
     def __init__(self, config, seed, version):
@@ -118,6 +121,7 @@ class RunManifest:
         self.seed = seed
         self.version = version
         self.started = time.time()
+        self._usage = resource.getrusage(resource.RUSAGE_SELF)
         self.checks = {}
         self.diagnostics = {}
         self.files = []
@@ -136,6 +140,12 @@ class RunManifest:
         return all(self.checks.values())
 
     def write(self, out_dir):
+        now = resource.getrusage(resource.RUSAGE_SELF)
+        self.diagnostics.update(
+            peak_rss_mb=now.ru_maxrss / 1024.0,
+            minor_page_faults=now.ru_minflt - self._usage.ru_minflt,
+            cpu_user_s=now.ru_utime - self._usage.ru_utime,
+            cpu_sys_s=now.ru_stime - self._usage.ru_stime)
         payload = {
             "config_sha256": config_hash(self.config),
             "version": self.version,

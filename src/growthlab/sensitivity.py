@@ -34,9 +34,8 @@ from .quadform import cov_inner
 def reference_increments(bundle, fractions=None):
     """Untilted numéraire log-wealth increments dB + dL, shape (P, N), of
     the FullSpace reference fractions, which are solved when not given."""
-    ref = wealth_paths(bundle, numeraire_fractions(bundle, FullSpace())
-                       if fractions is None else fractions)
-    return ref.dB + ref.dL
+    return wealth_paths(bundle, numeraire_fractions(bundle, FullSpace())
+                        if fractions is None else fractions).increments
 
 
 def response_quotient(bundle, record, eps, *, reference=None):

@@ -17,6 +17,7 @@ fixed the information component vanishes identically, which the slope test
 treats as already decayed.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,11 @@ from .quadform import cov_inner, cov_norm
 ZERO_COLUMN_LEVEL = 1e-14
 BOOTSTRAP_DRAWS = 400
 BOOTSTRAP_SEED = 20260817
+# Path draws per bootstrap chunk: 25 resamples of 2048 paths. A chunk
+# holds whole resamples, at least one, so its arrays stay near 400 KB for
+# any path count; 25 resamples of 40k paths made 8 MB arrays whose pages
+# were faulted in afresh for every chunk.
+BOOTSTRAP_CHUNK = 51_200
 DENSITY_FLOOR_FRACTION = 1e-3  # share of paths allowed below the floor
 WEALTH_COLUMNS = ("fv", "qv", "sup_rel_inf", "sup_rel_n")
 DENSITY_COLUMNS = ("z_l1", "z_sup", "zz_qv", "rr_qv")
@@ -87,13 +93,15 @@ class LadderReport:
                 })
         return rows
 
-    def slopes(self, n_boot=BOOTSTRAP_DRAWS, seed=BOOTSTRAP_SEED):
+    def slopes(self, n_boot=BOOTSTRAP_DRAWS, seed=BOOTSTRAP_SEED, threads=1):
         """Decay slope per metric with a bootstrap confidence interval.
 
         The fit regresses log(mean) on log(1/scale); decay means negative
         slope. Columns that are identically zero cannot be fitted and count
         as decayed. passed is True when the 97.5% bootstrap quantile of the
-        slope is below zero.
+        slope is below zero. With threads > 1 one worker reduces the
+        resamples while the caller draws the next ones; the result does not
+        depend on threads.
         """
         x = -np.log(self.scales)
         rng = np.random.default_rng(seed)
@@ -107,16 +115,43 @@ class LadderReport:
             slope = float(_fit_slope(x, means))
             lo = hi = slope  # a deterministic column has no sampling error
             if arr.ndim == 2:
-                # One resample per row of draws; its counts weight the paths.
-                n_p = arr.shape[1]
-                sel = rng.integers(0, n_p, (n_boot, n_p))
-                sel += n_p * np.arange(n_boot)[:, None]
-                counts = np.bincount(sel.ravel(), minlength=n_boot * n_p)
-                boot_means = arr @ counts.reshape(n_boot, n_p).T.astype(float) / n_p
+                boot_means = _bootstrap_means(arr, rng, n_boot, threads)
                 lo, hi = np.percentile(_fit_slope(x, boot_means), [2.5, 97.5])
             out[name] = {"slope": slope, "ci": (float(lo), float(hi)),
                          "zero": False, "passed": bool(hi < 0.0)}
         return out
+
+
+def _resample_sums(arr, sel):
+    """Sums (L, B) of arr's rows (L, P) over each resample of sel (B, P).
+    einsum, unlike a BLAS matmul, adds in an order that depends on neither
+    the number of resamples nor the BLAS threads."""
+    n_b, n_p = sel.shape
+    sel += n_p * np.arange(n_b)[:, None]
+    counts = np.bincount(sel.ravel(), minlength=n_b * n_p)
+    return np.einsum("lp,bp->lb", arr, counts.reshape(n_b, n_p).astype(float))
+
+
+def _bootstrap_means(arr, rng, n_boot, threads):
+    """Means (L, n_boot) of n_boot resamples of arr's paths (L, P), drawn
+    from rng in order, BOOTSTRAP_CHUNK path draws at a time. With threads
+    > 1 one worker sums a chunk while the caller draws the next, so at most
+    two chunks are held at once."""
+    n_p = arr.shape[1]
+    step = max(1, BOOTSTRAP_CHUNK // n_p)
+    chunks = (rng.integers(0, n_p, (min(step, n_boot - lo), n_p))
+              for lo in range(0, n_boot, step))
+    if threads == 1:
+        return np.concatenate([_resample_sums(arr, sel) for sel in chunks],
+                              axis=1) / n_p
+    sums, pending = [], None
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for sel in chunks:
+            if pending is not None:
+                sums.append(pending.result())
+            pending = pool.submit(_resample_sums, arr, sel)
+        sums.append(pending.result())
+    return np.concatenate(sums, axis=1) / n_p
 
 
 def _fit_slope(x, values):
@@ -171,11 +206,16 @@ def filtration_ladder(spec, model, constraint, n_paths, seed, *,
             drift_n, mean_n, prec_n = filtered_drift(signal, n)
             row = wealth_process_gap(numeraire_paths(
                 base, constraint, drifts=drift_n, true_drift=true_drift), w_inf)
+            # in place, in the order of sum((m - theta)^2 vcv_dg) and
+            # sum(|p - hit| dG)
             err = mean_n - signal.theta[:, None]
-            row["drift_gap"] = np.sum(err ** 2 * vcv_dg[None, :], axis=1)
+            err *= err
+            row["drift_gap"] = np.sum(np.multiply(err, vcv_dg, out=err), axis=1)
             probs = event_probabilities(mean_n, prec_n, event_threshold)
-            row["event_gap"] = np.sum(np.abs(probs - hit[:, None])
-                                      * base.dG[None, :], axis=1)
+            probs -= hit[:, None]
+            np.abs(probs, out=probs)
+            row["event_gap"] = np.sum(np.multiply(probs, base.dG, out=probs),
+                                      axis=1)
             rows.append(row)
         return _stack(rows, WEALTH_COLUMNS + ("drift_gap", "event_gap"))
 

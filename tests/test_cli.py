@@ -90,8 +90,14 @@ def test_constraint_ladder_manifest_counts_unchecked_steps(
     assert run_cli("stability", "--config", cfg, "--out", str(out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["checks"]["per_step_bound"] is True
-    assert manifest["diagnostics"] == {"bound_unchecked_steps": unchecked,
-                                       "ladder_scale": scale}
+    usage = {"peak_rss_mb", "minor_page_faults", "cpu_user_s", "cpu_sys_s"}
+    diagnostics = manifest["diagnostics"]
+    assert set(diagnostics) == usage | {"bound_unchecked_steps",
+                                        "ladder_scale"}
+    assert diagnostics["bound_unchecked_steps"] == unchecked
+    assert diagnostics["ladder_scale"] == scale
+    assert all(diagnostics[key] >= 0 for key in usage)
+    assert diagnostics["peak_rss_mb"] > 0
 
 
 def test_solve_asymmetric_covariance_exits_2(tmp_path, capsys):
@@ -349,12 +355,19 @@ def test_sensitivity_bad_identity_tol_exits_2(tmp_path, capsys, tol):
     ("stability", {"kind": "stability-filtration", "market": MARKET,
                    "signal": {"direction": [1.0, 0.3]}, "paths": 16,
                    "event_threshold": float("nan")}),
+    ("solve", {"kind": "solve", "covariance": [[0.5, 0.1], [0.1, 0.4]],
+               "drift": [0.3, 0.4], "constraint": {"type": "ball",
+                                                   "radius": -1}}),
+    ("stability", {"kind": "stability-filtration", "market": MARKET,
+                   "signal": {"direction": [1.0, 0.3]}, "paths": 16,
+                   "constraint": {"type": "ball", "radius": -1}}),
 ], ids=["solve-ragged-covariance", "solve-ragged-drift",
         "density-check-text-vol", "sensitivity-ragged-eps",
         "probability-text-eps", "tree-ragged-chi", "counterexample-text-p",
         "counterexample-text-level", "tree-text-leaf",
         "counterexample-nan-tol", "simulate-inf-horizon",
-        "filtration-nan-threshold"])
+        "filtration-nan-threshold", "solve-negative-radius",
+        "filtration-negative-radius"])
 def test_malformed_config_numbers_exit_2(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, "bad.yaml", payload)
     assert run_cli(command, "--config", cfg,
@@ -453,3 +466,31 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_filtration_summary_ignores_blas_threads(tmp_path):
+    # The bootstrap sums its resamples with einsum, not a BLAS matmul, so
+    # OpenBLAS's own threading leaves every digit of summary.json in place.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = write_config(tmp_path, "filtration.yaml", {
+        "kind": "stability-filtration",
+        "market": dict(MARKET, n_steps=100),
+        "signal": {"direction": [1.0, 0.3]},
+        "constraint": {"type": "ball", "radius": 2.0},
+        "paths": 1500, "seed": 7,
+    })
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                        "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    outputs = []
+    for blas_env in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"run{len(outputs)}"
+        result = subprocess.run(
+            [sys.executable, "-m", "growthlab.cli", "stability", "--config",
+             cfg, "--out", str(out)], env=dict(env, **blas_env),
+            capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        outputs.append((out / "summary.json").read_bytes())
+    assert outputs[0] == outputs[1]

@@ -12,6 +12,13 @@ from growthlab.errors import InfeasibleConstraint
 from oracles import member_mask, support_gap_distance
 
 
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0])
+def test_ball_rejects_bad_radius_when_built(radius):
+    # A NaN radius would project nothing and a negative one reflect points.
+    with pytest.raises(InfeasibleConstraint, match="radius must be positive"):
+        Ball(radius)
+
+
 def test_ball_pair_distance_is_radius_gap():
     assert truncated_pair_distance(Ball(1.0), Ball(1.5), radius=5.0, dim=2) \
         == pytest.approx(0.5, abs=1e-12)

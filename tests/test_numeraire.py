@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import growthlab.numeraire as numeraire
 
 from growthlab.constraints import Ball, Box, FullSpace
 from growthlab.market import MarketSpec, simulate_paths
 from growthlab.numeraire import (
-    growth_path, growth_rate, numeraire_fractions, numeraire_paths,
-    terminal_deflation, wealth_paths, wealth_process_gap,
+    WealthPaths, growth_path, growth_rate, numeraire_fractions,
+    numeraire_paths, terminal_deflation, wealth_paths, wealth_process_gap,
 )
 from growthlab.quadform import cov_inner, cov_norm, optimal_fraction
 
@@ -237,3 +238,38 @@ def test_wealth_paths_match_einsum_reference(covariance, pathwise_f,
     for new, old in ((w.dB, dB), (w.dL, dL)):
         assert new.shape == old.shape
         assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
+
+
+_GAP_ROW = st.tuples(
+    st.sampled_from(["positive", "negative", "mixed", "zero"]),
+    st.lists(st.floats(-800.0, 800.0, allow_subnormal=False),
+             min_size=6, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_GAP_ROW, min_size=1, max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_gap_sups_match_full_array_definitions_bitwise(rows, seed):
+    # sup, sup_rel_inf and sup_rel_n come from each row's largest and
+    # smallest cumulative gap; they must carry the bits of the maxima over
+    # the whole row, also where expm1 overflows.
+    sign = {"positive": np.abs, "negative": lambda x: -np.abs(x),
+            "mixed": lambda x: x, "zero": np.zeros_like}
+    inc = np.array([sign[mode](np.array(vals)) for mode, vals in rows])
+    rng = np.random.default_rng(seed)
+    b = WealthPaths(dB=rng.standard_normal(inc.shape),
+                    dL=rng.standard_normal(inc.shape))
+    # a = b shifted by inc, and a pure shift with b zero, so the cumulative
+    # gaps keep each row's sign pattern
+    for a, ref in ((WealthPaths(dB=b.dB + inc, dL=b.dL.copy()), b),
+                   (WealthPaths(dB=inc, dL=np.zeros_like(inc)),
+                    WealthPaths(dB=np.zeros_like(inc),
+                                dL=np.zeros_like(inc)))):
+        gap = np.cumsum((a.dB + a.dL) - (ref.dB + ref.dL), axis=1)
+        with np.errstate(over="ignore"):
+            expected = {"sup": np.max(np.abs(gap), axis=1),
+                        "sup_rel_inf": np.max(np.abs(np.expm1(gap)), axis=1),
+                        "sup_rel_n": np.max(np.abs(np.expm1(-gap)), axis=1)}
+            got = wealth_process_gap(a, ref)
+        for name, value in expected.items():
+            assert got[name].tobytes() == value.tobytes(), name

@@ -150,17 +150,22 @@ def test_nullspace_outside_constraint_raises():
 
 
 def test_batch_matches_single():
-    # Each row stops on its own test, so its answer must not depend on the
-    # rest of the batch.
+    # Each row stops on its own test, so its answer, to the bit, must not
+    # depend on the rest of the batch: one batch, two halves and one row at
+    # a time agree.
     rng = np.random.default_rng(5)
     c = random_psd(rng, 3, min_eig=0.1)
     assert np.ptp(np.linalg.eigvalsh(c)) > 0.1
     drifts = rng.standard_normal((200, 3)) * 2.0
     for constraint in (Ball(0.8), Box([-0.5, -0.3, -1.0], [0.4, 1.0, 0.2])):
         batch = optimal_fraction_batch(c, drifts, constraint)
+        assert not np.array_equal(batch, drifts)  # some rows are iterated
+        halves = np.concatenate([optimal_fraction_batch(c, half, constraint)
+                                 for half in (drifts[:77], drifts[77:])])
+        assert np.array_equal(batch, halves)
         for k in range(len(drifts)):
             single = optimal_fraction(c, drifts[k], constraint)
-            assert np.max(np.abs(batch[k] - single)) <= 1e-13
+            assert np.array_equal(batch[k], single)
 
 
 def test_interior_rows_are_exact_and_boundary_rows_match_oracle():

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import growthlab.stability as stability
+
 from growthlab.constraints import Ball, Box, FullSpace
 from growthlab.errors import DensityFloorHit, InvalidSpec
 from growthlab.market import (
@@ -14,6 +16,7 @@ from growthlab.market import (
 )
 from growthlab.numeraire import numeraire_paths, wealth_process_gap
 from growthlab.quadform import cov_inner
+from growthlab.sensitivity import streamed_expansion_ladder
 from growthlab.stability import (
     LadderReport, constraint_ladder, density_sequence_check,
     excursion_density_ladder, filtration_ladder, lognormal_density_ladder,
@@ -230,6 +233,42 @@ def test_bootstrap_matches_per_draw_resampling():
         assert slopes[name]["ci"] == (pytest.approx(lo, abs=1e-12),
                                       pytest.approx(hi, abs=1e-12))
     assert slopes["zero"]["zero"]
+
+
+def test_bootstrap_does_not_depend_on_threads_or_chunk_size(monkeypatch):
+    # The resamples are drawn in chunks, in order, from one generator, and
+    # each chunk is summed by einsum, so neither the worker that sums it nor
+    # the chunk size moves a bit of the confidence interval.
+    rng = np.random.default_rng(4)
+    scales = 2.0 ** -np.arange(1, 7)
+    report = LadderReport(
+        family="synthetic", indices=np.arange(1, 7), scales=scales,
+        per_path={"a": rng.exponential(1.0, (6, 1501)) * scales[:, None],
+                  "zero": np.zeros((6, 1501)),
+                  "b": rng.exponential(1.0, (6, 1501)) * scales[:, None] ** 2},
+        deterministic={"d": scales ** 0.5})
+    reference = report.slopes(threads=1)
+    assert report.slopes(threads=2) == reference
+    for chunk in (1, 7 * 1501, 400 * 1501):  # 1, 7 and 400 resamples
+        monkeypatch.setattr(stability, "BOOTSTRAP_CHUNK", chunk)
+        assert report.slopes(threads=1) == reference
+        assert report.slopes(threads=3, n_boot=37) \
+            == report.slopes(threads=1, n_boot=37)
+
+
+@pytest.mark.parametrize("ladder", ["probability", "sensitivity"])
+@pytest.mark.parametrize("n_paths", [0, -1])
+def test_orthogonal_factor_ladders_reject_bad_path_counts(ladder, n_paths):
+    # the orthogonal draw comes before the blocks, so it checks the count too
+    tilt = TiltSpec(lam1=np.array([0.4, -0.2]), orthogonal_vol=0.4)
+    eps = np.array([0.2, 0.1])
+    with pytest.raises(InvalidSpec, match="at least one path"):
+        if ladder == "probability":
+            probability_ladder(make_spec(n_steps=10), tilt, FullSpace(),
+                               n_paths, 3, eps_ladder=eps)
+        else:
+            streamed_expansion_ladder(make_spec(n_steps=10), tilt, eps,
+                                      n_paths, 3)
 
 
 def test_ladder_rows_are_long_format():
