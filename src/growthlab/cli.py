@@ -224,11 +224,11 @@ def _write(out_dir, manifest, name, writer, *args):
     manifest.record_file(path)
 
 
-def _write_ladder(out_dir, manifest, csv_name, report, payload, threads):
+def _write_ladder(out_dir, manifest, csv_name, report, payload):
     """Ladder table, one decay check per metric, and a summary of payload
     plus the slopes."""
     _write(out_dir, manifest, csv_name, write_ladder_csv, report)
-    slopes = report.slopes(threads=threads)
+    slopes = report.slopes()
     for name, res in slopes.items():
         manifest.record_check(f"decay:{name}", res["passed"])
     _write(out_dir, manifest, "summary.json", write_json,
@@ -321,7 +321,7 @@ def cmd_stability(cfg, args, out_dir, manifest):
         "scales": report.scales,
         "n_paths": paths,
         "seed": seed,
-    }, threads)
+    })
     return manifest
 
 
@@ -444,7 +444,7 @@ def cmd_density_check(cfg, args, out_dir, manifest):
     _require_keys(cfg, ("kind", "family"),
                   ("vols", "sizes", "kappa", "n_steps", "horizon")
                   + SHARED_KEYS[1:], "config")
-    seed, paths, threads = _runtime(cfg, args)
+    seed, paths, _ = _runtime(cfg, args)
     family = cfg["family"]
     n_steps = _positive_int(cfg.get("n_steps", 256), "n_steps")
     horizon = _float(cfg.get("horizon", 1.0), "horizon")
@@ -472,7 +472,7 @@ def cmd_density_check(cfg, args, out_dir, manifest):
         "family": family,
         "n_paths": paths,
         "seed": seed,
-    }, threads)
+    })
     return manifest
 
 

@@ -87,7 +87,8 @@ class ConstraintSet:
         raise NotImplementedError
 
     def project(self, x):
-        """Exact Euclidean projection, vectorized over leading axes."""
+        """Exact Euclidean projection, vectorized over leading axes. It
+        must leave x as it is."""
         raise NotImplementedError
 
     def support_truncated(self, dirs, radius):

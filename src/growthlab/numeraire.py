@@ -35,13 +35,14 @@ class WealthPaths:
 
     @cached_property
     def increments(self):
-        """Log-wealth increments dB + dL, formed once: a ladder compares
-        one limit wealth with every rung."""
+        """Log-wealth increments dB + dL, formed once and kept: a ladder
+        compares one limit wealth with every rung. Read it only on a
+        WealthPaths whose dB and dL stay as they are."""
         return self.dB + self.dL
 
     @property
     def log_wealth(self):
-        return np.cumsum(self.increments, axis=1)
+        return np.cumsum(self.dB + self.dL, axis=1)
 
     @property
     def terminal_log_wealth(self):

@@ -203,15 +203,16 @@ def optimal_fraction_batch(c, drifts, constraint, *,
         out = np.zeros_like(rows)
         return out[0] if single else out
 
-    # The unconstrained maximizer over N⊥ is the range-projected drift. Every
-    # projection returns a new array, so with null(c) trivial the rows
-    # themselves can stand for it.
+    # The unconstrained maximizer over N⊥ is the range-projected drift; with
+    # null(c) trivial the rows themselves stand for it.
     if isinstance(constraint, FullSpace):
         pa = split.project_range(rows)
         return pa[0] if single else pa
     pa = rows if split.null_dim == 0 else split.project_range(rows)
     proj = feasible_projector(constraint, split)
     out = proj(pa)
+    if out is pa:  # a projection that hands back its input: keep the rows
+        out = out.copy()
     if not _is_isotropic(c, split.eigenvalues):
         # Rows the projection leaves in place are feasible maximizers. With c
         # proportional to the identity the objective is a scaled Euclidean

@@ -8,7 +8,7 @@ import csv
 import json
 import hashlib
 import os
-import resource
+import sys
 import tempfile
 import time
 
@@ -16,7 +16,14 @@ import numpy as np
 
 from .errors import GrowthlabError
 
+try:
+    import resource
+except ImportError:  # absent on Windows; the manifest then records no usage
+    resource = None
+
 FLOAT_FORMAT = "%.17g"
+# ru_maxrss is in bytes on macOS and in kilobytes on Linux and the BSDs
+RSS_UNITS_PER_MB = 1024.0 ** 2 if sys.platform == "darwin" else 1024.0
 
 
 def _fmt(value):
@@ -107,13 +114,20 @@ def atomic_write_json(path, payload):
         raise
 
 
+def _usage():
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF)
+
+
 class RunManifest:
     """Collects run metadata and writes manifest.json atomically.
 
     checks hold the pass/fail verdicts; diagnostics hold counts that
-    qualify them (say, steps a check left out) and decide nothing. write
-    adds the process's peak RSS and, since the manifest was made, its minor
-    page faults and user and system CPU seconds.
+    qualify them (say, steps a check left out) and decide nothing. Where
+    the resource module exists, write adds the process's peak RSS and,
+    since the manifest was made, its minor page faults and user and system
+    CPU seconds.
     """
 
     def __init__(self, config, seed, version):
@@ -121,7 +135,7 @@ class RunManifest:
         self.seed = seed
         self.version = version
         self.started = time.time()
-        self._usage = resource.getrusage(resource.RUSAGE_SELF)
+        self._usage = _usage()
         self.checks = {}
         self.diagnostics = {}
         self.files = []
@@ -140,12 +154,13 @@ class RunManifest:
         return all(self.checks.values())
 
     def write(self, out_dir):
-        now = resource.getrusage(resource.RUSAGE_SELF)
-        self.diagnostics.update(
-            peak_rss_mb=now.ru_maxrss / 1024.0,
-            minor_page_faults=now.ru_minflt - self._usage.ru_minflt,
-            cpu_user_s=now.ru_utime - self._usage.ru_utime,
-            cpu_sys_s=now.ru_stime - self._usage.ru_stime)
+        now = _usage()
+        if now is not None:
+            self.diagnostics.update(
+                peak_rss_mb=now.ru_maxrss / RSS_UNITS_PER_MB,
+                minor_page_faults=now.ru_minflt - self._usage.ru_minflt,
+                cpu_user_s=now.ru_utime - self._usage.ru_utime,
+                cpu_sys_s=now.ru_stime - self._usage.ru_stime)
         payload = {
             "config_sha256": config_hash(self.config),
             "version": self.version,

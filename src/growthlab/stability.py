@@ -17,7 +17,6 @@ fixed the information component vanishes identically, which the slope test
 treats as already decayed.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,15 +92,13 @@ class LadderReport:
                 })
         return rows
 
-    def slopes(self, n_boot=BOOTSTRAP_DRAWS, seed=BOOTSTRAP_SEED, threads=1):
+    def slopes(self, n_boot=BOOTSTRAP_DRAWS, seed=BOOTSTRAP_SEED):
         """Decay slope per metric with a bootstrap confidence interval.
 
         The fit regresses log(mean) on log(1/scale); decay means negative
         slope. Columns that are identically zero cannot be fitted and count
         as decayed. passed is True when the 97.5% bootstrap quantile of the
-        slope is below zero. With threads > 1 one worker reduces the
-        resamples while the caller draws the next ones; the result does not
-        depend on threads.
+        slope is below zero.
         """
         x = -np.log(self.scales)
         rng = np.random.default_rng(seed)
@@ -115,7 +112,7 @@ class LadderReport:
             slope = float(_fit_slope(x, means))
             lo = hi = slope  # a deterministic column has no sampling error
             if arr.ndim == 2:
-                boot_means = _bootstrap_means(arr, rng, n_boot, threads)
+                boot_means = _bootstrap_means(arr, rng, n_boot)
                 lo, hi = np.percentile(_fit_slope(x, boot_means), [2.5, 97.5])
             out[name] = {"slope": slope, "ci": (float(lo), float(hi)),
                          "zero": False, "passed": bool(hi < 0.0)}
@@ -132,25 +129,15 @@ def _resample_sums(arr, sel):
     return np.einsum("lp,bp->lb", arr, counts.reshape(n_b, n_p).astype(float))
 
 
-def _bootstrap_means(arr, rng, n_boot, threads):
+def _bootstrap_means(arr, rng, n_boot):
     """Means (L, n_boot) of n_boot resamples of arr's paths (L, P), drawn
-    from rng in order, BOOTSTRAP_CHUNK path draws at a time. With threads
-    > 1 one worker sums a chunk while the caller draws the next, so at most
-    two chunks are held at once."""
+    from rng in order, BOOTSTRAP_CHUNK path draws at a time."""
     n_p = arr.shape[1]
     step = max(1, BOOTSTRAP_CHUNK // n_p)
-    chunks = (rng.integers(0, n_p, (min(step, n_boot - lo), n_p))
-              for lo in range(0, n_boot, step))
-    if threads == 1:
-        return np.concatenate([_resample_sums(arr, sel) for sel in chunks],
-                              axis=1) / n_p
-    sums, pending = [], None
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for sel in chunks:
-            if pending is not None:
-                sums.append(pending.result())
-            pending = pool.submit(_resample_sums, arr, sel)
-        sums.append(pending.result())
+    sums = []
+    for lo in range(0, n_boot, step):
+        sel = rng.integers(0, n_p, (min(step, n_boot - lo), n_p))
+        sums.append(_resample_sums(arr, sel))
     return np.concatenate(sums, axis=1) / n_p
 
 

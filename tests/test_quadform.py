@@ -168,6 +168,26 @@ def test_batch_matches_single():
             assert np.array_equal(batch[k], single)
 
 
+class _LazyBall(Ball):
+    """A Ball whose projection hands back its input when nothing moves."""
+
+    def project(self, x):
+        return x if np.all(self.contains(x)) else super().project(x)
+
+
+def test_projection_returning_its_input_leaves_drifts_alone():
+    # With null(c) trivial the solver projects the caller's rows directly;
+    # its answer must still be an array of its own.
+    rng = np.random.default_rng(6)
+    c = random_psd(rng, 2, min_eig=0.1)
+    drifts = rng.uniform(-0.1, 0.1, (5, 2))
+    kept = drifts.copy()
+    out = optimal_fraction_batch(c, drifts, _LazyBall(5.0))
+    assert np.array_equal(out, kept)
+    out[:] = 0.0
+    assert np.array_equal(drifts, kept)
+
+
 def test_interior_rows_are_exact_and_boundary_rows_match_oracle():
     # Ball rows are solved exactly (Newton on the KKT multiplier), so the
     # residual tolerance, which steers only FISTA, does not enter; every

@@ -235,10 +235,10 @@ def test_bootstrap_matches_per_draw_resampling():
     assert slopes["zero"]["zero"]
 
 
-def test_bootstrap_does_not_depend_on_threads_or_chunk_size(monkeypatch):
+def test_bootstrap_does_not_depend_on_chunk_size(monkeypatch):
     # The resamples are drawn in chunks, in order, from one generator, and
-    # each chunk is summed by einsum, so neither the worker that sums it nor
-    # the chunk size moves a bit of the confidence interval.
+    # each chunk is summed by einsum, so the chunk size moves no bit of the
+    # confidence interval.
     rng = np.random.default_rng(4)
     scales = 2.0 ** -np.arange(1, 7)
     report = LadderReport(
@@ -247,13 +247,12 @@ def test_bootstrap_does_not_depend_on_threads_or_chunk_size(monkeypatch):
                   "zero": np.zeros((6, 1501)),
                   "b": rng.exponential(1.0, (6, 1501)) * scales[:, None] ** 2},
         deterministic={"d": scales ** 0.5})
-    reference = report.slopes(threads=1)
-    assert report.slopes(threads=2) == reference
+    reference = report.slopes()
+    short = report.slopes(n_boot=37)
     for chunk in (1, 7 * 1501, 400 * 1501):  # 1, 7 and 400 resamples
         monkeypatch.setattr(stability, "BOOTSTRAP_CHUNK", chunk)
-        assert report.slopes(threads=1) == reference
-        assert report.slopes(threads=3, n_boot=37) \
-            == report.slopes(threads=1, n_boot=37)
+        assert report.slopes() == reference
+        assert report.slopes(n_boot=37) == short
 
 
 @pytest.mark.parametrize("ladder", ["probability", "sensitivity"])
