@@ -9,7 +9,7 @@ the solution toward the boundary while the two stability inequalities
 import numpy as np
 
 from growthlab import Ball, Box, FullSpace, NonnegativeOrthant
-from growthlab.quadform import cov_norm, optimal_fraction
+from growthlab.quadform import cov_norm, optimal_fraction_batch
 
 c = np.array([[0.5, 0.1], [0.1, 0.4]])
 a = np.array([0.8, 0.5])
@@ -27,16 +27,16 @@ def main():
         ("nonnegative orthant", NonnegativeOrthant()),
     ]
     for name, cset in sets:
-        f = optimal_fraction(c, a, cset)
+        f = optimal_fraction_batch(c, a, cset)
         print(f"{name:22s} phi = {np.round(f, 6)}  "
               f"|phi|_c = {cov_norm(c, f):.6f}")
 
     print("\ndrift perturbation, ball r=0.5:")
     rng = np.random.default_rng(0)
-    f0 = optimal_fraction(c, a, Ball(0.5))
+    f0 = optimal_fraction_batch(c, a, Ball(0.5))
     for _ in range(4):
         da = rng.standard_normal(2) * 0.3
-        f1 = optimal_fraction(c, a + da, Ball(0.5))
+        f1 = optimal_fraction_batch(c, a + da, Ball(0.5))
         lhs = cov_norm(c, f1 - f0)
         rhs = cov_norm(c, da)
         print(f"  |phi' - phi|_c = {lhs:.6f} <= |a' - a|_c = {rhs:.6f}")

@@ -19,8 +19,7 @@ from .constraints import (
     truncated_pair_distance,
 )
 from .quadform import (
-    cov_inner, cov_norm, nullspace_split, optimal_fraction,
-    optimal_fraction_batch,
+    cov_inner, cov_norm, nullspace_split, optimal_fraction_batch,
 )
 from .market import (
     DensityRecord, GaussianSignalModel, MarketSpec, PathBundle, TiltSpec,

@@ -30,7 +30,7 @@ from .market import (
     simulate_paths,
 )
 from .numeraire import growth_path, growth_rate, numeraire_fractions, wealth_paths
-from .quadform import cov_norm, optimal_fraction
+from .quadform import cov_norm, optimal_fraction_batch
 from .reporting import (
     RunManifest, write_csv, write_json, write_ladder_csv, write_wealth_csv,
 )
@@ -241,7 +241,7 @@ def cmd_solve(cfg, args, out_dir, manifest):
     cov = _floats(cfg["covariance"], "covariance")
     drift = _floats(cfg["drift"], "drift")
     constraint = _constraint(cfg.get("constraint"))
-    fraction = optimal_fraction(cov, drift, constraint)
+    fraction = optimal_fraction_batch(cov, drift, constraint)
     growth = float(growth_rate(cov, drift, fraction))
     _write(out_dir, manifest, "summary.json", write_json, {
         "fraction": fraction,

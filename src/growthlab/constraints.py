@@ -19,31 +19,33 @@ _NET_SEED = 20260817
 _net_cache = {}
 SUPPORT_ASCENT_STEPS = 300
 VERTEX_TOL = 1e-9
+NET_DIRECTIONS = 4096  # direction net behind every numeric set distance
+CONTAINS_TOL = 1e-9  # slack of every membership test
 
 
-def direction_net(dim, n_directions):
-    """Deterministic net of unit vectors: angular grid in 2d, antipodal pair
-    in 1d, low-discrepancy Sobol points pushed to the sphere in higher d."""
+def direction_net(dim):
+    """Deterministic net of NET_DIRECTIONS unit vectors: angular grid in 2d,
+    antipodal pair in 1d, low-discrepancy Sobol points pushed to the sphere
+    in higher d."""
     if dim < 1:
         raise DimensionMismatch(f"direction net needs dim >= 1, got {dim}")
-    key = (dim, n_directions)
-    if key in _net_cache:
-        return _net_cache[key]
+    if dim in _net_cache:
+        return _net_cache[dim]
     if dim == 1:
         net = np.array([[1.0], [-1.0]])
     elif dim == 2:
-        ang = np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False)
+        ang = np.linspace(0.0, 2.0 * np.pi, NET_DIRECTIONS, endpoint=False)
         net = np.column_stack([np.cos(ang), np.sin(ang)])
     else:
         from scipy.stats import qmc  # slow to import; only Sobol nets need it
 
         sob = qmc.Sobol(d=dim, scramble=True, seed=_NET_SEED)
-        u = sob.random(n_directions)
+        u = sob.random(NET_DIRECTIONS)
         z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
         norms = np.linalg.norm(z, axis=1)
         norms[norms < 1e-12] = 1.0
         net = z / norms[:, None]
-    _net_cache[key] = net
+    _net_cache[dim] = net
     return net
 
 
@@ -76,14 +78,11 @@ def dykstra_project(x, projectors, tol=1e-12, max_iter=2000, raise_on_cap=False)
 class ConstraintSet:
     """Closed convex subset of R^d containing the origin."""
 
-    def dimension(self):
-        """Ambient dimension when the set pins one down, else None."""
-        return None
-
     def validate(self, dim):
         raise NotImplementedError
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x):
+        """Membership of x's rows, up to CONTAINS_TOL."""
         raise NotImplementedError
 
     def project(self, x):
@@ -112,7 +111,7 @@ class FullSpace(ConstraintSet):
     def validate(self, dim):
         return self
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
         return np.ones(x.shape[:-1], dtype=bool)
 
@@ -137,9 +136,9 @@ class Ball(ConstraintSet):
     def validate(self, dim):
         return self  # the radius is checked when the ball is built
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x, axis=-1) <= self.radius + tol
+        return np.linalg.norm(x, axis=-1) <= self.radius + CONTAINS_TOL
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
@@ -168,9 +167,6 @@ class Box(ConstraintSet):
         self.lower = np.asarray(lower, dtype=float).ravel()
         self.upper = np.asarray(upper, dtype=float).ravel()
 
-    def dimension(self):
-        return self.lower.size
-
     def validate(self, dim):
         if self.lower.size != dim or self.upper.size != dim:
             raise DimensionMismatch(
@@ -184,9 +180,10 @@ class Box(ConstraintSet):
             raise InfeasibleConstraint("box has lower > upper")
         return self
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return np.all((x >= self.lower - tol) & (x <= self.upper + tol), axis=-1)
+        return np.all((x >= self.lower - CONTAINS_TOL)
+                      & (x <= self.upper + CONTAINS_TOL), axis=-1)
 
     def project(self, x):
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
@@ -213,9 +210,9 @@ class NonnegativeOrthant(ConstraintSet):
     def validate(self, dim):
         return self
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return np.all(x >= -tol, axis=-1)
+        return np.all(x >= -CONTAINS_TOL, axis=-1)
 
     def project(self, x):
         return np.maximum(np.asarray(x, dtype=float), 0.0)
@@ -235,9 +232,6 @@ class HalfspacePolytope(ConstraintSet):
         self.normals = np.atleast_2d(np.asarray(normals, dtype=float))
         self.offsets = np.asarray(offsets, dtype=float).ravel()
 
-    def dimension(self):
-        return self.normals.shape[1]
-
     def validate(self, dim):
         if self.normals.shape[1] != dim:
             raise DimensionMismatch(
@@ -245,16 +239,19 @@ class HalfspacePolytope(ConstraintSet):
             )
         if self.normals.shape[0] != self.offsets.size:
             raise DimensionMismatch("one offset per halfspace required")
+        if not (np.all(np.isfinite(self.normals))
+                and np.all(np.isfinite(self.offsets))):
+            raise InfeasibleConstraint("polytope normals and offsets must be finite")
         if np.any(np.linalg.norm(self.normals, axis=1) < 1e-12):
             raise InfeasibleConstraint("zero normal vector in polytope")
         if np.any(self.offsets < 0.0):
             raise InfeasibleConstraint("polytope must contain the origin: offsets >= 0")
         return self
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
         slack = np.einsum("...d,hd->...h", x, self.normals) - self.offsets
-        return np.all(slack <= tol, axis=-1)
+        return np.all(slack <= CONTAINS_TOL, axis=-1)
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
@@ -287,22 +284,15 @@ class Intersection(ConstraintSet):
         if not self.members:
             raise InfeasibleConstraint("intersection needs at least one member")
 
-    def dimension(self):
-        for m in self.members:
-            d = m.dimension()
-            if d is not None:
-                return d
-        return None
-
     def validate(self, dim):
         for m in self.members:
             m.validate(dim)
         return self
 
-    def contains(self, x, tol=1e-9):
-        out = self.members[0].contains(x, tol)
+    def contains(self, x):
+        out = self.members[0].contains(x)
         for m in self.members[1:]:
-            out = out & m.contains(x, tol)
+            out = out & m.contains(x)
         return out
 
     def project(self, x):
@@ -344,26 +334,20 @@ def _support_truncated_numeric(cset, radius, dirs):
     return np.sum(dirs * x, axis=1)
 
 
-def hausdorff_distance(set_a, set_b, radius, n_directions=4096, dim=None):
-    """Hausdorff distance between set_a ∩ ball(radius) and set_b ∩ ball(radius),
-    via the sup over a deterministic direction net of the absolute support
-    difference (the two coincide for compact convex sets). Lower bound,
-    converging as the net refines."""
+def hausdorff_distance(set_a, set_b, radius, dim):
+    """Hausdorff distance between set_a ∩ ball(radius) and set_b ∩ ball(radius)
+    in R^dim, via the sup over the NET_DIRECTIONS-point direction net of the
+    absolute support difference (the two coincide for compact convex sets).
+    Lower bound, converging as the net refines."""
     if radius <= 0.0:
         return 0.0
-    if dim is None:
-        dim = set_a.dimension() or set_b.dimension()
-    if dim is None:
-        raise DimensionMismatch(
-            "neither set pins down an ambient dimension; pass dim explicitly"
-        )
-    dirs = direction_net(dim, n_directions)
+    dirs = direction_net(dim)
     ha = set_a.support_truncated(dirs, radius)
     hb = set_b.support_truncated(dirs, radius)
     return float(np.max(np.abs(ha - hb)))
 
 
-def truncated_pair_distance(set_a, set_b, radius, n_directions=4096, dim=None):
+def truncated_pair_distance(set_a, set_b, radius, dim):
     """Distance between the radius-truncated sets, exact where a closed form
     exists (balls; boxes strictly inside the truncation ball; identical sets),
     net-based otherwise."""
@@ -381,7 +365,7 @@ def truncated_pair_distance(set_a, set_b, radius, n_directions=4096, dim=None):
     if isinstance(set_a, Box) and isinstance(set_b, Box):
         if max(set_a.corner_radius(), set_b.corner_radius()) <= radius + 1e-12:
             return polytope_hausdorff_oracle(set_a, set_b)
-    return hausdorff_distance(set_a, set_b, radius, n_directions=n_directions, dim=dim)
+    return hausdorff_distance(set_a, set_b, radius, dim)
 
 
 def polytope_hausdorff_oracle(set_a, set_b):
@@ -420,7 +404,7 @@ def polytope_vertices(normals, offsets):
     return np.array(out)
 
 
-def closed_limit_distances(sequence, limit, radii, n_directions=4096, dim=None):
+def closed_limit_distances(sequence, limit, radii, dim):
     """Table of truncated Hausdorff distances dist(K_n ∩ B(m), K ∩ B(m)) for
     each truncation radius m and each set in the sequence. Pointwise closed
     (Kuratowski) convergence shows up as every row decaying to zero."""
@@ -428,9 +412,7 @@ def closed_limit_distances(sequence, limit, radii, n_directions=4096, dim=None):
     table = np.zeros((radii.size, len(sequence)))
     for i, m in enumerate(radii):
         for j, k_n in enumerate(sequence):
-            table[i, j] = truncated_pair_distance(
-                k_n, limit, m, n_directions=n_directions, dim=dim
-            )
+            table[i, j] = truncated_pair_distance(k_n, limit, m, dim)
     return table
 
 

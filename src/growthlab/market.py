@@ -37,6 +37,11 @@ def cumsum_from_zero(increments):
     return np.concatenate((zeros, np.cumsum(increments, axis=1)), axis=1)
 
 
+def path_stderr(values):
+    """Standard error of the mean over paths of each row of values (L, P)."""
+    return values.std(axis=1) / np.sqrt(values.shape[1])
+
+
 def _as_step_array(value, n_steps, shape_tail, grid, name):
     """Broadcast a constant, per-step array, or callable-of-time to (n_steps, *tail)."""
     if callable(value):
@@ -55,6 +60,8 @@ def _as_step_array(value, n_steps, shape_tail, grid, name):
             )
     if out.shape != (n_steps,) + shape_tail:
         raise InvalidSpec(f"{name} evaluated to shape {out.shape}")
+    if not np.all(np.isfinite(out)):
+        raise InvalidSpec(f"{name} must be finite")
     return out
 
 
@@ -68,7 +75,7 @@ def _clock_increments(clock, n_steps, horizon, grid):
         dg = np.asarray(clock, dtype=float)
         if dg.shape != (n_steps,):
             raise InvalidSpec(f"explicit clock increments need shape ({n_steps},), got {dg.shape}")
-    if np.any(dg < 0.0):
+    if not np.all(dg >= 0.0):  # NaN fails too
         raise InvalidSpec("clock must be nondecreasing")
     return dg
 
@@ -95,8 +102,8 @@ class MarketSpec:
             raise InvalidSpec(f"dimension must be positive, got {self.dim}")
         if self.n_steps < 1:
             raise InvalidSpec(f"need at least one step, got {self.n_steps}")
-        if self.horizon <= 0.0:
-            raise InvalidSpec(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < np.inf:
+            raise InvalidSpec(f"horizon must be positive and finite, got {self.horizon}")
         if self.covariance is None:
             object.__setattr__(self, "covariance", np.eye(self.dim) / self.dim)
         if self.drift is None:
@@ -136,8 +143,6 @@ class PathBundle:
     structure arrays are shared across paths.
     """
 
-    spec: MarketSpec
-    seed: int
     dG: np.ndarray
     cov: np.ndarray
     sqrt_cov: np.ndarray
@@ -157,10 +162,10 @@ class PathBundle:
         return self.dM.shape[2]
 
 
-def market_steps(spec, seed):
+def market_steps(spec):
     """A PathBundle of spec's per-step arrays with no paths yet: the ladders
     solve on it what no path changes, and stream_paths draws its blocks."""
-    return PathBundle(spec, seed, *spec.materialize(),
+    return PathBundle(*spec.materialize(),
                       dM=np.empty((0, spec.n_steps, spec.dim)))
 
 
@@ -204,7 +209,7 @@ def stream_paths(market, n_paths, seed, job, threads=1, out=None):
 
 def simulate_paths(spec, n_paths, seed, threads=1):
     """Generate a PathBundle; identical output for any thread count."""
-    market = market_steps(spec, seed)
+    market = market_steps(spec)
     dM = np.empty((max(n_paths, 0), spec.n_steps, spec.dim))
     stream_paths(market, n_paths, seed, lambda *block: None, threads, out=dM)
     return replace(market, dM=dM)
@@ -236,14 +241,14 @@ class GaussianSignalModel:
         if v.ndim != 1 or not np.all(np.isfinite(v)):
             raise UnsupportedSignalModel("direction must be a finite vector")
         object.__setattr__(self, "direction", v)
-        if self.prior_std <= 0.0:
-            raise UnsupportedSignalModel("prior std must be positive")
+        if not 0.0 < self.prior_std < np.inf:
+            raise UnsupportedSignalModel("prior std must be positive and finite")
         scales = self.noise_scales
         if scales is None:
             scales = 2.0 ** -np.arange(1, 9)
         scales = np.asarray(scales, dtype=float)
-        if scales.ndim != 1 or np.any(scales < 0.0):
-            raise UnsupportedSignalModel("noise scales must be nonnegative")
+        if scales.ndim != 1 or not np.all((scales >= 0.0) & (scales < np.inf)):
+            raise UnsupportedSignalModel("noise scales must be nonnegative and finite")
         if np.any(np.diff(scales) >= 0.0):
             raise UnsupportedSignalModel("noise scales must strictly decrease")
         object.__setattr__(self, "noise_scales", scales)
@@ -377,6 +382,8 @@ class TiltSpec:
         if lam.shape != (n_steps, dim):
             raise InvalidSpec(f"tilt field shape {lam.shape} unusable for "
                               f"{(n_steps, dim)}")
+        if not np.all(np.isfinite(lam)):
+            raise InvalidSpec("tilt field must be finite")
         return lam
 
 
@@ -404,8 +411,9 @@ def orthogonal_draws(seed, n_paths, n_steps):
 
 
 def density_paths(bundle, tilt, xi=None):
-    """Stochastic-exponential density Z1 of a tilt along simulated paths;
-    xi defaults to orthogonal_draws of the bundle's seed."""
+    """Stochastic-exponential density Z1 of a tilt along simulated paths.
+    With an orthogonal factor, xi holds the bundle's own (P, N) rows of
+    orthogonal_draws (rows lo:hi for the paths lo:hi of a block)."""
     lam = tilt.field(bundle.n_steps, bundle.dim)
     lam_sq = cov_inner(bundle.cov, lam, lam)
     energy = float(np.sum(lam_sq * bundle.dG))
@@ -417,8 +425,9 @@ def density_paths(bundle, tilt, xi=None):
     expo -= 0.5 * (lam_sq * bundle.dG)[None, :]
     z = np.exp(cumsum_from_zero(expo))
     if tilt.orthogonal_vol != 0.0:
-        if xi is None:
-            xi = orthogonal_draws(bundle.seed, bundle.n_paths, bundle.n_steps)
+        if np.shape(xi) != (bundle.n_paths, bundle.n_steps):
+            raise InvalidSpec("orthogonal factor needs the bundle's xi rows, "
+                              f"shape {(bundle.n_paths, bundle.n_steps)}")
         dw = xi * np.sqrt(bundle.dG)[None, :]
         rho = tilt.orthogonal_vol
         orth = np.exp(cumsum_from_zero(rho * dw - 0.5 * rho * rho * bundle.dG[None, :]))
@@ -446,9 +455,6 @@ class DensityDecomposition:
     lam_path: np.ndarray
     exp_factor: np.ndarray
     remainder: np.ndarray
-
-    def max_product_error(self):
-        return float(np.max(np.abs(self.exp_factor * self.remainder - self.density)))
 
 
 def tilt_field(record, eps):

@@ -35,10 +35,12 @@ NULLSPACE_RTOL = 1e-12
 
 
 def check_psd_matrix(c):
-    """Validate a symmetric PSD matrix."""
+    """Validate a finite symmetric PSD matrix."""
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionMismatch(f"covariance must be square, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise InvalidSpec("covariance must be finite")
     scale = max(1.0, float(np.max(np.abs(c))))
     if np.max(np.abs(c - c.T)) > 1e-12 * scale:
         raise InvalidSpec("covariance is not symmetric")
@@ -171,17 +173,16 @@ def feasible_projector(constraint, split):
     return proj
 
 
-def optimal_fraction_batch(c, drifts, constraint, *,
-                           residual_tol=SOLVER_RESIDUAL_TOL,
-                           max_iter=SOLVER_MAX_ITER):
-    """Solve the constrained growth maximization for a batch of drift rows
-    sharing one covariance and one constraint set. Returns an array matching
-    ``drifts`` in shape.
+def optimal_fraction_batch(c, drifts, constraint):
+    """Solve the constrained growth maximization for one drift (d,) or a
+    batch of drift rows (n, d) sharing one covariance and one constraint
+    set. Returns an array matching ``drifts`` in shape.
 
     Rows are solved independently: a row whose range-projected drift is a
     fixed point of the feasible projection is answered by that drift, and
     only the remaining rows are iterated, each with its own stopping test:
-    Newton on the multiplier for a Ball, FISTA for every other set."""
+    Newton on the multiplier for a Ball, FISTA for every other set, both
+    capped at SOLVER_MAX_ITER steps."""
     c = np.asarray(c, dtype=float)
     drifts = np.asarray(drifts, dtype=float)
     if drifts.shape[-1] != c.shape[0]:
@@ -220,18 +221,13 @@ def optimal_fraction_batch(c, drifts, constraint, *,
         hard = np.flatnonzero(out != pa) // rows.shape[1]
         hard = hard[np.diff(hard, prepend=-1) != 0]  # sorted: drop repeats
         if hard.size:
-            out[hard] = _ball_rows(split, rows[hard], constraint, max_iter) \
+            out[hard] = _ball_rows(split, rows[hard], constraint) \
                 if isinstance(constraint, Ball) else \
-                _fista(c, rows[hard], proj, top, residual_tol, max_iter)
+                _fista(c, rows[hard], proj, top)
     return out[0] if single else out
 
 
-def optimal_fraction(c, drift, constraint, **kwargs):
-    """Growth-optimal fraction for a single drift vector."""
-    return optimal_fraction_batch(c, np.asarray(drift, dtype=float), constraint, **kwargs)
-
-
-def _ball_rows(split, rows, ball, max_iter):
+def _ball_rows(split, rows, ball):
     # On range(c) with eigenpairs (lam, V) the maximizer is f = V (b / (lam
     # + mu)), b = lam * V^T a, with mu >= 0 fixing |f| = r. Newton on the
     # concave, increasing phi(mu) = 1 / |f(mu)| - 1 / r rises from mu = 0 to
@@ -243,7 +239,7 @@ def _ball_rows(split, rows, ball, max_iter):
     b = lam * np.einsum("ni,ij->nj", rows, split.range_basis)
     mu = np.zeros(len(rows))
     live, b_live, mu_live = np.arange(len(rows)), b, np.zeros(len(rows))
-    for _ in range(max_iter):
+    for _ in range(SOLVER_MAX_ITER):
         shifted = lam + mu_live[:, None]
         q = b_live / shifted
         s = np.einsum("nj,nj->n", q, q)
@@ -258,11 +254,11 @@ def _ball_rows(split, rows, ball, max_iter):
         if live.size == 0:
             f = np.einsum("nj,ij->ni", b / (lam + mu[:, None]), split.range_basis)
             return ball.project(f)
-    raise NonConvergence(f"ball multiplier did not settle in {max_iter} "
+    raise NonConvergence(f"ball multiplier did not settle in {SOLVER_MAX_ITER} "
                          f"Newton steps on {live.size} of {len(rows)} rows")
 
 
-def _fista(c, rows, proj, lipschitz, residual_tol, max_iter):
+def _fista(c, rows, proj, lipschitz):
     # Every row carries its own momentum, restart test and stopping test,
     # and leaves the live set once it stops, so its answer does not depend
     # on the other rows of the batch. einsum, unlike a BLAS matmul, also
@@ -278,7 +274,7 @@ def _fista(c, rows, proj, lipschitz, residual_tol, max_iter):
     out = np.empty_like(rows)
     live = np.arange(len(rows))
     check_every = 8
-    for it in range(1, max_iter + 1):
+    for it in range(1, SOLVER_MAX_ITER + 1):
         grad = ca - apply_c(z)
         x_new = proj(z + step * grad)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
@@ -290,12 +286,13 @@ def _fista(c, rows, proj, lipschitz, residual_tol, max_iter):
         z = np.where(restart[:, None], x_new, x_new + momentum[:, None] * dx)
         t_new[restart] = 1.0
         x_prev, x, t = x, x_new, t_new
-        if it % check_every == 0 or it == max_iter:
+        if it % check_every == 0 or it == SOLVER_MAX_ITER:
             grad_x = ca - apply_c(x)
             mapped = proj(x + step * grad_x)
             residual = np.linalg.norm(mapped - x, axis=1) / step
             still = np.max(np.abs(x - x_prev), axis=1) < FIXED_POINT_TOL
-            done = (residual <= residual_tol) | (still & (residual <= 10 * residual_tol))
+            done = (residual <= SOLVER_RESIDUAL_TOL) \
+                | (still & (residual <= 10 * SOLVER_RESIDUAL_TOL))
             if np.any(done):
                 out[live[done]] = mapped[done]
                 keep = ~done
@@ -303,6 +300,6 @@ def _fista(c, rows, proj, lipschitz, residual_tol, max_iter):
                 if live.size == 0:
                     return out
     raise NonConvergence(
-        f"projected gradient did not reach residual {residual_tol:g} in "
-        f"{max_iter} iterations on {live.size} of {len(rows)} rows"
+        f"projected gradient did not reach residual {SOLVER_RESIDUAL_TOL:g} "
+        f"in {SOLVER_MAX_ITER} iterations on {live.size} of {len(rows)} rows"
     )

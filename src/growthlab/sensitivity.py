@@ -25,7 +25,7 @@ from .constraints import FullSpace
 from .errors import DimensionMismatch, InvalidSpec
 from .market import (
     cumsum_from_zero, density_paths, market_steps, orthogonal_draws,
-    stream_paths, tilt_field,
+    path_stderr, stream_paths, tilt_field,
 )
 from .numeraire import numeraire_fractions, wealth_paths
 from .quadform import cov_inner
@@ -149,8 +149,9 @@ def expansion_ladder(bundle, record, eps_ladder):
 def streamed_expansion_ladder(spec, tilt, eps_ladder, n_paths, seed, *,
                               threads=1):
     """expansion_ladder of simulate_paths(spec, n_paths, seed) and its
-    density_paths, bit for bit, run one stream_paths block at a time."""
-    market = market_steps(spec, seed)
+    density_paths (xi: orthogonal_draws(seed, n_paths, spec.n_steps)), bit
+    for bit, run one stream_paths block at a time."""
+    market = market_steps(spec)
     frac_ref = numeraire_fractions(market, FullSpace())
     xi = None if tilt.orthogonal_vol == 0.0 \
         else orthogonal_draws(seed, n_paths, spec.n_steps)
@@ -178,9 +179,9 @@ def _error_table(eps_ladder, fv, qv):
     return {
         "eps": eps_ladder,
         "fv_error": fv_mean,
-        "fv_stderr": fv.std(axis=1) / np.sqrt(fv.shape[1]),
+        "fv_stderr": path_stderr(fv),
         "qv_error": qv_mean,
-        "qv_stderr": qv.std(axis=1) / np.sqrt(qv.shape[1]),
+        "qv_stderr": path_stderr(qv),
         # None (JSON null) where the next error is zero, as on a flat tilt
         "fv_ratios": [float(a / b) if b != 0.0 else None
                       for a, b in zip(fv_mean[:-1], fv_mean[1:])],

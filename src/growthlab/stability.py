@@ -25,8 +25,8 @@ from .constraints import truncated_pair_distance
 from .errors import DensityFloorHit, InvalidSpec
 from .market import (
     SignalBundle, cumsum_from_zero, density_paths, event_probabilities,
-    filtered_drift, market_steps, orthogonal_draws, signal_draws,
-    stream_paths, tilt_field,
+    filtered_drift, market_steps, orthogonal_draws, path_stderr,
+    signal_draws, stream_paths, tilt_field,
 )
 from .numeraire import (
     growth_path, numeraire_fractions, numeraire_paths, wealth_paths,
@@ -69,7 +69,7 @@ class LadderReport:
         for name, arr in self.per_path.items():
             out[name] = {
                 "mean": arr.mean(axis=1),
-                "stderr": arr.std(axis=1) / np.sqrt(arr.shape[1]),
+                "stderr": path_stderr(arr),
                 "median": np.median(arr, axis=1),
                 "q95": np.percentile(arr, 95.0, axis=1),
             }
@@ -79,29 +79,27 @@ class LadderReport:
         return out
 
     def rows(self):
-        """Long-format rows (ladder_index, metric, value, stderr)."""
-        summ = self.summary()
-        rows = []
-        for name, s in summ.items():
-            for i, idx in enumerate(self.indices):
-                rows.append({
-                    "ladder_index": int(idx),
-                    "metric": name,
-                    "value": float(s["mean"][i]),
-                    "stderr": float(s["stderr"][i]),
-                })
-        return rows
+        """Long-format rows (ladder_index, metric, value, stderr), in the
+        order of summary()."""
+        cols = {name: (arr.mean(axis=1), path_stderr(arr))
+                for name, arr in self.per_path.items()}
+        cols.update((name, (vals, np.zeros_like(vals)))
+                    for name, vals in self.deterministic.items())
+        return [{"ladder_index": int(idx), "metric": name,
+                 "value": float(mean[i]), "stderr": float(err[i])}
+                for name, (mean, err) in cols.items()
+                for i, idx in enumerate(self.indices)]
 
-    def slopes(self, n_boot=BOOTSTRAP_DRAWS, seed=BOOTSTRAP_SEED):
+    def slopes(self):
         """Decay slope per metric with a bootstrap confidence interval.
 
         The fit regresses log(mean) on log(1/scale); decay means negative
         slope. Columns that are identically zero cannot be fitted and count
-        as decayed. passed is True when the 97.5% bootstrap quantile of the
-        slope is below zero.
+        as decayed. passed is True when the 97.5% quantile of the slope over
+        BOOTSTRAP_DRAWS resamples drawn from BOOTSTRAP_SEED is below zero.
         """
         x = -np.log(self.scales)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(BOOTSTRAP_SEED)
         out = {}
         for name, arr in {**self.per_path, **self.deterministic}.items():
             means = arr.mean(axis=1) if arr.ndim == 2 else arr
@@ -112,7 +110,7 @@ class LadderReport:
             slope = float(_fit_slope(x, means))
             lo = hi = slope  # a deterministic column has no sampling error
             if arr.ndim == 2:
-                boot_means = _bootstrap_means(arr, rng, n_boot)
+                boot_means = _bootstrap_means(arr, rng, BOOTSTRAP_DRAWS)
                 lo, hi = np.percentile(_fit_slope(x, boot_means), [2.5, 97.5])
             out[name] = {"slope": slope, "ci": (float(lo), float(hi)),
                          "zero": False, "passed": bool(hi < 0.0)}
@@ -175,7 +173,7 @@ def filtration_ladder(spec, model, constraint, n_paths, seed, *,
     full revelation. Reports wealth distances to the revealed-limit
     numéraire plus drift and conditional-event diagnostics."""
     market_spec, theta, zeta, path_ss = signal_draws(spec, model, n_paths, seed)
-    market = market_steps(market_spec, path_ss)
+    market = market_steps(market_spec)
     if event_threshold is None:
         event_threshold = model.prior_mean
     v = model.direction
@@ -227,7 +225,7 @@ def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
     if np.any(eps_ladder <= 0.0) or np.any(np.diff(eps_ladder) >= 0.0):
         raise InvalidSpec("eps ladder must be positive and strictly decreasing")
 
-    market = market_steps(spec, seed)
+    market = market_steps(spec)
     xi = None if tilt.orthogonal_vol == 0.0 \
         else orthogonal_draws(seed, n_paths, spec.n_steps)
     frac_ref = numeraire_fractions(market, constraint)
@@ -292,7 +290,7 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
     """
     if len(sets) == 0:
         raise InvalidSpec("constraint ladder needs at least one set")
-    market = market_steps(spec, seed)
+    market = market_steps(spec)
     frac_inf = numeraire_fractions(market, limit_set)
     growth_inf = growth_path(market.cov, market.drift, limit_set, market.dG)
 
@@ -395,7 +393,7 @@ def density_sequence_check(z_paths):
              "per_path": per_path}
     for k, arr in per_path.items():
         table[k] = arr.mean(axis=1)
-        table["stderr"][k] = arr.std(axis=1) / np.sqrt(arr.shape[1])
+        table["stderr"][k] = path_stderr(arr)
     return table
 
 

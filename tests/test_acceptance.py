@@ -28,7 +28,7 @@ from growthlab.numeraire import (
     numeraire_paths, terminal_deflation, wealth_paths,
 )
 from growthlab.quadform import (
-    cov_inner, cov_norm, nullspace_split, optimal_fraction,
+    cov_inner, cov_norm, nullspace_split, optimal_fraction_batch,
 )
 from growthlab.sensitivity import (
     expansion_record, first_order_check, response_quotient,
@@ -91,8 +91,8 @@ def test_c01_drift_inequalities_on_random_instances():
             cset = draw_constraint(rng, d)
         a = rng.standard_normal(d) * 2.0
         a_prime = a + rng.standard_normal(d) * rng.uniform(0.1, 2.0)
-        f = optimal_fraction(c, a, cset)
-        f_prime = optimal_fraction(c, a_prime, cset)
+        f = optimal_fraction_batch(c, a, cset)
+        f_prime = optimal_fraction_batch(c, a_prime, cset)
         assert cov_norm(c, f_prime - f) <= cov_norm(c, a_prime - a) + 1e-6
         assert cov_norm(c, f) <= cov_norm(c, a) + 1e-6
     assert time.perf_counter() - start < 60.0
@@ -109,8 +109,8 @@ def test_c01_set_perturbation_bound_with_metric_truncation():
         m = cov_norm(c, a)
         r1 = float(rng.uniform(0.2, 1.2))
         r2 = r1 + float(rng.uniform(0.0, 0.8))
-        f1 = optimal_fraction(c, a, Ball(r1))
-        f2 = optimal_fraction(c, a, Ball(r2))
+        f1 = optimal_fraction_batch(c, a, Ball(r1))
+        f2 = optimal_fraction_batch(c, a, Ball(r2))
         lhs = cov_inner(c, f2 - f1, f2 - f1)
         dist_c = (r2 - r1) * np.sqrt(np.max(np.linalg.eigvalsh(c)))
         assert lhs <= 4.0 * m * dist_c + 1e-6
@@ -139,8 +139,8 @@ def test_c01_set_perturbation_bound_with_euclidean_truncation():
     # it; Ball and FullSpace contain 0.
     def sides(c, a, set_a, set_b):
         m = float(cov_norm(c, a))
-        fa = optimal_fraction(c, a, set_a)
-        fb = optimal_fraction(c, a, set_b)
+        fa = optimal_fraction_batch(c, a, set_a)
+        fb = optimal_fraction_batch(c, a, set_b)
         lhs = float(cov_inner(c, fb - fa, fb - fa))
         rhs = 4.0 * m * truncated_pair_distance(set_b, set_a, m, dim=len(a))
         in_ball = max(np.linalg.norm(fa), np.linalg.norm(fb)) <= m
@@ -194,7 +194,7 @@ def test_c02_solver_matches_dense_grid():
             cset = NonnegativeOrthant()
         else:
             cset = Ball(float(np.linalg.norm(a)) * 1.1 + 0.2)
-        f = optimal_fraction(c, a, cset)
+        f = optimal_fraction_batch(c, a, cset)
         g, cell = grid_argmax_fraction(c, a, cset)
         resolution = 5.0 * cell
         assert resolution <= 1e-3
@@ -212,7 +212,7 @@ def test_c03_fullspace_identity():
         c = random_psd(rng, d, rank=rank)
         basis = nullspace_split(c).range_basis
         a = basis @ (rng.standard_normal(basis.shape[1]) * 3.0)
-        f = optimal_fraction(c, a, FullSpace())
+        f = optimal_fraction_batch(c, a, FullSpace())
         assert np.max(np.abs(f - a)) <= 1e-9
 
 

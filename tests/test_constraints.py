@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import growthlab.constraints as constraints
+
 from growthlab.constraints import (
     Ball, Box, FullSpace, HalfspacePolytope, Intersection,
     NonnegativeOrthant, constraint_from_config, hausdorff_distance,
@@ -63,7 +65,8 @@ def test_identical_sets_have_zero_distance():
         == pytest.approx(0.0, abs=1e-12)
 
 
-def test_projection_is_idempotent_and_feasible():
+def test_projection_is_idempotent_and_feasible(monkeypatch):
+    monkeypatch.setattr(constraints, "CONTAINS_TOL", 1e-8)
     rng = np.random.default_rng(0)
     sets = [
         Ball(0.8),
@@ -76,7 +79,7 @@ def test_projection_is_idempotent_and_feasible():
         for _ in range(25):
             x = rng.standard_normal(3) * 2.0
             p = constraint.project(x)
-            assert constraint.contains(p, tol=1e-8)
+            assert constraint.contains(p)
             p2 = constraint.project(p)
             assert np.max(np.abs(p2 - p)) < 1e-8
 

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from growthlab.errors import InvalidSpec, UnsupportedSignalModel
+from growthlab.constraints import HalfspacePolytope
+from growthlab.errors import (
+    InfeasibleConstraint, InvalidSpec, UnsupportedSignalModel,
+)
 from growthlab.market import (
     GaussianSignalModel, MarketSpec, TiltSpec, density_paths,
-    event_probabilities, filtered_drift, girsanov_drift, simulate_paths,
-    simulate_signal_paths, tilt_decomposition, tilt_field,
+    event_probabilities, filtered_drift, girsanov_drift, orthogonal_draws,
+    simulate_paths, simulate_signal_paths, tilt_decomposition, tilt_field,
 )
-from growthlab.quadform import cov_inner
+from growthlab.quadform import check_psd_matrix, cov_inner
 
 from oracles import particle_posterior_mean
 
@@ -149,7 +152,7 @@ def test_orthogonal_factor_keeps_mean_one():
     spec = make_spec(n_steps=50)
     b = simulate_paths(spec, 60_000, 5)
     tilt = TiltSpec(lam1=np.array([0.4, -0.2]), orthogonal_vol=0.5)
-    rec = density_paths(b, tilt)
+    rec = density_paths(b, tilt, orthogonal_draws(5, b.n_paths, b.n_steps))
     term = rec.z[:, -1]
     assert abs(term.mean() - 1.0) < 4.0 * term.std() / np.sqrt(len(term))
     # orthogonal part is independent of the market draws
@@ -158,16 +161,24 @@ def test_orthogonal_factor_keeps_mean_one():
     assert abs(corr) < 0.05
 
 
-def test_decomposition_reconstructs_density():
+def test_decomposition_remainder_is_one_at_the_ends():
+    # With the orthogonal factor off, the mixture is the stochastic
+    # exponential of eps * lam^eps itself at eps = 1 and trivially at eps =
+    # 0, so the remainder is one there (measured: 0.0 off one at both ends);
+    # in between the mixture is not exponential (0.0217 off one at 0.5).
     spec = make_spec(n_steps=30)
     b = simulate_paths(spec, 500, 8)
     tilt = TiltSpec(lam1=np.array([0.5, -0.3]))
     rec = density_paths(b, tilt)
-    for eps in (1.0, 0.5, 0.125):
+    for eps in (1.0, 0.5, 0.125, 0.0):
         dec = tilt_decomposition(b, rec, eps)
-        assert dec.max_product_error() < 1e-10
         z_eps = (1.0 - eps) + eps * rec.z
         assert np.max(np.abs(dec.density - z_eps)) < 1e-12
+        off = np.max(np.abs(dec.remainder - 1.0))
+        if eps in (0.0, 1.0):
+            assert off <= 1e-12, eps
+        else:
+            assert off > 1e-3, eps
 
 
 def test_interpolated_tilt_matches_identity():
@@ -190,7 +201,8 @@ def test_tilt_field_is_the_decomposition_field():
     spec = make_spec(n_steps=25)
     b = simulate_paths(spec, 300, 13)
     rec = density_paths(b, TiltSpec(lam1=np.array([0.3, 0.2]),
-                                    orthogonal_vol=0.4))
+                                    orthogonal_vol=0.4),
+                        orthogonal_draws(13, b.n_paths, b.n_steps))
     for eps in (0.0, 0.025, 0.5, 1.0):
         field = tilt_field(rec, eps)
         assert np.array_equal(field, tilt_decomposition(b, rec, eps).lam_path)
@@ -219,6 +231,45 @@ def test_energy_cap_rejects_wild_tilts():
     with pytest.raises(InvalidSpec):
         density_paths(b, TiltSpec(lam1=np.array([50.0, 0.0]),
                                   energy_cap=10.0))
+
+
+@pytest.mark.parametrize("n_rows", [None, 99, 101])
+def test_orthogonal_factor_needs_the_bundles_rows(n_rows):
+    # without its xi rows a bundle has no orthogonal noise of its own
+    b = simulate_paths(make_spec(n_steps=10), 100, 3)
+    tilt = TiltSpec(lam1=np.array([0.4, -0.2]), orthogonal_vol=0.5)
+    xi = None if n_rows is None else orthogonal_draws(3, n_rows, b.n_steps)
+    with pytest.raises(InvalidSpec, match="xi rows"):
+        density_paths(b, tilt, xi)
+    density_paths(b, TiltSpec(lam1=np.array([0.4, -0.2])), xi)  # no factor
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: HalfspacePolytope([[NAN, 1.0]], [1.0]).validate(2)
+     .project(np.array([[3.0, 3.0]])), InfeasibleConstraint),
+    (lambda: HalfspacePolytope([[1.0, 1.0]], [NAN]).validate(2),
+     InfeasibleConstraint),
+    (lambda: check_psd_matrix([[NAN, 0.0], [0.0, 1.0]]), InvalidSpec),
+    (lambda: simulate_paths(MarketSpec(dim=2, n_steps=4,
+                                       drift=[NAN, 0.0]), 3, 1), InvalidSpec),
+    (lambda: MarketSpec(dim=2, n_steps=4, horizon=NAN), InvalidSpec),
+    (lambda: simulate_paths(MarketSpec(dim=2, n_steps=2,
+                                       clock=[NAN, 0.1]), 3, 1), InvalidSpec),
+    (lambda: TiltSpec(lam1=[NAN, 0.0]).field(4, 2), InvalidSpec),
+    (lambda: GaussianSignalModel(direction=np.array([1.0]), prior_std=NAN),
+     UnsupportedSignalModel),
+    (lambda: GaussianSignalModel(direction=np.array([1.0]),
+                                 noise_scales=[NAN, 0.1]),
+     UnsupportedSignalModel),
+], ids=["polytope-normal", "polytope-offset", "covariance", "market-drift",
+        "market-horizon", "market-clock", "tilt-field", "signal-prior-std",
+        "signal-noise-scale"])
+def test_nan_inputs_raise(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_signal_noise_scales_must_decrease():

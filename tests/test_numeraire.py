@@ -10,7 +10,7 @@ from growthlab.numeraire import (
     WealthPaths, growth_path, growth_rate, numeraire_fractions,
     numeraire_paths, terminal_deflation, wealth_paths, wealth_process_gap,
 )
-from growthlab.quadform import cov_inner, cov_norm, optimal_fraction
+from growthlab.quadform import cov_inner, cov_norm, optimal_fraction_batch
 
 COV = np.array([[0.5, 0.1], [0.1, 0.4]])
 DRIFT = np.array([0.8, 0.5])
@@ -25,7 +25,7 @@ def make_bundle(n_paths=200, seed=0, n_steps=30, **kwargs):
 def test_one_dimensional_box_closed_form():
     c = np.array([[1.0]])
     mu = 0.9
-    f = optimal_fraction(c, np.array([mu]), Box([0.0], [mu / 2.0]))
+    f = optimal_fraction_batch(c, np.array([mu]), Box([0.0], [mu / 2.0]))
     assert f[0] == pytest.approx(mu / 2.0, abs=1e-10)
     g = growth_rate(c, np.array([mu]), f)
     assert g == pytest.approx(3.0 * mu * mu / 8.0, abs=1e-10)
@@ -152,7 +152,7 @@ def test_per_path_drifts_give_per_path_fractions():
     assert fractions.shape == (6, 8, 2)
     for p in range(6):
         for k in range(8):
-            ref = optimal_fraction(b.cov[k], drifts[p, k], Ball(0.9))
+            ref = optimal_fraction_batch(b.cov[k], drifts[p, k], Ball(0.9))
             assert np.max(np.abs(fractions[p, k] - ref)) < 1e-8
 
 

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import growthlab.quadform as quadform
+
 from growthlab.constraints import Ball, Box, FullSpace, NonnegativeOrthant
 from growthlab.errors import (
     DimensionMismatch, InfeasibleConstraint, InvalidSpec, NonConvergence,
 )
 from growthlab.quadform import (
-    cov_inner, cov_norm, nullspace_split, optimal_fraction,
-    optimal_fraction_batch, step_runs,
+    cov_inner, cov_norm, nullspace_split, optimal_fraction_batch, step_runs,
 )
 
 from oracles import ball_kkt_fraction, grid_argmax_fraction, quadratic_growth
@@ -61,13 +62,13 @@ def test_fullspace_returns_drift_exactly():
         d = rng.integers(1, 6)
         c = random_psd(rng, d, min_eig=0.1)
         a = rng.standard_normal(d)
-        f = optimal_fraction(c, a, FullSpace())
+        f = optimal_fraction_batch(c, a, FullSpace())
         assert np.max(np.abs(f - a)) < 1e-9
 
 
 def test_zero_covariance_gives_zero_fraction():
     a = np.array([3.0, -2.0])
-    f = optimal_fraction(np.zeros((2, 2)), a, FullSpace())
+    f = optimal_fraction_batch(np.zeros((2, 2)), a, FullSpace())
     assert np.array_equal(f, np.zeros(2))
 
 
@@ -78,7 +79,7 @@ def test_ball_solution_matches_kkt_oracle():
         c = random_psd(rng, d, min_eig=0.05)
         a = rng.standard_normal(d) * 3.0
         r = float(rng.uniform(0.3, 2.0))
-        f = optimal_fraction(c, a, Ball(r))
+        f = optimal_fraction_batch(c, a, Ball(r))
         ref = ball_kkt_fraction(c, a, r)
         assert np.max(np.abs(f - ref)) < 1e-6
 
@@ -95,7 +96,7 @@ def test_grid_oracle_agreement_on_flat_boundaries():
         lo = -rng.uniform(0.1, 1.0, d)
         hi = rng.uniform(0.1, 1.0, d)
         constraint = Box(lo, hi)
-        f = optimal_fraction(c, a, constraint)
+        f = optimal_fraction_batch(c, a, constraint)
         ref, _ = grid_argmax_fraction(c, a, constraint, n_stages=6)
         assert np.max(np.abs(f - ref)) <= 2e-3
 
@@ -107,7 +108,7 @@ def test_grid_oracle_never_beats_solver_on_balls():
         c = random_psd(rng, d, min_eig=0.15)
         a = rng.standard_normal(d) * 2.0
         constraint = Ball(float(rng.uniform(0.5, 1.5)))
-        f = optimal_fraction(c, a, constraint)
+        f = optimal_fraction_batch(c, a, constraint)
         ref, _ = grid_argmax_fraction(c, a, constraint, n_stages=6)
         assert quadratic_growth(c, a, f[None, :])[0] >= \
             quadratic_growth(c, a, ref[None, :])[0] - 1e-9
@@ -118,8 +119,8 @@ def test_box_solution_beats_any_grid_point():
     c = random_psd(rng, 2, min_eig=0.2)
     a = np.array([2.0, -1.5])
     box = Box([-0.5, -1.0], [1.0, 0.25])
-    f = optimal_fraction(c, a, box)
-    assert box.contains(f, tol=1e-9)
+    f = optimal_fraction_batch(c, a, box)
+    assert box.contains(f)
     ref, _ = grid_argmax_fraction(c, a, box)
     assert quadratic_growth(c, a, f[None, :])[0] >= \
         quadratic_growth(c, a, ref[None, :])[0] - 1e-9
@@ -136,8 +137,8 @@ def test_nullspace_component_of_drift_is_ignored():
             continue
         a = rng.standard_normal(3)
         null_vec = split.null_basis[:, 0]
-        f1 = optimal_fraction(c, a, Ball(1.0))
-        f2 = optimal_fraction(c, a + 2.5 * null_vec, Ball(1.0))
+        f1 = optimal_fraction_batch(c, a, Ball(1.0))
+        f2 = optimal_fraction_batch(c, a + 2.5 * null_vec, Ball(1.0))
         assert np.max(np.abs(f1 - f2)) < 1e-6
         assert abs(null_vec @ f1) < 1e-8
 
@@ -146,7 +147,7 @@ def test_nullspace_outside_constraint_raises():
     c = np.diag([1.0, 0.0])
     a = np.array([1.0, 0.0])
     with pytest.raises(InfeasibleConstraint):
-        optimal_fraction(c, a, Box([-0.5, -0.5], [0.5, 0.5]))
+        optimal_fraction_batch(c, a, Box([-0.5, -0.5], [0.5, 0.5]))
 
 
 def test_batch_matches_single():
@@ -164,7 +165,7 @@ def test_batch_matches_single():
                                  for half in (drifts[:77], drifts[77:])])
         assert np.array_equal(batch, halves)
         for k in range(len(drifts)):
-            single = optimal_fraction(c, drifts[k], constraint)
+            single = optimal_fraction_batch(c, drifts[k], constraint)
             assert np.array_equal(batch[k], single)
 
 
@@ -188,17 +189,18 @@ def test_projection_returning_its_input_leaves_drifts_alone():
     assert np.array_equal(drifts, kept)
 
 
-def test_interior_rows_are_exact_and_boundary_rows_match_oracle():
+def test_interior_rows_are_exact_and_boundary_rows_match_oracle(monkeypatch):
     # Ball rows are solved exactly (Newton on the KKT multiplier), so the
     # residual tolerance, which steers only FISTA, does not enter; every
     # boundary row lies within 1e-8 of the bisection oracle.
+    monkeypatch.setattr(quadform, "SOLVER_RESIDUAL_TOL", 1e-10)
     rng = np.random.default_rng(8)
     radius = 1.0
     for _ in range(10):
         d = int(rng.integers(2, 5))
         c = random_psd(rng, d, min_eig=0.2)
         drifts = rng.standard_normal((300, d)) * 0.8
-        f = optimal_fraction_batch(c, drifts, Ball(radius), residual_tol=1e-10)
+        f = optimal_fraction_batch(c, drifts, Ball(radius))
         interior = np.linalg.norm(drifts, axis=1) <= radius
         assert 0 < np.sum(interior) < len(drifts)
         assert np.array_equal(f[interior], drifts[interior])
@@ -214,15 +216,15 @@ def test_non_finite_drift_rejected(constraint):
     with pytest.raises(InvalidSpec):
         optimal_fraction_batch(c, drifts, constraint)
     with pytest.raises(InvalidSpec):
-        optimal_fraction(c, np.array([np.inf, 0.0]), constraint)
+        optimal_fraction_batch(c, np.array([np.inf, 0.0]), constraint)
 
 
-def test_nonconvergence_raises():
+def test_nonconvergence_raises(monkeypatch):
     rng = np.random.default_rng(6)
     c = random_psd(rng, 3, min_eig=0.1)
+    monkeypatch.setattr(quadform, "SOLVER_MAX_ITER", 2)
     with pytest.raises(NonConvergence):
-        optimal_fraction(c, np.array([5.0, -3.0, 2.0]), Ball(1.0),
-                         max_iter=2)
+        optimal_fraction_batch(c, np.array([5.0, -3.0, 2.0]), Ball(1.0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -235,8 +237,8 @@ def test_drift_perturbation_is_nonexpansive(seed, d):
     a2 = a + rng.standard_normal(d) * rng.uniform(0.0, 1.0)
     constraint = [Ball(1.0), Box(-np.ones(d) * 0.5, np.ones(d)),
                   NonnegativeOrthant(), FullSpace()][seed % 4]
-    f = optimal_fraction(c, a, constraint)
-    f2 = optimal_fraction(c, a2, constraint)
+    f = optimal_fraction_batch(c, a, constraint)
+    f2 = optimal_fraction_batch(c, a2, constraint)
     lhs = cov_norm(c, f2 - f)
     rhs = cov_norm(c, a2 - a)
     assert lhs <= rhs + 1e-6
@@ -253,7 +255,7 @@ def test_fraction_norm_bounded_by_drift_norm(seed, d):
     # only the full space can contain a nontrivial nullspace
     rank = max(1, d - seed % 2) if seed % 4 == 3 else None
     c = random_psd(rng, d, min_eig=0.05 if rank is None else 0.0, rank=rank)
-    f = optimal_fraction(c, a, constraint)
+    f = optimal_fraction_batch(c, a, constraint)
     assert cov_norm(c, f) <= cov_norm(c, a) + 1e-6
 
 
@@ -270,8 +272,8 @@ def test_set_perturbation_bound_with_metric_truncation():
         m = cov_norm(c, a)
         r1 = float(rng.uniform(0.2, 1.2))
         r2 = r1 + float(rng.uniform(0.0, 0.5))
-        f1 = optimal_fraction(c, a, Ball(r1))
-        f2 = optimal_fraction(c, a, Ball(r2))
+        f1 = optimal_fraction_batch(c, a, Ball(r1))
+        f2 = optimal_fraction_batch(c, a, Ball(r2))
         lhs = cov_inner(c, f2 - f1, f2 - f1)
         # Hausdorff distance between Euclidean balls truncated in the
         # c-ball: the truncation only rescales directions, so the gap is
@@ -321,8 +323,8 @@ def test_set_perturbation_probe_bound_covers_unbounded_pairs():
     c = np.eye(2) / 2.0
     a = np.array([2.0, 0.0])
     m = cov_norm(c, a)
-    f1 = optimal_fraction(c, a, FullSpace())
-    f2 = optimal_fraction(c, a, Ball(1.7))
+    f1 = optimal_fraction_batch(c, a, FullSpace())
+    f2 = optimal_fraction_batch(c, a, Ball(1.7))
     check(c, a, f1, f2, _c_project_ball_cap_cball(c, f1, 1.7, m),
           _c_project_cball(c, f2, m))
 
@@ -333,13 +335,13 @@ def test_set_perturbation_probe_bound_covers_unbounded_pairs():
         a = rng.standard_normal(d) * rng.uniform(0.5, 3.0)
         m = cov_norm(c, a)
         r = float(rng.uniform(0.2, 2.0))
-        f2 = optimal_fraction(c, a, Ball(r))
+        f2 = optimal_fraction_batch(c, a, Ball(r))
         if i % 2:
-            f1 = optimal_fraction(c, a, FullSpace())
+            f1 = optimal_fraction_batch(c, a, FullSpace())
             p2 = _c_project_cball(c, f2, m)
         else:
             r1 = r + float(rng.uniform(0.0, 1.0))
-            f1 = optimal_fraction(c, a, Ball(r1))
+            f1 = optimal_fraction_batch(c, a, Ball(r1))
             p2 = _c_project_ball_cap_cball(c, f2, r1, m)
         p1 = _c_project_ball_cap_cball(c, f1, r, m)
         check(c, a, f1, f2, p1, p2)
@@ -373,12 +375,13 @@ def test_ball_rows_satisfy_kkt():
                 assert np.max(np.abs(fk - ref)) <= 1e-10
 
 
-def test_fista_nonconvergence_raises():
+def test_fista_nonconvergence_raises(monkeypatch):
     # The optimum lies inside a face of the box, not at a vertex, so two
     # projected-gradient steps cannot reach the residual tolerance.
     rng = np.random.default_rng(6)
     c = random_psd(rng, 3, min_eig=0.1)
     assert np.ptp(np.linalg.eigvalsh(c)) > 0.1
+    monkeypatch.setattr(quadform, "SOLVER_MAX_ITER", 2)
     with pytest.raises(NonConvergence):
-        optimal_fraction(c, np.array([0.9, 0.1, -0.2]),
-                         Box([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5]), max_iter=2)
+        optimal_fraction_batch(c, np.array([0.9, 0.1, -0.2]),
+                               Box([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5]))

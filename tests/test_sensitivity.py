@@ -5,7 +5,7 @@ from growthlab.constraints import FullSpace
 from growthlab.errors import DimensionMismatch, InvalidSpec
 from growthlab.market import (
     PATH_BLOCK, MarketSpec, TiltSpec, density_paths, girsanov_drift,
-    simulate_paths, tilt_decomposition,
+    orthogonal_draws, simulate_paths, tilt_decomposition,
 )
 from growthlab.numeraire import numeraire_fractions, wealth_paths
 from growthlab.quadform import cov_inner
@@ -89,7 +89,8 @@ def test_orthogonal_noise_does_not_change_the_quotient():
     b = make_bundle(n_paths=100)
     lam = np.array([0.4, -0.2])
     rec_flat = density_paths(b, TiltSpec(lam1=lam))
-    rec_orth = density_paths(b, TiltSpec(lam1=lam, orthogonal_vol=0.5))
+    rec_orth = density_paths(b, TiltSpec(lam1=lam, orthogonal_vol=0.5),
+                             orthogonal_draws(5, b.n_paths, b.n_steps))
     assert not np.allclose(rec_flat.z, rec_orth.z)
     q_flat = response_quotient(b, rec_flat, 0.2)
     q_orth = response_quotient(b, rec_orth, 0.2)
@@ -208,8 +209,9 @@ def test_streamed_sensitivity_matches_whole_bundle(n_paths, orthogonal_vol):
     spec = MarketSpec(dim=2, n_steps=30, covariance=COV, drift=DRIFT)
     tilt = TiltSpec(lam1=np.array([0.5, -0.3]), orthogonal_vol=orthogonal_vol)
     bundle = simulate_paths(spec, n_paths, 11)
+    xi = orthogonal_draws(11, n_paths, spec.n_steps)
     identity, first, second = expansion_ladder(
-        bundle, density_paths(bundle, tilt), EPS)
+        bundle, density_paths(bundle, tilt, xi), EPS)
     for threads in (1, 2, 8):
         got = streamed_expansion_ladder(spec, tilt, EPS, n_paths, 11,
                                         threads=threads)

@@ -11,8 +11,8 @@ from growthlab.constraints import Ball, Box, FullSpace
 from growthlab.errors import DensityFloorHit, InvalidSpec
 from growthlab.market import (
     PATH_BLOCK, GaussianSignalModel, MarketSpec, TiltSpec, density_paths,
-    event_probabilities, filtered_drift, market_steps, simulate_paths,
-    simulate_signal_paths, stream_paths, tilt_field,
+    event_probabilities, filtered_drift, market_steps, orthogonal_draws,
+    simulate_paths, simulate_signal_paths, stream_paths, tilt_field,
 )
 from growthlab.numeraire import numeraire_paths, wealth_process_gap
 from growthlab.quadform import cov_inner
@@ -39,7 +39,7 @@ def test_constant_constraint_ladder_is_identically_zero():
     report = constraint_ladder(spec, sets, Ball(1.0), 64, 5)
     for name, arr in report.per_path.items():
         assert np.max(np.abs(arr)) == 0.0, name
-    slopes = report.slopes(n_boot=50)
+    slopes = report.slopes()
     assert all(res["passed"] for res in slopes.values())
     assert all(res["zero"] for res in slopes.values())
 
@@ -50,7 +50,7 @@ def test_filtration_ladder_metrics_decay():
                                 noise_scales=np.array([0.5, 0.25, 0.125,
                                                        0.0625]))
     report = filtration_ladder(spec, model, Ball(2.0), 512, 11)
-    slopes = report.slopes(n_boot=200)
+    slopes = report.slopes()
     for name in ("fv", "qv", "sup_rel_inf", "sup_rel_n", "drift_gap",
                  "event_gap"):
         assert slopes[name]["passed"], (name, slopes[name])
@@ -76,7 +76,7 @@ def test_probability_ladder_proof_plan_split():
     assert np.max(np.abs(report.per_path["main1_fv"])) == 0.0
     assert np.max(np.abs(report.per_path["main1_qv"])) == 0.0
     assert np.max(report.per_path["main2_fv"]) > 0.0
-    slopes = report.slopes(n_boot=200)
+    slopes = report.slopes()
     for name, res in slopes.items():
         assert res["passed"], (name, res)
 
@@ -101,7 +101,8 @@ def test_probability_ladder_density_columns_match_sequence_check(
     eps = np.array([0.5, 0.25, 0.125])
     report = probability_ladder(spec, tilt, Ball(2.0), 128, 13,
                                 eps_ladder=eps)
-    record = density_paths(simulate_paths(spec, 128, 13), tilt)
+    record = density_paths(simulate_paths(spec, 128, 13), tilt,
+                           orthogonal_draws(13, 128, spec.n_steps))
     table = density_sequence_check([(1.0 - e) + e * record.z for e in eps])
     for name in ("z_l1", "z_sup", "zz_qv", "rr_qv"):
         assert np.array_equal(report.per_path[name],
@@ -201,12 +202,12 @@ def test_slope_fit_flags_increasing_columns():
                   * np.ones((4, 100)),
                   "down": np.linspace(2.0, 1.0, 4)[:, None]
                   * np.ones((4, 100))})
-    slopes = report.slopes(n_boot=50)
+    slopes = report.slopes()
     assert not slopes["up"]["passed"]
     assert slopes["down"]["passed"]
 
 
-def test_bootstrap_matches_per_draw_resampling():
+def test_bootstrap_matches_per_draw_resampling(monkeypatch):
     # The count-matrix bootstrap draws the same resamples, in the same
     # order, as one rng.integers call per draw, and its closed-form slope
     # agrees with a degree-one polyfit.
@@ -219,7 +220,9 @@ def test_bootstrap_matches_per_draw_resampling():
     }
     report = LadderReport(family="synthetic", indices=np.arange(1, 6),
                           scales=scales, per_path=per_path)
-    slopes = report.slopes(n_boot=60, seed=11)
+    monkeypatch.setattr(stability, "BOOTSTRAP_DRAWS", 60)
+    monkeypatch.setattr(stability, "BOOTSTRAP_SEED", 11)
+    slopes = report.slopes()
     x = -np.log(scales)
     draws = np.random.default_rng(11)
     for name in ("a", "b"):
@@ -247,12 +250,15 @@ def test_bootstrap_does_not_depend_on_chunk_size(monkeypatch):
                   "zero": np.zeros((6, 1501)),
                   "b": rng.exponential(1.0, (6, 1501)) * scales[:, None] ** 2},
         deterministic={"d": scales ** 0.5})
-    reference = report.slopes()
-    short = report.slopes(n_boot=37)
+    def slopes(n_boot):
+        monkeypatch.setattr(stability, "BOOTSTRAP_DRAWS", n_boot)
+        return report.slopes()
+
+    reference, short = slopes(400), slopes(37)
     for chunk in (1, 7 * 1501, 400 * 1501):  # 1, 7 and 400 resamples
         monkeypatch.setattr(stability, "BOOTSTRAP_CHUNK", chunk)
-        assert report.slopes() == reference
-        assert report.slopes(n_boot=37) == short
+        assert slopes(400) == reference
+        assert slopes(37) == short
 
 
 @pytest.mark.parametrize("ladder", ["probability", "sensitivity"])
@@ -323,7 +329,7 @@ def test_block_paths_do_not_depend_on_later_blocks():
 
 def test_stream_paths_stripes_blocks_over_workers():
     spec = make_spec(n_steps=2)
-    market = market_steps(spec, 9)
+    market = market_steps(spec)
     caller = threading.get_ident()
 
     def job(block, lo, hi):
@@ -387,7 +393,7 @@ def test_probability_ladder_with_orthogonal_factor_matches_whole_bundle():
     eps_ladder = 2.0 ** -np.arange(1, 9)
     report = probability_ladder(spec, tilt, Ball(2.0), 4096, 23, threads=2)
     bundle = simulate_paths(spec, 4096, 23)
-    record = density_paths(bundle, tilt)
+    record = density_paths(bundle, tilt, orthogonal_draws(23, 4096, 100))
     assert report.meta["floor_hits"] == record.floor_hits
     w_ref = numeraire_paths(bundle, Ball(2.0))
     table = density_sequence_check(
