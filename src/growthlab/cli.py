@@ -71,6 +71,8 @@ def _load_config(path):
 
 
 def _require_keys(cfg, required, optional, where):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a mapping, got {cfg!r}")
     unknown = sorted(set(cfg) - set(required) - set(optional))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
@@ -81,9 +83,11 @@ def _require_keys(cfg, required, optional, where):
 
 def _int(value, name):
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _ints(value, name):
@@ -116,6 +120,14 @@ def _float(value, name):
     if arr.ndim != 0:
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(arr)
+
+
+def _ladder(value, name):
+    """A list of at least two finite numbers, the fewest a slope needs."""
+    arr = _floats(value, name)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ConfigError(f"{name} must list at least two numbers, got {value!r}")
+    return arr
 
 
 def _optional(cfg, key, name, convert=_floats):
@@ -227,8 +239,8 @@ def _write(out_dir, manifest, name, writer, *args):
 def _write_ladder(out_dir, manifest, csv_name, report, payload):
     """Ladder table, one decay check per metric, and a summary of payload
     plus the slopes."""
+    slopes = report.slopes()  # first: a ladder it rejects writes nothing
     _write(out_dir, manifest, csv_name, write_ladder_csv, report)
-    slopes = report.slopes()
     for name, res in slopes.items():
         manifest.record_check(f"decay:{name}", res["passed"])
     _write(out_dir, manifest, "summary.json", write_json,
@@ -303,11 +315,13 @@ def cmd_stability(cfg, args, out_dir, manifest):
         constraint = _constraint(cfg.get("constraint"))
         report = probability_ladder(
             spec, tilt, constraint, paths, seed, threads=threads,
-            eps_ladder=_optional(cfg, "eps_ladder", "eps_ladder"))
+            eps_ladder=_optional(cfg, "eps_ladder", "eps_ladder", _ladder))
     else:
         _require_keys(cfg, ("kind", "market", "sets", "limit_set"),
                       ("bound_slack",) + SHARED_KEYS[1:], "config")
         spec = _market_spec(cfg["market"])
+        if not isinstance(cfg["sets"], list):
+            raise ConfigError(f"sets must be a list, got {cfg['sets']!r}")
         sets = [_constraint(c, default_fullspace=False) for c in cfg["sets"]]
         limit = _constraint(cfg["limit_set"], default_fullspace=False)
         report = constraint_ladder(
@@ -331,7 +345,7 @@ def cmd_sensitivity(cfg, args, out_dir, manifest):
     seed, paths, threads = _runtime(cfg, args)
     spec = _market_spec(cfg["market"])
     tilt = _tilt_spec(cfg["tilt"])
-    eps_ladder = _floats(cfg.get("eps_ladder", [0.2, 0.1, 0.05, 0.025]),
+    eps_ladder = _ladder(cfg.get("eps_ladder", [0.2, 0.1, 0.05, 0.025]),
                          "eps_ladder")
     if np.any(eps_ladder <= 0.0) or np.any(eps_ladder > 1.0):
         raise ConfigError("eps_ladder entries must lie in (0, 1]")
@@ -375,8 +389,10 @@ def cmd_counterexample(cfg, args, out_dir, manifest):
                    "theta_tol") + SHARED_KEYS[1:], "config")
     p = _float(cfg["p"], "p")
     levels = _ints(cfg.get("levels", list(range(1, 9))), "levels")
-    kwargs = {key: cfg[key] for key in ("quad_nodes", "quad_range",
-                                        "signal_mean") if key in cfg}
+    theta_tol = _float(cfg.get("theta_tol", 1e-3), "theta_tol")
+    kwargs = {key: convert(cfg[key], key) for key, convert in (
+        ("quad_nodes", _int), ("quad_range", _float), ("signal_mean", _float))
+        if key in cfg}
     report = discontinuity_report(p, levels, **kwargs)
     limit = one_period_optimal(OnePeriodMarket(p=p, level=None))
     rows = [{"level": n, "theta_star": t, "gap": g}
@@ -384,7 +400,6 @@ def cmd_counterexample(cfg, args, out_dir, manifest):
                                report["gap"])]
     _write(out_dir, manifest, "gaps.csv", write_csv,
            ["level", "theta_star", "gap"], rows)
-    theta_tol = _float(cfg.get("theta_tol", 1e-3), "theta_tol")
     theta_max = max(abs(t) for t in report["theta_star"])
     manifest.record_check("theta_near_zero", theta_max <= theta_tol)
     _write(out_dir, manifest, "summary.json", write_json, {
@@ -451,13 +466,13 @@ def cmd_density_check(cfg, args, out_dir, manifest):
     if family == "lognormal":
         if "vols" not in cfg:
             raise ConfigError("lognormal family needs vols")
-        vols = _floats(cfg["vols"], "vols")
+        vols = _ladder(cfg["vols"], "vols")
         z_list = lognormal_density_ladder(vols, paths, n_steps, horizon, seed)
         scales = vols
     elif family == "excursion":
         if "sizes" not in cfg:
             raise ConfigError("excursion family needs sizes")
-        sizes = _floats(cfg["sizes"], "sizes")
+        sizes = _ladder(cfg["sizes"], "sizes")
         kappa = _float(cfg.get("kappa", 1.0), "kappa")
         z_list = excursion_density_ladder(sizes, kappa, paths, n_steps,
                                           horizon, seed)

@@ -1,11 +1,16 @@
 """Closed convex constraint sets with exact projections and support functions.
 
 Every set contains the origin (validated), which keeps the zero portfolio
-feasible. Projections are Euclidean and exact per variant; intersections are
-handled with Dykstra's alternating scheme. Hausdorff distances between
-truncated sets are evaluated through support functions on a deterministic
-direction net; the reported value is a lower bound that converges to the true
-distance as the net refines. Closed forms replace the net wherever they exist.
+feasible, and every set is a polyhedron cut by a ball about the origin:
+halfspaces(dim) describes it as {x : N x <= b, |x| <= r}. Membership and the
+support function of the set truncated at a radius come from that one
+description. The support is exact: the best feasible point of a finite KKT
+enumeration over face sets. Projections are Euclidean and exact per variant;
+polytopes and intersections use Dykstra's alternating scheme. The Hausdorff
+distance between truncated sets is the largest support gap over a
+deterministic direction net; with exact supports that is a lower bound of the
+true distance, converging to it as the net refines. Closed forms replace the
+net wherever they exist.
 """
 
 import itertools
@@ -17,8 +22,6 @@ from .errors import DimensionMismatch, InfeasibleConstraint, NonConvergence
 
 _NET_SEED = 20260817
 _net_cache = {}
-SUPPORT_ASCENT_STEPS = 300
-VERTEX_TOL = 1e-9
 NET_DIRECTIONS = 4096  # direction net behind every numeric set distance
 CONTAINS_TOL = 1e-9  # slack of every membership test
 
@@ -79,11 +82,19 @@ class ConstraintSet:
     """Closed convex subset of R^d containing the origin."""
 
     def validate(self, dim):
+        """Check the set against R^dim and return it."""
+        return self
+
+    def halfspaces(self, dim):
+        """(N, b, r) with the set equal to {x in R^dim : N x <= b, |x| <= r}."""
         raise NotImplementedError
 
     def contains(self, x):
         """Membership of x's rows, up to CONTAINS_TOL."""
-        raise NotImplementedError
+        x = np.asarray(x, dtype=float)
+        normals, offsets, r = self.halfspaces(x.shape[-1])
+        return (np.linalg.norm(x, axis=-1) <= r + CONTAINS_TOL) \
+            & _meets_rows(x, normals, offsets, CONTAINS_TOL)
 
     def project(self, x):
         """Exact Euclidean projection, vectorized over leading axes. It
@@ -91,8 +102,40 @@ class ConstraintSet:
         raise NotImplementedError
 
     def support_truncated(self, dirs, radius):
-        """Support function of (set ∩ ball(radius)) on unit directions."""
-        return _support_truncated_numeric(self, radius, dirs)
+        """Support function of (set ∩ ball(radius)) on unit directions, never
+        below 0. By KKT the maximizer of <u, x> is, for some set S of at most
+        dim independent rows whose foot c_S (min-norm point of N_S x = b_S)
+        lies in the ball, c_S or the sphere point c_S + sqrt(r^2 - |c_S|^2)
+        P_S u / |P_S u| (P_S projects onto null(N_S)). Every such point that
+        is feasible is a candidate: exact, and never above the support."""
+        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+        dim = dirs.shape[1]
+        normals, offsets, r = self.halfspaces(dim)
+        r = min(r, float(radius))
+        tol = CONTAINS_TOL * max(1.0, r)
+        # S empty: the sphere point r u, worth r
+        best = np.where(_meets_rows(r * dirs, normals, offsets, tol), r, 0.0)
+        for k in range(1, min(len(offsets), dim) + 1):
+            for rows in itertools.combinations(range(len(offsets)), k):
+                a = normals[list(rows)]
+                if np.linalg.matrix_rank(a) < k:
+                    continue
+                gram = a @ a.T
+                foot = a.T @ np.linalg.solve(gram, offsets[list(rows)])
+                slack = r * r - foot @ foot
+                if slack < 0.0:
+                    continue
+                if _meets_rows(foot, normals, offsets, tol):
+                    best = np.maximum(best, np.sum(foot * dirs, axis=1))
+                if k < dim:
+                    along = dirs - (dirs @ a.T) @ np.linalg.solve(gram, a)
+                    norms = np.linalg.norm(along, axis=1, keepdims=True)
+                    pts = foot + np.sqrt(slack) * along / np.maximum(norms, 1e-300)
+                    # a rounding-sized P_S u points anywhere: check the ball too
+                    ok = _meets_rows(pts, normals, offsets, tol) \
+                        & (np.linalg.norm(pts, axis=1) <= r + tol)
+                    best = np.where(ok, np.maximum(best, np.sum(pts * dirs, axis=1)), best)
+        return best
 
     def to_config(self):
         raise NotImplementedError
@@ -108,18 +151,11 @@ class ConstraintSet:
 
 
 class FullSpace(ConstraintSet):
-    def validate(self, dim):
-        return self
-
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1], dtype=bool)
+    def halfspaces(self, dim):
+        return np.zeros((0, dim)), np.zeros(0), np.inf
 
     def project(self, x):
         return np.asarray(x, dtype=float).copy()
-
-    def support_truncated(self, dirs, radius):
-        return np.full(len(dirs), float(radius))
 
     def to_config(self):
         return {"type": "full_space"}
@@ -133,12 +169,8 @@ class Ball(ConstraintSet):
         if not np.isfinite(self.radius) or self.radius <= 0.0:
             raise InfeasibleConstraint(f"ball radius must be positive, got {self.radius}")
 
-    def validate(self, dim):
-        return self  # the radius is checked when the ball is built
-
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x, axis=-1) <= self.radius + CONTAINS_TOL
+    def halfspaces(self, dim):
+        return np.zeros((0, dim)), np.zeros(0), self.radius
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
@@ -152,9 +184,6 @@ class Ball(ConstraintSet):
         out = rows.copy()
         out[hit] = rows[hit] * (self.radius / norms[hit])[:, None]
         return out.reshape(x.shape)
-
-    def support_truncated(self, dirs, radius):
-        return np.full(len(dirs), min(self.radius, float(radius)))
 
     def to_config(self):
         return {"type": "ball", "radius": self.radius}
@@ -180,10 +209,9 @@ class Box(ConstraintSet):
             raise InfeasibleConstraint("box has lower > upper")
         return self
 
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.all((x >= self.lower - CONTAINS_TOL)
-                      & (x <= self.upper + CONTAINS_TOL), axis=-1)
+    def halfspaces(self, dim):
+        eye = np.eye(self.lower.size)
+        return np.vstack([eye, -eye]), np.concatenate([self.upper, -self.lower]), np.inf
 
     def project(self, x):
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
@@ -195,31 +223,16 @@ class Box(ConstraintSet):
         cols = [(lo, hi) for lo, hi in zip(self.lower, self.upper)]
         return np.array(list(itertools.product(*cols)))
 
-    def support_truncated(self, dirs, radius):
-        if self.corner_radius() <= float(radius) + 1e-12:
-            # Truncation inactive: the box support is separable and exact.
-            d = np.asarray(dirs, dtype=float)
-            return np.sum(np.maximum(d * self.lower, d * self.upper), axis=-1)
-        return _support_truncated_numeric(self, radius, dirs)
-
     def to_config(self):
         return {"type": "box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
 
 
 class NonnegativeOrthant(ConstraintSet):
-    def validate(self, dim):
-        return self
-
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.all(x >= -CONTAINS_TOL, axis=-1)
+    def halfspaces(self, dim):
+        return -np.eye(dim), np.zeros(dim), np.inf
 
     def project(self, x):
         return np.maximum(np.asarray(x, dtype=float), 0.0)
-
-    def support_truncated(self, dirs, radius):
-        pos = np.maximum(np.asarray(dirs, dtype=float), 0.0)
-        return float(radius) * np.linalg.norm(pos, axis=-1)
 
     def to_config(self):
         return {"type": "nonnegative_orthant"}
@@ -248,10 +261,8 @@ class HalfspacePolytope(ConstraintSet):
             raise InfeasibleConstraint("polytope must contain the origin: offsets >= 0")
         return self
 
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        slack = np.einsum("...d,hd->...h", x, self.normals) - self.offsets
-        return np.all(slack <= CONTAINS_TOL, axis=-1)
+    def halfspaces(self, dim):
+        return self.normals, self.offsets, np.inf
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
@@ -266,9 +277,6 @@ class HalfspacePolytope(ConstraintSet):
             ]
             out = dykstra_project(flat, projectors)
         return out.reshape(shape)
-
-    def vertices(self):
-        return polytope_vertices(self.normals, self.offsets)
 
     def to_config(self):
         return {
@@ -289,11 +297,10 @@ class Intersection(ConstraintSet):
             m.validate(dim)
         return self
 
-    def contains(self, x):
-        out = self.members[0].contains(x)
-        for m in self.members[1:]:
-            out = out & m.contains(x)
-        return out
+    def halfspaces(self, dim):
+        parts = [m.halfspaces(dim) for m in self.members]
+        return (np.vstack([p[0] for p in parts]),
+                np.concatenate([p[1] for p in parts]), min(p[2] for p in parts))
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
@@ -307,31 +314,15 @@ class Intersection(ConstraintSet):
         return {"type": "intersection", "members": [m.to_config() for m in self.members]}
 
 
+def _meets_rows(x, normals, offsets, tol):
+    """N x <= b + tol for each row of x."""
+    return np.all(x @ normals.T <= offsets + tol, axis=-1)
+
+
 def _halfspace_project(x, normal, offset):
     nn = float(normal @ normal)
     excess = x @ normal - offset
     return x - np.outer(np.maximum(excess, 0.0) / nn, normal)
-
-
-def _support_truncated_numeric(cset, radius, dirs):
-    """Support of (cset ∩ ball(radius)) by accelerated projected ascent on the
-    linear objective <u, x>, run on all directions at once. Feasible iterates
-    make the result a valid lower bound."""
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    ball = Ball(radius)
-
-    def proj(y):
-        return dykstra_project(y, [cset.project, ball.project], tol=1e-12, max_iter=200)
-
-    step = float(radius)
-    x = proj(dirs * radius)
-    z = x.copy()
-    for k in range(1, SUPPORT_ASCENT_STEPS + 1):
-        x_new = proj(z + step * dirs)
-        z = x_new + ((k - 1.0) / (k + 2.0)) * (x_new - x)
-        x = x_new
-    x = proj(x)
-    return np.sum(dirs * x, axis=1)
 
 
 def hausdorff_distance(set_a, set_b, radius, dim):
@@ -369,39 +360,12 @@ def truncated_pair_distance(set_a, set_b, radius, dim):
 
 
 def polytope_hausdorff_oracle(set_a, set_b):
-    """Exact Hausdorff distance for bounded polytopes (boxes or halfspace
-    polytopes with enumerable vertices): the sup-inf on each side is attained
-    at a vertex, and point-to-set distances use the exact projections."""
-    va = set_a.vertices()
-    vb = set_b.vertices()
-    d_ab = np.max(np.linalg.norm(va - set_b.project(va), axis=1)) if len(va) else 0.0
-    d_ba = np.max(np.linalg.norm(vb - set_a.project(vb), axis=1)) if len(vb) else 0.0
-    return float(max(d_ab, d_ba))
-
-
-def polytope_vertices(normals, offsets):
-    """Vertices of {x : N x <= b} by enumerating active-constraint systems.
-    Intended for small dimensions; raises if the polytope has no vertex."""
-    normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    offsets = np.asarray(offsets, dtype=float).ravel()
-    n_half, dim = normals.shape
-    if n_half < dim:
-        raise InfeasibleConstraint("fewer halfspaces than dimensions: unbounded polytope")
-    verts = []
-    for rows in itertools.combinations(range(n_half), dim):
-        a = normals[list(rows)]
-        if abs(np.linalg.det(a)) < 1e-12:
-            continue
-        x = np.linalg.solve(a, offsets[list(rows)])
-        if np.all(normals @ x <= offsets + VERTEX_TOL):
-            verts.append(x)
-    if not verts:
-        raise InfeasibleConstraint("polytope has no vertices (empty or degenerate)")
-    out = []
-    for v in verts:
-        if not any(np.allclose(v, w, atol=VERTEX_TOL) for w in out):
-            out.append(v)
-    return np.array(out)
+    """Exact Hausdorff distance between two boxes: the sup-inf on each side
+    is attained at a vertex, and point-to-set distances use the exact
+    projections."""
+    return float(max(np.max(np.linalg.norm(v - other.project(v), axis=1))
+                     for v, other in ((set_a.vertices(), set_b),
+                                      (set_b.vertices(), set_a))))
 
 
 def closed_limit_distances(sequence, limit, radii, dim):
@@ -416,24 +380,25 @@ def closed_limit_distances(sequence, limit, radii, dim):
     return table
 
 
+_CONFIG_KEYS = {"full_space": (), "ball": ("radius",), "box": ("lower", "upper"),
+                "nonnegative_orthant": (), "polytope": ("normals", "offsets"),
+                "intersection": ("members",)}
+
+
 def constraint_from_config(cfg):
-    """Build a ConstraintSet from a plain-dict description."""
-    if not isinstance(cfg, dict) or "type" not in cfg:
-        raise InfeasibleConstraint(f"constraint config must be a dict with 'type': {cfg!r}")
-    kind = cfg["type"]
-    extra = set(cfg) - {"type", "radius", "lower", "upper", "normals", "offsets", "members"}
-    if extra:
-        raise InfeasibleConstraint(f"unknown constraint config keys: {sorted(extra)}")
-    if kind == "full_space":
-        return FullSpace()
-    if kind == "ball":
-        return Ball(cfg["radius"])
-    if kind == "box":
-        return Box(cfg["lower"], cfg["upper"])
-    if kind == "nonnegative_orthant":
-        return NonnegativeOrthant()
-    if kind == "polytope":
-        return HalfspacePolytope(cfg["normals"], cfg["offsets"])
+    """Build a ConstraintSet from a plain-dict description with exactly the
+    keys _CONFIG_KEYS names for its type."""
+    kind = cfg.get("type") if isinstance(cfg, dict) else None
+    if not isinstance(kind, str) or kind not in _CONFIG_KEYS:
+        raise InfeasibleConstraint(f"constraint config needs a known 'type': {cfg!r}")
+    keys = _CONFIG_KEYS[kind]
+    if set(cfg) != {"type", *keys}:
+        raise InfeasibleConstraint(f"{kind} config needs exactly the keys "
+                                   f"{sorted(keys)}, got {sorted(set(cfg) - {'type'})}")
     if kind == "intersection":
+        if not isinstance(cfg["members"], list):
+            raise InfeasibleConstraint(f"intersection members must be a list: {cfg!r}")
         return Intersection([constraint_from_config(m) for m in cfg["members"]])
-    raise InfeasibleConstraint(f"unknown constraint type {kind!r}")
+    return {"full_space": FullSpace, "ball": Ball, "box": Box,
+            "nonnegative_orthant": NonnegativeOrthant,
+            "polytope": HalfspacePolytope}[kind](*(cfg[key] for key in keys))

@@ -48,8 +48,10 @@ class OnePeriodMarket:
             raise InvalidSpec(f"jump probability must be in (0, 1), got {self.p}")
         if self.level is not None and (int(self.level) != self.level or self.level < 1):
             raise InvalidSpec(f"truncation level must be a positive integer, got {self.level}")
-        if self.quad_nodes < 3 or self.quad_range <= 0.0:
+        if self.quad_nodes < 3 or not 0.0 < self.quad_range < np.inf:
             raise InvalidSpec("quadrature needs at least 3 nodes and a positive range")
+        if not np.isfinite(self.signal_mean):
+            raise InvalidSpec(f"signal mean must be finite, got {self.signal_mean}")
 
     def residual_std(self):
         """Std of the unobserved dyadic tail: the digit-j term is 2^-j
@@ -196,15 +198,15 @@ class ScenarioTree:
         if up is None:
             up = np.full(self.depth, 0.5)
         up = np.asarray(up, dtype=float)
-        if up.shape != (self.depth,) or np.any(up <= 0.0) or np.any(up >= 1.0):
+        if up.shape != (self.depth,) or not np.all((up > 0.0) & (up < 1.0)):
             raise InvalidSpec("up probabilities must be in (0, 1) per level")
         object.__setattr__(self, "up_probs", up)
         dg = self.clock_increments
         if dg is None:
             dg = np.full(self.depth, 1.0 / self.depth)
         dg = np.asarray(dg, dtype=float)
-        if dg.shape != (self.depth,) or np.any(dg < 0.0):
-            raise InvalidSpec("clock increments must be nonnegative per level")
+        if dg.shape != (self.depth,) or not np.all((dg >= 0.0) & (dg < np.inf)):
+            raise InvalidSpec("clock increments must be finite and nonnegative per level")
         object.__setattr__(self, "clock_increments", dg)
 
     @property

@@ -243,6 +243,8 @@ class GaussianSignalModel:
         object.__setattr__(self, "direction", v)
         if not 0.0 < self.prior_std < np.inf:
             raise UnsupportedSignalModel("prior std must be positive and finite")
+        if not np.isfinite(self.prior_mean):
+            raise UnsupportedSignalModel("prior mean must be finite")
         scales = self.noise_scales
         if scales is None:
             scales = 2.0 ** -np.arange(1, 9)
@@ -374,6 +376,13 @@ class TiltSpec:
     orthogonal_vol: float = 0.0
     energy_cap: float = 50.0
     floor: float = DENSITY_FLOOR
+
+    def __post_init__(self):
+        # comparisons written so that NaN fails them
+        if not (np.isfinite(self.orthogonal_vol) and self.energy_cap > 0.0
+                and 0.0 <= self.floor < np.inf):
+            raise InvalidSpec("tilt needs a finite orthogonal vol, a positive "
+                              "energy cap and a finite floor >= 0")
 
     def field(self, n_steps, dim):
         lam = np.asarray(self.lam1, dtype=float)

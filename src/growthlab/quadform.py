@@ -56,7 +56,8 @@ def step_runs(cov, steps=None):
     steps."""
     new = np.any(cov[1:] != cov[:-1], axis=(1, 2))
     if steps is not None:
-        new |= [b is not a for a, b in zip(steps[:-1], steps[1:])]
+        new |= np.array([b is not a for a, b in zip(steps[:-1], steps[1:])],
+                        dtype=bool)  # empty for one step
     edges = [0, *(np.flatnonzero(new) + 1).tolist(), len(cov)]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -185,9 +186,9 @@ def optimal_fraction_batch(c, drifts, constraint):
     capped at SOLVER_MAX_ITER steps."""
     c = np.asarray(c, dtype=float)
     drifts = np.asarray(drifts, dtype=float)
-    if drifts.shape[-1] != c.shape[0]:
+    if c.ndim != 2 or drifts.ndim not in (1, 2) or drifts.shape[-1] != c.shape[0]:
         raise DimensionMismatch(
-            f"drift dim {drifts.shape[-1]} does not match covariance {c.shape}"
+            f"drift shape {drifts.shape} does not fit covariance {c.shape}"
         )
     if not np.all(np.isfinite(drifts)):
         raise InvalidSpec("drift rows must be finite")

@@ -98,7 +98,11 @@ class LadderReport:
         as decayed. passed is True when the 97.5% quantile of the slope over
         BOOTSTRAP_DRAWS resamples drawn from BOOTSTRAP_SEED is below zero.
         """
-        x = -np.log(self.scales)
+        scales = np.asarray(self.scales, dtype=float)
+        if scales.size < 2 or not np.all(scales > 0.0):
+            raise InvalidSpec(f"a slope needs two or more rungs with positive "
+                              f"scales, got {scales.tolist()}")
+        x = -np.log(scales)
         rng = np.random.default_rng(BOOTSTRAP_SEED)
         out = {}
         for name, arr in {**self.per_path, **self.deterministic}.items():
@@ -172,10 +176,12 @@ def filtration_ladder(spec, model, constraint, n_paths, seed, *,
     """Information ladder: noisy peeks at the latent drift, sharpening to
     full revelation. Reports wealth distances to the revealed-limit
     numéraire plus drift and conditional-event diagnostics."""
-    market_spec, theta, zeta, path_ss = signal_draws(spec, model, n_paths, seed)
-    market = market_steps(market_spec)
     if event_threshold is None:
         event_threshold = model.prior_mean
+    if not np.isfinite(event_threshold):
+        raise InvalidSpec(f"event threshold must be finite, got {event_threshold}")
+    market_spec, theta, zeta, path_ss = signal_draws(spec, model, n_paths, seed)
+    market = market_steps(market_spec)
     v = model.direction
     vcv_dg = cov_inner(market.cov, v, v) * market.dG
 

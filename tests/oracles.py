@@ -144,23 +144,19 @@ def enumerate_tree_projection(depth, probs, values, observed):
     return out
 
 
-def support_gap_distance(set_a, set_b, radius, dim, n_dirs=200, seed=1):
-    """Hausdorff lower bound from support gaps of truncated sets on random
-    directions, with membership-based support values from a dense ray scan."""
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_dirs, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-
-    def support(constraint, u):
-        ts = np.linspace(-radius, radius, 4001)
-        pts = ts[:, None] * u[None, :]
-        mask = member_mask(constraint, pts)
-        return np.max(ts[mask])
-
-    gap = 0.0
-    for u in dirs:
-        gap = max(gap, abs(support(set_a, u) - support(set_b, u)))
-    return gap
+def support_scan(constraint, dirs, radius, n_grid):
+    """Support of constraint ∩ ball(radius) on each unit direction, as the
+    largest <u, x> over member_mask points of an n_grid^d grid on
+    [-radius, radius]^d inside the ball. Every scanned point is feasible, so
+    the scan never exceeds the true support; returns it with the grid
+    spacing, which bounds how far below the support it can fall."""
+    dirs = np.atleast_2d(dirs)
+    axis = np.linspace(-radius, radius, n_grid)
+    mesh = np.meshgrid(*[axis] * dirs.shape[1], indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = pts[np.linalg.norm(pts, axis=1) <= radius]
+    pts = pts[member_mask(constraint, pts)]
+    return np.array([np.max(pts @ u) for u in dirs]), axis[1] - axis[0]
 
 
 def mc_one_period_log_wealth(p, level, theta_grid, n_samples=2_000_000,

@@ -328,6 +328,12 @@ def test_sensitivity_bad_identity_tol_exits_2(tmp_path, capsys, tol):
     assert not (tmp_path / "run" / "summary.json").exists()
 
 
+PROBABILITY = {"kind": "stability-probability", "market": MARKET,
+               "tilt": {"lam1": [0.4, -0.2]}, "paths": 8}
+SOLVE = {"kind": "solve", "covariance": [[0.5, 0.1], [0.1, 0.4]],
+         "drift": [0.3, 0.4]}
+
+
 @pytest.mark.parametrize("command, payload", [
     ("solve", {"kind": "solve", "covariance": [[1.0, 0.0], [0.0]],
                "drift": [0.1, 0.2]}),
@@ -361,19 +367,57 @@ def test_sensitivity_bad_identity_tol_exits_2(tmp_path, capsys, tol):
     ("stability", {"kind": "stability-filtration", "market": MARKET,
                    "signal": {"direction": [1.0, 0.3]}, "paths": 16,
                    "constraint": {"type": "ball", "radius": -1}}),
+    ("simulate", {"kind": "simulate", "market": [2, 4], "paths": 8}),
+    ("tree", {"kind": "tree-projection", "depth": 3, "chi": [1]}),
+    ("counterexample", {"kind": "counterexample", "p": 0.6, "levels": [1],
+                        "quad_range": "wide"}),
+    ("counterexample", {"kind": "counterexample", "p": 0.6, "levels": [1],
+                        "quad_nodes": 40.5}),
+    ("solve", dict(SOLVE, drift=1.0)),
+    ("density-check", {"kind": "density-check", "family": "lognormal",
+                       "vols": 0, "paths": 8, "n_steps": 8}),
+    ("stability", dict(PROBABILITY, eps_ladder=True)),
+    ("stability", dict(PROBABILITY, eps_ladder=[0.5])),
+    ("sensitivity", dict(PROBABILITY, kind="sensitivity", eps_ladder=[0.5])),
+    ("simulate", {"kind": "simulate", "market": dict(MARKET, n_steps=2.7),
+                  "paths": 8}),
+    ("solve", dict(SOLVE, constraint={"type": "ball"})),
+    ("solve", dict(SOLVE, constraint={"type": "intersection"})),
+    ("solve", dict(SOLVE, constraint={"type": "box", "lower": [-1, -1]})),
+    ("solve", dict(SOLVE, constraint={"type": "polytope",
+                                      "normals": [[1.0, 0.0]]})),
+    ("stability", {"kind": "stability-constraint", "market": MARKET,
+                   "sets": {"type": "ball", "radius": 2.0},
+                   "limit_set": {"type": "ball", "radius": 1.0}}),
+    ("stability", {"kind": "stability-constraint", "market": MARKET,
+                   "sets": [{"type": "ball", "radius": 2.0}], "paths": 8,
+                   "limit_set": {"type": "ball", "radius": 1.0}}),
+    ("stability", {"kind": "stability-filtration", "market": MARKET,
+                   "signal": {"direction": [1.0, 0.3], "noise_scales": [0.5]},
+                   "paths": 8}),
+    ("density-check", {"kind": "density-check", "family": "lognormal",
+                       "vols": [0.4, -0.2], "paths": 8, "n_steps": 8}),
 ], ids=["solve-ragged-covariance", "solve-ragged-drift",
         "density-check-text-vol", "sensitivity-ragged-eps",
         "probability-text-eps", "tree-ragged-chi", "counterexample-text-p",
         "counterexample-text-level", "tree-text-leaf",
         "counterexample-nan-tol", "simulate-inf-horizon",
         "filtration-nan-threshold", "solve-negative-radius",
-        "filtration-negative-radius"])
+        "filtration-negative-radius", "market-not-a-mapping",
+        "chi-not-a-mapping", "text-quad-range", "fractional-quad-nodes", "scalar-drift", "scalar-vols",
+        "boolean-eps-ladder", "one-rung-probability", "one-rung-sensitivity",
+        "fractional-n-steps", "ball-without-radius",
+        "intersection-without-members", "box-without-upper",
+        "polytope-without-offsets", "sets-not-a-list", "one-set-ladder",
+        "one-noise-scale", "negative-vol"])
 def test_malformed_config_numbers_exit_2(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, "bad.yaml", payload)
     assert run_cli(command, "--config", cfg,
                    "--out", str(tmp_path / "run")) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    assert not any(name.endswith((".csv", ".json"))
+                   for name in os.listdir(tmp_path / "run"))
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -392,6 +436,19 @@ def test_malformed_config_int_lists_exit_2(tmp_path, capsys, command,
                    "--out", str(tmp_path / "run")) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("simulate", {"constraint": {"type": "ball", "radius": 1.5}}),
+    ("stability-filtration", {"signal": {"direction": [1.0, 0.3],
+                                         "noise_scales": [0.5, 0.25]}}),
+], ids=["simulate", "filtration"])
+def test_one_step_market_exits_0(tmp_path, kind, extra):
+    cfg = write_config(tmp_path, "one.yaml", dict(
+        extra, kind=kind, market=dict(MARKET, n_steps=1), paths=16))
+    command = kind.split("-")[0]
+    assert run_cli(command, "--config", cfg,
+                   "--out", str(tmp_path / "run")) == 0
 
 
 def test_bad_seed_exits_2(tmp_path):

@@ -1,0 +1,169 @@
+"""The CLI's exit-code contract under mutated configs.
+
+Each subcommand's small valid config is mutated at one key or list entry:
+the entry is dropped, a scalar and a list are swapped, a list is made
+ragged, or a number becomes NaN, infinity, negative or non-integral. Every
+run must exit 0, 1, 2 or 3 without an exception escaping `main`, and a run
+that exits 0 must write strict JSON and finite CSV numbers.
+"""
+
+import contextlib
+import copy
+import csv
+import io
+import json
+import math
+import os
+import tempfile
+
+import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from growthlab.cli import main
+
+MARKET = {"dim": 2, "n_steps": 4, "covariance": [[0.5, 0.1], [0.1, 0.4]],
+          "drift": [0.8, 0.5]}
+BOX = {"type": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+CUT = {"type": "polytope", "normals": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                                       [0.0, -1.0], [1.0, -1.0]],
+       "offsets": [1.2, 1.2, 1.2, 1.2, 0.5]}
+
+
+def grown(polytope, by):
+    return dict(polytope, offsets=[b + by for b in polytope["offsets"]])
+
+
+VALID = [
+    ("solve", {"kind": "solve", "covariance": MARKET["covariance"],
+               "drift": [0.8, 0.5], "constraint": CUT}),
+    ("simulate", {"kind": "simulate", "market": MARKET, "paths": 8,
+                  "constraint": {"type": "intersection",
+                                 "members": [{"type": "ball", "radius": 1.5},
+                                             BOX]}}),
+    ("stability", {"kind": "stability-filtration", "market": MARKET,
+                   "signal": {"direction": [1.0, 0.3], "prior_mean": 0.0,
+                              "noise_scales": [0.5, 0.25]},
+                   "constraint": {"type": "ball", "radius": 2.0},
+                   "event_threshold": 0.0, "paths": 8}),
+    ("stability", {"kind": "stability-probability", "market": MARKET,
+                   "tilt": {"lam1": [0.4, -0.2], "orthogonal_vol": 0.2},
+                   "eps_ladder": [0.2, 0.1], "paths": 8}),
+    ("stability", {"kind": "stability-constraint", "market": MARKET,
+                   "sets": [{"type": "box", "lower": [-1.6, -1.6],
+                             "upper": [1.6, 1.6]},
+                            grown(CUT, 0.2), grown(CUT, 0.1)],
+                   "limit_set": CUT, "paths": 8}),
+    ("sensitivity", {"kind": "sensitivity", "market": MARKET,
+                     "tilt": {"lam1": [0.4, -0.2]}, "eps_ladder": [0.2, 0.1],
+                     "identity_tol": 1e-8, "paths": 8}),
+    ("counterexample", {"kind": "counterexample", "p": 0.6, "levels": [1, 2],
+                        "quad_nodes": 41, "quad_range": 6.0,
+                        "signal_mean": 0.0}),
+    ("tree", {"kind": "tree-projection", "depth": 3,
+              "up_probs": [0.5, 0.4, 0.6], "chi": {"leaf_indicator": 2},
+              "caps": [0, 1, 3]}),
+    ("density-check", {"kind": "density-check", "family": "lognormal",
+                       "vols": [0.4, 0.2], "n_steps": 8, "paths": 8}),
+    ("density-check", {"kind": "density-check", "family": "excursion",
+                       "sizes": [2.0, 4.0, 8.0], "kappa": 1.0, "n_steps": 8,
+                       "paths": 8}),
+]
+
+MUTATIONS = ("drop", "swap", "ragged", "nan", "inf", "negative",
+             "fractional")
+
+
+def entries(node, prefix=()):
+    """Key or index path of every entry below the root, except 'kind'."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if key != "kind":
+            yield prefix + (key,)
+            yield from entries(value, prefix + (key,))
+
+
+def mutate(cfg, path, how):
+    cfg = copy.deepcopy(cfg)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    value = parent[key]
+    number = value if isinstance(value, (int, float)) else 1.0
+    if how == "drop":
+        del parent[key]
+    elif how == "swap":
+        parent[key] = (value[0] if value else 1.0) \
+            if isinstance(value, list) else [value]
+    elif how == "ragged":
+        parent[key] = value + [[number]] if isinstance(value, list) \
+            else [value, [value]]
+    else:
+        parent[key] = {"nan": float("nan"), "inf": float("inf"),
+                       "negative": -abs(number) - 1.0,
+                       "fractional": number + 0.5}[how]
+    return cfg
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return 0.0  # a name, not a number
+
+
+def _finite_output(path):
+    """Whether a JSON file parses without NaN or infinity, or every number
+    in a CSV file is finite."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON number {token}")
+
+    with open(path) as fh:
+        if path.endswith(".json"):
+            try:
+                json.load(fh, parse_constant=reject)
+            except ValueError:
+                return False
+            return True
+        rows = list(csv.reader(fh))[1:]
+    return all(math.isfinite(_number(cell)) for row in rows for cell in row)
+
+
+def run_mutant(command, cfg):
+    """(exit code, stderr) of one in-process CLI run, and whether every
+    JSON and CSV file it wrote holds finite numbers only."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--out", out])
+        strict = code != 0 or all(
+            _finite_output(os.path.join(out, name)) for name in os.listdir(out))
+    return code, err.getvalue(), strict
+
+
+@st.composite
+def mutants(draw):
+    command, cfg = draw(st.sampled_from(VALID))
+    path = draw(st.sampled_from(list(entries(cfg))))
+    return command, mutate(cfg, path, draw(st.sampled_from(MUTATIONS)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutants())
+def test_mutated_configs_keep_the_exit_code_contract(mutant):
+    command, cfg = mutant
+    code, err, strict = run_mutant(command, cfg)
+    assert code in (0, 1, 2, 3), (code, cfg)
+    assert "Traceback" not in err
+    assert strict, cfg
+
+
+def test_valid_configs_exit_0():
+    for command, cfg in VALID:
+        assert run_mutant(command, cfg)[:1] == (0,), (command, cfg["kind"])

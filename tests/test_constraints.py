@@ -6,12 +6,22 @@ import growthlab.constraints as constraints
 
 from growthlab.constraints import (
     Ball, Box, FullSpace, HalfspacePolytope, Intersection,
-    NonnegativeOrthant, constraint_from_config, hausdorff_distance,
-    truncated_pair_distance,
+    NonnegativeOrthant, constraint_from_config, direction_net,
+    hausdorff_distance, truncated_pair_distance,
 )
 from growthlab.errors import InfeasibleConstraint
 
-from oracles import member_mask, support_gap_distance
+from oracles import member_mask, support_scan
+
+
+def _cut_polytope(dim):
+    """[-1, 1]^dim with x1 - x2 <= 0.5 added, which cuts off the foot
+    (1, 0, ...) of the face x1 = 1."""
+    eye = np.eye(dim)
+    cut = np.zeros(dim)
+    cut[:2] = [1.0, -1.0]
+    return HalfspacePolytope(np.vstack([eye, -eye, cut]),
+                             np.r_[np.ones(2 * dim), 0.5])
 
 
 @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0])
@@ -52,10 +62,37 @@ def test_truncated_distance_against_support_scan():
     a = Box([-0.6, -0.4], [0.8, 0.3])
     b = Ball(0.5)
     d = truncated_pair_distance(a, b, radius=2.0, dim=2)
-    ref = support_gap_distance(a, b, radius=2.0, dim=2)
-    # support gaps on a direction net lower-bound the Hausdorff distance
-    assert d >= ref - 2e-3
-    assert d <= ref + 0.05
+    dirs = direction_net(2)
+    scan_a, step = support_scan(a, dirs, 2.0, n_grid=401)
+    scan_b, _ = support_scan(b, dirs, 2.0, n_grid=401)
+    # each scanned support is within one grid diagonal below the exact one
+    assert abs(d - np.max(np.abs(scan_a - scan_b))) <= step * np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("build, radius", [
+    (lambda d: Box([-0.4, -1.2, -0.5][:d], [1.1, 0.3, 0.9][:d]), 1.0),
+    (lambda d: NonnegativeOrthant(), 1.3),
+    (_cut_polytope, 1.2),
+    (lambda d: Intersection([Ball(0.8), Box([-0.6] * d, [1.0] * d)]), 1.0),
+], ids=["box-out-of-ball", "orthant", "polytope-foot-outside", "ball-and-box"])
+def test_support_truncated_matches_support_scan(build, radius, dim):
+    rng = np.random.default_rng(dim)
+    dirs = rng.standard_normal((40, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = np.vstack([dirs, np.eye(dim), -np.eye(dim)])  # exact axis directions
+    constraint = build(dim)
+    exact = constraint.support_truncated(dirs, radius)
+    scan, step = support_scan(constraint, dirs, radius,
+                              n_grid=401 if dim == 2 else 81)
+    assert np.all(exact >= scan - 1e-9)  # scanned points are feasible
+    assert np.all(exact <= scan + step * np.sqrt(dim))
+
+
+def test_box_holding_the_truncation_ball_is_at_distance_zero():
+    # both truncations equal B(1), so the distance is exactly zero
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+    assert truncated_pair_distance(box, Ball(1.0), 1.0, dim=2) == 0.0
 
 
 def test_identical_sets_have_zero_distance():
@@ -154,6 +191,23 @@ def test_config_rejects_unknown_keys():
         constraint_from_config({"radius": 1.0})
 
 
+@pytest.mark.parametrize("cfg", [
+    {"type": "ball"},
+    {"type": "intersection"},
+    {"type": "box", "lower": [-1.0, -1.0]},
+    {"type": "polytope", "normals": [[1.0, 0.0]]},
+    {"type": "intersection", "members": {"type": "ball", "radius": 1.0}},
+    {"type": "intersection", "members": [{"type": "ball"}]},
+    {"type": ["ball"], "radius": 1.0},
+    {"type": "ball", "radius": 1.0, "lower": [-1.0]},
+], ids=["ball", "intersection", "box-no-upper", "polytope-no-offsets",
+        "members-not-a-list", "member-no-radius", "type-not-a-name",
+        "key-of-another-type"])
+def test_config_missing_or_foreign_keys_raise(cfg):
+    with pytest.raises(InfeasibleConstraint):
+        constraint_from_config(cfg)
+
+
 def test_member_mask_agrees_with_contains():
     rng = np.random.default_rng(3)
     sets = [
@@ -161,6 +215,8 @@ def test_member_mask_agrees_with_contains():
         Box([-0.5, -0.25], [0.5, 1.0]),
         NonnegativeOrthant(),
         Intersection([Ball(1.2), Box([-1.0, -1.0], [1.0, 1.0])]),
+        _cut_polytope(2),
+        Intersection([Ball(1.1), _cut_polytope(2)]),
     ]
     pts = rng.standard_normal((500, 2))
     for constraint in sets:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from growthlab.constraints import HalfspacePolytope
+from growthlab.constraints import FullSpace, HalfspacePolytope
+from growthlab.discrete import OnePeriodMarket, ScenarioTree
 from growthlab.errors import (
     InfeasibleConstraint, InvalidSpec, UnsupportedSignalModel,
 )
@@ -11,6 +12,7 @@ from growthlab.market import (
     simulate_paths, simulate_signal_paths, tilt_decomposition, tilt_field,
 )
 from growthlab.quadform import check_psd_matrix, cov_inner
+from growthlab.stability import filtration_ladder
 
 from oracles import particle_posterior_mean
 
@@ -264,9 +266,25 @@ NAN = float("nan")
     (lambda: GaussianSignalModel(direction=np.array([1.0]),
                                  noise_scales=[NAN, 0.1]),
      UnsupportedSignalModel),
+    (lambda: TiltSpec(lam1=[0.1, 0.0], orthogonal_vol=NAN), InvalidSpec),
+    (lambda: TiltSpec(lam1=[0.1, 0.0], floor=NAN), InvalidSpec),
+    (lambda: TiltSpec(lam1=[0.1, 0.0], energy_cap=NAN), InvalidSpec),
+    (lambda: GaussianSignalModel(direction=np.array([1.0]), prior_mean=NAN),
+     UnsupportedSignalModel),
+    (lambda: ScenarioTree(depth=2, up_probs=[NAN, 0.5]), InvalidSpec),
+    (lambda: ScenarioTree(depth=2, clock_increments=[NAN, 0.5]), InvalidSpec),
+    (lambda: OnePeriodMarket(p=0.6, level=1, quad_range=NAN), InvalidSpec),
+    (lambda: OnePeriodMarket(p=0.6, level=1, signal_mean=NAN), InvalidSpec),
+    (lambda: filtration_ladder(
+        MarketSpec(dim=2, n_steps=4, covariance=COV, drift=DRIFT),
+        GaussianSignalModel(direction=np.array([1.0, 0.3])), FullSpace(), 4, 1,
+        event_threshold=NAN), InvalidSpec),
 ], ids=["polytope-normal", "polytope-offset", "covariance", "market-drift",
         "market-horizon", "market-clock", "tilt-field", "signal-prior-std",
-        "signal-noise-scale"])
+        "signal-noise-scale", "tilt-orthogonal-vol", "tilt-floor",
+        "tilt-energy-cap", "signal-prior-mean", "tree-up-probs",
+        "tree-clock-increments", "one-period-quad-range",
+        "one-period-signal-mean", "filtration-event-threshold"])
 def test_nan_inputs_raise(build, error):
     with pytest.raises(error):
         build()

@@ -31,6 +31,17 @@ def test_one_dimensional_box_closed_form():
     assert g == pytest.approx(3.0 * mu * mu / 8.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("constraint", [Ball(0.5), [Ball(0.5)]],
+                         ids=["one-set", "per-step-sets"])
+def test_one_step_market_solves_its_step(constraint):
+    b = make_bundle(n_paths=5, n_steps=1)
+    ref = optimal_fraction_batch(b.cov[0], b.drift, Ball(0.5))
+    assert np.array_equal(numeraire_fractions(b, constraint), ref)
+    drifts = np.broadcast_to(b.drift, (5, 1, 2))
+    assert np.array_equal(numeraire_fractions(b, constraint, drifts=drifts),
+                          np.broadcast_to(ref, (5, 1, 2)))
+
+
 def test_wealth_decomposition_matches_manual_computation():
     b = make_bundle(n_paths=50)
     fractions = numeraire_fractions(b, Ball(1.2))

@@ -287,6 +287,17 @@ def test_ladder_rows_are_long_format():
                        "stderr": pytest.approx(1.0 / np.sqrt(2.0))}
 
 
+@pytest.mark.parametrize("scales", [[0.5], [0.5, 0.0], [0.5, -0.25]],
+                         ids=["one-rung", "zero-scale", "negative-scale"])
+def test_slopes_need_two_rungs_with_positive_scales(scales):
+    report = LadderReport(family="synthetic",
+                          indices=np.arange(1, len(scales) + 1),
+                          scales=np.array(scales),
+                          per_path={"m": np.ones((len(scales), 4))})
+    with pytest.raises(InvalidSpec, match="two or more rungs"):
+        report.slopes()
+
+
 def _small_ladders(n_paths, threads):
     """The three ladders on a short market, few rungs each."""
     spec = make_spec(n_steps=8)
