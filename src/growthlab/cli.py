@@ -3,10 +3,12 @@
 Every subcommand reads a YAML or JSON config whose "kind" names the
 operation, runs it, writes CSV/JSON outputs plus a manifest into --out,
 and exits 0 on success, 1 when a recorded check fails, 2 on config
-errors, 3 on numerical failures.
+errors (a config whose arrays cannot be allocated included), 3 on
+numerical failures.
 """
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -53,6 +55,13 @@ CONFIG_KINDS = {
 }
 
 SHARED_KEYS = ("kind", "seed", "paths", "threads")
+
+# glibc mallopt parameters. Arrays up to 32 MiB (the largest mmap threshold
+# glibc accepts on 64-bit) come from the heap, and a free keeps up to
+# 128 MiB at the heap's top, so a ladder's next rung reuses the pages its
+# last rung freed instead of faulting fresh ones in.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MALLOC_POLICY = ((M_MMAP_THRESHOLD, 32 << 20), (M_TRIM_THRESHOLD, 128 << 20))
 
 
 def _load_config(path):
@@ -524,7 +533,21 @@ def build_parser():
     return parser
 
 
-def run(args):
+def retain_freed_memory():
+    """Set MALLOC_POLICY through glibc's mallopt; True when every call
+    succeeded, False where there is no mallopt (macOS, Windows). The CLI
+    owns its process, so main calls this; importing growthlab leaves a host
+    process's allocator alone."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all([mallopt(param, value) == 1 for param, value in MALLOC_POLICY])
+
+
+def run(args, malloc_retained):
     cfg = _load_config(args.config)
     kind = cfg.get("kind")
     allowed = CONFIG_KINDS[args.command]
@@ -536,6 +559,7 @@ def run(args):
     os.makedirs(out_dir, exist_ok=True)
     seed, paths, threads = _runtime(cfg, args)
     manifest = RunManifest(config=cfg, seed=seed, version=__version__)
+    manifest.record_diagnostic("malloc_retained", malloc_retained)
     COMMANDS[args.command](cfg, args, out_dir, manifest)
     return _finish(manifest, out_dir)
 
@@ -543,8 +567,13 @@ def run(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    malloc_retained = retain_freed_memory()
     try:
-        return run(args)
+        return run(args, malloc_retained)
+    except MemoryError as exc:
+        print(f"config error: the arrays this config asks for cannot be "
+              f"allocated ({exc})", file=sys.stderr)
+        return 2
     except ThresholdFailure as exc:
         print(f"threshold failure: {exc}", file=sys.stderr)
         return 1

@@ -31,6 +31,23 @@ def run_cli(*args):
     return main(list(args))
 
 
+def glibc_version():
+    """The C library's version string on glibc, else None."""
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def src_env():
+    """os.environ with this checkout's src/ first on PYTHONPATH."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 def test_solve_roundtrip(tmp_path):
     cfg = write_config(tmp_path, "solve.yaml", {
         "kind": "solve",
@@ -93,7 +110,7 @@ def test_constraint_ladder_manifest_counts_unchecked_steps(
     usage = {"peak_rss_mb", "minor_page_faults", "cpu_user_s", "cpu_sys_s"}
     diagnostics = manifest["diagnostics"]
     assert set(diagnostics) == usage | {"bound_unchecked_steps",
-                                        "ladder_scale"}
+                                        "ladder_scale", "malloc_retained"}
     assert diagnostics["bound_unchecked_steps"] == unchecked
     assert diagnostics["ladder_scale"] == scale
     assert all(diagnostics[key] >= 0 for key in usage)
@@ -514,21 +531,83 @@ def test_csv_float_format_round_trips(tmp_path):
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs about a quarter second of start-up and only the
     # counterexample's interior root search uses it.
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     script = ("import sys, growthlab.cli; "
               "assert 'scipy.optimize' not in sys.modules")
-    result = subprocess.run([sys.executable, "-c", script], env=env,
+    result = subprocess.run([sys.executable, "-c", script], env=src_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_memory_error_exits_2_without_traceback(tmp_path, monkeypatch,
+                                                capsys):
+    # A real allocation of that size may fault pages instead of raising
+    # (overcommit), so the ladder is made to raise.
+    import growthlab.cli as cli
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 PiB for an array")
+
+    cfg = write_config(tmp_path, "filtration.yaml", {
+        "kind": "stability-filtration", "market": MARKET,
+        "signal": {"direction": [1.0, 0.3]}, "paths": 10 ** 15,
+    })
+    monkeypatch.setattr(cli, "filtration_ladder", too_large)
+    assert run_cli("stability", "--config", cfg,
+                   "--out", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "cannot be allocated" in err
+    assert "Traceback" not in err
+
+
+def test_manifest_records_malloc_policy(tmp_path):
+    cfg = write_config(tmp_path, "solve.yaml", {
+        "kind": "solve", "covariance": [[1.0, 0.0], [0.0, 1.0]],
+        "drift": [0.1, 0.2],
+    })
+    out = tmp_path / "run"
+    assert run_cli("solve", "--config", cfg, "--out", str(out)) == 0
+    diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert isinstance(diagnostics["malloc_retained"], bool)
+    if glibc_version():
+        assert diagnostics["malloc_retained"] is True
+
+
+@pytest.mark.skipif(not glibc_version(), reason="mallopt is glibc's")
+def test_malloc_policy_keeps_freed_rung_arrays_mapped():
+    # A rung-like burst: 8 arrays of 1.6 MB, freed together. Under glibc's
+    # default policy each one is mmapped and unmapped again, so every
+    # repetition faults its pages in afresh; importing growthlab must leave
+    # that policy alone, and the CLI's policy must end it.
+    script = """if True:
+        import resource
+        import numpy as np
+        import growthlab.cli as cli
+
+        def faults_of_20_rungs():
+            def rung():
+                arrays = [np.ones((1024, 100, 2)) for _ in range(8)]
+                del arrays
+            rung()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(20):
+                rung()
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        default = faults_of_20_rungs()
+        assert cli.retain_freed_memory()
+        print(default, faults_of_20_rungs())
+    """
+    result = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    default, retained = map(int, result.stdout.split())
+    assert default >= 10000
+    assert retained < 1000
 
 
 def test_filtration_summary_ignores_blas_threads(tmp_path):
     # The bootstrap sums its resamples with einsum, not a BLAS matmul, so
     # OpenBLAS's own threading leaves every digit of summary.json in place.
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     cfg = write_config(tmp_path, "filtration.yaml", {
         "kind": "stability-filtration",
         "market": dict(MARKET, n_steps=100),
@@ -536,11 +615,9 @@ def test_filtration_summary_ignores_blas_threads(tmp_path):
         "constraint": {"type": "ball", "radius": 2.0},
         "paths": 1500, "seed": 7,
     })
-    env = {k: v for k, v in os.environ.items()
+    env = {k: v for k, v in src_env().items()
            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                         "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     outputs = []
     for blas_env in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
         out = tmp_path / f"run{len(outputs)}"
