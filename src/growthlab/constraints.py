@@ -2,15 +2,16 @@
 
 Every set contains the origin (validated), which keeps the zero portfolio
 feasible, and every set is a polyhedron cut by a ball about the origin:
-halfspaces(dim) describes it as {x : N x <= b, |x| <= r}. Membership and the
-support function of the set truncated at a radius come from that one
-description. The support is exact: the best feasible point of a finite KKT
-enumeration over face sets. Projections are Euclidean and exact per variant;
-polytopes and intersections use Dykstra's alternating scheme. The Hausdorff
-distance between truncated sets is the largest support gap over a
-deterministic direction net; with exact supports that is a lower bound of the
-true distance, converging to it as the net refines. Closed forms replace the
-net wherever they exist.
+halfspaces(dim) describes it as {x : N x <= b, |x| <= r}. Membership, the
+support function of the set truncated at a radius and the nearest point in a
+weighted metric come from that one description; the last two are exact
+through a finite KKT enumeration over face sets. Balls, boxes, the orthant
+and the full space keep their closed-form Euclidean projections; polytopes
+and intersections project through nearest_points, which also serves the
+growth solve. The Hausdorff distance between truncated sets is the largest
+support gap over a deterministic direction net; with exact supports that is
+a lower bound of the true distance, converging to it as the net refines.
+Closed forms replace the net wherever they exist.
 """
 
 import itertools
@@ -24,6 +25,7 @@ _NET_SEED = 20260817
 _net_cache = {}
 NET_DIRECTIONS = 4096  # direction net behind every numeric set distance
 CONTAINS_TOL = 1e-9  # slack of every membership test
+SOLVER_MAX_ITER = 100_000  # Newton steps of secular_newton
 
 
 def direction_net(dim):
@@ -52,32 +54,6 @@ def direction_net(dim):
     return net
 
 
-def dykstra_project(x, projectors, tol=1e-12, max_iter=2000, raise_on_cap=False):
-    """Project rows of x onto the intersection of convex sets.
-
-    projectors is a list of callables, each an exact Euclidean projection onto
-    one closed convex set. Standard Dykstra corrections; stops when a full
-    cycle moves every row by less than tol.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = x.copy()
-    corrections = [np.zeros_like(y) for _ in projectors]
-    for _ in range(max_iter):
-        y_prev = y.copy()
-        for i, proj in enumerate(projectors):
-            target = y + corrections[i]
-            y_new = proj(target)
-            corrections[i] = target - y_new
-            y = y_new
-        if np.max(np.abs(y - y_prev)) < tol:
-            return y
-    if raise_on_cap:
-        raise NonConvergence(
-            f"Dykstra projection did not stabilize in {max_iter} cycles"
-        )
-    return y
-
-
 class ConstraintSet:
     """Closed convex subset of R^d containing the origin."""
 
@@ -92,14 +68,16 @@ class ConstraintSet:
     def contains(self, x):
         """Membership of x's rows, up to CONTAINS_TOL."""
         x = np.asarray(x, dtype=float)
-        normals, offsets, r = self.halfspaces(x.shape[-1])
-        return (np.linalg.norm(x, axis=-1) <= r + CONTAINS_TOL) \
-            & _meets_rows(x, normals, offsets, CONTAINS_TOL)
+        return inside(x, *self.halfspaces(x.shape[-1]), CONTAINS_TOL)
 
     def project(self, x):
         """Exact Euclidean projection, vectorized over leading axes. It
         must leave x as it is."""
-        raise NotImplementedError
+        x = np.asarray(x, dtype=float)
+        rows = x.reshape(-1, x.shape[-1])
+        dim = rows.shape[1]
+        return nearest_points(rows, np.ones(dim), np.eye(dim),
+                              *self.halfspaces(dim)).reshape(x.shape)
 
     def support_truncated(self, dirs, radius):
         """Support function of (set ∩ ball(radius)) on unit directions, never
@@ -114,27 +92,23 @@ class ConstraintSet:
         r = min(r, float(radius))
         tol = CONTAINS_TOL * max(1.0, r)
         # S empty: the sphere point r u, worth r
-        best = np.where(_meets_rows(r * dirs, normals, offsets, tol), r, 0.0)
-        for k in range(1, min(len(offsets), dim) + 1):
-            for rows in itertools.combinations(range(len(offsets)), k):
-                a = normals[list(rows)]
-                if np.linalg.matrix_rank(a) < k:
-                    continue
-                gram = a @ a.T
-                foot = a.T @ np.linalg.solve(gram, offsets[list(rows)])
-                slack = r * r - foot @ foot
-                if slack < 0.0:
-                    continue
-                if _meets_rows(foot, normals, offsets, tol):
-                    best = np.maximum(best, np.sum(foot * dirs, axis=1))
-                if k < dim:
-                    along = dirs - (dirs @ a.T) @ np.linalg.solve(gram, a)
-                    norms = np.linalg.norm(along, axis=1, keepdims=True)
-                    pts = foot + np.sqrt(slack) * along / np.maximum(norms, 1e-300)
-                    # a rounding-sized P_S u points anywhere: check the ball too
-                    ok = _meets_rows(pts, normals, offsets, tol) \
-                        & (np.linalg.norm(pts, axis=1) <= r + tol)
-                    best = np.where(ok, np.maximum(best, np.sum(pts * dirs, axis=1)), best)
+        best = np.where(inside(r * dirs, normals, offsets, np.inf, tol), r, 0.0)
+        for rows in face_sets(normals, dim):
+            a = normals[rows]
+            gram = a @ a.T
+            foot = a.T @ np.linalg.solve(gram, offsets[rows])
+            slack = r * r - foot @ foot
+            if slack < 0.0:
+                continue
+            if inside(foot, normals, offsets, np.inf, tol):
+                best = np.maximum(best, np.sum(foot * dirs, axis=1))
+            if len(rows) < dim:
+                along = dirs - (dirs @ a.T) @ np.linalg.solve(gram, a)
+                norms = np.linalg.norm(along, axis=1, keepdims=True)
+                pts = foot + np.sqrt(slack) * along / np.maximum(norms, 1e-300)
+                # a rounding-sized P_S u points anywhere: check the ball too
+                ok = inside(pts, normals, offsets, r, tol)
+                best = np.where(ok, np.maximum(best, np.sum(pts * dirs, axis=1)), best)
         return best
 
     def to_config(self):
@@ -174,16 +148,7 @@ class Ball(ConstraintSet):
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
-        rows = x.reshape(-1, x.shape[-1])
-        # np.linalg.norm's summation order below eight terms, at less cost
-        norms = rows[:, 0] ** 2
-        for j in range(1, rows.shape[1]):
-            norms += rows[:, j] ** 2
-        np.sqrt(norms, out=norms)
-        hit = np.flatnonzero(norms > self.radius)  # only these rows move
-        out = rows.copy()
-        out[hit] = rows[hit] * (self.radius / norms[hit])[:, None]
-        return out.reshape(x.shape)
+        return _clamp(x.reshape(-1, x.shape[-1]), self.radius).reshape(x.shape)
 
     def to_config(self):
         return {"type": "ball", "radius": self.radius}
@@ -264,20 +229,6 @@ class HalfspacePolytope(ConstraintSet):
     def halfspaces(self, dim):
         return self.normals, self.offsets, np.inf
 
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        shape = x.shape
-        flat = x.reshape(-1, shape[-1])
-        if self.normals.shape[0] == 1:
-            out = _halfspace_project(flat, self.normals[0], self.offsets[0])
-        else:
-            projectors = [
-                (lambda n, b: (lambda y: _halfspace_project(y, n, b)))(n, b)
-                for n, b in zip(self.normals, self.offsets)
-            ]
-            out = dykstra_project(flat, projectors)
-        return out.reshape(shape)
-
     def to_config(self):
         return {
             "type": "polytope",
@@ -302,27 +253,139 @@ class Intersection(ConstraintSet):
         return (np.vstack([p[0] for p in parts]),
                 np.concatenate([p[1] for p in parts]), min(p[2] for p in parts))
 
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        shape = x.shape
-        flat = x.reshape(-1, shape[-1])
-        projectors = [m.project for m in self.members]
-        out = dykstra_project(flat, projectors)
-        return out.reshape(shape)
-
     def to_config(self):
         return {"type": "intersection", "members": [m.to_config() for m in self.members]}
 
 
-def _meets_rows(x, normals, offsets, tol):
-    """N x <= b + tol for each row of x."""
-    return np.all(x @ normals.T <= offsets + tol, axis=-1)
+def _norms(x):
+    """np.linalg.norm(x, axis=-1), with its summation order below eight
+    terms, at less cost."""
+    rows = x.reshape(-1, x.shape[-1])
+    norms = rows[:, 0] ** 2
+    for j in range(1, rows.shape[1]):
+        norms += rows[:, j] ** 2
+    return np.sqrt(norms, out=norms).reshape(x.shape[:-1])
 
 
-def _halfspace_project(x, normal, offset):
-    nn = float(normal @ normal)
-    excess = x @ normal - offset
-    return x - np.outer(np.maximum(excess, 0.0) / nn, normal)
+def _clamp(rows, r):
+    """rows (n, d) with each row longer than r scaled back to length r."""
+    norms = _norms(rows)
+    hit = np.flatnonzero(norms > r)  # only these rows move
+    out = rows.copy()
+    out[hit] = rows[hit] * (r / norms[hit])[:, None]
+    return out
+
+
+def inside(x, normals, offsets, r, tol):
+    """Membership of x's rows in {x : N x <= b, |x| <= r} with slack tol."""
+    return (_norms(x) <= r + tol) & np.all(
+        np.einsum("...j,ij->...i", x, normals) <= offsets + tol, axis=-1)
+
+
+def face_sets(normals, dim):
+    """Index lists of every set of at most dim linearly independent rows of
+    normals, smallest first: the candidate active sets of a KKT
+    enumeration."""
+    for k in range(1, min(len(normals), dim) + 1):
+        for rows in itertools.combinations(range(len(normals)), k):
+            rows = list(rows)
+            if np.linalg.matrix_rank(normals[rows]) == k:
+                yield rows
+
+
+def secular_newton(lam, b, radius):
+    """Multiplier mu >= 0 of each row of b (n, k) with |b / (lam + mu)| =
+    radius, or 0 where |b / lam| is already at most radius (Moré & Sorensen,
+    1983). Newton on the concave, increasing phi(mu) = 1 / |b / (lam + mu)|
+    - 1 / radius rises from mu = 0 to its root without overshoot, so a row
+    stops once its mu stops rising. Elementwise arithmetic and einsum, unlike
+    a BLAS matmul, keep each row's bits independent of the batch. The live
+    rows' b and mu stay packed and are repacked only when a row stops."""
+    mu = np.zeros(len(b))
+    live, b_live, mu_live = np.arange(len(b)), b, np.zeros(len(b))
+    for _ in range(SOLVER_MAX_ITER):
+        shifted = lam + mu_live[:, None]
+        q = b_live / shifted
+        s = np.einsum("nj,nj->n", q, q)
+        step = s * (np.sqrt(s) / radius - 1.0) \
+            / np.einsum("nj,nj->n", q, q / shifted)
+        nxt = mu_live + step
+        rising = nxt > mu_live
+        if not rising.all():
+            mu[live] = mu_live
+            live, b_live, nxt = live[rising], b_live[rising], nxt[rising]
+        mu_live = nxt
+        if live.size == 0:
+            return mu
+    raise NonConvergence(f"ball multiplier did not settle in {SOLVER_MAX_ITER} "
+                         f"Newton steps on {live.size} of {len(b)} rows")
+
+
+def _face(a, offsets, lam, r):
+    """The plane {y : a y = offsets} in the weights lam, or None where it
+    misses the ball of radius r: its foot (min-norm point), an orthonormal
+    frame of its directions diagonalizing the weights, those diagonal
+    weights h, frame^T diag(lam), the radius left for the plane inside the
+    ball, and the map from a residual in the span of a's rows to the
+    multipliers of those rows."""
+    gram_inv = np.linalg.inv(a @ a.T)
+    foot = a.T @ (gram_inv @ offsets)
+    slack = r * r - foot @ foot
+    if slack < 0.0:
+        return None
+    null = np.linalg.svd(a)[2][len(a):].T
+    h, turn = np.linalg.eigh((null.T * lam) @ null)
+    frame = null @ turn
+    return foot, frame, h, frame.T * lam, np.sqrt(slack), gram_inv @ a
+
+
+def nearest_points(x, lam, basis, normals, offsets, r):
+    """For each row of x (n, d), the nearest point of {basis y : N basis y
+    <= b, |y| <= r} in the metric sum_i lam_i (y_i - t_i)^2, t = basis^T x.
+    basis (d, k) has orthonormal columns and lam (k,) is positive.
+
+    By KKT the nearest point is, for some set S of at most k independent
+    rows of N basis, the nearest point of the plane N_S basis y = b_S within
+    the ball: in a frame diagonalizing the weights on that plane it is
+    secular_newton's multiplier problem. The face sets are walked smallest
+    first from S empty; a row takes the first candidate that is a member
+    within CONTAINS_TOL and whose multipliers on S are at least
+    -CONTAINS_TOL, so the answer is exact up to rounding, and a row left
+    over raises NonConvergence. Elementwise arithmetic and einsum, unlike a
+    BLAS matmul, keep each row's bits independent of the batch."""
+    t = np.einsum("ni,ij->nj", x, basis)
+    reduced = normals @ basis
+    live = np.arange(len(x))
+    for rows in itertools.chain([[]], face_sets(reduced, basis.shape[1])):
+        if rows:
+            face = _face(reduced[rows], offsets[rows], lam, r)
+            if face is None:
+                continue
+            foot, frame, h, weigh, radius, mult = face
+            b = np.einsum("ij,nj->ni", weigh, t - foot)
+        else:
+            h, radius, b = lam, r, lam * t
+        with np.errstate(invalid="ignore"):  # b = 0 at the foot: mu = 0
+            mu = secular_newton(h, b, radius) if np.isfinite(r) and h.size \
+                else np.zeros(len(t))
+        y = b / (h + mu[:, None])
+        if rows:
+            y = foot + np.einsum("ij,nj->ni", frame, y)
+        f = np.einsum("nj,ij->ni", y, basis)
+        if np.isfinite(r):
+            f = _clamp(f, r)
+        ok = inside(f, normals, offsets, r, CONTAINS_TOL)
+        if rows:
+            nu = np.einsum("ij,nj->ni", mult, lam * (t - y) - mu[:, None] * y)
+            ok &= np.all(nu >= -CONTAINS_TOL, axis=1)
+            out[live[ok]] = f[ok]
+        else:
+            out = f  # every row; later faces overwrite the ones refused here
+        live, t = live[~ok], t[~ok]
+        if live.size == 0:
+            return out
+    raise NonConvergence(f"no face set gave a KKT point for {live.size} of "
+                         f"{len(x)} rows")
 
 
 def hausdorff_distance(set_a, set_b, radius, dim):

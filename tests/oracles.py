@@ -6,6 +6,7 @@ scenario enumeration instead of reshape tricks. Slow but unambiguous.
 """
 
 import numpy as np
+from scipy.optimize import nnls
 
 from growthlab.constraints import (
     Ball, Box, FullSpace, HalfspacePolytope, Intersection, NonnegativeOrthant,
@@ -99,6 +100,27 @@ def ball_kkt_fraction(c, a, radius, tol=1e-14):
             break
     mu = 0.5 * (lo + hi)
     return np.linalg.solve(c + mu * np.eye(len(a)), ca)
+
+
+def kkt_violation(c, a, f, normals, offsets, radius):
+    """How far f is from the maximizer of <f, a>_c - |f|_c^2 / 2 over
+    {f : N f <= b, |f| <= radius}: the larger of f's primal violation and
+    the NNLS residual of c (a - f) = N_A^T nu + mu f with nu, mu >= 0, N_A
+    the rows active within 1e-9 and f a column only where |f| = radius
+    within 1e-9. Zero exactly at the maximizer (up to rounding), for any
+    choice among degenerate multipliers."""
+    f = np.asarray(f, dtype=float)
+    normals = np.asarray(normals, dtype=float).reshape(-1, len(f))
+    excess = normals @ f - offsets
+    norm = np.linalg.norm(f)
+    primal = max(0.0, norm - radius, *excess)
+    cols = list(normals[excess >= -1e-9])
+    if norm >= radius - 1e-9:
+        cols.append(f)
+    target = c @ (np.asarray(a, dtype=float) - f)
+    if not cols:
+        return max(primal, float(np.linalg.norm(target)))
+    return max(primal, nnls(np.array(cols).T, target)[1])
 
 
 def particle_posterior_mean(theta_prior, v, cov_steps, dG, dS, noise_scale,

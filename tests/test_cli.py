@@ -186,6 +186,25 @@ def test_numerical_error_exits_3(tmp_path):
                    "--out", str(tmp_path / "o")) == 3
 
 
+def test_solve_without_kkt_point_exits_3(tmp_path, capsys, monkeypatch):
+    # No face set is accepted when the membership slack is -1, so the solve
+    # raises NonConvergence rather than return an inexact fraction.
+    import growthlab.constraints as constraints
+
+    monkeypatch.setattr(constraints, "CONTAINS_TOL", -1.0)
+    cfg = write_config(tmp_path, "box.yaml", {
+        "kind": "solve",
+        "covariance": [[0.5, 0.1], [0.1, 0.4]],
+        "drift": [2.0, -1.0],
+        "constraint": {"type": "box", "lower": [-0.5, -0.5],
+                       "upper": [0.5, 0.5]},
+    })
+    assert run_cli("solve", "--config", cfg,
+                   "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and "Traceback" not in err
+
+
 def test_simulate_writes_wealth_table(tmp_path):
     cfg = write_config(tmp_path, "sim.yaml", {
         "kind": "simulate", "market": MARKET,

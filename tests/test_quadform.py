@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import growthlab.quadform as quadform
+import growthlab.constraints as constraints
 
-from growthlab.constraints import Ball, Box, FullSpace, NonnegativeOrthant
+from growthlab.constraints import (
+    Ball, Box, FullSpace, HalfspacePolytope, Intersection, NonnegativeOrthant,
+    nearest_points,
+)
 from growthlab.errors import (
     DimensionMismatch, InfeasibleConstraint, InvalidSpec, NonConvergence,
 )
@@ -12,7 +15,9 @@ from growthlab.quadform import (
     cov_inner, cov_norm, nullspace_split, optimal_fraction_batch, step_runs,
 )
 
-from oracles import ball_kkt_fraction, grid_argmax_fraction, quadratic_growth
+from oracles import (
+    ball_kkt_fraction, grid_argmax_fraction, kkt_violation, quadratic_growth,
+)
 
 
 def random_psd(rng, d, min_eig=0.0, rank=None):
@@ -158,7 +163,13 @@ def test_batch_matches_single():
     c = random_psd(rng, 3, min_eig=0.1)
     assert np.ptp(np.linalg.eigvalsh(c)) > 0.1
     drifts = rng.standard_normal((200, 3)) * 2.0
-    for constraint in (Ball(0.8), Box([-0.5, -0.3, -1.0], [0.4, 1.0, 0.2])):
+    normals = rng.standard_normal((7, 3))
+    polytope = HalfspacePolytope(
+        normals / np.linalg.norm(normals, axis=1, keepdims=True),
+        rng.uniform(0.2, 1.5, 7))
+    box = Box([-0.5, -0.3, -1.0], [0.4, 1.0, 0.2])
+    for constraint in (Ball(0.8), box, polytope, Intersection([Ball(0.8), box]),
+                       Intersection([Ball(0.8), polytope])):
         batch = optimal_fraction_batch(c, drifts, constraint)
         assert not np.array_equal(batch, drifts)  # some rows are iterated
         halves = np.concatenate([optimal_fraction_batch(c, half, constraint)
@@ -169,31 +180,23 @@ def test_batch_matches_single():
             assert np.array_equal(batch[k], single)
 
 
-class _LazyBall(Ball):
-    """A Ball whose projection hands back its input when nothing moves."""
-
-    def project(self, x):
-        return x if np.all(self.contains(x)) else super().project(x)
-
-
 def test_projection_returning_its_input_leaves_drifts_alone():
-    # With null(c) trivial the solver projects the caller's rows directly;
-    # its answer must still be an array of its own.
+    # With null(c) trivial and every row feasible the solver answers with
+    # the caller's rows; its answer must still be an array of its own.
     rng = np.random.default_rng(6)
     c = random_psd(rng, 2, min_eig=0.1)
     drifts = rng.uniform(-0.1, 0.1, (5, 2))
     kept = drifts.copy()
-    out = optimal_fraction_batch(c, drifts, _LazyBall(5.0))
+    out = optimal_fraction_batch(c, drifts, Ball(5.0))
     assert np.array_equal(out, kept)
     out[:] = 0.0
     assert np.array_equal(drifts, kept)
 
 
-def test_interior_rows_are_exact_and_boundary_rows_match_oracle(monkeypatch):
-    # Ball rows are solved exactly (Newton on the KKT multiplier), so the
-    # residual tolerance, which steers only FISTA, does not enter; every
-    # boundary row lies within 1e-8 of the bisection oracle.
-    monkeypatch.setattr(quadform, "SOLVER_RESIDUAL_TOL", 1e-10)
+def test_interior_rows_are_exact_and_boundary_rows_match_oracle():
+    # Ball rows are solved exactly (Newton on the KKT multiplier): interior
+    # rows come back as they are, and every boundary row lies within 1e-8
+    # of the bisection oracle.
     rng = np.random.default_rng(8)
     radius = 1.0
     for _ in range(10):
@@ -222,7 +225,7 @@ def test_non_finite_drift_rejected(constraint):
 def test_nonconvergence_raises(monkeypatch):
     rng = np.random.default_rng(6)
     c = random_psd(rng, 3, min_eig=0.1)
-    monkeypatch.setattr(quadform, "SOLVER_MAX_ITER", 2)
+    monkeypatch.setattr(constraints, "SOLVER_MAX_ITER", 2)
     with pytest.raises(NonConvergence):
         optimal_fraction_batch(c, np.array([5.0, -3.0, 2.0]), Ball(1.0))
 
@@ -375,13 +378,52 @@ def test_ball_rows_satisfy_kkt():
                 assert np.max(np.abs(fk - ref)) <= 1e-10
 
 
-def test_fista_nonconvergence_raises(monkeypatch):
-    # The optimum lies inside a face of the box, not at a vertex, so two
-    # projected-gradient steps cannot reach the residual tolerance.
-    rng = np.random.default_rng(6)
-    c = random_psd(rng, 3, min_eig=0.1)
-    assert np.ptp(np.linalg.eigvalsh(c)) > 0.1
-    monkeypatch.setattr(quadform, "SOLVER_MAX_ITER", 2)
-    with pytest.raises(NonConvergence):
-        optimal_fraction_batch(c, np.array([0.9, 0.1, -0.2]),
-                               Box([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5]))
+def _kkt_sets(rng, d):
+    """Each set kind of the KKT test with its (N, b, r), written out from
+    the drawn numbers rather than taken from the library."""
+    lo, hi = -rng.uniform(0.2, 1.5, d), rng.uniform(0.2, 1.5, d)
+    normals = rng.standard_normal((2 * d + 1, d))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    offsets = rng.uniform(0.2, 1.5, 2 * d + 1)
+    radius = float(rng.uniform(0.8, 2.5))
+    eye = np.eye(d)
+    box, box_rows = Box(lo, hi), (np.vstack([eye, -eye]), np.r_[hi, -lo])
+    polytope = HalfspacePolytope(normals, offsets)
+    return {
+        "box": (box, *box_rows, np.inf),
+        "orthant": (NonnegativeOrthant(), -eye, np.zeros(d), np.inf),
+        "polytope": (polytope, normals, offsets, np.inf),
+        "ball_box": (Intersection([Ball(radius), box]), *box_rows, radius),
+        "ball_polytope": (Intersection([Ball(radius), polytope]), normals,
+                          offsets, radius),
+    }
+
+
+@pytest.mark.parametrize("kind", ["box", "orthant", "polytope", "ball_box",
+                                  "ball_polytope"])
+def test_solutions_satisfy_kkt(kind):
+    # Every growth solve row, and every row of the Euclidean projection
+    # (c = I), is primally feasible and meets stationarity with nonnegative
+    # multipliers on its active rows, both to 1e-9 (an NNLS certificate).
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        d = int(rng.choice((1, 2, 3, 5)))
+        c = random_psd(rng, d, min_eig=0.05)
+        c /= np.trace(c)
+        constraint, normals, offsets, radius = _kkt_sets(rng, d)[kind]
+        drifts = rng.standard_normal((40, d)) * 2.0
+        for metric, got in ((c, optimal_fraction_batch(c, drifts, constraint)),
+                            (np.eye(d), constraint.project(drifts))):
+            for a, f in zip(drifts, got):
+                assert kkt_violation(metric, a, f, normals, offsets,
+                                     radius) <= 1e-9, (kind, d, a, f)
+
+
+def test_unresolved_rows_raise(monkeypatch):
+    # With a membership slack of -1 no candidate of any face set is
+    # accepted: the rows left over raise instead of coming back inexact.
+    monkeypatch.setattr(constraints, "CONTAINS_TOL", -1.0)
+    eye = np.eye(2)
+    with pytest.raises(NonConvergence, match="2 of 2 rows"):
+        nearest_points(np.array([[2.0, 0.5], [0.1, 0.1]]), np.ones(2), eye,
+                       np.vstack([eye, -eye]), np.ones(4), np.inf)
