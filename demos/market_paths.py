@@ -11,7 +11,7 @@ import numpy as np
 from growthlab import Ball, MarketSpec
 from growthlab.market import simulate_paths
 from growthlab.numeraire import (
-    growth_path, numeraire_paths, terminal_deflation, wealth_paths,
+    growth_path, numeraire_fractions, terminal_deflation, wealth_paths,
 )
 
 
@@ -24,8 +24,9 @@ def main():
           f"clock total {bundle.dG.sum():.6f}")
 
     constraint = Ball(1.0)
-    growth = growth_path(bundle.cov, bundle.drift, constraint, bundle.dG)
-    best = numeraire_paths(bundle, constraint)
+    fractions = numeraire_fractions(bundle, constraint)
+    growth = growth_path(bundle, fractions)
+    best = wealth_paths(bundle, fractions)
     mean_fv = float(np.mean(np.sum(best.dB, axis=1)))
     print(f"growth integral (deterministic): {growth.total:.6f}")
     print(f"mean finite-variation log wealth: {mean_fv:.6f}")

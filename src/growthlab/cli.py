@@ -256,7 +256,7 @@ def _write_ladder(out_dir, manifest, csv_name, report, payload):
            dict(payload, slopes=_slope_summary(slopes)))
 
 
-def cmd_solve(cfg, args, out_dir, manifest):
+def cmd_solve(cfg, runtime, out_dir, manifest):
     _require_keys(cfg, ("kind", "covariance", "drift"),
                   ("constraint",) + SHARED_KEYS[1:], "config")
     cov = _floats(cfg["covariance"], "covariance")
@@ -272,19 +272,18 @@ def cmd_solve(cfg, args, out_dir, manifest):
         "constraint": constraint.to_config(),
     })
     manifest.record_check("solved", True)
-    return manifest
 
 
-def cmd_simulate(cfg, args, out_dir, manifest):
+def cmd_simulate(cfg, runtime, out_dir, manifest):
     _require_keys(cfg, ("kind", "market"), ("constraint",) + SHARED_KEYS[1:],
                   "config")
-    seed, paths, threads = _runtime(cfg, args)
+    seed, paths, threads = runtime
     spec = _market_spec(cfg["market"])
     constraint = _constraint(cfg.get("constraint"))
     bundle = simulate_paths(spec, paths, seed, threads=threads)
     fractions = numeraire_fractions(bundle, constraint)
     wealth = wealth_paths(bundle, fractions)
-    gp = growth_path(bundle.cov, bundle.drift, constraint, bundle.dG)
+    gp = growth_path(bundle, fractions)
     dB, dL = wealth.dB[:1], wealth.dL[:1]  # the table shows the first path
     _write(out_dir, manifest, "wealth.csv", write_wealth_csv, spec.grid,
            cumsum_from_zero(dB + dL)[0], cumsum_from_zero(dB)[0],
@@ -299,12 +298,11 @@ def cmd_simulate(cfg, args, out_dir, manifest):
         "seed": seed,
     })
     manifest.record_check("completed", True)
-    return manifest
 
 
-def cmd_stability(cfg, args, out_dir, manifest):
+def cmd_stability(cfg, runtime, out_dir, manifest):
     kind = cfg["kind"]
-    seed, paths, threads = _runtime(cfg, args)
+    seed, paths, threads = runtime
     if kind == "stability-filtration":
         _require_keys(cfg, ("kind", "market", "signal"),
                       ("constraint", "event_threshold") + SHARED_KEYS[1:],
@@ -345,13 +343,12 @@ def cmd_stability(cfg, args, out_dir, manifest):
         "n_paths": paths,
         "seed": seed,
     })
-    return manifest
 
 
-def cmd_sensitivity(cfg, args, out_dir, manifest):
+def cmd_sensitivity(cfg, runtime, out_dir, manifest):
     _require_keys(cfg, ("kind", "market", "tilt"),
                   ("eps_ladder", "identity_tol") + SHARED_KEYS[1:], "config")
-    seed, paths, threads = _runtime(cfg, args)
+    seed, paths, threads = runtime
     spec = _market_spec(cfg["market"])
     tilt = _tilt_spec(cfg["tilt"])
     eps_ladder = _ladder(cfg.get("eps_ladder", [0.2, 0.1, 0.05, 0.025]),
@@ -389,10 +386,9 @@ def cmd_sensitivity(cfg, args, out_dir, manifest):
                 manifest.record_check(f"{tag}_{key}_in_range",
                                       0.8 <= order <= 1.2)
     _write(out_dir, manifest, "summary.json", write_json, payload)
-    return manifest
 
 
-def cmd_counterexample(cfg, args, out_dir, manifest):
+def cmd_counterexample(cfg, runtime, out_dir, manifest):
     _require_keys(cfg, ("kind", "p"),
                   ("levels", "quad_nodes", "quad_range", "signal_mean",
                    "theta_tol") + SHARED_KEYS[1:], "config")
@@ -418,10 +414,9 @@ def cmd_counterexample(cfg, args, out_dir, manifest):
         "limit_wealth_probs": limit.wealth_probs,
         "expected_gap": abs(2.0 * p - 1.0),
     })
-    return manifest
 
 
-def cmd_tree(cfg, args, out_dir, manifest):
+def cmd_tree(cfg, runtime, out_dir, manifest):
     _require_keys(cfg, ("kind", "depth", "chi"),
                   ("up_probs", "clock_increments", "caps") + SHARED_KEYS[1:],
                   "config")
@@ -461,14 +456,13 @@ def cmd_tree(cfg, args, out_dir, manifest):
     _write(out_dir, manifest, "summary.json", write_json, {
         "depth": depth, "caps": caps, "expected_gaps": expected,
     })
-    return manifest
 
 
-def cmd_density_check(cfg, args, out_dir, manifest):
+def cmd_density_check(cfg, runtime, out_dir, manifest):
     _require_keys(cfg, ("kind", "family"),
                   ("vols", "sizes", "kappa", "n_steps", "horizon")
                   + SHARED_KEYS[1:], "config")
-    seed, paths, _ = _runtime(cfg, args)
+    seed, paths, _ = runtime
     family = cfg["family"]
     n_steps = _positive_int(cfg.get("n_steps", 256), "n_steps")
     horizon = _float(cfg.get("horizon", 1.0), "horizon")
@@ -497,7 +491,6 @@ def cmd_density_check(cfg, args, out_dir, manifest):
         "n_paths": paths,
         "seed": seed,
     })
-    return manifest
 
 
 COMMANDS = {
@@ -557,10 +550,10 @@ def run(args, malloc_retained):
             f"(expected one of {', '.join(allowed)})")
     out_dir = args.out if args.out is not None else f"growthlab-{args.command}"
     os.makedirs(out_dir, exist_ok=True)
-    seed, paths, threads = _runtime(cfg, args)
-    manifest = RunManifest(config=cfg, seed=seed, version=__version__)
+    runtime = _runtime(cfg, args)
+    manifest = RunManifest(config=cfg, seed=runtime[0], version=__version__)
     manifest.record_diagnostic("malloc_retained", malloc_retained)
-    COMMANDS[args.command](cfg, args, out_dir, manifest)
+    COMMANDS[args.command](cfg, runtime, out_dir, manifest)
     return _finish(manifest, out_dir)
 
 

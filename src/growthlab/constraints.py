@@ -403,19 +403,16 @@ def hausdorff_distance(set_a, set_b, radius, dim):
 
 def truncated_pair_distance(set_a, set_b, radius, dim):
     """Distance between the radius-truncated sets, exact where a closed form
-    exists (balls; boxes strictly inside the truncation ball; identical sets),
-    net-based otherwise."""
+    exists (identical sets; sets with no halfspace rows, which are balls
+    about 0 with r = inf for the full space; boxes strictly inside the
+    truncation ball), net-based otherwise."""
     radius = float(radius)
-    if radius <= 0.0:
+    if radius <= 0.0 or set_a == set_b:
         return 0.0
-    if set_a == set_b:
-        return 0.0
-    if isinstance(set_a, Ball) and isinstance(set_b, Ball):
-        return abs(min(set_a.radius, radius) - min(set_b.radius, radius))
-    if isinstance(set_a, FullSpace) and isinstance(set_b, Ball):
-        return max(0.0, radius - min(set_b.radius, radius))
-    if isinstance(set_a, Ball) and isinstance(set_b, FullSpace):
-        return max(0.0, radius - min(set_a.radius, radius))
+    (rows_a, _, r_a), (rows_b, _, r_b) = (set_a.halfspaces(dim),
+                                          set_b.halfspaces(dim))
+    if len(rows_a) == 0 and len(rows_b) == 0:
+        return abs(min(r_a, radius) - min(r_b, radius))
     if isinstance(set_a, Box) and isinstance(set_b, Box):
         if max(set_a.corner_radius(), set_b.corner_radius()) <= radius + 1e-12:
             return polytope_hausdorff_oracle(set_a, set_b)

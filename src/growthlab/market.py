@@ -169,9 +169,14 @@ def market_steps(spec):
                       dM=np.empty((0, spec.n_steps, spec.dim)))
 
 
-def _check_paths(n_paths):
+def check_paths(n_paths, n_steps, dim=1):
+    """Reject, before any draw, a path count below one or one whose float
+    array (n_paths, n_steps, dim) has more bytes than numpy can index."""
     if n_paths < 1:
         raise InvalidSpec(f"need at least one path, got {n_paths}")
+    if 8 * int(n_paths) * int(n_steps) * int(dim) > np.iinfo(np.intp).max:
+        raise InvalidSpec(f"path count too large: its (paths, {n_steps}, "
+                          f"{dim}) array needs more bytes than numpy can index")
 
 
 def stream_paths(market, n_paths, seed, job, threads=1, out=None):
@@ -180,7 +185,7 @@ def stream_paths(market, n_paths, seed, job, threads=1, out=None):
     shares market's per-step arrays, writes its noise dM to out[lo:hi] if out
     is given, and runs on worker b % threads (0 is the caller), so no path
     depends on the thread count or on later blocks."""
-    _check_paths(n_paths)
+    check_paths(n_paths, *market.dM.shape[1:])
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     n_blocks = (n_paths + PATH_BLOCK - 1) // PATH_BLOCK
@@ -209,8 +214,9 @@ def stream_paths(market, n_paths, seed, job, threads=1, out=None):
 
 def simulate_paths(spec, n_paths, seed, threads=1):
     """Generate a PathBundle; identical output for any thread count."""
+    check_paths(n_paths, spec.n_steps, spec.dim)
     market = market_steps(spec)
-    dM = np.empty((max(n_paths, 0), spec.n_steps, spec.dim))
+    dM = np.empty((n_paths, spec.n_steps, spec.dim))
     stream_paths(market, n_paths, seed, lambda *block: None, threads, out=dM)
     return replace(market, dM=dM)
 
@@ -301,6 +307,7 @@ def signal_draws(spec, model, n_paths, seed):
     if model.direction.shape != (spec.dim,):
         raise DimensionMismatch(f"signal direction dim {model.direction.shape}"
                                 f" vs market dim {spec.dim}")
+    check_paths(n_paths, spec.n_steps, spec.dim)
     latent_ss, path_ss = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(latent_ss)
     theta = model.prior_mean + model.prior_std * rng.standard_normal(n_paths)
@@ -414,7 +421,7 @@ class DensityRecord:
 def orthogonal_draws(seed, n_paths, n_steps):
     """Standard normals (P, N) behind the orthogonal tilt factor: one draw
     from stream ORTHOGONAL_STREAM of the integer path seed, row p for path p."""
-    _check_paths(n_paths)
+    check_paths(n_paths, n_steps)
     ss = np.random.SeedSequence((int(seed), ORTHOGONAL_STREAM))
     return np.random.default_rng(ss).standard_normal((n_paths, n_steps))
 

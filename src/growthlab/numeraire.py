@@ -150,20 +150,18 @@ class GrowthPath:
         return float(self.cumulative[-1])
 
 
-def growth_path(cov, drift, constraint, dG):
-    """Deterministic growth of the constrained optimum along a step schedule.
-
-    cov is (N, d, d), drift (N, d), dG (N,). The integrand sits in
+def growth_path(market, fractions):
+    """Growth of a fraction schedule (N, d) along market's steps; it solves
+    nothing. For numeraire_fractions(market, K) the integrand sits in
     [0, 0.5 |a|_c^2] per step: zero is feasible, and the unconstrained
-    optimum caps the objective.
-    """
-    cov = np.asarray(cov, dtype=float)
-    drift = np.asarray(drift, dtype=float)
-    dG = np.asarray(dG, dtype=float)
-    f = _solve_steps(cov, drift[None], constraint)[0]
-    integrand = growth_rate(cov, drift, f)
-    bound = 0.5 * np.maximum(cov_inner(cov, drift, drift), 0.0)
-    cumulative = np.concatenate(([0.0], np.cumsum(integrand * dG)))
+    optimum caps the objective."""
+    if np.shape(fractions) != market.drift.shape:
+        raise DimensionMismatch(f"fractions of shape {np.shape(fractions)} "
+                                f"for drifts of shape {market.drift.shape}")
+    integrand = growth_rate(market.cov, market.drift, fractions)
+    bound = 0.5 * np.maximum(
+        cov_inner(market.cov, market.drift, market.drift), 0.0)
+    cumulative = np.concatenate(([0.0], np.cumsum(integrand * market.dG)))
     return GrowthPath(integrand=integrand, cumulative=cumulative,
                       unconstrained_bound=bound)
 

@@ -24,9 +24,9 @@ import numpy as np
 from .constraints import truncated_pair_distance
 from .errors import DensityFloorHit, InvalidSpec
 from .market import (
-    SignalBundle, cumsum_from_zero, density_paths, event_probabilities,
-    filtered_drift, market_steps, orthogonal_draws, path_stderr,
-    signal_draws, stream_paths, tilt_field,
+    SignalBundle, check_paths, cumsum_from_zero, density_paths,
+    event_probabilities, filtered_drift, market_steps, orthogonal_draws,
+    path_stderr, signal_draws, stream_paths, tilt_field,
 )
 from .numeraire import (
     growth_path, numeraire_fractions, numeraire_paths, wealth_paths,
@@ -282,8 +282,9 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
     """Constraint ladder: a sequence of sets closing on a limit set.
 
     Reports wealth distances to the limit-set numéraire, the truncated
-    Hausdorff distance per rung, the worst per-step excess of the squared
-    fraction gap over 4 |a|_c dist, and the cumulative growth gap.
+    Hausdorff distance per rung (its largest over the steps, one per
+    distinct drift norm), the worst per-step excess of the squared fraction
+    gap over 4 |a|_c dist, and the cumulative growth gap.
 
     dist truncates both sets at the Euclidean ball B(|a|_c), and in that
     form the bound is false in general. It is proved only where both
@@ -298,55 +299,32 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
         raise InvalidSpec("constraint ladder needs at least one set")
     market = market_steps(spec)
     frac_inf = numeraire_fractions(market, limit_set)
-    growth_inf = growth_path(market.cov, market.drift, limit_set, market.dG)
-
-    steps_alike = all(
-        np.array_equal(market.cov[k], market.cov[0])
-        and np.array_equal(market.drift[k], market.drift[0])
-        for k in range(market.n_steps)
-    )
+    growth_inf = growth_path(market, frac_inf).total
     # Regime of the Euclidean form: the variational inequalities at phi and
     # phi', tested at the nearest points of the other truncated set, give
     # |phi' - phi|_c^2 <= 2 |a|_c sqrt(lambda_max(c)) dist when 0 is in both
     # sets (so |a - phi|_c <= |a|_c) and both fractions lie in B(|a|_c).
     # A rank-deficient c is covered too: the solver requires null(c) inside
     # every set, so each set is invariant along null(c).
-    weight = market.n_steps if steps_alike else 1
+    m = cov_norm(market.cov, market.drift)
+    regime = (m > 0.0) & (np.linalg.eigvalsh(market.cov)[:, -1] <= 4.0) \
+        & (np.linalg.norm(frac_inf, axis=1) <= m)
+    radii, step_radius = np.unique(m, return_inverse=True)
     origin = np.zeros(market.dim)
-    small_cov = np.linalg.eigvalsh(market.cov)[:, -1] <= 4.0
-    drift_norm = cov_norm(market.cov, market.drift)
     fracs, dists, excesses, unchecked, growth_gaps = [], [], [], [], []
     for K_n in sets:
         frac_n = numeraire_fractions(market, K_n)
         fracs.append(frac_n)
-        gap_norm = cov_norm(market.cov, frac_n - frac_inf)
-
-        ks = [0] if steps_alike else range(market.n_steps)
-        origin_in_both = bool(K_n.contains(origin)
-                              and limit_set.contains(origin))
-        worst = -np.inf
-        dist_here = 0.0
-        skipped = 0
-        for k in ks:
-            m = float(drift_norm[k])
-            if m <= 0.0:
-                skipped += weight
-                continue
-            dist_k = truncated_pair_distance(K_n, limit_set, m,
-                                             dim=market.dim)
-            dist_here = max(dist_here, dist_k)
-            if not (origin_in_both and small_cov[k]
-                    and np.linalg.norm(frac_n[k]) <= m
-                    and np.linalg.norm(frac_inf[k]) <= m):
-                skipped += weight
-                continue
-            lhs = float(gap_norm[k]) ** 2
-            worst = max(worst, lhs - 4.0 * m * dist_k)
-        dists.append(dist_here)
-        excesses.append(worst if np.isfinite(worst) else 0.0)
-        unchecked.append(skipped)
-        growth_n = growth_path(market.cov, market.drift, K_n, market.dG)
-        growth_gaps.append(abs(growth_n.total - growth_inf.total))
+        dist = np.array([truncated_pair_distance(K_n, limit_set, r, market.dim)
+                         if r > 0.0 else 0.0 for r in radii])
+        dists.append(float(dist.max()))
+        checked = regime & (np.linalg.norm(frac_n, axis=1) <= m) \
+            & bool(K_n.contains(origin) and limit_set.contains(origin))
+        gap_norm = cov_norm(market.cov, frac_n - frac_inf)[checked]
+        excess = gap_norm ** 2 - 4.0 * m[checked] * dist[step_radius[checked]]
+        excesses.append(float(excess.max()) if excess.size else 0.0)
+        unchecked.append(int(market.n_steps - checked.sum()))
+        growth_gaps.append(abs(growth_path(market, frac_n).total - growth_inf))
 
     def block(bundle, lo, hi):
         w_inf = wealth_paths(bundle, frac_inf)
@@ -365,7 +343,7 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
         deterministic={"set_distance": dists,
                        "growth_gap": np.asarray(growth_gaps)},
         meta={"n_paths": n_paths, "seed": seed,
-              "bound_excess": [float(e) for e in excesses],
+              "bound_excess": excesses,
               "bound_unchecked_steps": unchecked,
               "bound_slack": bound_slack,
               "bound_ok": bool(max(excesses) <= bound_slack),
@@ -406,6 +384,7 @@ def density_sequence_check(z_paths):
 def lognormal_density_ladder(vols, n_paths, n_steps, horizon, seed):
     """Stochastic exponentials of vol * W on common Brownian draws."""
     vols = np.asarray(vols, dtype=float)
+    check_paths(n_paths, n_steps + 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     dt = horizon / n_steps
     dw = rng.standard_normal((n_paths, n_steps)) * np.sqrt(dt)
@@ -419,6 +398,7 @@ def excursion_density_ladder(sizes, kappa, n_paths, n_steps, horizon, seed):
     """Rare large excursions: with probability 1/size a path runs a
     volatility-kappa exponential, otherwise stays at one. Terminal values
     converge to one in L^1 while individual excursions stay large."""
+    check_paths(n_paths, n_steps + 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     dt = horizon / n_steps
     dw = rng.standard_normal((n_paths, n_steps)) * np.sqrt(dt)

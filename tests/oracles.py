@@ -102,6 +102,48 @@ def ball_kkt_fraction(c, a, radius, tol=1e-14):
     return np.linalg.solve(c + mu * np.eye(len(a)), ca)
 
 
+def ball_ladder_bound(cov, drift, dG, radii, limit_radius):
+    """Step-by-step reference of the constraint ladder's deterministic part
+    for balls about 0 closing on a limit ball, from ball_kkt_fraction and
+    the closed-form distance |min(r_n, m) - min(r, m)| of two balls cut at
+    m = |a_k|_c. Per rung: the steps outside the bound's proved regime
+    (m > 0, lambda_max(c_k) <= 4, both fractions in B(m)), the worst
+    |phi_n - phi|_c^2 - 4 m dist over the other steps (0 when there is
+    none), the largest distance over the steps with m > 0, and the gap of
+    the two growth integrals."""
+    def growth(k, f):
+        return (f @ cov[k] @ drift[k] - 0.5 * f @ cov[k] @ f) * dG[k]
+
+    steps = range(len(dG))
+    limit = [ball_kkt_fraction(cov[k], drift[k], limit_radius) for k in steps]
+    growth_inf = sum(growth(k, limit[k]) for k in steps)
+    rungs = []
+    for r_n in radii:
+        unchecked, worst, dist, growth_n = 0, None, 0.0, 0.0
+        for k in steps:
+            phi = ball_kkt_fraction(cov[k], drift[k], r_n)
+            growth_n += growth(k, phi)
+            m = np.sqrt(max(drift[k] @ cov[k] @ drift[k], 0.0))
+            if m <= 0.0:
+                unchecked += 1
+                continue
+            d = abs(min(r_n, m) - min(limit_radius, m))
+            dist = max(dist, d)
+            if (np.linalg.eigvalsh(cov[k])[-1] > 4.0
+                    or np.linalg.norm(phi) > m
+                    or np.linalg.norm(limit[k]) > m):
+                unchecked += 1
+                continue
+            gap = phi - limit[k]
+            excess = gap @ cov[k] @ gap - 4.0 * m * d
+            worst = excess if worst is None else max(worst, excess)
+        rungs.append({"unchecked": unchecked,
+                      "excess": 0.0 if worst is None else worst,
+                      "set_distance": dist,
+                      "growth_gap": abs(growth_n - growth_inf)})
+    return rungs
+
+
 def kkt_violation(c, a, f, normals, offsets, radius):
     """How far f is from the maximizer of <f, a>_c - |f|_c^2 / 2 over
     {f : N f <= b, |f| <= radius}: the larger of f's primal violation and

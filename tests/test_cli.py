@@ -578,6 +578,29 @@ def test_memory_error_exits_2_without_traceback(tmp_path, monkeypatch,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("stability", {"kind": "stability-filtration", "market": MARKET,
+                   "signal": {"direction": [1.0, 0.3]}}),
+    ("stability", {"kind": "stability-probability", "market": MARKET,
+                   "tilt": {"lam1": [0.4, -0.2]}}),
+    ("stability", {"kind": "stability-probability", "market": MARKET,
+                   "tilt": {"lam1": [0.4, -0.2], "orthogonal_vol": 0.2}}),
+    ("sensitivity", {"kind": "sensitivity", "market": MARKET,
+                     "tilt": {"lam1": [0.4, -0.2]}}),
+    ("simulate", {"kind": "simulate", "market": MARKET}),
+], ids=["filtration", "probability", "probability-orthogonal", "sensitivity",
+        "simulate"])
+def test_unindexable_path_count_exits_2(tmp_path, capsys, command, payload):
+    # 1e308 is an integer, so it passes the config check; its path arrays
+    # cannot be indexed, and the run must stop before it draws anything.
+    cfg = write_config(tmp_path, "huge.yaml", dict(payload, paths=1.0e308))
+    assert run_cli(command, "--config", cfg,
+                   "--out", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: path count too large")
+    assert "Traceback" not in err
+
+
 def test_manifest_records_malloc_policy(tmp_path):
     cfg = write_config(tmp_path, "solve.yaml", {
         "kind": "solve", "covariance": [[1.0, 0.0], [0.0, 1.0]],

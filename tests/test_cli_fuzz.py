@@ -167,3 +167,22 @@ def test_mutated_configs_keep_the_exit_code_contract(mutant):
 def test_valid_configs_exit_0():
     for command, cfg in VALID:
         assert run_mutant(command, cfg)[:1] == (0,), (command, cfg["kind"])
+
+
+# Counts up to 16 run; counts from 1e18 ask for path arrays that numpy
+# cannot index on every config here. Counts in between pass that check and
+# would be drawn for real, so they are not drawn.
+PATH_COUNTS = st.one_of(st.integers(1, 16), st.integers(10 ** 18, 10 ** 308),
+                        st.floats(1e18, 1e308))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([(c, cfg) for c, cfg in VALID if "paths" in cfg]),
+       PATH_COUNTS)
+def test_path_counts_up_to_1e308_keep_the_exit_code_contract(valid, paths):
+    command, cfg = valid
+    code, err, strict = run_mutant(command, dict(cfg, paths=paths))
+    assert code in ((0, 1) if paths <= 16 else (2,)), (code, paths, err)
+    assert "Traceback" not in err
+    assert strict, cfg

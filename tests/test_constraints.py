@@ -31,8 +31,14 @@ def test_ball_rejects_bad_radius_when_built(radius):
         Ball(radius)
 
 
-def test_ball_pair_distance_is_radius_gap():
+def test_ball_pair_distance_is_radius_gap(monkeypatch):
+    # balls, and intersections of balls, take the closed form, not the net
+    monkeypatch.setattr(constraints, "hausdorff_distance",
+                        lambda *args: pytest.fail("net distance used"))
     assert truncated_pair_distance(Ball(1.0), Ball(1.5), radius=5.0, dim=2) \
+        == pytest.approx(0.5, abs=1e-12)
+    balls = Intersection([Ball(3.0), FullSpace(), Ball(1.0)])
+    assert truncated_pair_distance(balls, Ball(1.5), radius=5.0, dim=3) \
         == pytest.approx(0.5, abs=1e-12)
     # truncation tighter than both balls: sets coincide
     assert truncated_pair_distance(Ball(2.0), Ball(3.0), radius=1.0, dim=2) \

@@ -71,7 +71,7 @@ def test_growth_rate_of_optimum_dominates_any_feasible_strategy():
 
 def test_growth_path_sandwich_and_unconstrained_bound():
     b = make_bundle()
-    gp = growth_path(b.cov, b.drift, Ball(0.8), b.dG)
+    gp = growth_path(b, numeraire_fractions(b, Ball(0.8)))
     assert np.all(gp.integrand >= -1e-12)
     bound = 0.5 * np.array([cov_inner(b.cov[k], b.drift[k], b.drift[k])
                             for k in range(b.n_steps)])
@@ -87,9 +87,9 @@ def test_growing_boxes_approach_unconstrained_growth():
     totals = []
     for half in (0.25, 0.5, 1.0, 2.0, 4.0):
         box = Box([-half, -half], [half, half])
-        totals.append(growth_path(b.cov, b.drift, box, b.dG).total)
+        totals.append(growth_path(b, numeraire_fractions(b, box)).total)
     assert all(t2 >= t1 - 1e-12 for t1, t2 in zip(totals, totals[1:]))
-    unconstrained = growth_path(b.cov, b.drift, FullSpace(), b.dG)
+    unconstrained = growth_path(b, numeraire_fractions(b, FullSpace()))
     assert totals[-1] == pytest.approx(unconstrained.total, rel=1e-9)
     assert unconstrained.total == pytest.approx(
         float(np.sum(unconstrained.unconstrained_bound * b.dG)), rel=1e-12)
@@ -205,8 +205,8 @@ def test_time_varying_covariance_matches_per_step_solves(monkeypatch):
     fractions = numeraire_fractions(b, constraint, drifts=drifts)
     assert calls == [40 * 3, 40 * 3, 40 * 4]
     reference = numeraire_fractions(b, constraint)
-    gp = growth_path(b.cov, b.drift, constraint, b.dG)
-    assert len(calls) == 9
+    gp = growth_path(b, reference)
+    assert len(calls) == 6
     for k in range(b.n_steps):
         for p in range(b.n_paths):
             ref = solve(b.cov[k], drifts[p, k], constraint)

@@ -23,6 +23,8 @@ from growthlab.stability import (
     probability_ladder,
 )
 
+from oracles import ball_ladder_bound
+
 COV = np.array([[0.5, 0.1], [0.1, 0.4]])
 DRIFT = np.array([0.8, 0.5])
 
@@ -143,6 +145,48 @@ def test_constraint_ladder_checks_euclidean_bound_only_in_its_regime():
     assert np.all(report.deterministic["set_distance"] == 0.0)
     assert report.meta["bound_unchecked_steps"] == [20] * 4
     assert report.meta["bound_ok"]
+
+
+def _tv_drift(t):
+    return np.array([2.0 + 3.0 * np.sin(6.0 * t), 1.0 + 2.0 * np.cos(4.0 * t)])
+
+
+def _tv_covariance(t):
+    return np.array([[0.6 + 0.3 * t, 0.1], [0.1, 0.4]])
+
+
+@pytest.mark.parametrize("covariance, drift, norms", [
+    (np.array([[0.6, 0.1], [0.1, 0.4]]), np.array([5.0, 4.0]), 1),
+    (_tv_covariance, _tv_drift, 40),
+], ids=["constant", "time-varying"])
+def test_constraint_ladder_matches_per_step_reference(monkeypatch, covariance,
+                                                      drift, norms):
+    # On the time-varying market |a|_c moves every step, and on every rung
+    # some steps lie inside the bound's regime and some outside.
+    calls = []
+    distance = stability.truncated_pair_distance
+
+    def counting(set_a, set_b, radius, dim):
+        calls.append(radius)
+        return distance(set_a, set_b, radius, dim)
+
+    monkeypatch.setattr(stability, "truncated_pair_distance", counting)
+    spec = MarketSpec(dim=2, n_steps=40, covariance=covariance, drift=drift)
+    radii = [1.0 + 2.0 ** -n for n in range(1, 5)]
+    report = constraint_ladder(spec, [Ball(r) for r in radii], Ball(1.0),
+                               8, 3)
+    # one distance per rung and distinct drift norm
+    assert len(calls) == len(radii) * norms and len(set(calls)) == norms
+    market = market_steps(spec)
+    ref = ball_ladder_bound(market.cov, market.drift, market.dG, radii, 1.0)
+    unchecked = [rung["unchecked"] for rung in ref]
+    assert report.meta["bound_unchecked_steps"] == unchecked
+    assert sum(unchecked) < len(radii) * 40
+    assert report.meta["bound_excess"] == pytest.approx(
+        [rung["excess"] for rung in ref], abs=1e-9)
+    for name in ("set_distance", "growth_gap"):
+        assert report.deterministic[name] == pytest.approx(
+            [rung[name] for rung in ref], rel=1e-9, abs=1e-12), name
 
 
 def test_density_check_rejects_bad_paths():
