@@ -14,6 +14,7 @@ a lower bound of the true distance, converging to it as the net refines.
 Closed forms replace the net wherever they exist.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -395,10 +396,18 @@ def hausdorff_distance(set_a, set_b, radius, dim):
     Lower bound, converging as the net refines."""
     if radius <= 0.0:
         return 0.0
-    dirs = direction_net(dim)
-    ha = set_a.support_truncated(dirs, radius)
-    hb = set_b.support_truncated(dirs, radius)
-    return float(np.max(np.abs(ha - hb)))
+    ha = set_a.support_truncated(direction_net(dim), radius)
+    return float(np.max(np.abs(ha - _net_support(set_b, radius, dim))))
+
+
+@functools.lru_cache(maxsize=1)
+def _net_support(constraint, radius, dim):
+    """constraint's support on direction_net(dim) at one radius, kept for
+    the last (set, radius, dim) asked: the ladders compare every rung with
+    one limit set at one radius in turn."""
+    support = constraint.support_truncated(direction_net(dim), radius)
+    support.flags.writeable = False
+    return support
 
 
 def truncated_pair_distance(set_a, set_b, radius, dim):

@@ -15,6 +15,7 @@ count: paths are split into fixed-size blocks, each block drawing from its
 own spawned bit generator in a fixed order.
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -24,7 +25,7 @@ from scipy.special import ndtr
 from .errors import (
     DimensionMismatch, InvalidSpec, UnsupportedSignalModel,
 )
-from .quadform import check_psd_matrix, cov_inner
+from .quadform import check_psd_matrix, cov_inner, dot_last
 
 PATH_BLOCK = 1024
 DENSITY_FLOOR = 1e-12
@@ -170,13 +171,24 @@ def market_steps(spec):
 
 
 def check_paths(n_paths, n_steps, dim=1):
-    """Reject, before any draw, a path count below one or one whose float
-    array (n_paths, n_steps, dim) has more bytes than numpy can index."""
+    """Reject, before any draw or seed spawn, a path count below one, one
+    whose float array (n_paths, n_steps, dim) has more bytes than numpy can
+    index, and one whose 8 bytes a path exceed the machine's physical
+    memory. Every run keeps at least one float per path, so it could never
+    hold such a count; stream_paths would first spend hours spawning one
+    seed child per PATH_BLOCK paths."""
     if n_paths < 1:
         raise InvalidSpec(f"need at least one path, got {n_paths}")
     if 8 * int(n_paths) * int(n_steps) * int(dim) > np.iinfo(np.intp).max:
         raise InvalidSpec(f"path count too large: its (paths, {n_steps}, "
                           f"{dim}) array needs more bytes than numpy can index")
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf (Windows)
+        return
+    if 8 * int(n_paths) > memory:
+        raise InvalidSpec(f"path count too large: one float a path needs "
+                          f"more than the machine's {memory} bytes of memory")
 
 
 def stream_paths(market, n_paths, seed, job, threads=1, out=None):
@@ -199,8 +211,8 @@ def stream_paths(market, n_paths, seed, job, threads=1, out=None):
             xi = np.random.default_rng(children[b]).standard_normal(
                 (hi - lo,) + market.dM.shape[1:])
             dM = np.empty_like(xi) if out is None else out[lo:hi]
-            # applies sqrt_cov to the noise, no inner product: not cov_inner
-            np.einsum("pkj,kij->pki", xi, market.sqrt_cov, out=dM)
+            for i in range(dM.shape[-1]):  # dM_i = <xi, row i of sqrt(c)>
+                dot_last(xi, market.sqrt_cov[:, i, :], out=dM[..., i])
             dM *= np.sqrt(market.dG)[None, :, None]
             results[b] = job(replace(market, dM=dM), lo, hi)
 
@@ -283,7 +295,7 @@ class SignalBundle:
     stat: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        obs = np.einsum("pki,i->pk", self.dS, self.model.direction)
+        obs = dot_last(self.dS, self.model.direction)
         self.stat = cumsum_from_zero(obs)[:, :-1]
 
     @property
@@ -437,7 +449,7 @@ def density_paths(bundle, tilt, xi=None):
         raise InvalidSpec(
             f"tilt energy {energy:.3g} exceeds cap {tilt.energy_cap:.3g}"
         )
-    expo = np.einsum("ki,pki->pk", lam, bundle.dM)
+    expo = dot_last(lam, bundle.dM)
     expo -= 0.5 * (lam_sq * bundle.dG)[None, :]
     z = np.exp(cumsum_from_zero(expo))
     if tilt.orthogonal_vol != 0.0:
@@ -486,7 +498,7 @@ def tilt_decomposition(bundle, record, eps):
     lam_path = tilt_field(record, eps)
     z_eps = (1.0 - eps) + eps * record.z
     scaled = eps * lam_path
-    expo = np.einsum("pki,pki->pk", scaled, bundle.dM)
+    expo = dot_last(scaled, bundle.dM)
     expo -= 0.5 * cov_inner(bundle.cov, scaled, scaled) * bundle.dG
     exp_factor = np.exp(cumsum_from_zero(expo))
     remainder = z_eps / exp_factor

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .quadform import cov_inner, optimal_fraction_batch, step_runs
+from .quadform import cov_inner, dot_last, optimal_fraction_batch, step_runs
 
 
 @dataclass
@@ -87,7 +87,7 @@ def wealth_paths(bundle, fractions, drift=None):
     if dB.shape != bundle.dM.shape[:2]:  # one fraction and drift per step
         dB = np.broadcast_to(dB, bundle.dM.shape[:2]).copy()
     # <f, dM> has no covariance in it: a plain dot
-    dL = np.einsum("...ki,...ki->...k", f, bundle.dM)
+    dL = dot_last(f, bundle.dM)
     return WealthPaths(dB=dB, dL=dL)
 
 

@@ -54,11 +54,24 @@ def step_runs(cov, steps=None):
     return list(zip(edges[:-1], edges[1:]))
 
 
+def dot_last(x, y, out=None):
+    """Sum over the last axis of x * y, broadcast like einsum's
+    "...i,...i->...", into out if given (a view will do): +0.0 plus each
+    x_i y_i in index order, which for d <= 2 are einsum's bits, without
+    its slow loop over a short axis."""
+    out = np.multiply(x[..., 0], y[..., 0], out=out)
+    for i in range(1, x.shape[-1]):
+        out += x[..., i] * y[..., i]
+    out += 0.0  # einsum starts from +0.0: -0.0 + -0.0 would stay -0.0
+    return out
+
+
 def cov_inner(c, x, y):
     """Pseudo inner product <x, c y>. c is one (d, d) matrix or one per step
     (N, d, d); x and y broadcast against each other and c's steps over (d,),
     (N, d) and (P, N, d). c is applied to y with one matmul per run of steps
-    sharing one covariance, and that product is freed on return."""
+    sharing one covariance; x then multiplies that product in place where
+    it fits, else through dot_last, and the product is freed on return."""
     c, x, y = (np.asarray(v, dtype=float) for v in (c, x, y))
     try:
         if c.ndim not in (2, 3) or not \
@@ -75,7 +88,13 @@ def cov_inner(c, x, y):
         y = np.broadcast_to(y, cy.shape)
         for lo, hi in step_runs(c):
             np.matmul(y[..., lo:hi, :], c[lo].T, out=cy[..., lo:hi, :])
-    return np.einsum("...i,...i->...", x, cy)
+    if cy.shape != np.broadcast_shapes(x.shape, cy.shape):
+        return dot_last(x, cy)
+    cy *= x
+    out = cy[..., 0] + 0.0  # the +0.0 start of dot_last
+    for i in range(1, cy.shape[-1]):
+        out += cy[..., i]
+    return out
 
 
 def cov_norm(c, x):

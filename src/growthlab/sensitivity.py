@@ -28,7 +28,7 @@ from .market import (
     path_stderr, stream_paths, tilt_field,
 )
 from .numeraire import numeraire_fractions, wealth_paths
-from .quadform import cov_inner
+from .quadform import cov_inner, dot_last
 
 
 def reference_increments(bundle, fractions=None):
@@ -60,7 +60,7 @@ def response_quotient(bundle, record, eps, *, reference=None):
     direct = cumsum_from_zero(((w_eps.dB + w_eps.dL) - reference) / eps)
     energy = cov_inner(bundle.cov, lam, lam) * bundle.dG
     fv_inc = -(eps / 2.0) * energy
-    mart_inc = np.einsum("pki,pki->pk", lam, bundle.dM)
+    mart_inc = dot_last(lam, bundle.dM)
     return {"direct": direct, "formula": cumsum_from_zero(fv_inc + mart_inc),
             "fv_increments": fv_inc, "mart_increments": mart_inc,
             "energy_increments": energy, "lam_path": lam}
@@ -81,7 +81,7 @@ def _limit_increments(bundle, record):
     -0.5 |lam0|_c^2 dG and martingale part (1 - Z1_-) <lam0, dM>."""
     z_left = record.z[:, :-1]
     lam0 = z_left[:, :, None] * record.lam1[None, :, :]
-    first_inc = np.einsum("pki,pki->pk", lam0, bundle.dM)
+    first_inc = dot_last(lam0, bundle.dM)
     lim_fv = -0.5 * cov_inner(bundle.cov, lam0, lam0) * bundle.dG
     lim_mart = (1.0 - z_left) * first_inc
     return lam0, first_inc, lim_fv, lim_mart

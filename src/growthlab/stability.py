@@ -309,15 +309,15 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
     m = cov_norm(market.cov, market.drift)
     regime = (m > 0.0) & (np.linalg.eigvalsh(market.cov)[:, -1] <= 4.0) \
         & (np.linalg.norm(frac_inf, axis=1) <= m)
+    fracs = [numeraire_fractions(market, K_n) for K_n in sets]  # validates K_n
     radii, step_radius = np.unique(m, return_inverse=True)
+    # radius by radius, so the limit set's supports are made once per radius
+    table = np.array([[truncated_pair_distance(K_n, limit_set, r, market.dim)
+                       if r > 0.0 else 0.0 for K_n in sets] for r in radii])
+    dists = table.max(axis=0)
     origin = np.zeros(market.dim)
-    fracs, dists, excesses, unchecked, growth_gaps = [], [], [], [], []
-    for K_n in sets:
-        frac_n = numeraire_fractions(market, K_n)
-        fracs.append(frac_n)
-        dist = np.array([truncated_pair_distance(K_n, limit_set, r, market.dim)
-                         if r > 0.0 else 0.0 for r in radii])
-        dists.append(float(dist.max()))
+    excesses, unchecked, growth_gaps = [], [], []
+    for K_n, frac_n, dist in zip(sets, fracs, table.T):
         checked = regime & (np.linalg.norm(frac_n, axis=1) <= m) \
             & bool(K_n.contains(origin) and limit_set.contains(origin))
         gap_norm = cov_norm(market.cov, frac_n - frac_inf)[checked]
@@ -331,7 +331,6 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
         return _stack([wealth_process_gap(wealth_paths(bundle, f), w_inf)
                        for f in fracs], WEALTH_COLUMNS)
 
-    dists = np.asarray(dists)
     # A zero set distance has no logarithm: fit against the rung index.
     by_distance = bool(np.all(dists > 0.0))
     scales = dists if by_distance else 1.0 / np.arange(1, len(sets) + 1)

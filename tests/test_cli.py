@@ -601,6 +601,22 @@ def test_unindexable_path_count_exits_2(tmp_path, capsys, command, payload):
     assert "Traceback" not in err
 
 
+def test_path_count_beyond_memory_exits_2_before_spawning(tmp_path):
+    # 1e15 paths pass the indexing bound on this market and once spent hours
+    # in SeedSequence.spawn; no machine holds 8e15 bytes, so the run stops
+    # first. A child with a timeout turns a regression into a failure.
+    cfg = write_config(tmp_path, "huge.yaml", {
+        "kind": "sensitivity", "market": MARKET,
+        "tilt": {"lam1": [0.4, -0.2]}, "paths": 10 ** 15})
+    result = subprocess.run(
+        [sys.executable, "-m", "growthlab.cli", "sensitivity", "--config", cfg,
+         "--out", str(tmp_path / "run")],
+        env=src_env(), capture_output=True, text=True, timeout=30)
+    assert result.returncode == 2
+    assert result.stderr.startswith("config error: path count too large")
+    assert "Traceback" not in result.stderr
+
+
 def test_manifest_records_malloc_policy(tmp_path):
     cfg = write_config(tmp_path, "solve.yaml", {
         "kind": "solve", "covariance": [[1.0, 0.0], [0.0, 1.0]],

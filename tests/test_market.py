@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from growthlab.errors import (
     InfeasibleConstraint, InvalidSpec, UnsupportedSignalModel,
 )
 from growthlab.market import (
-    GaussianSignalModel, MarketSpec, TiltSpec, density_paths,
+    GaussianSignalModel, MarketSpec, TiltSpec, check_paths, density_paths,
     event_probabilities, filtered_drift, girsanov_drift, orthogonal_draws,
     simulate_paths, simulate_signal_paths, tilt_decomposition, tilt_field,
 )
@@ -225,6 +227,20 @@ def test_girsanov_drift_shifts_by_scaled_tilt():
     drift = girsanov_drift(b, dec)
     shift = drift - b.drift[None]
     assert np.max(np.abs(shift - 0.5 * dec.lam_path)) < 1e-12
+
+
+def test_path_count_bound_is_the_machines_memory(monkeypatch):
+    # On a machine of 256 pages of 4 KiB, 131072 paths of one float fit and
+    # one more does not; nothing is allocated either way.
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    check_paths(131072, 10 ** 6, 8)
+    with pytest.raises(InvalidSpec, match="path count too large"):
+        check_paths(131073, 1)
+    with pytest.raises(InvalidSpec, match="path count too large"):
+        simulate_paths(make_spec(), 131073, 1)
+    monkeypatch.delattr(os, "sysconf")  # no sysconf: the indexing bound only
+    check_paths(10 ** 15, 1)
 
 
 def test_energy_cap_rejects_wild_tilts():

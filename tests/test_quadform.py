@@ -11,8 +11,10 @@ from growthlab.constraints import (
 from growthlab.errors import (
     DimensionMismatch, InfeasibleConstraint, InvalidSpec, NonConvergence,
 )
+from growthlab.market import MarketSpec, market_steps, stream_paths
 from growthlab.quadform import (
-    cov_inner, cov_norm, nullspace_split, optimal_fraction_batch, step_runs,
+    cov_inner, cov_norm, dot_last, nullspace_split, optimal_fraction_batch,
+    step_runs,
 )
 
 from oracles import (
@@ -59,6 +61,66 @@ def test_cov_inner_matches_einsum():
                 (cov[0, 0], np.ones(d), np.ones(d))):
         with pytest.raises(DimensionMismatch):
             cov_inner(*bad)
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_dot_last_matches_einsum(d):
+    # Bitwise for d <= 2, signed zeros included: einsum sums two products
+    # from +0.0 with the same roundings. Above that einsum adds in its own
+    # order, so within 1e-13 of the products' absolute sum. cov_inner's sum
+    # is checked against the einsum it replaced, of x and c y.
+    rng = np.random.default_rng(40 + d)
+    n_paths, n_steps = 5, 7
+
+    def draw(shape):  # zero steps, so some sums are of -0.0 products
+        x = rng.standard_normal(shape)
+        if len(shape) > 1:
+            x[..., ::3, :] = 0.0
+        return x
+
+    y = rng.standard_normal((n_paths, n_steps, d))
+    y[0] = -np.abs(y[0])
+    xs = [draw(shape) for shape in [(d,), (n_steps, d), (n_paths, n_steps, d)]]
+    assert np.any(np.all((xs[2] == 0.0) & (y < 0.0), axis=-1))
+    cases = [(dot_last(x, y), "...i,...i->...", x, y) for x in xs]
+    xi, root = xs[2], rng.standard_normal((n_steps, d, d))
+    out = np.empty((n_paths, n_steps, d))
+    for i in range(d):  # into strided column views, as stream_paths does
+        dot_last(xi, root[:, i, :], out=out[..., i])
+    cases.append((out, "pkj,kij->pki", xi, root))
+    c = random_psd(rng, d, min_eig=0.1)
+    for x in xs:  # x multiplies c y in place, or c x is the smaller side
+        cases += [(cov_inner(c, a, b), "...i,...i->...", a, b @ c.T)
+                  for a, b in ((x, y), (y, x))]
+    for got, spec, x, z in cases:
+        ref = np.einsum(spec, x, z)
+        assert np.shape(got) == np.shape(ref)
+        if d <= 2:
+            assert same_bits(got, ref), spec
+        else:
+            scale = np.einsum(spec, np.abs(x), np.abs(z))
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale), spec
+
+
+def test_stream_noise_is_the_einsum_noise():
+    # A d = 2 market with a covariance per step: each block's dM is
+    # einsum("pkj,kij->pki", xi, sqrt_cov) of its own draws, bit for bit.
+    spec = MarketSpec(dim=2, n_steps=30,
+                      covariance=lambda t: [[0.5 + t, 0.1 * t], [0.1 * t, 0.4]])
+    market = market_steps(spec)
+    blocks = stream_paths(market, 1500, 11,
+                          lambda block, lo, hi: block.dM.copy(), threads=2)
+    children = np.random.SeedSequence(11).spawn(2)
+    assert [dM.shape[0] for dM in blocks] == [1024, 476]
+    for child, dM in zip(children, blocks):
+        xi = np.random.default_rng(child).standard_normal(dM.shape)
+        ref = np.einsum("pkj,kij->pki", xi, market.sqrt_cov)
+        ref *= np.sqrt(market.dG)[None, :, None]
+        assert np.array_equal(dM, ref)
 
 
 def test_fullspace_returns_drift_exactly():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import growthlab.constraints as constraints
 import growthlab.stability as stability
 
 from growthlab.constraints import Ball, Box, FullSpace
@@ -187,6 +188,37 @@ def test_constraint_ladder_matches_per_step_reference(monkeypatch, covariance,
     for name in ("set_distance", "growth_gap"):
         assert report.deterministic[name] == pytest.approx(
             [rung[name] for rung in ref], rel=1e-9, abs=1e-12), name
+
+
+def test_constraint_ladder_makes_limit_supports_once_per_radius(monkeypatch):
+    # Box rungs take the net distance at every drift norm; the limit set's
+    # supports are made once per norm, and every rung's distances and bound
+    # excess are bitwise those of supports made afresh for each pair.
+    spec = MarketSpec(dim=2, n_steps=16, covariance=_tv_covariance,
+                      drift=_tv_drift)
+    sets = [Box([-0.5 - 2.0 ** -n] * 2, [1.0 + 2.0 ** -n, 0.8 + 2.0 ** -n])
+            for n in range(1, 4)]
+    limit = Box([-0.5, -0.5], [1.0, 0.8])
+    radii = []
+    support = Box.support_truncated
+
+    def counting(self, dirs, radius):
+        if self is limit:
+            radii.append(radius)
+        return support(self, dirs, radius)
+
+    monkeypatch.setattr(Box, "support_truncated", counting)
+    report = constraint_ladder(spec, sets, limit, 8, 3)
+    once = len(radii)
+    assert once == len(set(radii)) > 5
+    monkeypatch.setattr(constraints, "_net_support",
+                        lambda k, radius, dim: k.support_truncated(
+                            constraints.direction_net(dim), radius))
+    fresh = constraint_ladder(spec, sets, limit, 8, 3)
+    assert len(radii) - once > 2 * once  # once per rung and radius
+    assert np.array_equal(report.deterministic["set_distance"],
+                          fresh.deterministic["set_distance"])
+    assert report.meta["bound_excess"] == fresh.meta["bound_excess"]
 
 
 def test_density_check_rejects_bad_paths():
