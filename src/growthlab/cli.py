@@ -14,7 +14,6 @@ import os
 import sys
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .constraints import FullSpace, constraint_from_config
@@ -69,10 +68,14 @@ def _load_config(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path) as fh:
         text = fh.read()
+    if path.endswith(".json"):
+        load, errors = json.loads, json.JSONDecodeError
+    else:
+        import yaml  # about 20 ms to import: only a non-JSON config needs it
+        load, errors = yaml.safe_load, yaml.YAMLError
     try:
-        cfg = json.loads(text) if path.endswith(".json") \
-            else yaml.safe_load(text)
-    except (json.JSONDecodeError, yaml.YAMLError) as exc:
+        cfg = load(text)
+    except errors as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config root must be a mapping, got {type(cfg).__name__}")
@@ -132,10 +135,11 @@ def _float(value, name):
 
 
 def _ladder(value, name):
-    """A list of at least two finite numbers, the fewest a slope needs."""
+    """A list of two or more distinct finite numbers, as a slope needs."""
     arr = _floats(value, name)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ConfigError(f"{name} must list at least two numbers, got {value!r}")
+    if arr.ndim != 1 or arr.size < 2 or np.unique(arr).size < arr.size:
+        raise ConfigError(f"{name} must list at least two distinct numbers, "
+                          f"got {value!r}")
     return arr
 
 

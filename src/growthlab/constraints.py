@@ -258,14 +258,41 @@ class Intersection(ConstraintSet):
         return {"type": "intersection", "members": [m.to_config() for m in self.members]}
 
 
+def dot_last(x, y, out=None):
+    """Sum over the last axis of x * y, broadcast like einsum's
+    "...i,...i->...", into out if given (a view will do): +0.0 plus each
+    x_i y_i in index order: einsum's bits for d <= 2, without its slow loop
+    over a short axis. scale_last and apply_last loop the same way."""
+    out = np.multiply(x[..., 0], y[..., 0], out=out)
+    for i in range(1, x.shape[-1]):
+        out += x[..., i] * y[..., i]
+    out += 0.0  # einsum starts from +0.0: -0.0 + -0.0 would stay -0.0
+    return out
+
+
+def scale_last(s, v, out=None):
+    """s[..., None] * v, one product per coordinate of v into out[..., i]
+    (out if given, a view will do): the broadcast's bits for every d."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(s) + (1,), v.shape))
+    for i in range(out.shape[-1]):
+        np.multiply(s, v[..., i], out=out[..., i])
+    return out
+
+
+def apply_last(m, x, out=None):
+    """einsum's "...ij,...j->...i", zeros for an empty j: dot_last(x, row i
+    of m) into out[..., i] (out if given), so einsum's bits for j <= 2."""
+    if out is None:
+        out = np.zeros(np.broadcast_shapes(m.shape[:-1], x.shape[:-1] + (1,)))
+    for i in range(m.shape[-2] if m.shape[-1] else 0):
+        dot_last(x, m[..., i, :], out=out[..., i])
+    return out
+
+
 def _norms(x):
-    """np.linalg.norm(x, axis=-1), with its summation order below eight
-    terms, at less cost."""
-    rows = x.reshape(-1, x.shape[-1])
-    norms = rows[:, 0] ** 2
-    for j in range(1, rows.shape[1]):
-        norms += rows[:, j] ** 2
-    return np.sqrt(norms, out=norms).reshape(x.shape[:-1])
+    """np.linalg.norm(x, axis=-1), whose order below eight terms it keeps."""
+    return np.sqrt(dot_last(x, x))
 
 
 def _clamp(rows, r):
@@ -273,14 +300,16 @@ def _clamp(rows, r):
     norms = _norms(rows)
     hit = np.flatnonzero(norms > r)  # only these rows move
     out = rows.copy()
-    out[hit] = rows[hit] * (r / norms[hit])[:, None]
+    out[hit] = scale_last(r / norms[hit], rows[hit])
     return out
 
 
 def inside(x, normals, offsets, r, tol):
     """Membership of x's rows in {x : N x <= b, |x| <= r} with slack tol."""
-    return (_norms(x) <= r + tol) & np.all(
-        np.einsum("...j,ij->...i", x, normals) <= offsets + tol, axis=-1)
+    ok = _norms(x) <= r + tol
+    if len(normals):  # a ball or the full space has no halfspace rows
+        ok &= np.all(apply_last(normals, x) <= offsets + tol, axis=-1)
+    return ok
 
 
 def face_sets(normals, dim):
@@ -299,17 +328,16 @@ def secular_newton(lam, b, radius):
     radius, or 0 where |b / lam| is already at most radius (Moré & Sorensen,
     1983). Newton on the concave, increasing phi(mu) = 1 / |b / (lam + mu)|
     - 1 / radius rises from mu = 0 to its root without overshoot, so a row
-    stops once its mu stops rising. Elementwise arithmetic and einsum, unlike
-    a BLAS matmul, keep each row's bits independent of the batch. The live
-    rows' b and mu stay packed and are repacked only when a row stops."""
+    stops once its mu stops rising. Elementwise arithmetic and dot_last,
+    unlike a BLAS matmul, keep each row's bits independent of the batch. The
+    live rows' b and mu stay packed and are repacked only when a row stops."""
     mu = np.zeros(len(b))
     live, b_live, mu_live = np.arange(len(b)), b, np.zeros(len(b))
     for _ in range(SOLVER_MAX_ITER):
         shifted = lam + mu_live[:, None]
         q = b_live / shifted
-        s = np.einsum("nj,nj->n", q, q)
-        step = s * (np.sqrt(s) / radius - 1.0) \
-            / np.einsum("nj,nj->n", q, q / shifted)
+        s = dot_last(q, q)
+        step = s * (np.sqrt(s) / radius - 1.0) / dot_last(q, q / shifted)
         nxt = mu_live + step
         rising = nxt > mu_live
         if not rising.all():
@@ -352,9 +380,9 @@ def nearest_points(x, lam, basis, normals, offsets, r):
     first from S empty; a row takes the first candidate that is a member
     within CONTAINS_TOL and whose multipliers on S are at least
     -CONTAINS_TOL, so the answer is exact up to rounding, and a row left
-    over raises NonConvergence. Elementwise arithmetic and einsum, unlike a
-    BLAS matmul, keep each row's bits independent of the batch."""
-    t = np.einsum("ni,ij->nj", x, basis)
+    over raises NonConvergence. Elementwise arithmetic and apply_last, unlike
+    a BLAS matmul, keep each row's bits independent of the batch."""
+    t = apply_last(basis.T, x)
     reduced = normals @ basis
     live = np.arange(len(x))
     for rows in itertools.chain([[]], face_sets(reduced, basis.shape[1])):
@@ -363,7 +391,7 @@ def nearest_points(x, lam, basis, normals, offsets, r):
             if face is None:
                 continue
             foot, frame, h, weigh, radius, mult = face
-            b = np.einsum("ij,nj->ni", weigh, t - foot)
+            b = apply_last(weigh, t - foot)
         else:
             h, radius, b = lam, r, lam * t
         with np.errstate(invalid="ignore"):  # b = 0 at the foot: mu = 0
@@ -371,13 +399,13 @@ def nearest_points(x, lam, basis, normals, offsets, r):
                 else np.zeros(len(t))
         y = b / (h + mu[:, None])
         if rows:
-            y = foot + np.einsum("ij,nj->ni", frame, y)
-        f = np.einsum("nj,ij->ni", y, basis)
+            y = foot + apply_last(frame, y)
+        f = apply_last(basis, y)
         if np.isfinite(r):
             f = _clamp(f, r)
         ok = inside(f, normals, offsets, r, CONTAINS_TOL)
         if rows:
-            nu = np.einsum("ij,nj->ni", mult, lam * (t - y) - mu[:, None] * y)
+            nu = apply_last(mult, lam * (t - y) - mu[:, None] * y)
             ok &= np.all(nu >= -CONTAINS_TOL, axis=1)
             out[live[ok]] = f[ok]
         else:

@@ -25,7 +25,8 @@ from scipy.special import ndtr
 from .errors import (
     DimensionMismatch, InvalidSpec, UnsupportedSignalModel,
 )
-from .quadform import check_psd_matrix, cov_inner, dot_last
+from .constraints import apply_last, dot_last, scale_last
+from .quadform import check_psd_matrix, cov_inner, step_runs
 
 PATH_BLOCK = 1024
 DENSITY_FLOOR = 1e-12
@@ -121,17 +122,17 @@ class MarketSpec:
         dg = _clock_increments(self.clock, n, self.horizon, grid)
         cov = _as_step_array(self.covariance, n, (d, d), grid, "covariance")
         drift = _as_step_array(self.drift, n, (d,), grid, "drift")
-        for k in range(n):
-            cov[k] = check_psd_matrix(cov[k])
+        for lo, _ in step_runs(cov):
+            check_psd_matrix(cov[lo])
         if self.normalize_clock:
             traces = np.einsum("kii->k", cov)
             live = traces > 0.0
             dg = np.where(live, dg * traces, dg)
             cov[live] /= traces[live, None, None]
         sqrt_cov = np.empty_like(cov)
-        for k in range(n):
-            w, v = np.linalg.eigh(cov[k])
-            sqrt_cov[k] = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+        for lo, hi in step_runs(cov):  # one eigh per distinct covariance
+            w, v = np.linalg.eigh(cov[lo])
+            sqrt_cov[lo:hi] = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
         return dg, cov, sqrt_cov, drift
 
 
@@ -210,10 +211,9 @@ def stream_paths(market, n_paths, seed, job, threads=1, out=None):
             lo, hi = b * PATH_BLOCK, min((b + 1) * PATH_BLOCK, n_paths)
             xi = np.random.default_rng(children[b]).standard_normal(
                 (hi - lo,) + market.dM.shape[1:])
-            dM = np.empty_like(xi) if out is None else out[lo:hi]
-            for i in range(dM.shape[-1]):  # dM_i = <xi, row i of sqrt(c)>
-                dot_last(xi, market.sqrt_cov[:, i, :], out=dM[..., i])
-            dM *= np.sqrt(market.dG)[None, :, None]
+            dM = apply_last(market.sqrt_cov, xi,
+                            out=np.empty_like(xi) if out is None else out[lo:hi])
+            scale_last(np.sqrt(market.dG), dM, out=dM)
             results[b] = job(replace(market, dM=dM), lo, hi)
 
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
@@ -308,9 +308,8 @@ class SignalBundle:
     def true_drift(self):
         """Per-path drift theta_p * direction as a read-only (P, N, d) view
         of one (P, 1, d) array."""
-        v = self.model.direction
-        out = self.theta[:, None, None] * v[None, None, :]
-        return np.broadcast_to(out, self.base.dM.shape)
+        return np.broadcast_to(scale_last(self.theta[:, None], self.model.direction),
+                               self.base.dM.shape)
 
 
 def signal_draws(spec, model, n_paths, seed):
@@ -362,10 +361,7 @@ def filtered_drift(signal, level):
         mean = model.prior_mean * prior_prec \
             + peek[:, None] * peek_prec + signal.stat
         mean /= prec
-    drift = np.empty(mean.shape + v.shape)
-    for i, v_i in enumerate(v):  # one pass per coordinate, not one per pair
-        np.multiply(mean, v_i, out=drift[..., i])
-    return drift, mean, prec
+    return scale_last(mean, v), mean, prec
 
 
 def event_probabilities(mean, prec, threshold):
@@ -490,7 +486,7 @@ def tilt_field(record, eps):
     if not 0.0 <= eps <= 1.0:
         raise InvalidSpec(f"mixture size must lie in [0, 1], got {eps}")
     z_left = record.z[:, :-1]
-    return (z_left / ((1.0 - eps) + eps * z_left))[:, :, None] * record.lam1
+    return scale_last(z_left / ((1.0 - eps) + eps * z_left), record.lam1)
 
 
 def tilt_decomposition(bundle, record, eps):

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet, FullSpace, inside, nearest_points
+from .constraints import (
+    ConstraintSet, FullSpace, apply_last, dot_last, inside, nearest_points,
+)
 from .errors import DimensionMismatch, InfeasibleConstraint, InvalidSpec
 
 NULLSPACE_RTOL = 1e-12
@@ -52,18 +54,6 @@ def step_runs(cov, steps=None):
                         dtype=bool)  # empty for one step
     edges = [0, *(np.flatnonzero(new) + 1).tolist(), len(cov)]
     return list(zip(edges[:-1], edges[1:]))
-
-
-def dot_last(x, y, out=None):
-    """Sum over the last axis of x * y, broadcast like einsum's
-    "...i,...i->...", into out if given (a view will do): +0.0 plus each
-    x_i y_i in index order, which for d <= 2 are einsum's bits, without
-    its slow loop over a short axis."""
-    out = np.multiply(x[..., 0], y[..., 0], out=out)
-    for i in range(1, x.shape[-1]):
-        out += x[..., i] * y[..., i]
-    out += 0.0  # einsum starts from +0.0: -0.0 + -0.0 would stay -0.0
-    return out
 
 
 def cov_inner(c, x, y):
@@ -123,8 +113,7 @@ class NullspaceSplit:
         x = np.asarray(x, dtype=float)
         if self.null_dim == 0:
             return x.copy()
-        r = self.range_basis
-        return np.einsum("...j,ij->...i", np.einsum("...i,ij->...j", x, r), r)
+        return apply_last(self.range_basis, apply_last(self.range_basis.T, x))
 
 
 def nullspace_split(c):

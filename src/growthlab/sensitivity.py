@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import FullSpace
+from .constraints import FullSpace, scale_last
 from .errors import DimensionMismatch, InvalidSpec
 from .market import (
     cumsum_from_zero, density_paths, market_steps, orthogonal_draws,
@@ -80,7 +80,7 @@ def _limit_increments(bundle, record):
     first-order <lam0, dM>, and the second order's finite-variation part
     -0.5 |lam0|_c^2 dG and martingale part (1 - Z1_-) <lam0, dM>."""
     z_left = record.z[:, :-1]
-    lam0 = z_left[:, :, None] * record.lam1[None, :, :]
+    lam0 = scale_last(z_left, record.lam1)
     first_inc = dot_last(lam0, bundle.dM)
     lim_fv = -0.5 * cov_inner(bundle.cov, lam0, lam0) * bundle.dG
     lim_mart = (1.0 - z_left) * first_inc
@@ -112,8 +112,9 @@ def _ladder_rows(bundle, record, eps_ladder, frac_ref=None):
     rescaled remainder to the second-order limit. All scale like eps.
     """
     eps_ladder = np.asarray(eps_ladder, dtype=float)
-    if eps_ladder.ndim != 1 or eps_ladder.size == 0:
-        raise InvalidSpec(f"need a nonempty 1-d eps ladder, got {eps_ladder}")
+    if eps_ladder.ndim != 1 or eps_ladder.size < 2 \
+            or np.unique(eps_ladder).size < eps_ladder.size:
+        raise InvalidSpec(f"need two or more distinct eps sizes, got {eps_ladder}")
     _, first_inc, lim_fv, lim_mart = _limit_increments(bundle, record)
     reference = reference_increments(bundle, frac_ref)
     identity, rows = [], []

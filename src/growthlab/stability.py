@@ -99,9 +99,10 @@ class LadderReport:
         BOOTSTRAP_DRAWS resamples drawn from BOOTSTRAP_SEED is below zero.
         """
         scales = np.asarray(self.scales, dtype=float)
-        if scales.size < 2 or not np.all(scales > 0.0):
-            raise InvalidSpec(f"a slope needs two or more rungs with positive "
-                              f"scales, got {scales.tolist()}")
+        if scales.size < 2 or not np.all(scales > 0.0) \
+                or np.unique(scales).size < scales.size:
+            raise InvalidSpec(f"a slope needs two or more rungs with distinct "
+                              f"positive scales, got {scales.tolist()}")
         x = -np.log(scales)
         rng = np.random.default_rng(BOOTSTRAP_SEED)
         out = {}
@@ -293,7 +294,8 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
     bound holds on every checked step, and 0 on a rung with no checked
     step. meta["bound_unchecked_steps"] counts, per rung, the steps left
     unchecked (zero drift included). meta["ladder_scale"] names the slope
-    axis: "set_distance", or "rung_index" (1/n) when a set distance is 0.
+    axis: "set_distance", or "rung_index" (1/n) when a set distance is 0
+    or two are equal.
     """
     if len(sets) == 0:
         raise InvalidSpec("constraint ladder needs at least one set")
@@ -331,8 +333,8 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
         return _stack([wealth_process_gap(wealth_paths(bundle, f), w_inf)
                        for f in fracs], WEALTH_COLUMNS)
 
-    # A zero set distance has no logarithm: fit against the rung index.
-    by_distance = bool(np.all(dists > 0.0))
+    # slopes needs distinct positive scales: else fit against the rung index.
+    by_distance = np.unique(dists[dists > 0.0]).size == dists.size
     scales = dists if by_distance else 1.0 / np.arange(1, len(sets) + 1)
     return LadderReport(
         family="constraint",

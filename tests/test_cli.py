@@ -318,6 +318,50 @@ def test_sensitivity_malformed_eps_ladder_exits_2(tmp_path, capsys,
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("density-check", {"kind": "density-check", "family": "lognormal",
+                       "vols": [0.2, 0.2]}),
+    ("density-check", {"kind": "density-check", "family": "excursion",
+                       "sizes": [4, 4]}),
+    ("sensitivity", {"kind": "sensitivity", "market": MARKET,
+                     "tilt": {"lam1": [0.4, -0.2]}, "eps_ladder": [0.1, 0.1]}),
+], ids=["vols", "sizes", "eps_ladder"])
+def test_repeated_ladder_scales_exit_2_with_one_line(tmp_path, command,
+                                                      payload):
+    # A repeated scale gives no slope. It once printed numpy warnings and
+    # exited 3 (NaN in JSON) or 1 (a failed order check); in a child, so
+    # that a warning would reach stderr.
+    cfg = tmp_path / "ladder.json"
+    cfg.write_text(json.dumps({**payload, "paths": 32}))
+    result = subprocess.run(
+        [sys.executable, "-m", "growthlab.cli", command, "--config", str(cfg),
+         "--out", str(tmp_path / "run")],
+        env=src_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr.startswith("config error:")
+    assert "distinct" in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
+def test_json_config_skips_yaml_and_yaml_errors_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "tree.json"
+    cfg.write_text(json.dumps({"kind": "tree-projection", "depth": 3,
+                               "chi": {"leaf_indicator": 0}}))
+    code = ("import sys; from growthlab.cli import main; "
+            f"code = main(['tree', '--config', {str(cfg)!r}, '--out', "
+            f"{str(tmp_path / 'run')!r}]); print(code, 'yaml' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.stdout.split() == ["0", "False"], result.stderr
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("kind: [unclosed\n")
+    assert run_cli("tree", "--config", str(bad), "--out",
+                   str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: could not parse")
+    assert "Traceback" not in err
+
+
 def test_sensitivity_solves_reference_once(tmp_path, monkeypatch):
     import growthlab.sensitivity as sensitivity
 

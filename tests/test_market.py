@@ -79,6 +79,34 @@ def test_explicit_clock_increments():
                    normalize_clock=False).materialize()
 
 
+def test_materialize_factors_each_run_once_with_per_step_bits():
+    # A time-varying covariance in runs, one of them repeated later, one a
+    # scaled copy and one zero: one check and one eigh per run give every
+    # step the bits of its own check, normalization and eigh.
+    a = np.array([[0.5, 0.1], [0.1, 0.4]])
+    b = np.array([[0.9, -0.2], [-0.2, 0.3]])
+    steps = [a] * 3 + [b] * 2 + [2.0 * a] + [a] * 4 + [np.zeros((2, 2))] * 2
+    for normalize in (True, False):
+        spec = MarketSpec(dim=2, n_steps=len(steps), covariance=np.stack(steps),
+                          normalize_clock=normalize)
+        dG, cov, sqrt_cov, _ = spec.materialize()
+        ref_dg = np.full(len(steps), 1.0 / len(steps))
+        for k, c in enumerate(steps):
+            c = check_psd_matrix(c)
+            if normalize and np.einsum("ii", c) > 0.0:
+                ref_dg[k] *= np.einsum("ii", c)
+                c = c / np.einsum("ii", c)
+            w, v = np.linalg.eigh(c)
+            assert np.array_equal(cov[k], c)
+            assert np.array_equal(sqrt_cov[k],
+                                  (v * np.sqrt(np.maximum(w, 0.0))) @ v.T)
+        assert np.array_equal(dG, ref_dg)
+    bad = list(steps)
+    bad[7] = np.array([[0.5, 0.6], [0.6, 0.4]])  # one step, inside a run
+    with pytest.raises(InvalidSpec, match="negative eigenvalue"):
+        MarketSpec(dim=2, n_steps=len(bad), covariance=np.stack(bad)).materialize()
+
+
 def test_posterior_matches_particle_filter():
     spec = make_spec(n_steps=12)
     model = GaussianSignalModel(direction=np.array([1.0, 0.5]),

@@ -6,7 +6,7 @@ import growthlab.constraints as constraints
 
 from growthlab.constraints import (
     Ball, Box, FullSpace, HalfspacePolytope, Intersection, NonnegativeOrthant,
-    nearest_points,
+    apply_last, nearest_points, scale_last,
 )
 from growthlab.errors import (
     DimensionMismatch, InfeasibleConstraint, InvalidSpec, NonConvergence,
@@ -104,6 +104,92 @@ def test_dot_last_matches_einsum(d):
         else:
             scale = np.einsum(spec, np.abs(x), np.abs(z))
             assert np.all(np.abs(got - ref) <= 1e-13 * scale), spec
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_scale_last_is_the_broadcast_product(d):
+    # An elementwise product: the broadcast's bits for every d, on each
+    # pairing of scale and vector shapes the library uses, and through a
+    # strided out= view.
+    rng = np.random.default_rng(60 + d)
+    n_paths, n_steps = 5, 7
+    pairs = [((n_paths, n_steps), (n_steps, d)),  # tilt_field, lam0
+             ((n_paths, n_steps), (d,)),  # filtered_drift
+             ((n_steps,), (n_paths, n_steps, d)),  # the noise's sqrt(dG)
+             ((n_paths,), (n_paths, d)),  # _clamp
+             ((n_paths, 1), (d,))]  # true_drift
+    for s_shape, v_shape in pairs:
+        s, v = rng.standard_normal(s_shape), rng.standard_normal(v_shape)
+        s.flat[::4] = -0.0
+        ref = s[..., None] * v
+        assert same_bits(scale_last(s, v), ref)
+        buf = np.full(ref.shape[:-1] + (2 * d,), np.nan)
+        out = scale_last(s, v, out=buf[..., ::2])
+        assert out.base is buf and same_bits(buf[..., ::2], ref)
+    v = rng.standard_normal((n_paths, n_steps, d))
+    ref = v * np.sqrt(np.arange(1.0, n_steps + 1))[None, :, None]
+    scale_last(np.sqrt(np.arange(1.0, n_steps + 1)), v, out=v)  # in place
+    assert same_bits(v, ref)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_apply_last_and_norms_match_einsum(d):
+    # apply_last against the einsum forms it replaced, for a contracted
+    # length k of 0 to d: bitwise with signed zeros for k <= 2, within
+    # 1e-13 of the products' absolute sum above. _norms keeps
+    # np.linalg.norm's bits for every d: both add the squares in order.
+    rng = np.random.default_rng(80 + d)
+    n_rows, n_paths, n_steps = 40, 5, 7
+    x = rng.standard_normal((n_rows, d))
+    x[::5] = 0.0
+    x[1::5] = -0.0
+    cases = []  # (result, einsum spec, operands, contracted length)
+    for k in range(d + 1):
+        m = rng.standard_normal((k, d))
+        basis = rng.standard_normal((d, k))
+        t = apply_last(basis.T, x)  # nearest_points' t
+        cases += [(t, "ni,ij->nj", x, basis, d),
+                  (apply_last(m, x), "ij,nj->ni", m, x, d),
+                  (apply_last(basis, t), "nj,ij->ni", t, basis, k)]  # f
+        if k:  # secular_newton's sums
+            cases.append((dot_last(t, t / 3.0), "nj,nj->n", t, t / 3.0, k))
+    xi = rng.standard_normal((n_paths, n_steps, d))
+    root = rng.standard_normal((n_steps, d, d))
+    out = np.empty_like(xi)
+    assert apply_last(root, xi, out=out) is out
+    cases.append((out, "pkj,kij->pki", xi, root, d))
+    for got, spec, a, b, length in cases:
+        ref = np.einsum(spec, a, b)
+        assert got.shape == ref.shape
+        if length <= 2:
+            assert same_bits(got, ref), spec
+        else:
+            scale = np.einsum(spec, np.abs(a), np.abs(b))
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale), spec
+    for shape in [(d,), (n_rows, d), (n_paths, n_steps, d)]:
+        z = rng.standard_normal(shape)
+        assert np.array_equal(constraints._norms(z),
+                              np.linalg.norm(z, axis=-1))
+
+
+@pytest.mark.parametrize("constraint", [
+    Ball(1.3), FullSpace(), Box([-0.4, -0.2], [0.5, 0.6]),
+    Intersection([Ball(0.9), NonnegativeOrthant()])])
+def test_inside_is_the_einsum_membership(constraint):
+    # The expression inside replaced, which ran its halfspace einsum also
+    # against the (0, d) rows of a ball or the full space.
+    def reference(x, normals, offsets, r, tol):
+        return (np.linalg.norm(x, axis=-1) <= r + tol) & np.all(
+            np.einsum("...j,ij->...i", x, normals) <= offsets + tol, axis=-1)
+
+    rng = np.random.default_rng(5)
+    halfspaces = constraint.halfspaces(2)
+    for shape in [(2,), (500, 2), (5, 100, 2)]:
+        x = rng.standard_normal(shape)
+        for tol in (0.0, constraints.CONTAINS_TOL):
+            got = constraints.inside(x, *halfspaces, tol)
+            assert np.array_equal(got, reference(x, *halfspaces, tol))
+            assert np.shape(got) == shape[:-1]
 
 
 def test_stream_noise_is_the_einsum_noise():

@@ -234,6 +234,20 @@ def test_streamed_sensitivity_blocks_do_not_depend_on_later_blocks():
                                   table["per_path"][key]), key
 
 
+@pytest.mark.parametrize("eps_ladder", [[0.1, 0.1], [0.2, 0.1, 0.2], [0.1]],
+                         ids=["equal", "repeated", "one-rung"])
+def test_sensitivity_rejects_eps_ladders_without_a_slope(eps_ladder):
+    # A repeated size, or a single one, gives the order fit no slope: it
+    # once gave numpy's RankWarning and an order from a degenerate fit.
+    spec = MarketSpec(dim=2, n_steps=5, covariance=COV, drift=DRIFT)
+    tilt = TiltSpec(lam1=np.array([0.5, -0.3]))
+    with pytest.raises(InvalidSpec, match="two or more distinct eps sizes"):
+        streamed_expansion_ladder(spec, tilt, eps_ladder, 10, 1)
+    bundle = simulate_paths(spec, 10, 1)
+    with pytest.raises(InvalidSpec, match="two or more distinct eps sizes"):
+        expansion_ladder(bundle, density_paths(bundle, tilt), eps_ladder)
+
+
 @pytest.mark.parametrize("eps_ladder", [[], 0.1], ids=["empty", "scalar"])
 def test_streamed_sensitivity_rejects_malformed_eps_ladder(eps_ladder):
     spec = MarketSpec(dim=2, n_steps=5, covariance=COV, drift=DRIFT)

@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,38 @@ def test_slopes_need_two_rungs_with_positive_scales(scales):
                           scales=np.array(scales),
                           per_path={"m": np.ones((len(scales), 4))})
     with pytest.raises(InvalidSpec, match="two or more rungs"):
+        report.slopes()
+
+
+@pytest.mark.parametrize("scales", [[0.2, 0.2], [0.5, 0.25, 0.5]],
+                         ids=["equal", "repeated"])
+def test_slopes_reject_repeated_scales(scales):
+    # All-equal scales once gave a NaN slope, with numpy warnings, and a
+    # NaN in summary.json.
+    report = LadderReport(family="synthetic",
+                          indices=np.arange(1, len(scales) + 1),
+                          scales=np.array(scales),
+                          per_path={"m": np.arange(1.0, len(scales) + 1)[:, None]
+                                    * np.ones(4)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpec, match="distinct positive scales"):
+            report.slopes()
+
+
+def test_constraint_ladder_with_repeated_distances_fits_the_index():
+    # Two rungs at one set distance give that axis no slope of its own, so
+    # the ladder falls back to the rung index, as for a zero distance.
+    spec = MarketSpec(dim=2, n_steps=6, covariance=np.diag([0.6, 0.4]),
+                      drift=np.array([5.0, 4.0]), normalize_clock=False)
+    report = constraint_ladder(spec, [Ball(1.75), Ball(1.75), Ball(1.625)],
+                               Ball(1.5), 32, 17)
+    assert np.allclose(report.deterministic["set_distance"],
+                       [0.25, 0.25, 0.125], atol=1e-12)
+    assert report.meta["ladder_scale"] == "rung_index"
+    assert np.array_equal(report.scales, 1.0 / np.arange(1, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report.slopes()
 
 
