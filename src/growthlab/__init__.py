@@ -36,9 +36,8 @@ from .stability import (
     probability_ladder,
 )
 from .sensitivity import (
-    ExpansionRecord, expansion_ladder, expansion_record, first_order_check,
-    reference_increments, response_quotient, second_order_check,
-    streamed_expansion_ladder,
+    expansion_ladder, first_order_check, reference_increments,
+    response_quotient, second_order_check, streamed_expansion_ladder,
 )
 from .discrete import (
     OnePeriodMarket, OnePeriodResult, ScenarioTree, discontinuity_report,

@@ -202,15 +202,12 @@ def _signal_model(cfg):
 
 
 def _tilt_spec(cfg):
-    _require_keys(cfg, ("lam1",), ("orthogonal_vol", "energy_cap", "floor"),
-                  "tilt")
+    _require_keys(cfg, ("lam1",), ("orthogonal_vol",), "tilt")
     try:
         return TiltSpec(
             lam1=_floats(cfg["lam1"], "tilt.lam1"),
             orthogonal_vol=_float(cfg.get("orthogonal_vol", 0.0),
                                   "tilt.orthogonal_vol"),
-            energy_cap=_float(cfg.get("energy_cap", 50.0), "tilt.energy_cap"),
-            floor=_float(cfg.get("floor", 1e-12), "tilt.floor"),
         )
     except (InvalidSpec, ValueError) as exc:
         raise ConfigError(f"bad tilt config: {exc}") from exc
@@ -329,15 +326,14 @@ def cmd_stability(cfg, runtime, out_dir, manifest):
             eps_ladder=_optional(cfg, "eps_ladder", "eps_ladder", _ladder))
     else:
         _require_keys(cfg, ("kind", "market", "sets", "limit_set"),
-                      ("bound_slack",) + SHARED_KEYS[1:], "config")
+                      SHARED_KEYS[1:], "config")
         spec = _market_spec(cfg["market"])
         if not isinstance(cfg["sets"], list):
             raise ConfigError(f"sets must be a list, got {cfg['sets']!r}")
         sets = [_constraint(c, default_fullspace=False) for c in cfg["sets"]]
         limit = _constraint(cfg["limit_set"], default_fullspace=False)
-        report = constraint_ladder(
-            spec, sets, limit, paths, seed, threads=threads,
-            bound_slack=_float(cfg.get("bound_slack", 1e-6), "bound_slack"))
+        report = constraint_ladder(spec, sets, limit, paths, seed,
+                                   threads=threads)
         manifest.record_check("per_step_bound", report.meta["bound_ok"])
         for key in ("bound_unchecked_steps", "ladder_scale"):
             manifest.record_diagnostic(key, report.meta[key])

@@ -5,13 +5,15 @@ feasible, and every set is a polyhedron cut by a ball about the origin:
 halfspaces(dim) describes it as {x : N x <= b, |x| <= r}. Membership, the
 support function of the set truncated at a radius and the nearest point in a
 weighted metric come from that one description; the last two are exact
-through a finite KKT enumeration over face sets. Balls, boxes, the orthant
-and the full space keep their closed-form Euclidean projections; polytopes
-and intersections project through nearest_points, which also serves the
-growth solve. The Hausdorff distance between truncated sets is the largest
-support gap over a deterministic direction net; with exact supports that is
-a lower bound of the true distance, converging to it as the net refines.
-Closed forms replace the net wherever they exist.
+through a finite KKT enumeration over the faces that faces walks, one SVD
+for each set of independent rows whose plane meets the ball. Balls, boxes,
+the orthant and the full space keep their closed-form Euclidean
+projections; polytopes and intersections project through nearest_points,
+which also serves the growth solve. The Hausdorff distance between
+truncated sets is the largest support gap over a deterministic direction
+net; with exact supports that is a lower bound of the true distance,
+converging to it as the net refines. Closed forms replace the net wherever
+they exist.
 """
 
 import functools
@@ -82,11 +84,11 @@ class ConstraintSet:
 
     def support_truncated(self, dirs, radius):
         """Support function of (set ∩ ball(radius)) on unit directions, never
-        below 0. By KKT the maximizer of <u, x> is, for some set S of at most
-        dim independent rows whose foot c_S (min-norm point of N_S x = b_S)
-        lies in the ball, c_S or the sphere point c_S + sqrt(r^2 - |c_S|^2)
-        P_S u / |P_S u| (P_S projects onto null(N_S)). Every such point that
-        is feasible is a candidate: exact, and never above the support."""
+        below 0. By KKT the maximizer of <u, x> is the sphere point r u or,
+        for some face that faces yields, its foot or the sphere point foot +
+        left P u / |P u|, with left the radius left for the plane and P the
+        projector onto its directions. Every such point that is feasible is
+        a candidate: exact, and never above the support."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         dim = dirs.shape[1]
         normals, offsets, r = self.halfspaces(dim)
@@ -94,20 +96,14 @@ class ConstraintSet:
         tol = CONTAINS_TOL * max(1.0, r)
         # S empty: the sphere point r u, worth r
         best = np.where(inside(r * dirs, normals, offsets, np.inf, tol), r, 0.0)
-        for rows in face_sets(normals, dim):
-            a = normals[rows]
-            gram = a @ a.T
-            foot = a.T @ np.linalg.solve(gram, offsets[rows])
-            slack = r * r - foot @ foot
-            if slack < 0.0:
-                continue
+        for rows, foot, null, left, _ in faces(normals, offsets, r, dim):
             if inside(foot, normals, offsets, np.inf, tol):
                 best = np.maximum(best, np.sum(foot * dirs, axis=1))
             if len(rows) < dim:
-                along = dirs - (dirs @ a.T) @ np.linalg.solve(gram, a)
+                along = (dirs @ null) @ null.T
                 norms = np.linalg.norm(along, axis=1, keepdims=True)
-                pts = foot + np.sqrt(slack) * along / np.maximum(norms, 1e-300)
-                # a rounding-sized P_S u points anywhere: check the ball too
+                pts = foot + left * along / np.maximum(norms, 1e-300)
+                # a rounding-sized P u points anywhere: check the ball too
                 ok = inside(pts, normals, offsets, r, tol)
                 best = np.where(ok, np.maximum(best, np.sum(pts * dirs, axis=1)), best)
         return best
@@ -312,15 +308,27 @@ def inside(x, normals, offsets, r, tol):
     return ok
 
 
-def face_sets(normals, dim):
-    """Index lists of every set of at most dim linearly independent rows of
-    normals, smallest first: the candidate active sets of a KKT
-    enumeration."""
+def faces(normals, offsets, r, dim):
+    """The faces of {y : N y <= b, |y| <= r} a KKT enumeration walks: for
+    each set S of at most dim linearly independent rows of N, smallest
+    first, whose plane {y : N_S y = b_S} meets the ball of radius r, yields
+    S, the plane's foot (min-norm point), an orthonormal basis (dim, dim -
+    |S|) of its directions, the radius left for the plane inside the ball
+    and the map from a residual in the span of N_S's rows to the multipliers
+    of those rows. One SVD per set gives both matrix_rank's rank test and
+    the basis."""
     for k in range(1, min(len(normals), dim) + 1):
         for rows in itertools.combinations(range(len(normals)), k):
             rows = list(rows)
-            if np.linalg.matrix_rank(normals[rows]) == k:
-                yield rows
+            a = normals[rows]
+            _, s, vt = np.linalg.svd(a)
+            if not s[-1] > s[0] * max(a.shape) * np.finfo(float).eps:
+                continue
+            gram_inv = np.linalg.inv(a @ a.T)
+            foot = a.T @ (gram_inv @ offsets[rows])
+            slack = r * r - foot @ foot
+            if slack >= 0.0:
+                yield rows, foot, vt[k:].T, np.sqrt(slack), gram_inv @ a
 
 
 def secular_newton(lam, b, radius):
@@ -350,24 +358,6 @@ def secular_newton(lam, b, radius):
                          f"Newton steps on {live.size} of {len(b)} rows")
 
 
-def _face(a, offsets, lam, r):
-    """The plane {y : a y = offsets} in the weights lam, or None where it
-    misses the ball of radius r: its foot (min-norm point), an orthonormal
-    frame of its directions diagonalizing the weights, those diagonal
-    weights h, frame^T diag(lam), the radius left for the plane inside the
-    ball, and the map from a residual in the span of a's rows to the
-    multipliers of those rows."""
-    gram_inv = np.linalg.inv(a @ a.T)
-    foot = a.T @ (gram_inv @ offsets)
-    slack = r * r - foot @ foot
-    if slack < 0.0:
-        return None
-    null = np.linalg.svd(a)[2][len(a):].T
-    h, turn = np.linalg.eigh((null.T * lam) @ null)
-    frame = null @ turn
-    return foot, frame, h, frame.T * lam, np.sqrt(slack), gram_inv @ a
-
-
 def nearest_points(x, lam, basis, normals, offsets, r):
     """For each row of x (n, d), the nearest point of {basis y : N basis y
     <= b, |y| <= r} in the metric sum_i lam_i (y_i - t_i)^2, t = basis^T x.
@@ -376,24 +366,23 @@ def nearest_points(x, lam, basis, normals, offsets, r):
     By KKT the nearest point is, for some set S of at most k independent
     rows of N basis, the nearest point of the plane N_S basis y = b_S within
     the ball: in a frame diagonalizing the weights on that plane it is
-    secular_newton's multiplier problem. The face sets are walked smallest
-    first from S empty; a row takes the first candidate that is a member
+    secular_newton's multiplier problem. S empty comes first, then the faces
+    that faces walks; a row takes the first candidate that is a member
     within CONTAINS_TOL and whose multipliers on S are at least
     -CONTAINS_TOL, so the answer is exact up to rounding, and a row left
     over raises NonConvergence. Elementwise arithmetic and apply_last, unlike
     a BLAS matmul, keep each row's bits independent of the batch."""
     t = apply_last(basis.T, x)
-    reduced = normals @ basis
+    walk = faces(normals @ basis, offsets, r, basis.shape[1])
+    empty = ([], None, None, r, None)  # S empty: the ball in the weights lam
     live = np.arange(len(x))
-    for rows in itertools.chain([[]], face_sets(reduced, basis.shape[1])):
-        if rows:
-            face = _face(reduced[rows], offsets[rows], lam, r)
-            if face is None:
-                continue
-            foot, frame, h, weigh, radius, mult = face
-            b = apply_last(weigh, t - foot)
+    for rows, foot, null, radius, mult in itertools.chain([empty], walk):
+        if rows:  # a frame of the plane's directions diagonalizing the weights
+            h, turn = np.linalg.eigh((null.T * lam) @ null)
+            frame = null @ turn
+            b = apply_last(frame.T * lam, t - foot)
         else:
-            h, radius, b = lam, r, lam * t
+            h, b = lam, lam * t
         with np.errstate(invalid="ignore"):  # b = 0 at the foot: mu = 0
             mu = secular_newton(h, b, radius) if np.isfinite(r) and h.size \
                 else np.zeros(len(t))

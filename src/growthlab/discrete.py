@@ -24,8 +24,12 @@ from numpy.polynomial.hermite import hermgauss
 from .errors import (
     InvalidSpec, NonNestedPartitions, QuadratureUnderResolved,
 )
+from .market import physical_memory
 
 WEALTH_MARGIN = 1e-10
+# Most Gauss-Hermite nodes a market takes. numpy's rules are non-finite
+# from 372 nodes on, and building one costs about n^3: 2.3 s at 3000 nodes.
+MAX_QUAD_NODES = 1000
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,11 @@ class OnePeriodMarket:
             raise InvalidSpec(f"truncation level must be a positive integer, got {self.level}")
         if self.quad_nodes < 3 or not 0.0 < self.quad_range < np.inf:
             raise InvalidSpec("quadrature needs at least 3 nodes and a positive range")
+        if self.quad_nodes > MAX_QUAD_NODES:
+            raise QuadratureUnderResolved(
+                f"Gauss-Hermite rule with {self.quad_nodes} nodes is not "
+                "finite; use fewer nodes"
+            )
         if not np.isfinite(self.signal_mean):
             raise InvalidSpec(f"signal mean must be finite, got {self.signal_mean}")
 
@@ -75,6 +84,12 @@ class OnePeriodMarket:
             )
         keep = np.abs(x) * np.sqrt(2.0) <= self.quad_range
         x, w = x[keep], w[keep]
+        if not np.sum(w) > 0.0:  # no node in range, or 371 zero weights
+            raise QuadratureUnderResolved(
+                f"Gauss-Hermite rule with {self.quad_nodes} nodes has no "
+                f"weight within {self.quad_range} standard deviations; widen "
+                "the range or use fewer nodes"
+            )
         w = w / np.sum(w)
         pts = self.signal_mean + self.residual_std() * np.sqrt(2.0) * x
         return pts, w
@@ -194,6 +209,12 @@ class ScenarioTree:
     def __post_init__(self):
         if self.depth < 1:
             raise InvalidSpec(f"tree depth must be positive, got {self.depth}")
+        # every run holds a level process, (depth + 1, 2**depth) floats
+        nbytes = 8 * (int(self.depth) + 1) * 2 ** int(self.depth)
+        if nbytes > min(np.iinfo(np.intp).max, physical_memory() or np.inf):
+            raise InvalidSpec(f"tree depth {self.depth} too large: its (depth "
+                              "+ 1, 2**depth) arrays need more bytes than "
+                              "numpy can index or the machine's memory holds")
         up = self.up_probs
         if up is None:
             up = np.full(self.depth, 0.5)
@@ -265,10 +286,12 @@ def tree_projection_convergence(tree, chi, caps):
 
     Returns per-cap, per-scenario sums over levels 1..depth of
     |projection_n - projection_full| * clock increment, plus their
-    expectation under the scenario probabilities. Caps must strictly
-    increase, so the partitions are nested.
+    expectation under the scenario probabilities. Caps must be nonnegative
+    and strictly increase, so the partitions are nested.
     """
     caps = [int(n) for n in caps]
+    if any(n < 0 for n in caps):
+        raise InvalidSpec(f"caps must be nonnegative, got {caps}")
     if any(b <= a for a, b in zip(caps, caps[1:])):
         raise NonNestedPartitions(
             f"cap ladder {caps} is not strictly increasing"

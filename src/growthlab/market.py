@@ -30,6 +30,7 @@ from .quadform import check_psd_matrix, cov_inner, step_runs
 
 PATH_BLOCK = 1024
 DENSITY_FLOOR = 1e-12
+ENERGY_CAP = 50.0  # largest tilt energy sum |lam1|_c^2 dG of density_paths
 ORTHOGONAL_STREAM = 165
 
 
@@ -171,6 +172,14 @@ def market_steps(spec):
                       dM=np.empty((0, spec.n_steps, spec.dim)))
 
 
+def physical_memory():
+    """Bytes of the machine's physical memory, or None without sysconf."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf (Windows)
+        return None
+
+
 def check_paths(n_paths, n_steps, dim=1):
     """Reject, before any draw or seed spawn, a path count below one, one
     whose float array (n_paths, n_steps, dim) has more bytes than numpy can
@@ -183,11 +192,8 @@ def check_paths(n_paths, n_steps, dim=1):
     if 8 * int(n_paths) * int(n_steps) * int(dim) > np.iinfo(np.intp).max:
         raise InvalidSpec(f"path count too large: its (paths, {n_steps}, "
                           f"{dim}) array needs more bytes than numpy can index")
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf (Windows)
-        return
-    if 8 * int(n_paths) > memory:
+    memory = physical_memory()
+    if memory is not None and 8 * int(n_paths) > memory:
         raise InvalidSpec(f"path count too large: one float a path needs "
                           f"more than the machine's {memory} bytes of memory")
 
@@ -389,15 +395,10 @@ class TiltSpec:
 
     lam1: np.ndarray
     orthogonal_vol: float = 0.0
-    energy_cap: float = 50.0
-    floor: float = DENSITY_FLOOR
 
     def __post_init__(self):
-        # comparisons written so that NaN fails them
-        if not (np.isfinite(self.orthogonal_vol) and self.energy_cap > 0.0
-                and 0.0 <= self.floor < np.inf):
-            raise InvalidSpec("tilt needs a finite orthogonal vol, a positive "
-                              "energy cap and a finite floor >= 0")
+        if not np.isfinite(self.orthogonal_vol):
+            raise InvalidSpec("tilt needs a finite orthogonal vol")
 
     def field(self, n_steps, dim):
         lam = np.asarray(self.lam1, dtype=float)
@@ -415,14 +416,12 @@ class TiltSpec:
 class DensityRecord:
     """Base tilt density Z1 with its building blocks.
 
-    z has shape (P, N + 1), z[:, 0] = 1. orthogonal is the independent
-    exponential factor (all ones when the flag is off). floor_hits counts
-    paths whose density ever fell below the positivity floor.
+    z has shape (P, N + 1), z[:, 0] = 1. floor_hits counts paths whose
+    density ever fell below the positivity floor DENSITY_FLOOR.
     """
 
     lam1: np.ndarray
     z: np.ndarray
-    orthogonal: np.ndarray
     floor_hits: int
 
 
@@ -441,9 +440,9 @@ def density_paths(bundle, tilt, xi=None):
     lam = tilt.field(bundle.n_steps, bundle.dim)
     lam_sq = cov_inner(bundle.cov, lam, lam)
     energy = float(np.sum(lam_sq * bundle.dG))
-    if energy > tilt.energy_cap:
+    if energy > ENERGY_CAP:
         raise InvalidSpec(
-            f"tilt energy {energy:.3g} exceeds cap {tilt.energy_cap:.3g}"
+            f"tilt energy {energy:.3g} exceeds cap {ENERGY_CAP:.3g}"
         )
     expo = dot_last(lam, bundle.dM)
     expo -= 0.5 * (lam_sq * bundle.dG)[None, :]
@@ -456,11 +455,9 @@ def density_paths(bundle, tilt, xi=None):
         rho = tilt.orthogonal_vol
         orth = np.exp(cumsum_from_zero(rho * dw - 0.5 * rho * rho * bundle.dG[None, :]))
         z = z * orth
-    else:
-        orth = np.ones_like(z)
-    floor_hits = int(np.sum(np.min(z, axis=1) < tilt.floor))
-    z = np.maximum(z, tilt.floor)
-    return DensityRecord(lam1=lam, z=z, orthogonal=orth, floor_hits=floor_hits)
+    floor_hits = int(np.sum(np.min(z, axis=1) < DENSITY_FLOOR))
+    z = np.maximum(z, DENSITY_FLOOR)
+    return DensityRecord(lam1=lam, z=z, floor_hits=floor_hits)
 
 
 @dataclass

@@ -17,8 +17,6 @@ Everything here restricts to the unconstrained market; a binding constraint
 couples the optimum to the set geometry and is out of scope.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constraints import FullSpace, scale_last
@@ -66,17 +64,8 @@ def response_quotient(bundle, record, eps, *, reference=None):
             "energy_increments": energy, "lam_path": lam}
 
 
-@dataclass
-class ExpansionRecord:
-    """Limit paths of the tilt expansion, cumulative from zero."""
-
-    lam0: np.ndarray
-    first_order: np.ndarray
-    second_order: np.ndarray
-
-
 def _limit_increments(bundle, record):
-    """lam0 = Z1_- lam1 and the per-step increments of the limits: the
+    """The per-step increments of the limits, with lam0 = Z1_- lam1: the
     first-order <lam0, dM>, and the second order's finite-variation part
     -0.5 |lam0|_c^2 dG and martingale part (1 - Z1_-) <lam0, dM>."""
     z_left = record.z[:, :-1]
@@ -84,14 +73,7 @@ def _limit_increments(bundle, record):
     first_inc = dot_last(lam0, bundle.dM)
     lim_fv = -0.5 * cov_inner(bundle.cov, lam0, lam0) * bundle.dG
     lim_mart = (1.0 - z_left) * first_inc
-    return lam0, first_inc, lim_fv, lim_mart
-
-
-def expansion_record(bundle, record):
-    """First- and second-order limit paths from the base density."""
-    lam0, first_inc, lim_fv, lim_mart = _limit_increments(bundle, record)
-    return ExpansionRecord(lam0=lam0, first_order=cumsum_from_zero(first_inc),
-                           second_order=cumsum_from_zero(lim_fv + lim_mart))
+    return first_inc, lim_fv, lim_mart
 
 
 def _order_fit(eps_ladder, means):
@@ -115,7 +97,7 @@ def _ladder_rows(bundle, record, eps_ladder, frac_ref=None):
     if eps_ladder.ndim != 1 or eps_ladder.size < 2 \
             or np.unique(eps_ladder).size < eps_ladder.size:
         raise InvalidSpec(f"need two or more distinct eps sizes, got {eps_ladder}")
-    _, first_inc, lim_fv, lim_mart = _limit_increments(bundle, record)
+    first_inc, lim_fv, lim_mart = _limit_increments(bundle, record)
     reference = reference_increments(bundle, frac_ref)
     identity, rows = [], []
     for eps in eps_ladder:

@@ -43,6 +43,7 @@ BOOTSTRAP_SEED = 20260817
 # were faulted in afresh for every chunk.
 BOOTSTRAP_CHUNK = 51_200
 DENSITY_FLOOR_FRACTION = 1e-3  # share of paths allowed below the floor
+BOUND_SLACK = 1e-6  # largest per-step bound excess the constraint ladder passes
 WEALTH_COLUMNS = ("fv", "qv", "sup_rel_inf", "sup_rel_n")
 DENSITY_COLUMNS = ("z_l1", "z_sup", "zz_qv", "rr_qv")
 
@@ -278,8 +279,7 @@ def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
     )
 
 
-def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
-                      threads=1, bound_slack=1e-6):
+def constraint_ladder(spec, sets, limit_set, n_paths, seed, *, threads=1):
     """Constraint ladder: a sequence of sets closing on a limit set.
 
     Reports wealth distances to the limit-set numéraire, the truncated
@@ -292,7 +292,8 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
     fractions lie in B(|a|_c), 0 lies in both sets and lambda_max(c) <= 4,
     so only those steps are checked: the excess is nonpositive when the
     bound holds on every checked step, and 0 on a rung with no checked
-    step. meta["bound_unchecked_steps"] counts, per rung, the steps left
+    step. meta["bound_ok"] holds when no excess is above BOUND_SLACK.
+    meta["bound_unchecked_steps"] counts, per rung, the steps left
     unchecked (zero drift included). meta["ladder_scale"] names the slope
     axis: "set_distance", or "rung_index" (1/n) when a set distance is 0
     or two are equal.
@@ -346,8 +347,7 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *,
         meta={"n_paths": n_paths, "seed": seed,
               "bound_excess": excesses,
               "bound_unchecked_steps": unchecked,
-              "bound_slack": bound_slack,
-              "bound_ok": bool(max(excesses) <= bound_slack),
+              "bound_ok": bool(max(excesses) <= BOUND_SLACK),
               "ladder_scale": "set_distance" if by_distance
               else "rung_index"},
     )

@@ -243,3 +243,20 @@ def mc_one_period_log_wealth(p, level, theta_grid, n_samples=2_000_000,
             continue
         out[i] = float(np.mean(p * np.log(up) + (1.0 - p) * np.log(down)))
     return out
+
+
+def expansion_limits(bundle, record):
+    """First- and second-order limit paths of the tilt expansion, each
+    (P, N + 1) and cumulative from zero, straight from the formulas: with
+    lam0 = Z1_- lam1, the first order is sum <lam0, dM> and the second
+    -(1/2) sum |lam0|_c^2 dG - sum <lam0 (Z1_- - 1), dM>."""
+    n_paths, n_steps, dim = bundle.dM.shape
+    z_left = record.z[:, :-1]
+    lam0 = z_left[:, :, None] * record.lam1[None, :, :]
+    cov = np.broadcast_to(bundle.cov, (n_steps, dim, dim))
+    mart = np.einsum("pki,pki->pk", lam0, bundle.dM)
+    energy = np.einsum("pki,kij,pkj->pk", lam0, cov, lam0) * bundle.dG
+    second = -0.5 * energy - (z_left - 1.0) * mart
+    zero = np.zeros((n_paths, 1))
+    return (np.concatenate((zero, np.cumsum(mart, axis=1)), axis=1),
+            np.concatenate((zero, np.cumsum(second, axis=1)), axis=1))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -152,6 +153,27 @@ def test_unknown_config_key_exits_2(tmp_path):
     })
     assert run_cli("solve", "--config", cfg,
                    "--out", str(tmp_path / "o")) == 2
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("stability", {"kind": "stability-constraint", "market": CONSTRAINT_MARKET,
+                   "sets": [{"type": "ball", "radius": 1.25}],
+                   "limit_set": {"type": "ball", "radius": 1.0},
+                   "bound_slack": 1e-6}, "bound_slack"),
+    ("sensitivity", {"kind": "sensitivity", "market": MARKET,
+                     "tilt": {"lam1": [0.4, -0.2], "floor": 1e-12}}, "floor"),
+    ("stability", {"kind": "stability-probability", "market": MARKET,
+                   "tilt": {"lam1": [0.4, -0.2], "energy_cap": 50.0}},
+     "energy_cap"),
+], ids=["bound-slack", "tilt-floor", "tilt-energy-cap"])
+def test_library_constant_keys_are_unknown(tmp_path, capsys, command,
+                                           payload, key):
+    # BOUND_SLACK, DENSITY_FLOOR and ENERGY_CAP are module constants
+    cfg = write_config(tmp_path, "bad.yaml", payload)
+    assert run_cli(command, "--config", cfg,
+                   "--out", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown keys") and key in err
 
 
 def test_kind_mismatch_exits_2(tmp_path):
@@ -659,6 +681,39 @@ def test_path_count_beyond_memory_exits_2_before_spawning(tmp_path):
     assert result.returncode == 2
     assert result.stderr.startswith("config error: path count too large")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"depth": 63}, "config error: bad tree config: tree depth 63 too large"),
+    ({"depth": 40}, "config error: bad tree config: tree depth 40 too large"),
+    ({"depth": 3, "caps": [-5, 2]}, "config error: caps must be nonnegative"),
+], ids=["unindexable-depth", "depth-beyond-memory", "negative-cap"])
+def test_tree_config_no_run_can_hold_exits_2(tmp_path, payload, message):
+    # Depth 63 once failed in np.zeros with a traceback, and depth 40 asks
+    # for terabytes; a negative cap acted as cap 0. A child with a timeout
+    # turns an allocation that starts after all into a failure.
+    cfg = write_config(tmp_path, "tree.yaml", dict(
+        {"kind": "tree-projection", "chi": {"leaf_indicator": 0}}, **payload))
+    result = subprocess.run(
+        [sys.executable, "-m", "growthlab.cli", "tree", "--config", cfg,
+         "--out", str(tmp_path / "run")],
+        env=src_env(), capture_output=True, text=True, timeout=30)
+    assert result.returncode == 2
+    assert result.stderr.startswith(message)
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
+def test_counterexample_rejects_a_huge_quadrature_at_once(tmp_path, capsys):
+    # building the non-finite 6000-node rule took 18 s before the run gave up
+    cfg = write_config(tmp_path, "quad.yaml", {
+        "kind": "counterexample", "p": 0.6, "quad_nodes": 6000})
+    start = time.perf_counter()
+    assert run_cli("counterexample", "--config", cfg,
+                   "--out", str(tmp_path / "run")) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == ("numerical error: Gauss-Hermite rule "
+                                       "with 6000 nodes is not finite; use "
+                                       "fewer nodes\n")
 
 
 def test_manifest_records_malloc_policy(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ import growthlab.constraints as constraints
 
 from growthlab.constraints import (
     Ball, Box, FullSpace, HalfspacePolytope, Intersection,
-    NonnegativeOrthant, constraint_from_config, direction_net,
+    NonnegativeOrthant, constraint_from_config, direction_net, faces,
     hausdorff_distance, truncated_pair_distance,
 )
 from growthlab.errors import InfeasibleConstraint
@@ -93,6 +95,49 @@ def test_support_truncated_matches_support_scan(build, radius, dim):
                               n_grid=401 if dim == 2 else 81)
     assert np.all(exact >= scan - 1e-9)  # scanned points are feasible
     assert np.all(exact <= scan + step * np.sqrt(dim))
+
+
+def _plain_face_sets(normals, offsets, r, dim):
+    """The face sets faces walks, the plain way: each combination of at
+    most dim rows, smallest first, of full rank by matrix_rank, and those of
+    them whose plane's min-norm point lies in the ball of radius r."""
+    independent, meeting = [], []
+    for k in range(1, min(len(normals), dim) + 1):
+        for rows in map(list, itertools.combinations(range(len(normals)), k)):
+            if np.linalg.matrix_rank(normals[rows]) == k:
+                independent.append(rows)
+                foot = np.linalg.lstsq(normals[rows], offsets[rows], rcond=None)[0]
+                if foot @ foot <= r * r:
+                    meeting.append(rows)
+    return independent, meeting
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("kind", ["polytope", "box", "intersection"])
+def test_faces_walks_each_independent_plane_that_meets_the_ball(kind, dim):
+    rng = np.random.default_rng(dim)
+    r, skipped = 0.8, 0
+    for _ in range(3):
+        box = Box(-rng.uniform(0.2, 1.5, dim), rng.uniform(0.2, 1.5, dim))
+        rows = 2 * dim + 1 if kind == "polytope" else dim + 1
+        poly = HalfspacePolytope(rng.standard_normal((rows, dim)),
+                                 rng.uniform(0.2, 1.5, rows))
+        constraint = {"polytope": poly, "box": box,
+                      "intersection": Intersection([Ball(2.0), poly, box])}[kind]
+        normals, offsets, _ = constraint.halfspaces(dim)
+        walk = list(faces(normals, offsets, r, dim))
+        independent, meeting = _plain_face_sets(normals, offsets, r, dim)
+        assert [face[0] for face in walk] == meeting
+        skipped += len(independent) - len(meeting)
+        for face_rows, foot, null, left, mult in walk:
+            a, k = normals[face_rows], len(face_rows)
+            assert null.shape == (dim, dim - k)
+            assert np.allclose(a @ foot, offsets[face_rows], atol=1e-12)
+            assert np.allclose(a @ null, 0.0, atol=1e-12)
+            assert np.allclose(null.T @ null, np.eye(dim - k), atol=1e-12)
+            assert left ** 2 + foot @ foot == pytest.approx(r * r, abs=1e-12)
+            assert np.allclose(mult @ a.T, np.eye(k), atol=1e-12)
+    assert skipped > 0  # some planes miss the ball
 
 
 def test_box_holding_the_truncation_ball_is_at_distance_zero():

@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from growthlab.discrete import (
-    OnePeriodMarket, ScenarioTree, discontinuity_report,
+    MAX_QUAD_NODES, OnePeriodMarket, ScenarioTree, discontinuity_report,
     one_period_optimal, tree_predictable_projection,
     tree_projection_convergence,
 )
@@ -62,6 +64,23 @@ def test_gap_table_is_constant_at_two_p_minus_one():
 def test_under_resolved_quadrature_raises():
     with pytest.raises(QuadratureUnderResolved):
         one_period_optimal(OnePeriodMarket(p=0.6, level=8, signal_mean=1.0))
+
+
+def test_quadrature_node_cap_raises_before_any_rule_is_built():
+    # numpy's rules past 371 nodes are non-finite and cost about n^3 to build
+    OnePeriodMarket(p=0.6, level=1, quad_nodes=MAX_QUAD_NODES)
+    with pytest.raises(QuadratureUnderResolved, match="is not finite"):
+        OnePeriodMarket(p=0.6, level=1, quad_nodes=MAX_QUAD_NODES + 1)
+
+
+@pytest.mark.parametrize("nodes, quad_range", [(4, 0.1), (371, 8.0)],
+                         ids=["no-node-in-range", "zero-weights"])
+def test_quadrature_without_weight_in_range_raises(nodes, quad_range):
+    # both once gave NaN weights: a traceback, or NaN gaps and exit 1
+    market = OnePeriodMarket(p=0.6, level=1, quad_nodes=nodes,
+                             quad_range=quad_range)
+    with pytest.raises(QuadratureUnderResolved, match="no weight"):
+        market.quadrature()
 
 
 def test_invalid_one_period_parameters():
@@ -144,6 +163,22 @@ def test_non_increasing_caps_rejected():
     chi[0] = 1.0
     with pytest.raises(NonNestedPartitions):
         tree_projection_convergence(tree, chi, [2, 1, 3])
+    with pytest.raises(InvalidSpec, match="nonnegative"):
+        tree_projection_convergence(tree, chi, [-5, 2])
+
+
+def test_tree_depth_bound_is_indexing_and_the_machines_memory(monkeypatch):
+    monkeypatch.delattr(os, "sysconf")  # no sysconf: the indexing bound only
+    ScenarioTree(depth=40)
+    with pytest.raises(InvalidSpec, match="tree depth 63 too large"):
+        ScenarioTree(depth=63)
+    # On a machine of 1 MiB, depth 13's (14, 8192) floats fit and depth
+    # 14's (15, 16384) do not; nothing is allocated either way.
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__, raising=False)
+    ScenarioTree(depth=13)
+    with pytest.raises(InvalidSpec, match="tree depth 14 too large"):
+        ScenarioTree(depth=14)
 
 
 def test_tree_validates_inputs():

@@ -187,9 +187,11 @@ def test_orthogonal_factor_keeps_mean_one():
     rec = density_paths(b, tilt, orthogonal_draws(5, b.n_paths, b.n_steps))
     term = rec.z[:, -1]
     assert abs(term.mean() - 1.0) < 4.0 * term.std() / np.sqrt(len(term))
-    # orthogonal part is independent of the market draws
+    # orthogonal part is independent of the market draws; with no path
+    # floored, it is the ratio of the two densities
     flat = density_paths(b, TiltSpec(lam1=np.array([0.4, -0.2])))
-    corr = np.corrcoef(rec.orthogonal[:, -1], flat.z[:, -1])[0, 1]
+    assert rec.floor_hits == flat.floor_hits == 0
+    corr = np.corrcoef((rec.z / flat.z)[:, -1], flat.z[:, -1])[0, 1]
     assert abs(corr) < 0.05
 
 
@@ -271,12 +273,12 @@ def test_path_count_bound_is_the_machines_memory(monkeypatch):
     check_paths(10 ** 15, 1)
 
 
-def test_energy_cap_rejects_wild_tilts():
+def test_energy_cap_rejects_wild_tilts(monkeypatch):
+    monkeypatch.setattr("growthlab.market.ENERGY_CAP", 10.0)
     spec = make_spec(n_steps=10)
     b = simulate_paths(spec, 10, 1)
     with pytest.raises(InvalidSpec):
-        density_paths(b, TiltSpec(lam1=np.array([50.0, 0.0]),
-                                  energy_cap=10.0))
+        density_paths(b, TiltSpec(lam1=np.array([50.0, 0.0])))
 
 
 @pytest.mark.parametrize("n_rows", [None, 99, 101])
@@ -311,8 +313,6 @@ NAN = float("nan")
                                  noise_scales=[NAN, 0.1]),
      UnsupportedSignalModel),
     (lambda: TiltSpec(lam1=[0.1, 0.0], orthogonal_vol=NAN), InvalidSpec),
-    (lambda: TiltSpec(lam1=[0.1, 0.0], floor=NAN), InvalidSpec),
-    (lambda: TiltSpec(lam1=[0.1, 0.0], energy_cap=NAN), InvalidSpec),
     (lambda: GaussianSignalModel(direction=np.array([1.0]), prior_mean=NAN),
      UnsupportedSignalModel),
     (lambda: ScenarioTree(depth=2, up_probs=[NAN, 0.5]), InvalidSpec),
@@ -325,9 +325,8 @@ NAN = float("nan")
         event_threshold=NAN), InvalidSpec),
 ], ids=["polytope-normal", "polytope-offset", "covariance", "market-drift",
         "market-horizon", "market-clock", "tilt-field", "signal-prior-std",
-        "signal-noise-scale", "tilt-orthogonal-vol", "tilt-floor",
-        "tilt-energy-cap", "signal-prior-mean", "tree-up-probs",
-        "tree-clock-increments", "one-period-quad-range",
+        "signal-noise-scale", "tilt-orthogonal-vol", "signal-prior-mean",
+        "tree-up-probs", "tree-clock-increments", "one-period-quad-range",
         "one-period-signal-mean", "filtration-event-threshold"])
 def test_nan_inputs_raise(build, error):
     with pytest.raises(error):

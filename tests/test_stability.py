@@ -116,9 +116,11 @@ def test_probability_ladder_density_columns_match_sequence_check(
         "main1_qv", "main2_fv", "main2_qv", "sup_rel_inf", "sup_rel_n"]
 
 
-def test_density_floor_guard():
+def test_density_floor_guard(monkeypatch):
+    monkeypatch.setattr("growthlab.market.DENSITY_FLOOR", 1e-3)
+    monkeypatch.setattr("growthlab.market.ENERGY_CAP", 1e9)
     spec = make_spec(n_steps=200)
-    tilt = TiltSpec(lam1=np.array([4.0, -3.0]), floor=1e-3, energy_cap=1e9)
+    tilt = TiltSpec(lam1=np.array([4.0, -3.0]))
     with pytest.raises(DensityFloorHit):
         probability_ladder(spec, tilt, FullSpace(), 512, 3)
 
