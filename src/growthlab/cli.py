@@ -170,7 +170,7 @@ def _market_spec(cfg):
             covariance=_optional(cfg, "covariance", "market.covariance"),
             drift=_optional(cfg, "drift", "market.drift"),
             clock=clock,
-            normalize_clock=bool(cfg.get("normalize_clock", True)),
+            normalize_clock=cfg.get("normalize_clock", True),
         )
     except (InvalidSpec, DimensionMismatch, ValueError) as exc:
         raise ConfigError(f"bad market config: {exc}") from exc

@@ -69,14 +69,20 @@ class OnePeriodMarket:
             return 0.0
         return float(2.0 ** -self.level / np.sqrt(3.0))
 
-    def quadrature(self):
+    def hermite_rule(self):
+        """Gauss-Hermite nodes and weights of quad_nodes points; no level
+        changes them."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return hermgauss(self.quad_nodes)
+
+    def quadrature(self, rule=None):
         """Signal nodes and weights for the conditional law at this level.
 
-        Gauss-Hermite nodes outside quad_range standard deviations are
-        dropped and the weights renormalized to sum to one.
+        Gauss-Hermite nodes (rule, built here if not given) outside
+        quad_range standard deviations are dropped and the weights
+        renormalized to sum to one.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, w = hermgauss(self.quad_nodes)
+        x, w = self.hermite_rule() if rule is None else rule
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
             raise QuadratureUnderResolved(
                 f"Gauss-Hermite rule with {self.quad_nodes} nodes is not "
@@ -111,7 +117,7 @@ def _log_wealth_derivative(theta, pts, w, p):
     return float(np.sum(w * pts * (p / up - (1.0 - p) / down)))
 
 
-def one_period_optimal(market):
+def one_period_optimal(market, rule=None):
     """Optimal fraction and terminal wealth of the one-period market.
 
     Full revelation: the product theta * signal equals 2p - 1 and the
@@ -119,7 +125,8 @@ def one_period_optimal(market):
     Finite level: expected log wealth is maximized by quadrature over the
     Gaussian residual. The centered slice has an interior optimum at zero
     by symmetry; off-center slices may clamp at the positivity cap
-    1 / max|node|, reported with interior=False.
+    1 / max|node|, reported with interior=False. rule is the market's
+    hermite_rule, built here if not given.
     """
     p = market.p
     if market.level is None:
@@ -131,7 +138,7 @@ def one_period_optimal(market):
         return OnePeriodResult(theta_star=None, theta_times_signal=u,
                                wealth_values=values, wealth_probs=probs,
                                expected_log=elog)
-    pts, w = market.quadrature()
+    pts, w = market.quadrature(rule)
     s_max = float(np.max(np.abs(pts)))
     if s_max == 0.0:
         return OnePeriodResult(theta_star=0.0, theta_times_signal=0.0,
@@ -175,11 +182,12 @@ def discontinuity_report(p, levels, **market_kwargs):
     at one and the gap sits at |2p - 1| for every level.
     """
     revealed = one_period_optimal(OnePeriodMarket(p=p, level=None))
+    rule = OnePeriodMarket(p=p, **market_kwargs).hermite_rule()
     rows = {"level": [], "theta_star": [], "gap": []}
     for n in levels:
         market = OnePeriodMarket(p=p, level=n, **market_kwargs)
-        res = one_period_optimal(market)
-        pts, w = market.quadrature()
+        res = one_period_optimal(market, rule)
+        pts, w = market.quadrature(rule)
         mean_up = 1.0 + res.theta_star * float(np.dot(w, pts))
         mean_down = 1.0 - res.theta_star * float(np.dot(w, pts))
         gap = max(abs(mean_up - revealed.wealth_values[0]),
@@ -286,12 +294,13 @@ def tree_projection_convergence(tree, chi, caps):
 
     Returns per-cap, per-scenario sums over levels 1..depth of
     |projection_n - projection_full| * clock increment, plus their
-    expectation under the scenario probabilities. Caps must be nonnegative
-    and strictly increase, so the partitions are nested.
+    expectation under the scenario probabilities. Caps must lie in
+    0..depth and strictly increase, so the partitions are nested.
     """
     caps = [int(n) for n in caps]
-    if any(n < 0 for n in caps):
-        raise InvalidSpec(f"caps must be nonnegative, got {caps}")
+    if any(not 0 <= n <= tree.depth for n in caps):
+        raise InvalidSpec(f"caps must be nonnegative and at most the depth "
+                          f"{tree.depth}, got {caps}")
     if any(b <= a for a, b in zip(caps, caps[1:])):
         raise NonNestedPartitions(
             f"cap ladder {caps} is not strictly increasing"

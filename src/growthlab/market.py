@@ -12,7 +12,7 @@ clock itself.
 
 Path generation is deterministic for a fixed seed regardless of thread
 count: paths are split into fixed-size blocks, each block drawing from its
-own spawned bit generator in a fixed order.
+own spawned bit generator in a fixed order, tile by tile.
 """
 
 import os
@@ -29,6 +29,7 @@ from .constraints import apply_last, dot_last, scale_last
 from .quadform import check_psd_matrix, cov_inner, step_runs
 
 PATH_BLOCK = 1024
+PATH_TILE = PATH_BLOCK // 2  # paths a job holds at once
 DENSITY_FLOOR = 1e-12
 ENERGY_CAP = 50.0  # largest tilt energy sum |lam1|_c^2 dG of density_paths
 ORTHOGONAL_STREAM = 165
@@ -107,6 +108,9 @@ class MarketSpec:
             raise InvalidSpec(f"need at least one step, got {self.n_steps}")
         if not 0.0 < self.horizon < np.inf:
             raise InvalidSpec(f"horizon must be positive and finite, got {self.horizon}")
+        if not isinstance(self.normalize_clock, (bool, np.bool_)):
+            raise InvalidSpec("normalize_clock must be true or false, got "
+                              f"{self.normalize_clock!r}")
         if self.covariance is None:
             object.__setattr__(self, "covariance", np.eye(self.dim) / self.dim)
         if self.drift is None:
@@ -167,7 +171,7 @@ class PathBundle:
 
 def market_steps(spec):
     """A PathBundle of spec's per-step arrays with no paths yet: the ladders
-    solve on it what no path changes, and stream_paths draws its blocks."""
+    solve on it what no path changes, and stream_paths draws its tiles."""
     return PathBundle(*spec.materialize(),
                       dM=np.empty((0, spec.n_steps, spec.dim)))
 
@@ -199,35 +203,39 @@ def check_paths(n_paths, n_steps, dim=1):
 
 
 def stream_paths(market, n_paths, seed, job, threads=1, out=None):
-    """Results, in block order, of job(block, lo, hi) on each fixed
-    PATH_BLOCK-path block lo:hi. Block b draws from the b-th child of seed,
-    shares market's per-step arrays, writes its noise dM to out[lo:hi] if out
-    is given, and runs on worker b % threads (0 is the caller), so no path
-    depends on the thread count or on later blocks."""
+    """Results, in path order, of job(tile, lo, hi) on each PATH_TILE-path
+    tile lo:hi of the fixed PATH_BLOCK-path blocks. Block b draws its tiles
+    in order from the b-th child of seed (slab by slab, the same numbers as
+    one draw), shares market's per-step arrays, writes its noise dM to
+    out[lo:hi] if out is given, and runs on worker b % threads (0 is the
+    caller), so no path depends on the thread count or on later blocks."""
     check_paths(n_paths, *market.dM.shape[1:])
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     n_blocks = (n_paths + PATH_BLOCK - 1) // PATH_BLOCK
     children = ss.spawn(n_blocks)
     workers = max(1, min(threads, n_blocks))
-    results = [None] * n_blocks
+    results = [[] for _ in range(n_blocks)]
+    sqrt_dg = np.sqrt(market.dG)
 
     def stripe(w):
         for b in range(w, n_blocks, workers):
-            lo, hi = b * PATH_BLOCK, min((b + 1) * PATH_BLOCK, n_paths)
-            xi = np.random.default_rng(children[b]).standard_normal(
-                (hi - lo,) + market.dM.shape[1:])
-            dM = apply_last(market.sqrt_cov, xi,
-                            out=np.empty_like(xi) if out is None else out[lo:hi])
-            scale_last(np.sqrt(market.dG), dM, out=dM)
-            results[b] = job(replace(market, dM=dM), lo, hi)
+            rng = np.random.default_rng(children[b])
+            end = min((b + 1) * PATH_BLOCK, n_paths)
+            for lo in range(b * PATH_BLOCK, end, PATH_TILE):
+                hi = min(lo + PATH_TILE, end)
+                xi = rng.standard_normal((hi - lo,) + market.dM.shape[1:])
+                dM = apply_last(market.sqrt_cov, xi, out=np.empty_like(xi)
+                                if out is None else out[lo:hi])
+                scale_last(sqrt_dg, dM, out=dM)
+                results[b].append(job(replace(market, dM=dM), lo, hi))
 
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         futures = [pool.submit(stripe, w) for w in range(1, workers)]
         stripe(0)
         for f in futures:
             f.result()
-    return results
+    return [r for tiles in results for r in tiles]
 
 
 def simulate_paths(spec, n_paths, seed, threads=1):
@@ -436,7 +444,7 @@ def orthogonal_draws(seed, n_paths, n_steps):
 def density_paths(bundle, tilt, xi=None):
     """Stochastic-exponential density Z1 of a tilt along simulated paths.
     With an orthogonal factor, xi holds the bundle's own (P, N) rows of
-    orthogonal_draws (rows lo:hi for the paths lo:hi of a block)."""
+    orthogonal_draws (rows lo:hi for the paths lo:hi of a tile)."""
     lam = tilt.field(bundle.n_steps, bundle.dim)
     lam_sq = cov_inner(bundle.cov, lam, lam)
     energy = float(np.sum(lam_sq * bundle.dG))

@@ -115,7 +115,7 @@ def _ladder_rows(bundle, record, eps_ladder, frac_ref=None):
 
 def _ladder_tables(eps_ladder, parts):
     """(worst identity error, first-order table, second-order table) of
-    per-block _ladder_rows results, joined in path order."""
+    per-tile _ladder_rows results, joined in path order."""
     eps_ladder = np.asarray(eps_ladder, dtype=float)
     rows = np.concatenate([p[1] for p in parts], axis=2)
     return (float(np.max([p[0] for p in parts])),
@@ -133,18 +133,18 @@ def streamed_expansion_ladder(spec, tilt, eps_ladder, n_paths, seed, *,
                               threads=1):
     """expansion_ladder of simulate_paths(spec, n_paths, seed) and its
     density_paths (xi: orthogonal_draws(seed, n_paths, spec.n_steps)), bit
-    for bit, run one stream_paths block at a time."""
+    for bit, run one stream_paths tile at a time."""
     market = market_steps(spec)
     frac_ref = numeraire_fractions(market, FullSpace())
     xi = None if tilt.orthogonal_vol == 0.0 \
         else orthogonal_draws(seed, n_paths, spec.n_steps)
 
-    def block(bundle, lo, hi):
+    def tile(bundle, lo, hi):
         record = density_paths(bundle, tilt, None if xi is None else xi[lo:hi])
         return _ladder_rows(bundle, record, eps_ladder, frac_ref)
 
     return _ladder_tables(
-        eps_ladder, stream_paths(market, n_paths, seed, block, threads))
+        eps_ladder, stream_paths(market, n_paths, seed, tile, threads))
 
 
 def first_order_check(bundle, record, eps_ladder):

@@ -3,7 +3,7 @@ r"""Perturbation ladders for the growth-optimal portfolio.
 Three families, one protocol: build a ladder of markets that converges to a
 limit market along one axis (information, probability measure, constraint
 set), compute the optimal wealth process at every rung on common random
-numbers, one stream_paths block at a time, and measure its distance to the
+numbers, one stream_paths tile at a time, and measure its distance to the
 limit rung with one wealth_process_gap: the finite-variation gap, the
 quadratic-variation gap, and the uniform relative wealth errors both ways.
 A report column passes when its log-log decay slope against the ladder
@@ -160,7 +160,7 @@ def _stack(rows, names):
 
 
 def _join(parts):
-    """per_path arrays (L, P) of per-block (L, block) arrays, in path order."""
+    """per_path arrays (L, P) of per-tile (L, tile) arrays, in path order."""
     return {k: np.concatenate([p[k] for p in parts], axis=1) for k in parts[0]}
 
 
@@ -187,7 +187,7 @@ def filtration_ladder(spec, model, constraint, n_paths, seed, *,
     v = model.direction
     vcv_dg = cov_inner(market.cov, v, v) * market.dG
 
-    def block(base, lo, hi):
+    def tile(base, lo, hi):
         signal = SignalBundle(base, model, theta[lo:hi], zeta[lo:hi])
         true_drift = signal.true_drift()
         w_inf = numeraire_paths(base, constraint,
@@ -216,7 +216,7 @@ def filtration_ladder(spec, model, constraint, n_paths, seed, *,
         family="filtration",
         indices=np.arange(1, model.n_levels + 1),
         scales=model.noise_scales.copy(),
-        per_path=_join(stream_paths(market, n_paths, path_ss, block, threads)),
+        per_path=_join(stream_paths(market, n_paths, path_ss, tile, threads)),
         meta={"n_paths": n_paths, "seed": seed,
               "event_threshold": float(event_threshold)},
     )
@@ -240,7 +240,7 @@ def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
     names = DENSITY_COLUMNS + ("drift_gap", "main1_fv", "main1_qv", "main2_fv",
                                "main2_qv", "sup_rel_inf", "sup_rel_n")
 
-    def block(bundle, lo, hi):
+    def tile(bundle, lo, hi):
         record = density_paths(bundle, tilt, None if xi is None else xi[lo:hi])
         w_ref = wealth_paths(bundle, frac_ref)
         rows = []
@@ -264,7 +264,7 @@ def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
         return _stack(rows, names)
 
     floor_hits = []
-    per_path = _join(stream_paths(market, n_paths, seed, block, threads))
+    per_path = _join(stream_paths(market, n_paths, seed, tile, threads))
     if sum(floor_hits) > DENSITY_FLOOR_FRACTION * n_paths:
         raise DensityFloorHit(f"{sum(floor_hits)} of {n_paths} density paths "
                               "hit the positivity floor")
@@ -329,7 +329,7 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *, threads=1):
         unchecked.append(int(market.n_steps - checked.sum()))
         growth_gaps.append(abs(growth_path(market, frac_n).total - growth_inf))
 
-    def block(bundle, lo, hi):
+    def tile(bundle, lo, hi):
         w_inf = wealth_paths(bundle, frac_inf)
         return _stack([wealth_process_gap(wealth_paths(bundle, f), w_inf)
                        for f in fracs], WEALTH_COLUMNS)
@@ -341,7 +341,7 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *, threads=1):
         family="constraint",
         indices=np.arange(1, len(sets) + 1),
         scales=scales,
-        per_path=_join(stream_paths(market, n_paths, seed, block, threads)),
+        per_path=_join(stream_paths(market, n_paths, seed, tile, threads)),
         deterministic={"set_distance": dists,
                        "growth_gap": np.asarray(growth_gaps)},
         meta={"n_paths": n_paths, "seed": seed,

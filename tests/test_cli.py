@@ -89,6 +89,39 @@ CONSTRAINT_MARKET = {"dim": 2, "n_steps": 20,
                      "drift": [2.0, 0.0], "normalize_clock": False}
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, 0.0, None,
+                                   [False]])
+def test_non_boolean_normalize_clock_exits_2(tmp_path, capsys, value):
+    # bool("false") is True: the string once ran as a normalized clock
+    cfg = write_config(tmp_path, "clock.yaml", {
+        "kind": "stability-constraint",
+        "market": dict(CONSTRAINT_MARKET, normalize_clock=value),
+        "sets": [{"type": "ball", "radius": 1.25}],
+        "limit_set": {"type": "ball", "radius": 1.0}, "paths": 16,
+    })
+    out = tmp_path / "run"
+    assert run_cli("stability", "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "normalize_clock" in err
+    assert len(err.splitlines()) == 1
+    assert not (out / "ladder.csv").exists()
+
+
+def test_tree_cap_above_depth_exits_2(tmp_path, capsys):
+    # a cap of 7 on a depth-3 tree once ran as cap 3 and dropped the
+    # zero_at_full_cap check
+    cfg = write_config(tmp_path, "tree.yaml", {
+        "kind": "tree-projection", "depth": 3,
+        "chi": {"leaf_indicator": 0}, "caps": [0, 2, 7],
+    })
+    out = tmp_path / "run"
+    assert run_cli("tree", "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "at most the depth 3" in err
+    assert len(err.splitlines()) == 1
+    assert not (out / "projection.csv").exists()
+
+
 @pytest.mark.parametrize("radii, limit, unchecked, scale", [
     # every radius above |a|_c = sqrt(2): no step is in the bound's regime,
     # and every truncated set distance is 0, so slopes use the rung index
@@ -401,9 +434,9 @@ def test_sensitivity_solves_reference_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sensitivity, "response_quotient", counted_quotient)
     monkeypatch.setattr(sensitivity, "numeraire_fractions", counted_fractions)
-    # 1500 paths run as two blocks: one quotient per eps in every block,
-    # but one reference solve per run
-    for paths, blocks in ((64, 1), (1500, 2)):
+    # 1500 paths run as three tiles (512, 512 and 476 paths): one quotient
+    # per eps in every tile, but one reference solve per run
+    for paths, tiles in ((64, 1), (1500, 3)):
         calls.update(quotient=0, reference=0)
         cfg = write_config(tmp_path, "sens.yaml", {
             "kind": "sensitivity", "market": MARKET,
@@ -412,7 +445,7 @@ def test_sensitivity_solves_reference_once(tmp_path, monkeypatch):
         })
         assert run_cli("sensitivity", "--config", cfg,
                        "--out", str(tmp_path / f"run{paths}")) == 0
-        assert calls == {"quotient": 3 * blocks, "reference": 1}, paths
+        assert calls == {"quotient": 3 * tiles, "reference": 1}, paths
 
 
 @pytest.mark.parametrize("tol", [".nan", ".inf", "0.0", "-1.0e-8"])

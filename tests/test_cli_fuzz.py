@@ -4,7 +4,8 @@ Each subcommand's small valid config is mutated at one key or list entry:
 the entry is dropped, a scalar and a list are swapped, a list is made
 ragged, or a number becomes NaN, infinity, negative or non-integral. Every
 run must exit 0, 1, 2 or 3 without an exception escaping `main`, and a run
-that exits 0 must write strict JSON and finite CSV numbers.
+that exits 0 must write strict JSON and finite CSV numbers. A market's
+`normalize_clock` set to anything but a boolean must exit 2.
 """
 
 import contextlib
@@ -165,6 +166,24 @@ def test_mutated_configs_keep_the_exit_code_contract(mutant):
     assert code in (0, 1, 2, 3), (code, cfg)
     assert "Traceback" not in err
     assert strict, cfg
+
+
+NOT_BOOLEAN = st.one_of(st.none(), st.integers(), st.floats(),
+                        st.text(max_size=8), st.lists(st.booleans(),
+                                                      max_size=2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([(c, cfg) for c, cfg in VALID if "market" in cfg]),
+       NOT_BOOLEAN)
+def test_non_boolean_normalize_clock_exits_2(valid, value):
+    command, cfg = valid
+    cfg = dict(cfg, market=dict(cfg["market"], normalize_clock=value))
+    code, err, _ = run_mutant(command, cfg)
+    assert code == 2, (value, cfg["kind"])
+    assert err.startswith("config error:") and "normalize_clock" in err
+    assert "Traceback" not in err
 
 
 def test_valid_configs_exit_0():

@@ -61,6 +61,33 @@ def test_gap_table_is_constant_at_two_p_minus_one():
     assert np.allclose(rep_half["gap"], 0.0, atol=1e-9)
 
 
+def test_discontinuity_report_builds_one_rule(monkeypatch):
+    import growthlab.discrete as discrete
+
+    builds = []
+    hermgauss = discrete.hermgauss
+
+    def counted(n):
+        builds.append(n)
+        return hermgauss(n)
+
+    monkeypatch.setattr(discrete, "hermgauss", counted)
+    for kwargs in ({}, {"quad_nodes": 370, "quad_range": 6.0}):
+        builds.clear()
+        rep = discontinuity_report(0.6, range(1, 9), **kwargs)
+        assert len(builds) == 1, kwargs
+        # bit for bit the report of a fresh rule for every level and use
+        revealed = one_period_optimal(OnePeriodMarket(p=0.6)).wealth_values
+        for n, theta, gap in zip(rep["level"], rep["theta_star"], rep["gap"]):
+            market = OnePeriodMarket(p=0.6, level=n, **kwargs)
+            ref = one_period_optimal(market).theta_star
+            pts, w = market.quadrature()
+            mean = float(np.dot(w, pts))
+            assert theta == ref
+            assert gap == max(abs(1.0 + ref * mean - revealed[0]),
+                              abs(1.0 - ref * mean - revealed[1]))
+
+
 def test_under_resolved_quadrature_raises():
     with pytest.raises(QuadratureUnderResolved):
         one_period_optimal(OnePeriodMarket(p=0.6, level=8, signal_mean=1.0))
@@ -165,6 +192,16 @@ def test_non_increasing_caps_rejected():
         tree_projection_convergence(tree, chi, [2, 1, 3])
     with pytest.raises(InvalidSpec, match="nonnegative"):
         tree_projection_convergence(tree, chi, [-5, 2])
+
+
+def test_caps_above_the_depth_rejected():
+    tree = ScenarioTree(depth=3)
+    chi = np.zeros(8)
+    chi[0] = 1.0
+    with pytest.raises(InvalidSpec, match="at most the depth 3"):
+        tree_projection_convergence(tree, chi, [0, 2, 7])
+    table = tree_projection_convergence(tree, chi, [0, 2, 3])
+    assert table["expected"][-1] == 0.0
 
 
 def test_tree_depth_bound_is_indexing_and_the_machines_memory(monkeypatch):

@@ -66,6 +66,32 @@ def test_increment_moments_match_market():
     assert np.max(np.abs(step_cov - expected)) < 6e-4
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, 1.0, None,
+                                   [True]])
+def test_normalize_clock_must_be_boolean(value):
+    with pytest.raises(InvalidSpec, match="normalize_clock"):
+        make_spec(normalize_clock=value)
+    for flag in (True, False, np.True_, np.False_):
+        make_spec(normalize_clock=flag)
+
+
+@pytest.mark.parametrize("shape, edges", [
+    ((1500, 7, 3), (0, 512, 1024, 1500)),  # whole slabs, a partial last
+    ((1000, 5, 1), (0, 1, 333, 999, 1000)),  # uneven cuts, one-row slabs
+    ((64, 3, 2), (0, 17, 18, 63, 64)),
+])
+def test_standard_normal_in_row_slabs_is_one_draw(shape, edges):
+    # stream_paths draws a block's tiles in order from the block's
+    # generator, so each path keeps its noise only while numpy's
+    # Generator.standard_normal gives one draw's numbers slab by slab
+    child = np.random.SeedSequence(5).spawn(3)[2]
+    whole = np.random.default_rng(child).standard_normal(shape)
+    rng = np.random.default_rng(child)
+    slabs = [rng.standard_normal((hi - lo,) + shape[1:])
+             for lo, hi in zip(edges, edges[1:])]
+    assert np.array_equal(np.concatenate(slabs), whole)
+
+
 def test_explicit_clock_increments():
     incs = np.array([0.1, 0.3, 0.2, 0.4])
     spec = MarketSpec(dim=1, n_steps=4, covariance=np.array([[1.0]]),

@@ -193,15 +193,17 @@ def test_inside_is_the_einsum_membership(constraint):
 
 
 def test_stream_noise_is_the_einsum_noise():
-    # A d = 2 market with a covariance per step: each block's dM is
-    # einsum("pkj,kij->pki", xi, sqrt_cov) of its own draws, bit for bit.
+    # A d = 2 market with a covariance per step: each block's dM, its tiles
+    # joined, is einsum("pkj,kij->pki", xi, sqrt_cov) of the block's own
+    # single draw, bit for bit.
     spec = MarketSpec(dim=2, n_steps=30,
                       covariance=lambda t: [[0.5 + t, 0.1 * t], [0.1 * t, 0.4]])
     market = market_steps(spec)
-    blocks = stream_paths(market, 1500, 11,
-                          lambda block, lo, hi: block.dM.copy(), threads=2)
+    tiles = stream_paths(market, 1500, 11,
+                         lambda tile, lo, hi: tile.dM.copy(), threads=2)
     children = np.random.SeedSequence(11).spawn(2)
-    assert [dM.shape[0] for dM in blocks] == [1024, 476]
+    assert [dM.shape[0] for dM in tiles] == [512, 512, 476]
+    blocks = [np.concatenate(tiles[:2]), tiles[2]]
     for child, dM in zip(children, blocks):
         xi = np.random.default_rng(child).standard_normal(dM.shape)
         ref = np.einsum("pkj,kij->pki", xi, market.sqrt_cov)

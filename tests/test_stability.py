@@ -12,7 +12,7 @@ import growthlab.stability as stability
 from growthlab.constraints import Ball, Box, FullSpace
 from growthlab.errors import DensityFloorHit, InvalidSpec
 from growthlab.market import (
-    PATH_BLOCK, GaussianSignalModel, MarketSpec, TiltSpec, density_paths,
+    PATH_BLOCK, PATH_TILE, GaussianSignalModel, MarketSpec, TiltSpec, density_paths,
     event_probabilities, filtered_drift, market_steps, orthogonal_draws,
     simulate_paths, simulate_signal_paths, stream_paths, tilt_field,
 )
@@ -409,17 +409,27 @@ def test_constraint_ladder_with_repeated_distances_fits_the_index():
         report.slopes()
 
 
-def _small_ladders(n_paths, threads):
-    """The three ladders on a short market, few rungs each."""
-    spec = make_spec(n_steps=8)
-    model = GaussianSignalModel(direction=np.array([1.0, 0.3]),
+COV3 = np.array([[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.3]])
+DRIFT3 = np.array([0.8, 0.5, -0.3])
+TILT3 = np.array([0.5, -0.3, 0.2])
+
+
+def _small_spec(dim=2):
+    return MarketSpec(dim=dim, n_steps=8, covariance=COV3[:dim, :dim],
+                      drift=DRIFT3[:dim])
+
+
+def _small_ladders(n_paths, threads, dim=2):
+    """The three ladders on a short d = dim market, few rungs each."""
+    spec = _small_spec(dim)
+    model = GaussianSignalModel(direction=np.array([1.0, 0.3, -0.5])[:dim],
                                 noise_scales=np.array([0.5, 0.25, 0.125]))
-    tilt = TiltSpec(lam1=np.array([0.5, -0.3]), orthogonal_vol=0.3)
+    tilt = TiltSpec(lam1=TILT3[:dim], orthogonal_vol=0.3)
     return {
         "filtration": filtration_ladder(spec, model, Ball(1.0), n_paths, 3,
                                         threads=threads),
         "probability": probability_ladder(
-            spec, tilt, Box([-1.0, -1.0], [1.0, 1.0]), n_paths, 3,
+            spec, tilt, Box(-np.ones(dim), np.ones(dim)), n_paths, 3,
             eps_ladder=[0.5, 0.25], threads=threads),
         "constraint": constraint_ladder(
             spec, [Ball(1.0 + 2.0 ** -n) for n in (1, 2, 3)], Ball(1.0),
@@ -454,8 +464,8 @@ def test_stream_paths_stripes_blocks_over_workers():
     market = market_steps(spec)
     caller = threading.get_ident()
 
-    def job(block, lo, hi):
-        return lo, hi, threading.get_ident(), block.dM
+    def job(tile, lo, hi):
+        return lo, hi, threading.get_ident(), tile.dM
 
     n_paths = 8 * PATH_BLOCK + 5
     # more workers than cores, switching threads as often as possible
@@ -465,18 +475,60 @@ def test_stream_paths_stripes_blocks_over_workers():
         runs = stream_paths(market, n_paths, 9, job, threads=4)
     finally:
         sys.setswitchinterval(interval)
-    assert [(lo, hi) for lo, hi, _, _ in runs] == [
-        (b * PATH_BLOCK, min((b + 1) * PATH_BLOCK, n_paths)) for b in range(9)]
-    workers = [ident for _, _, ident, _ in runs]
-    # block b on worker b % 4, the calling thread being worker 0
+    # the job runs on the PATH_TILE-path tiles of each block, in path order
+    assert PATH_BLOCK % PATH_TILE == 0 and PATH_TILE < PATH_BLOCK
+    tiles = [(lo, min(lo + PATH_TILE, n_paths))
+             for lo in range(0, n_paths, PATH_TILE)]
+    assert len(tiles) == 8 * (PATH_BLOCK // PATH_TILE) + 1
+    assert [(lo, hi) for lo, hi, _, _ in runs] == tiles
+    block_of = [lo // PATH_BLOCK for lo, *_ in runs]
+    worker_of_block = {}
+    for b, (_, _, ident, _) in zip(block_of, runs):
+        assert worker_of_block.setdefault(b, ident) == ident, b
+    # every tile of block b on worker b % 4, the calling thread being 0
     for w in range(4):
-        assert len({workers[b] for b in range(w, 9, 4)}) == 1
-    assert workers[0] == caller and caller not in workers[1:4]
+        assert len({worker_of_block[b] for b in range(w, 9, 4)}) == 1
+    assert worker_of_block[0] == caller
+    assert caller not in [worker_of_block[b] for b in (1, 2, 3)]
     whole = simulate_paths(spec, n_paths, 9, threads=3)
     assert np.array_equal(np.concatenate([dM for *_, dM in runs]), whole.dM)
     # more threads than blocks: one worker per block at most
     solo = stream_paths(market, 3, 9, job, threads=8)
-    assert solo[0][2] == caller
+    assert len(solo) == 1 and solo[0][2] == caller
+
+
+def _tiled_runs(dim, threads):
+    """Per-path arrays of every streamed computation at 1500 paths on a
+    d = dim market: the three ladders, sensitivity and simulate_paths."""
+    spec = _small_spec(dim)
+    tilt = TiltSpec(lam1=TILT3[:dim], orthogonal_vol=0.3)
+    runs = {"dM": simulate_paths(spec, 1500, 3, threads=threads).dM}
+    for family, report in _small_ladders(1500, threads, dim).items():
+        for name, arr in report.per_path.items():
+            runs[family, name] = arr
+    _, first, second = streamed_expansion_ladder(
+        spec, tilt, [0.2, 0.1], 1500, 3, threads=threads)
+    for order, table in (("first", first), ("second", second)):
+        for name, arr in table["per_path"].items():
+            runs["sensitivity", order, name] = arr
+    return runs
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_path_tiles_leave_every_path_unchanged(monkeypatch, dim):
+    # The job runs on PATH_TILE-path tiles; whole-block jobs, one tile a
+    # block, give the same bits at any thread count.
+    import growthlab.market as market
+
+    assert PATH_TILE < PATH_BLOCK
+    tiled = {threads: _tiled_runs(dim, threads) for threads in (1, 2)}
+    monkeypatch.setattr(market, "PATH_TILE", PATH_BLOCK)
+    for threads in (1, 2):
+        whole = _tiled_runs(dim, threads)
+        assert list(whole) == list(tiled[threads])
+        for key, arr in whole.items():
+            assert 1500 in arr.shape[:2], key  # (P, N, d) or (rungs, P)
+            assert np.array_equal(tiled[threads][key], arr), (key, threads)
 
 
 def test_streamed_filtration_ladder_matches_whole_bundle():
