@@ -54,6 +54,8 @@ CONFIG_KINDS = {
 }
 
 SHARED_KEYS = ("kind", "seed", "paths", "threads")
+IDENTITY_TOL = 1e-8  # largest pathwise response-identity error passed
+THETA_TOL = 1e-3  # largest |theta*| the counterexample passes as zero
 
 # glibc mallopt parameters. Arrays up to 32 MiB (the largest mmap threshold
 # glibc accepts on 64-bit) come from the heap, and a free keeps up to
@@ -347,7 +349,7 @@ def cmd_stability(cfg, runtime, out_dir, manifest):
 
 def cmd_sensitivity(cfg, runtime, out_dir, manifest):
     _require_keys(cfg, ("kind", "market", "tilt"),
-                  ("eps_ladder", "identity_tol") + SHARED_KEYS[1:], "config")
+                  ("eps_ladder",) + SHARED_KEYS[1:], "config")
     seed, paths, threads = runtime
     spec = _market_spec(cfg["market"])
     tilt = _tilt_spec(cfg["tilt"])
@@ -355,9 +357,6 @@ def cmd_sensitivity(cfg, runtime, out_dir, manifest):
                          "eps_ladder")
     if np.any(eps_ladder <= 0.0) or np.any(eps_ladder > 1.0):
         raise ConfigError("eps_ladder entries must lie in (0, 1]")
-    tol = _float(cfg.get("identity_tol", 1e-8), "identity_tol")
-    if tol <= 0.0:
-        raise ConfigError(f"identity_tol must be positive, got {tol}")
     identity_err, first, second = streamed_expansion_ladder(
         spec, tilt, eps_ladder, paths, seed, threads=threads)
     rows = [{"ladder_index": i + 1, "metric": f"{tag}_{m}",
@@ -366,10 +365,10 @@ def cmd_sensitivity(cfg, runtime, out_dir, manifest):
             for i in range(len(eps_ladder)) for m in ("fv", "qv")]
     _write(out_dir, manifest, "errors.csv", write_csv,
            ["ladder_index", "metric", "value", "stderr"], rows)
-    manifest.record_check("response_identity", identity_err <= tol)
+    manifest.record_check("response_identity", identity_err <= IDENTITY_TOL)
     payload = {
         "identity_max_error": identity_err,
-        "identity_tol": tol,
+        "identity_tol": IDENTITY_TOL,
         "eps_ladder": eps_ladder,
         "first_order": {"order_fv": first["order_fv"],
                         "order_qv": first["order_qv"],
@@ -390,11 +389,10 @@ def cmd_sensitivity(cfg, runtime, out_dir, manifest):
 
 def cmd_counterexample(cfg, runtime, out_dir, manifest):
     _require_keys(cfg, ("kind", "p"),
-                  ("levels", "quad_nodes", "quad_range", "signal_mean",
-                   "theta_tol") + SHARED_KEYS[1:], "config")
+                  ("levels", "quad_nodes", "quad_range", "signal_mean")
+                  + SHARED_KEYS[1:], "config")
     p = _float(cfg["p"], "p")
     levels = _ints(cfg.get("levels", list(range(1, 9))), "levels")
-    theta_tol = _float(cfg.get("theta_tol", 1e-3), "theta_tol")
     kwargs = {key: convert(cfg[key], key) for key, convert in (
         ("quad_nodes", _int), ("quad_range", _float), ("signal_mean", _float))
         if key in cfg}
@@ -406,7 +404,7 @@ def cmd_counterexample(cfg, runtime, out_dir, manifest):
     _write(out_dir, manifest, "gaps.csv", write_csv,
            ["level", "theta_star", "gap"], rows)
     theta_max = max(abs(t) for t in report["theta_star"])
-    manifest.record_check("theta_near_zero", theta_max <= theta_tol)
+    manifest.record_check("theta_near_zero", theta_max <= THETA_TOL)
     _write(out_dir, manifest, "summary.json", write_json, {
         "p": p,
         "theta_max": theta_max,

@@ -125,9 +125,6 @@ class FullSpace(ConstraintSet):
     def halfspaces(self, dim):
         return np.zeros((0, dim)), np.zeros(0), np.inf
 
-    def project(self, x):
-        return np.asarray(x, dtype=float).copy()
-
     def to_config(self):
         return {"type": "full_space"}
 
@@ -192,9 +189,6 @@ class Box(ConstraintSet):
 class NonnegativeOrthant(ConstraintSet):
     def halfspaces(self, dim):
         return -np.eye(dim), np.zeros(dim), np.inf
-
-    def project(self, x):
-        return np.maximum(np.asarray(x, dtype=float), 0.0)
 
     def to_config(self):
         return {"type": "nonnegative_orthant"}
@@ -460,6 +454,7 @@ def closed_limit_distances(sequence, limit, radii, dim):
     (Kuratowski) convergence shows up as every row decaying to zero."""
     radii = np.asarray(radii, dtype=float).ravel()
     table = np.zeros((radii.size, len(sequence)))
+    # radius by radius, so _net_support makes the limit's supports once each
     for i, m in enumerate(radii):
         for j, k_n in enumerate(sequence):
             table[i, j] = truncated_pair_distance(k_n, limit, m, dim)

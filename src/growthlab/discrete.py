@@ -24,7 +24,7 @@ from numpy.polynomial.hermite import hermgauss
 from .errors import (
     InvalidSpec, NonNestedPartitions, QuadratureUnderResolved,
 )
-from .market import physical_memory
+from .market import per_step, physical_memory
 
 WEALTH_MARGIN = 1e-10
 # Most Gauss-Hermite nodes a market takes. numpy's rules are non-finite
@@ -265,23 +265,12 @@ class ScenarioTree:
         return np.repeat(cond, block)
 
 
-def _as_level_process(tree, chi):
-    chi = np.asarray(chi, dtype=float)
-    if chi.shape == (tree.n_scenarios,):
-        return np.broadcast_to(chi, (tree.depth + 1, tree.n_scenarios)).copy()
-    if chi.shape == (tree.depth + 1, tree.n_scenarios):
-        return chi.astype(float, copy=True)
-    raise InvalidSpec(
-        f"process shape {chi.shape} does not fit a depth-{tree.depth} tree"
-    )
-
-
 def tree_predictable_projection(tree, chi, n):
     """Conditional expectation of the level-t value given the strict past
     of the capped filtration: at level t the observer knows the first
     min(t - 1, n) branch coordinates. n = tree.depth reproduces the
     uncapped projection."""
-    proc = _as_level_process(tree, chi)
+    proc = per_step(chi, tree.depth + 1, (tree.n_scenarios,), "process chi")
     out = np.empty_like(proc)
     for level in range(tree.depth + 1):
         observed = min(max(level - 1, 0), n)

@@ -46,27 +46,30 @@ def path_stderr(values):
     return values.std(axis=1) / np.sqrt(values.shape[1])
 
 
-def _as_step_array(value, n_steps, shape_tail, grid, name):
-    """Broadcast a constant, per-step array, or callable-of-time to (n_steps, *tail)."""
-    if callable(value):
-        rows = [np.asarray(value(float(t)), dtype=float) for t in grid[:-1]]
-        out = np.stack(rows, axis=0)
+def per_step(value, n_steps, shape_tail, name):
+    """A constant of shape tail or one value per step, finite, as a fresh
+    (n_steps, *tail) array."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape == shape_tail:
+        out = np.broadcast_to(arr, (n_steps,) + shape_tail).copy()
+    elif arr.shape == (n_steps,) + shape_tail:
+        out = arr.astype(float, copy=True)
     else:
-        arr = np.asarray(value, dtype=float)
-        if arr.shape == shape_tail:
-            out = np.broadcast_to(arr, (n_steps,) + shape_tail).copy()
-        elif arr.shape == (n_steps,) + shape_tail:
-            out = arr.astype(float, copy=True)
-        else:
-            raise InvalidSpec(
-                f"{name} must have shape {shape_tail} or {(n_steps,) + shape_tail}, "
-                f"got {arr.shape}"
-            )
-    if out.shape != (n_steps,) + shape_tail:
-        raise InvalidSpec(f"{name} evaluated to shape {out.shape}")
+        raise InvalidSpec(f"{name} must have shape {shape_tail} or "
+                          f"{(n_steps,) + shape_tail}, got {arr.shape}")
     if not np.all(np.isfinite(out)):
         raise InvalidSpec(f"{name} must be finite")
     return out
+
+
+def _at_steps(value, grid, shape_tail, name):
+    """per_step of a constant, a per-step array or a callable of time, the
+    callable evaluated at the left endpoints."""
+    if callable(value):
+        value = np.array([value(float(t)) for t in grid[:-1]], dtype=float)
+        if value.shape[1:] != shape_tail:  # else per_step may read a constant
+            raise InvalidSpec(f"{name} evaluated to shape {value.shape}")
+    return per_step(value, grid.size - 1, shape_tail, name)
 
 
 def _clock_increments(clock, n_steps, horizon, grid):
@@ -125,8 +128,8 @@ class MarketSpec:
         grid = self.grid
         d, n = self.dim, self.n_steps
         dg = _clock_increments(self.clock, n, self.horizon, grid)
-        cov = _as_step_array(self.covariance, n, (d, d), grid, "covariance")
-        drift = _as_step_array(self.drift, n, (d,), grid, "drift")
+        cov = _at_steps(self.covariance, grid, (d, d), "covariance")
+        drift = _at_steps(self.drift, grid, (d,), "drift")
         for lo, _ in step_runs(cov):
             check_psd_matrix(cov[lo])
         if self.normalize_clock:
@@ -409,15 +412,7 @@ class TiltSpec:
             raise InvalidSpec("tilt needs a finite orthogonal vol")
 
     def field(self, n_steps, dim):
-        lam = np.asarray(self.lam1, dtype=float)
-        if lam.shape == (dim,):
-            lam = np.broadcast_to(lam, (n_steps, dim)).copy()
-        if lam.shape != (n_steps, dim):
-            raise InvalidSpec(f"tilt field shape {lam.shape} unusable for "
-                              f"{(n_steps, dim)}")
-        if not np.all(np.isfinite(lam)):
-            raise InvalidSpec("tilt field must be finite")
-        return lam
+        return per_step(self.lam1, n_steps, (dim,), "tilt lam1")
 
 
 @dataclass

@@ -167,22 +167,17 @@ def optimal_fraction_batch(c, drifts, constraint):
     constraint.validate(c.shape[0])
     _check_null_in_constraint(constraint, split)
 
-    top = float(split.eigenvalues[-1]) if split.eigenvalues.size else 0.0
-    if split.range_dim == 0 or top <= split.threshold:
+    if split.range_dim == 0:
         out = np.zeros_like(rows)
         return out[0] if single else out
 
-    # The unconstrained maximizer over N⊥ is the range-projected drift; with
-    # null(c) trivial the rows themselves stand for it.
-    if isinstance(constraint, FullSpace):
-        pa = split.project_range(rows)
-        return pa[0] if single else pa
-    pa = rows if split.null_dim == 0 else split.project_range(rows)
-    halfspaces = constraint.halfspaces(c.shape[0])
-    out = pa.copy()
-    hard = np.flatnonzero(~inside(pa, *halfspaces, 0.0))
-    if hard.size:
-        lam = split.eigenvalues[split.eigenvalues > split.threshold]
-        out[hard] = nearest_points(rows[hard], lam, split.range_basis,
-                                   *halfspaces)
+    # The unconstrained maximizer over N⊥ is the range-projected drift.
+    out = split.project_range(rows)
+    if not isinstance(constraint, FullSpace):
+        halfspaces = constraint.halfspaces(c.shape[0])
+        hard = np.flatnonzero(~inside(out, *halfspaces, 0.0))
+        if hard.size:
+            lam = split.eigenvalues[split.eigenvalues > split.threshold]
+            out[hard] = nearest_points(rows[hard], lam, split.range_basis,
+                                       *halfspaces)
     return out[0] if single else out

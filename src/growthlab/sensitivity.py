@@ -27,6 +27,7 @@ from .market import (
 )
 from .numeraire import numeraire_fractions, wealth_paths
 from .quadform import cov_inner, dot_last
+from .stability import ZERO_COLUMN_LEVEL
 
 
 def reference_increments(bundle, fractions=None):
@@ -77,7 +78,7 @@ def _limit_increments(bundle, record):
 
 
 def _order_fit(eps_ladder, means):
-    if np.max(means) <= 1e-14:
+    if np.max(means) <= ZERO_COLUMN_LEVEL:
         return None
     y = np.log(np.maximum(means, np.max(means) * 1e-300))
     return float(np.polyfit(np.log(eps_ladder), y, 1)[0])

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import truncated_pair_distance
+from .constraints import closed_limit_distances
 from .errors import DensityFloorHit, InvalidSpec
 from .market import (
     SignalBundle, check_paths, cumsum_from_zero, density_paths,
@@ -190,8 +190,7 @@ def filtration_ladder(spec, model, constraint, n_paths, seed, *,
     def tile(base, lo, hi):
         signal = SignalBundle(base, model, theta[lo:hi], zeta[lo:hi])
         true_drift = signal.true_drift()
-        w_inf = numeraire_paths(base, constraint,
-                                drifts=filtered_drift(signal, None)[0],
+        w_inf = numeraire_paths(base, constraint, drifts=true_drift,
                                 true_drift=true_drift)
         hit = (signal.theta > event_threshold).astype(float)
         rows = []
@@ -314,9 +313,7 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *, threads=1):
         & (np.linalg.norm(frac_inf, axis=1) <= m)
     fracs = [numeraire_fractions(market, K_n) for K_n in sets]  # validates K_n
     radii, step_radius = np.unique(m, return_inverse=True)
-    # radius by radius, so the limit set's supports are made once per radius
-    table = np.array([[truncated_pair_distance(K_n, limit_set, r, market.dim)
-                       if r > 0.0 else 0.0 for K_n in sets] for r in radii])
+    table = closed_limit_distances(sets, limit_set, radii, market.dim)
     dists = table.max(axis=0)
     origin = np.zeros(market.dim)
     excesses, unchecked, growth_gaps = [], [], []

@@ -122,6 +122,21 @@ def test_tree_cap_above_depth_exits_2(tmp_path, capsys):
     assert not (out / "projection.csv").exists()
 
 
+def test_wrong_shape_tilt_field_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "tilt.yaml", {
+        "kind": "sensitivity", "market": MARKET,
+        "tilt": {"lam1": [0.4, -0.2, 0.1]}, "paths": 16,
+    })
+    out = tmp_path / "run"
+    assert run_cli("sensitivity", "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    # the message names both shapes a per-step input accepts
+    assert err.startswith("config error:") and "lam1" in err
+    assert "(2,)" in err and f"({MARKET['n_steps']}, 2)" in err
+    assert len(err.splitlines()) == 1
+    assert not (out / "errors.csv").exists()
+
+
 @pytest.mark.parametrize("radii, limit, unchecked, scale", [
     # every radius above |a|_c = sqrt(2): no step is in the bound's regime,
     # and every truncated set distance is 0, so slopes use the rung index
@@ -198,10 +213,17 @@ def test_unknown_config_key_exits_2(tmp_path):
     ("stability", {"kind": "stability-probability", "market": MARKET,
                    "tilt": {"lam1": [0.4, -0.2], "energy_cap": 50.0}},
      "energy_cap"),
-], ids=["bound-slack", "tilt-floor", "tilt-energy-cap"])
+    ("sensitivity", {"kind": "sensitivity", "market": MARKET,
+                     "tilt": {"lam1": [0.4, -0.2]}, "identity_tol": 1e-8},
+     "identity_tol"),
+    ("counterexample", {"kind": "counterexample", "p": 0.6, "levels": [1],
+                        "theta_tol": 1e-3}, "theta_tol"),
+], ids=["bound-slack", "tilt-floor", "tilt-energy-cap", "identity-tol",
+        "theta-tol"])
 def test_library_constant_keys_are_unknown(tmp_path, capsys, command,
                                            payload, key):
-    # BOUND_SLACK, DENSITY_FLOOR and ENERGY_CAP are module constants
+    # BOUND_SLACK, DENSITY_FLOOR, ENERGY_CAP, IDENTITY_TOL and THETA_TOL are
+    # module constants
     cfg = write_config(tmp_path, "bad.yaml", payload)
     assert run_cli(command, "--config", cfg,
                    "--out", str(tmp_path / "run")) == 2
@@ -459,6 +481,8 @@ def test_sensitivity_bad_identity_tol_exits_2(tmp_path, capsys, tol):
                    "--out", str(tmp_path / "run")) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "identity_tol" in err
+    # IDENTITY_TOL is a module constant: the key is refused whatever its value
+    assert err.startswith("config error: unknown keys")
     assert "Traceback" not in err
     assert not (tmp_path / "run" / "summary.json").exists()
 

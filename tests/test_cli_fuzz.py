@@ -59,7 +59,7 @@ VALID = [
                    "limit_set": CUT, "paths": 8}),
     ("sensitivity", {"kind": "sensitivity", "market": MARKET,
                      "tilt": {"lam1": [0.4, -0.2]}, "eps_ladder": [0.2, 0.1],
-                     "identity_tol": 1e-8, "paths": 8}),
+                     "paths": 8}),
     ("counterexample", {"kind": "counterexample", "p": 0.6, "levels": [1, 2],
                         "quad_nodes": 41, "quad_range": 6.0,
                         "signal_mean": 0.0}),

@@ -195,6 +195,18 @@ def test_ball_projection_keeps_the_norm_formula_bits(dim):
     assert np.array_equal(ball.project(stacked), reference(stacked, r))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_inherited_projection_keeps_the_closed_form_values(dim):
+    # The orthant and the full space take the exact generic projection;
+    # it equals the closed forms they once had (up to the sign of a zero).
+    rng = np.random.default_rng(dim)
+    x = rng.standard_normal((2000, dim)) * rng.uniform(0.1, 3.0, (2000, 1))
+    assert "project" not in vars(NonnegativeOrthant)
+    assert "project" not in vars(FullSpace)
+    assert np.array_equal(NonnegativeOrthant().project(x), np.maximum(x, 0.0))
+    assert np.array_equal(FullSpace().project(x), x)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 100_000))
 def test_projection_is_nonexpansive(seed):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from growthlab.constraints import FullSpace, HalfspacePolytope
-from growthlab.discrete import OnePeriodMarket, ScenarioTree
+from growthlab.discrete import (
+    OnePeriodMarket, ScenarioTree, tree_predictable_projection,
+)
 from growthlab.errors import (
     InfeasibleConstraint, InvalidSpec, UnsupportedSignalModel,
 )
@@ -103,6 +105,18 @@ def test_explicit_clock_increments():
         MarketSpec(dim=1, n_steps=4, covariance=np.array([[1.0]]),
                    clock=np.array([0.1, -0.2, 0.3, 0.4]),
                    normalize_clock=False).materialize()
+
+
+@pytest.mark.parametrize("covariance, drift", [
+    (np.eye(3) / 3.0, lambda t: t),  # three scalar rows on three steps
+    (lambda t: np.full(3, 1.0 + t), np.zeros(3)),
+], ids=["scalar-drift", "vector-covariance"])
+def test_callable_values_need_the_step_shape(covariance, drift):
+    # stacked over the steps, rows of the wrong shape can look like one
+    # constant; they are refused, not broadcast
+    spec = MarketSpec(dim=3, n_steps=3, covariance=covariance, drift=drift)
+    with pytest.raises(InvalidSpec, match="evaluated to shape"):
+        spec.materialize()
 
 
 def test_materialize_factors_each_run_once_with_per_step_bits():
@@ -343,6 +357,8 @@ NAN = float("nan")
      UnsupportedSignalModel),
     (lambda: ScenarioTree(depth=2, up_probs=[NAN, 0.5]), InvalidSpec),
     (lambda: ScenarioTree(depth=2, clock_increments=[NAN, 0.5]), InvalidSpec),
+    (lambda: tree_predictable_projection(ScenarioTree(depth=2),
+                                         [0.0, NAN, 1.0, 0.0], 1), InvalidSpec),
     (lambda: OnePeriodMarket(p=0.6, level=1, quad_range=NAN), InvalidSpec),
     (lambda: OnePeriodMarket(p=0.6, level=1, signal_mean=NAN), InvalidSpec),
     (lambda: filtration_ladder(
@@ -352,7 +368,8 @@ NAN = float("nan")
 ], ids=["polytope-normal", "polytope-offset", "covariance", "market-drift",
         "market-horizon", "market-clock", "tilt-field", "signal-prior-std",
         "signal-noise-scale", "tilt-orthogonal-vol", "signal-prior-mean",
-        "tree-up-probs", "tree-clock-increments", "one-period-quad-range",
+        "tree-up-probs", "tree-clock-increments", "tree-chi",
+        "one-period-quad-range",
         "one-period-signal-mean", "filtration-event-threshold"])
 def test_nan_inputs_raise(build, error):
     with pytest.raises(error):

@@ -138,6 +138,34 @@ def test_constraint_ladder_reports_exact_set_distances():
     assert report.meta["bound_unchecked_steps"] == [0] * 4
 
 
+def test_constraint_ladder_zero_drift_steps_get_set_distance_zero(monkeypatch):
+    # |a|_c = 0 truncates both sets to {0}: that norm's distance is 0, and
+    # the rung's distance is the largest over the other norms.
+    seen = []
+    distance = constraints.truncated_pair_distance
+
+    def recording(set_a, set_b, radius, dim):
+        seen.append((radius, distance(set_a, set_b, radius, dim)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(constraints, "truncated_pair_distance", recording)
+    drift = np.zeros((20, 2))
+    drift[10:] = [5.0, 4.0]
+    spec = MarketSpec(dim=2, n_steps=20, covariance=np.diag([0.6, 0.4]),
+                      drift=drift, normalize_clock=False)
+    sets = [Ball(1.5 + 2.0 ** -n) for n in range(1, 5)]
+    report = constraint_ladder(spec, sets, Ball(1.5), 16, 17)
+    assert [d for r, d in seen if r == 0.0] == [0.0] * 4
+    assert np.allclose(report.deterministic["set_distance"],
+                       [2.0 ** -n for n in range(1, 5)], atol=1e-12)
+    assert report.meta["bound_unchecked_steps"] == [10] * 4
+    still = MarketSpec(dim=2, n_steps=20, covariance=np.diag([0.6, 0.4]),
+                       drift=np.zeros(2), normalize_clock=False)
+    report = constraint_ladder(still, sets, Ball(1.5), 16, 17)
+    assert np.all(report.deterministic["set_distance"] == 0.0)
+    assert report.meta["ladder_scale"] == "rung_index"
+
+
 def test_constraint_ladder_checks_euclidean_bound_only_in_its_regime():
     # c = I/2 and a = (2, 0): |a|_c = sqrt(2) lies below every radius, so
     # all truncated set distances are 0 while the fractions (r, 0) differ.
@@ -168,13 +196,13 @@ def test_constraint_ladder_matches_per_step_reference(monkeypatch, covariance,
     # On the time-varying market |a|_c moves every step, and on every rung
     # some steps lie inside the bound's regime and some outside.
     calls = []
-    distance = stability.truncated_pair_distance
+    distance = constraints.truncated_pair_distance
 
     def counting(set_a, set_b, radius, dim):
         calls.append(radius)
         return distance(set_a, set_b, radius, dim)
 
-    monkeypatch.setattr(stability, "truncated_pair_distance", counting)
+    monkeypatch.setattr(constraints, "truncated_pair_distance", counting)
     spec = MarketSpec(dim=2, n_steps=40, covariance=covariance, drift=drift)
     radii = [1.0 + 2.0 ** -n for n in range(1, 5)]
     report = constraint_ladder(spec, [Ball(r) for r in radii], Ball(1.0),
