@@ -42,17 +42,6 @@ from .stability import (
     probability_ladder,
 )
 
-CONFIG_KINDS = {
-    "solve": ("solve",),
-    "simulate": ("simulate",),
-    "stability": ("stability-filtration", "stability-probability",
-                  "stability-constraint"),
-    "sensitivity": ("sensitivity",),
-    "counterexample": ("counterexample",),
-    "tree": ("tree-projection",),
-    "density-check": ("density-check",),
-}
-
 SHARED_KEYS = ("kind", "seed", "paths", "threads")
 IDENTITY_TOL = 1e-8  # largest pathwise response-identity error passed
 THETA_TOL = 1e-3  # largest |theta*| the counterexample passes as zero
@@ -157,6 +146,16 @@ def _seed_value(raw):
     return seed
 
 
+def _build(where, make, **kwargs):
+    """make(**kwargs), a library error raised as a ConfigError; the caller
+    converts kwargs first, so a conversion error keeps its own message."""
+    try:
+        return make(**kwargs)
+    except (InvalidSpec, DimensionMismatch, InfeasibleConstraint,
+            UnsupportedSignalModel, ValueError, TypeError) as exc:
+        raise ConfigError(f"bad {where} config: {exc}") from exc
+
+
 def _market_spec(cfg):
     _require_keys(cfg, ("dim", "n_steps"),
                   ("horizon", "covariance", "drift", "clock", "normalize_clock"),
@@ -164,18 +163,15 @@ def _market_spec(cfg):
     clock = cfg.get("clock", "uniform")
     if isinstance(clock, list):
         clock = _floats(clock, "market.clock")
-    try:
-        return MarketSpec(
-            dim=_positive_int(cfg["dim"], "market.dim"),
-            n_steps=_positive_int(cfg["n_steps"], "market.n_steps"),
-            horizon=_float(cfg.get("horizon", 1.0), "market.horizon"),
-            covariance=_optional(cfg, "covariance", "market.covariance"),
-            drift=_optional(cfg, "drift", "market.drift"),
-            clock=clock,
-            normalize_clock=cfg.get("normalize_clock", True),
-        )
-    except (InvalidSpec, DimensionMismatch, ValueError) as exc:
-        raise ConfigError(f"bad market config: {exc}") from exc
+    return _build(
+        "market", MarketSpec,
+        dim=_positive_int(cfg["dim"], "market.dim"),
+        n_steps=_positive_int(cfg["n_steps"], "market.n_steps"),
+        horizon=_float(cfg.get("horizon", 1.0), "market.horizon"),
+        covariance=_optional(cfg, "covariance", "market.covariance"),
+        drift=_optional(cfg, "drift", "market.drift"),
+        clock=clock,
+        normalize_clock=cfg.get("normalize_clock", True))
 
 
 def _constraint(cfg, default_fullspace=True):
@@ -183,36 +179,26 @@ def _constraint(cfg, default_fullspace=True):
         if default_fullspace:
             return FullSpace()
         raise ConfigError("constraint config is required")
-    try:
-        return constraint_from_config(cfg)
-    except (InfeasibleConstraint, InvalidSpec, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad constraint config: {exc}") from exc
+    return _build("constraint", constraint_from_config, cfg=cfg)
 
 
 def _signal_model(cfg):
     _require_keys(cfg, ("direction",),
                   ("prior_mean", "prior_std", "noise_scales"), "signal")
-    try:
-        return GaussianSignalModel(
-            direction=_floats(cfg["direction"], "signal.direction"),
-            prior_mean=_float(cfg.get("prior_mean", 0.0), "signal.prior_mean"),
-            prior_std=_float(cfg.get("prior_std", 1.0), "signal.prior_std"),
-            noise_scales=_optional(cfg, "noise_scales", "signal.noise_scales"),
-        )
-    except (InvalidSpec, UnsupportedSignalModel, ValueError) as exc:
-        raise ConfigError(f"bad signal config: {exc}") from exc
+    return _build(
+        "signal", GaussianSignalModel,
+        direction=_floats(cfg["direction"], "signal.direction"),
+        prior_mean=_float(cfg.get("prior_mean", 0.0), "signal.prior_mean"),
+        prior_std=_float(cfg.get("prior_std", 1.0), "signal.prior_std"),
+        noise_scales=_optional(cfg, "noise_scales", "signal.noise_scales"))
 
 
 def _tilt_spec(cfg):
     _require_keys(cfg, ("lam1",), ("orthogonal_vol",), "tilt")
-    try:
-        return TiltSpec(
-            lam1=_floats(cfg["lam1"], "tilt.lam1"),
-            orthogonal_vol=_float(cfg.get("orthogonal_vol", 0.0),
-                                  "tilt.orthogonal_vol"),
-        )
-    except (InvalidSpec, ValueError) as exc:
-        raise ConfigError(f"bad tilt config: {exc}") from exc
+    return _build(
+        "tilt", TiltSpec, lam1=_floats(cfg["lam1"], "tilt.lam1"),
+        orthogonal_vol=_float(cfg.get("orthogonal_vol", 0.0),
+                              "tilt.orthogonal_vol"))
 
 
 def _runtime(cfg, args):
@@ -248,20 +234,19 @@ def _write(out_dir, manifest, name, writer, *args):
     manifest.record_file(path)
 
 
-def _write_ladder(out_dir, manifest, csv_name, report, payload):
+def _write_ladder(out_dir, manifest, csv_name, report, runtime, **payload):
     """Ladder table, one decay check per metric, and a summary of payload
-    plus the slopes."""
+    plus the run's path count and seed and the slopes."""
     slopes = report.slopes()  # first: a ladder it rejects writes nothing
     _write(out_dir, manifest, csv_name, write_ladder_csv, report)
     for name, res in slopes.items():
         manifest.record_check(f"decay:{name}", res["passed"])
     _write(out_dir, manifest, "summary.json", write_json,
-           dict(payload, slopes=_slope_summary(slopes)))
+           dict(payload, n_paths=runtime[1], seed=runtime[0],
+                slopes=_slope_summary(slopes)))
 
 
 def cmd_solve(cfg, runtime, out_dir, manifest):
-    _require_keys(cfg, ("kind", "covariance", "drift"),
-                  ("constraint",) + SHARED_KEYS[1:], "config")
     cov = _floats(cfg["covariance"], "covariance")
     drift = _floats(cfg["drift"], "drift")
     constraint = _constraint(cfg.get("constraint"))
@@ -278,8 +263,6 @@ def cmd_solve(cfg, runtime, out_dir, manifest):
 
 
 def cmd_simulate(cfg, runtime, out_dir, manifest):
-    _require_keys(cfg, ("kind", "market"), ("constraint",) + SHARED_KEYS[1:],
-                  "config")
     seed, paths, threads = runtime
     spec = _market_spec(cfg["market"])
     constraint = _constraint(cfg.get("constraint"))
@@ -303,53 +286,43 @@ def cmd_simulate(cfg, runtime, out_dir, manifest):
     manifest.record_check("completed", True)
 
 
-def cmd_stability(cfg, runtime, out_dir, manifest):
-    kind = cfg["kind"]
+def cmd_filtration(cfg, runtime, out_dir, manifest):
     seed, paths, threads = runtime
-    if kind == "stability-filtration":
-        _require_keys(cfg, ("kind", "market", "signal"),
-                      ("constraint", "event_threshold") + SHARED_KEYS[1:],
-                      "config")
-        spec = _market_spec(cfg["market"])
-        model = _signal_model(cfg["signal"])
-        constraint = _constraint(cfg.get("constraint"))
-        report = filtration_ladder(
-            spec, model, constraint, paths, seed, threads=threads,
-            event_threshold=_optional(cfg, "event_threshold",
-                                      "event_threshold", _float))
-    elif kind == "stability-probability":
-        _require_keys(cfg, ("kind", "market", "tilt"),
-                      ("constraint", "eps_ladder") + SHARED_KEYS[1:], "config")
-        spec = _market_spec(cfg["market"])
-        tilt = _tilt_spec(cfg["tilt"])
-        constraint = _constraint(cfg.get("constraint"))
-        report = probability_ladder(
-            spec, tilt, constraint, paths, seed, threads=threads,
-            eps_ladder=_optional(cfg, "eps_ladder", "eps_ladder", _ladder))
-    else:
-        _require_keys(cfg, ("kind", "market", "sets", "limit_set"),
-                      SHARED_KEYS[1:], "config")
-        spec = _market_spec(cfg["market"])
-        if not isinstance(cfg["sets"], list):
-            raise ConfigError(f"sets must be a list, got {cfg['sets']!r}")
-        sets = [_constraint(c, default_fullspace=False) for c in cfg["sets"]]
-        limit = _constraint(cfg["limit_set"], default_fullspace=False)
-        report = constraint_ladder(spec, sets, limit, paths, seed,
-                                   threads=threads)
-        manifest.record_check("per_step_bound", report.meta["bound_ok"])
-        for key in ("bound_unchecked_steps", "ladder_scale"):
-            manifest.record_diagnostic(key, report.meta[key])
-    _write_ladder(out_dir, manifest, "ladder.csv", report, {
-        "family": report.family,
-        "scales": report.scales,
-        "n_paths": paths,
-        "seed": seed,
-    })
+    report = filtration_ladder(
+        _market_spec(cfg["market"]), _signal_model(cfg["signal"]),
+        _constraint(cfg.get("constraint")), paths, seed, threads=threads,
+        event_threshold=_optional(cfg, "event_threshold", "event_threshold",
+                                  _float))
+    _write_ladder(out_dir, manifest, "ladder.csv", report, runtime,
+                  family=report.family, scales=report.scales)
+
+
+def cmd_probability(cfg, runtime, out_dir, manifest):
+    seed, paths, threads = runtime
+    report = probability_ladder(
+        _market_spec(cfg["market"]), _tilt_spec(cfg["tilt"]),
+        _constraint(cfg.get("constraint")), paths, seed, threads=threads,
+        eps_ladder=_optional(cfg, "eps_ladder", "eps_ladder", _ladder))
+    _write_ladder(out_dir, manifest, "ladder.csv", report, runtime,
+                  family=report.family, scales=report.scales)
+
+
+def cmd_constraint(cfg, runtime, out_dir, manifest):
+    seed, paths, threads = runtime
+    spec = _market_spec(cfg["market"])
+    if not isinstance(cfg["sets"], list):
+        raise ConfigError(f"sets must be a list, got {cfg['sets']!r}")
+    sets = [_constraint(c, default_fullspace=False) for c in cfg["sets"]]
+    limit = _constraint(cfg["limit_set"], default_fullspace=False)
+    report = constraint_ladder(spec, sets, limit, paths, seed, threads=threads)
+    manifest.record_check("per_step_bound", report.meta["bound_ok"])
+    for key in ("bound_unchecked_steps", "ladder_scale"):
+        manifest.record_diagnostic(key, report.meta[key])
+    _write_ladder(out_dir, manifest, "ladder.csv", report, runtime,
+                  family=report.family, scales=report.scales)
 
 
 def cmd_sensitivity(cfg, runtime, out_dir, manifest):
-    _require_keys(cfg, ("kind", "market", "tilt"),
-                  ("eps_ladder",) + SHARED_KEYS[1:], "config")
     seed, paths, threads = runtime
     spec = _market_spec(cfg["market"])
     tilt = _tilt_spec(cfg["tilt"])
@@ -388,9 +361,6 @@ def cmd_sensitivity(cfg, runtime, out_dir, manifest):
 
 
 def cmd_counterexample(cfg, runtime, out_dir, manifest):
-    _require_keys(cfg, ("kind", "p"),
-                  ("levels", "quad_nodes", "quad_range", "signal_mean")
-                  + SHARED_KEYS[1:], "config")
     p = _float(cfg["p"], "p")
     levels = _ints(cfg.get("levels", list(range(1, 9))), "levels")
     kwargs = {key: convert(cfg[key], key) for key, convert in (
@@ -415,19 +385,11 @@ def cmd_counterexample(cfg, runtime, out_dir, manifest):
 
 
 def cmd_tree(cfg, runtime, out_dir, manifest):
-    _require_keys(cfg, ("kind", "depth", "chi"),
-                  ("up_probs", "clock_increments", "caps") + SHARED_KEYS[1:],
-                  "config")
     depth = _positive_int(cfg["depth"], "depth")
-    try:
-        tree = ScenarioTree(
-            depth=depth,
-            up_probs=_optional(cfg, "up_probs", "up_probs"),
-            clock_increments=_optional(cfg, "clock_increments",
-                                       "clock_increments"),
-        )
-    except InvalidSpec as exc:
-        raise ConfigError(f"bad tree config: {exc}") from exc
+    tree = _build("tree", ScenarioTree, depth=depth,
+                  up_probs=_optional(cfg, "up_probs", "up_probs"),
+                  clock_increments=_optional(cfg, "clock_increments",
+                                             "clock_increments"))
     chi_cfg = cfg["chi"]
     _require_keys(chi_cfg, (), ("leaf_indicator", "values"), "chi")
     if ("leaf_indicator" in chi_cfg) == ("values" in chi_cfg):
@@ -457,9 +419,6 @@ def cmd_tree(cfg, runtime, out_dir, manifest):
 
 
 def cmd_density_check(cfg, runtime, out_dir, manifest):
-    _require_keys(cfg, ("kind", "family"),
-                  ("vols", "sizes", "kappa", "n_steps", "horizon")
-                  + SHARED_KEYS[1:], "config")
     seed, paths, _ = runtime
     family = cfg["family"]
     n_steps = _positive_int(cfg.get("n_steps", 256), "n_steps")
@@ -484,21 +443,29 @@ def cmd_density_check(cfg, runtime, out_dir, manifest):
                           indices=np.arange(1, len(z_list) + 1),
                           scales=np.asarray(scales, dtype=float),
                           per_path=density_sequence_check(z_list)["per_path"])
-    _write_ladder(out_dir, manifest, "density.csv", report, {
-        "family": family,
-        "n_paths": paths,
-        "seed": seed,
-    })
+    _write_ladder(out_dir, manifest, "density.csv", report, runtime,
+                  family=family)
 
 
-COMMANDS = {
-    "solve": cmd_solve,
-    "simulate": cmd_simulate,
-    "stability": cmd_stability,
-    "sensitivity": cmd_sensitivity,
-    "counterexample": cmd_counterexample,
-    "tree": cmd_tree,
-    "density-check": cmd_density_check,
+# kind: (subcommand, handler, required keys, optional keys besides
+# SHARED_KEYS); the parser lists subcommands in the order they first appear
+KINDS = {
+    "solve": ("solve", cmd_solve, ("covariance", "drift"), ("constraint",)),
+    "simulate": ("simulate", cmd_simulate, ("market",), ("constraint",)),
+    "stability-filtration": ("stability", cmd_filtration, ("market", "signal"),
+                             ("constraint", "event_threshold")),
+    "stability-probability": ("stability", cmd_probability, ("market", "tilt"),
+                              ("constraint", "eps_ladder")),
+    "stability-constraint": ("stability", cmd_constraint,
+                             ("market", "sets", "limit_set"), ()),
+    "sensitivity": ("sensitivity", cmd_sensitivity, ("market", "tilt"),
+                    ("eps_ladder",)),
+    "counterexample": ("counterexample", cmd_counterexample, ("p",),
+                       ("levels", "quad_nodes", "quad_range", "signal_mean")),
+    "tree-projection": ("tree", cmd_tree, ("depth", "chi"),
+                        ("up_probs", "clock_increments", "caps")),
+    "density-check": ("density-check", cmd_density_check, ("family",),
+                      ("vols", "sizes", "kappa", "n_steps", "horizon")),
 }
 
 
@@ -519,7 +486,7 @@ def build_parser():
     common.add_argument("--threads", type=int, default=None,
                         help="worker threads (overrides config)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in dict.fromkeys(entry[0] for entry in KINDS.values()):
         sub.add_parser(name, parents=[common])
     return parser
 
@@ -541,7 +508,7 @@ def retain_freed_memory():
 def run(args, malloc_retained):
     cfg = _load_config(args.config)
     kind = cfg.get("kind")
-    allowed = CONFIG_KINDS[args.command]
+    allowed = [k for k, entry in KINDS.items() if entry[0] == args.command]
     if kind not in allowed:
         raise ConfigError(
             f"config kind {kind!r} does not fit subcommand {args.command!r} "
@@ -551,7 +518,9 @@ def run(args, malloc_retained):
     runtime = _runtime(cfg, args)
     manifest = RunManifest(config=cfg, seed=runtime[0], version=__version__)
     manifest.record_diagnostic("malloc_retained", malloc_retained)
-    COMMANDS[args.command](cfg, runtime, out_dir, manifest)
+    _, handler, required, optional = KINDS[kind]
+    _require_keys(cfg, required, optional + SHARED_KEYS, "config")
+    handler(cfg, runtime, out_dir, manifest)
     return _finish(manifest, out_dir)
 
 

@@ -72,12 +72,23 @@ def _at_steps(value, grid, shape_tail, name):
     return per_step(value, grid.size - 1, shape_tail, name)
 
 
+def _is_clock(clock):
+    """Whether clock is "uniform", None, a callable or numbers; materialize
+    checks the increments' shape and sign."""
+    if isinstance(clock, str):
+        return clock == "uniform"
+    try:
+        np.asarray(clock, dtype=float)
+    except (TypeError, ValueError):
+        return callable(clock)
+    return True
+
+
 def _clock_increments(clock, n_steps, horizon, grid):
-    if clock is None or (isinstance(clock, str) and clock == "uniform"):
+    if clock is None or isinstance(clock, str):  # "uniform": MarketSpec checks
         return np.full(n_steps, horizon / n_steps)
     if callable(clock):
-        vals = np.array([float(clock(float(t))) for t in grid])
-        dg = np.diff(vals)
+        dg = np.diff([float(clock(float(t))) for t in grid])
     else:
         dg = np.asarray(clock, dtype=float)
         if dg.shape != (n_steps,):
@@ -114,6 +125,9 @@ class MarketSpec:
         if not isinstance(self.normalize_clock, (bool, np.bool_)):
             raise InvalidSpec("normalize_clock must be true or false, got "
                               f"{self.normalize_clock!r}")
+        if not _is_clock(self.clock):
+            raise InvalidSpec('clock must be "uniform", increments or a '
+                              f"callable, got {self.clock!r}")
         if self.covariance is None:
             object.__setattr__(self, "covariance", np.eye(self.dim) / self.dim)
         if self.drift is None:
@@ -254,7 +268,7 @@ def simulate_paths(spec, n_paths, seed, threads=1):
 # Gaussian latent signal: a hidden scalar theta scales the drift direction.
 # Every conditional law is Gaussian, so the filter is closed form and the
 # information ladder (level n sees a peek at theta with noise sigma_n) is
-# exactly computable. Level None stands for the limit: theta revealed.
+# exactly computable.
 
 @dataclass(frozen=True)
 class GaussianSignalModel:
@@ -357,13 +371,12 @@ def filtered_drift(signal, level):
     Returns (drift, mean, precision): drift has shape (P, N, d) and is
     predictable (the entry at step k conditions on observations strictly
     before k plus the level's peek); mean and precision are the posterior
-    parameters, shape (P, N) and (N,). level None means the revealed limit.
-    """
+    parameters, shape (P, N) and (N,)."""
     model, base = signal.model, signal.base
     v = model.direction
-    if level is not None and not 0 <= level < model.n_levels:
+    if not 0 <= level < model.n_levels:
         raise InvalidSpec(f"ladder level {level} out of range")
-    sigma_n = 0.0 if level is None else model.noise_scales[level]
+    sigma_n = model.noise_scales[level]
     peek_prec = np.inf if sigma_n == 0.0 else 1.0 / sigma_n ** 2
     if np.isinf(peek_prec):
         # a noiseless peek reveals theta, as the limit does

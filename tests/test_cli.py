@@ -223,20 +223,41 @@ def test_unknown_config_key_exits_2(tmp_path):
 def test_library_constant_keys_are_unknown(tmp_path, capsys, command,
                                            payload, key):
     # BOUND_SLACK, DENSITY_FLOOR, ENERGY_CAP, IDENTITY_TOL and THETA_TOL are
-    # module constants
+    # module constants: the key is refused whatever its value
     cfg = write_config(tmp_path, "bad.yaml", payload)
     assert run_cli(command, "--config", cfg,
                    "--out", str(tmp_path / "run")) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: unknown keys") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run" / "summary.json").exists()
 
 
-def test_kind_mismatch_exits_2(tmp_path):
-    cfg = write_config(tmp_path, "solve.yaml", {
-        "kind": "solve", "covariance": [[1.0]], "drift": [0.5],
-    })
-    assert run_cli("simulate", "--config", cfg,
-                   "--out", str(tmp_path / "o")) == 2
+SUBCOMMAND_KINDS = {
+    "solve": ["solve"],
+    "simulate": ["simulate"],
+    "stability": ["stability-filtration", "stability-probability",
+                  "stability-constraint"],
+    "sensitivity": ["sensitivity"],
+    "counterexample": ["counterexample"],
+    "tree": ["tree-projection"],
+    "density-check": ["density-check"],
+}
+
+
+def test_kind_mismatch_exits_2(tmp_path, capsys):
+    # each subcommand refuses a kind of the next one before any key check,
+    # and its message lists its own kinds in order
+    names = list(SUBCOMMAND_KINDS)
+    for command, after in zip(names, names[1:] + names[:1]):
+        other = SUBCOMMAND_KINDS[after][0]
+        cfg = write_config(tmp_path, "other.yaml", {"kind": other})
+        assert run_cli(command, "--config", cfg,
+                       "--out", str(tmp_path / "o")) == 2, command
+        err = capsys.readouterr().err
+        assert err == (f"config error: config kind {other!r} does not fit "
+                       f"subcommand {command!r} (expected one of "
+                       f"{', '.join(SUBCOMMAND_KINDS[command])})\n"), command
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -468,23 +489,6 @@ def test_sensitivity_solves_reference_once(tmp_path, monkeypatch):
         assert run_cli("sensitivity", "--config", cfg,
                        "--out", str(tmp_path / f"run{paths}")) == 0
         assert calls == {"quotient": 3 * tiles, "reference": 1}, paths
-
-
-@pytest.mark.parametrize("tol", [".nan", ".inf", "0.0", "-1.0e-8"])
-def test_sensitivity_bad_identity_tol_exits_2(tmp_path, capsys, tol):
-    path = tmp_path / "sens.yaml"
-    path.write_text(yaml.safe_dump({
-        "kind": "sensitivity", "market": MARKET,
-        "tilt": {"lam1": [0.4, -0.2]}, "paths": 16,
-    }) + f"identity_tol: {tol}\n")
-    assert run_cli("sensitivity", "--config", str(path),
-                   "--out", str(tmp_path / "run")) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "identity_tol" in err
-    # IDENTITY_TOL is a module constant: the key is refused whatever its value
-    assert err.startswith("config error: unknown keys")
-    assert "Traceback" not in err
-    assert not (tmp_path / "run" / "summary.json").exists()
 
 
 PROBABILITY = {"kind": "stability-probability", "market": MARKET,

@@ -2,10 +2,12 @@
 
 Each subcommand's small valid config is mutated at one key or list entry:
 the entry is dropped, a scalar and a list are swapped, a list is made
-ragged, or a number becomes NaN, infinity, negative or non-integral. Every
-run must exit 0, 1, 2 or 3 without an exception escaping `main`, and a run
-that exits 0 must write strict JSON and finite CSV numbers. A market's
-`normalize_clock` set to anything but a boolean must exit 2.
+ragged, a number becomes NaN, infinity, negative or non-integral, or the
+entry becomes a string or a mapping. Every run must exit 0, 1, 2 or 3
+without an exception escaping `main`, and a run that exits 0 must write
+strict JSON and finite CSV numbers. A market's `normalize_clock` set to
+anything but a boolean, and a `clock` that is neither "uniform" nor a list
+of increments, must exit 2.
 """
 
 import contextlib
@@ -19,6 +21,7 @@ import subprocess
 import sys
 import tempfile
 
+import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -26,7 +29,7 @@ import growthlab
 from growthlab.cli import main
 
 MARKET = {"dim": 2, "n_steps": 4, "covariance": [[0.5, 0.1], [0.1, 0.4]],
-          "drift": [0.8, 0.5]}
+          "drift": [0.8, 0.5], "clock": "uniform"}
 BOX = {"type": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
 CUT = {"type": "polytope", "normals": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
                                        [0.0, -1.0], [1.0, -1.0]],
@@ -74,7 +77,7 @@ VALID = [
 ]
 
 MUTATIONS = ("drop", "swap", "ragged", "nan", "inf", "negative",
-             "fractional")
+             "fractional", "string", "mapping")
 
 
 def entries(node, prefix=()):
@@ -106,7 +109,8 @@ def mutate(cfg, path, how):
     else:
         parent[key] = {"nan": float("nan"), "inf": float("inf"),
                        "negative": -abs(number) - 1.0,
-                       "fractional": number + 0.5}[how]
+                       "fractional": number + 0.5, "string": "weird",
+                       "mapping": {"a": 1}}[how]
     return cfg
 
 
@@ -184,6 +188,18 @@ def test_non_boolean_normalize_clock_exits_2(valid, value):
     assert code == 2, (value, cfg["kind"])
     assert err.startswith("config error:") and "normalize_clock" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("clock", ["weird", {"a": 1}], ids=["word", "mapping"])
+@pytest.mark.parametrize("valid", [v for v in VALID if "market" in v[1]],
+                         ids=lambda v: v[1]["kind"])
+def test_malformed_clock_exits_2(valid, clock):
+    command, cfg = valid
+    cfg = dict(cfg, market=dict(cfg["market"], clock=clock))
+    code, err, _ = run_mutant(command, cfg)
+    assert code == 2, (clock, cfg["kind"])
+    assert err.startswith("config error: bad market config: clock must be")
+    assert err.count("\n") == 1
 
 
 def test_valid_configs_exit_0():

@@ -107,6 +107,25 @@ def test_explicit_clock_increments():
                    normalize_clock=False).materialize()
 
 
+@pytest.mark.parametrize("clock", ["weird", "", {"a": 1}, [[0.5], [0.5, 1.0]],
+                                   ["a", "b"], object()],
+                         ids=["word", "empty", "mapping", "ragged", "words",
+                              "object"])
+def test_malformed_clock_raises_at_construction(clock):
+    # materialize would otherwise raise ValueError or TypeError from numpy
+    with pytest.raises(InvalidSpec, match="clock must be"):
+        make_spec(n_steps=2, clock=clock)
+
+
+@pytest.mark.parametrize("clock, increments", [
+    ("uniform", [0.5, 0.5]), (None, [0.5, 0.5]), ([0.25, 0.75], [0.25, 0.75]),
+    (lambda t: t * t, [0.25, 0.75]),
+], ids=["uniform", "none", "increments", "callable"])
+def test_wellformed_clocks_are_accepted(clock, increments):
+    spec = make_spec(n_steps=2, clock=clock, normalize_clock=False)
+    assert np.array_equal(spec.materialize()[0], increments)
+
+
 @pytest.mark.parametrize("covariance, drift", [
     (np.eye(3) / 3.0, lambda t: t),  # three scalar rows on three steps
     (lambda t: np.full(3, 1.0 + t), np.zeros(3)),
@@ -163,17 +182,6 @@ def test_posterior_matches_particle_filter():
     assert np.max(np.abs(mean[path] - ref)) < 5e-3
 
 
-def test_limit_level_is_the_true_drift():
-    spec = make_spec(n_steps=10)
-    model = GaussianSignalModel(direction=np.array([1.0, 0.3]),
-                                noise_scales=np.array([0.5, 0.25]))
-    sig = simulate_signal_paths(spec, model, 8, 21)
-    drift, mean, prec = filtered_drift(sig, None)
-    assert np.array_equal(drift, sig.true_drift())
-    assert np.array_equal(mean, np.broadcast_to(sig.theta[:, None], (8, 10)))
-    assert np.all(np.isinf(prec))
-
-
 def test_zero_noise_level_reveals_theta():
     spec = make_spec(n_steps=10)
     model = GaussianSignalModel(direction=np.array([1.0, 0.0]),
@@ -182,9 +190,7 @@ def test_zero_noise_level_reveals_theta():
     drift_rev, mean_rev, prec_rev = filtered_drift(sig, 1)
     assert np.max(np.abs(mean_rev - sig.theta[:, None])) < 1e-12
     assert np.all(np.isinf(prec_rev))
-    drift_lim, mean_lim, _ = filtered_drift(sig, None)
-    assert np.array_equal(drift_rev, drift_lim)
-    assert np.max(np.abs(drift_lim - sig.true_drift())) < 1e-12
+    assert np.max(np.abs(drift_rev - sig.true_drift())) < 1e-12
 
 
 def test_posterior_precision_increases_with_information():

@@ -570,7 +570,7 @@ def test_streamed_filtration_ladder_matches_whole_bundle():
     signal = simulate_signal_paths(spec, model, n_paths, seed)
     base, true_drift = signal.base, signal.true_drift()
     w_inf = numeraire_paths(base, constraint,
-                            drifts=filtered_drift(signal, None)[0],
+                            drifts=true_drift,
                             true_drift=true_drift)
     vcv_dg = cov_inner(base.cov, model.direction, model.direction) * base.dG
     hit = (signal.theta > 0.0).astype(float)
