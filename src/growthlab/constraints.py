@@ -20,41 +20,35 @@ import functools
 import itertools
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DimensionMismatch, InfeasibleConstraint, NonConvergence
 
 _NET_SEED = 20260817
-_net_cache = {}
 NET_DIRECTIONS = 4096  # direction net behind every numeric set distance
 CONTAINS_TOL = 1e-9  # slack of every membership test
 SOLVER_MAX_ITER = 100_000  # Newton steps of secular_newton
 
 
+@functools.lru_cache(maxsize=None)
 def direction_net(dim):
     """Deterministic net of NET_DIRECTIONS unit vectors: angular grid in 2d,
     antipodal pair in 1d, low-discrepancy Sobol points pushed to the sphere
     in higher d."""
     if dim < 1:
         raise DimensionMismatch(f"direction net needs dim >= 1, got {dim}")
-    if dim in _net_cache:
-        return _net_cache[dim]
     if dim == 1:
-        net = np.array([[1.0], [-1.0]])
-    elif dim == 2:
+        return np.array([[1.0], [-1.0]])
+    if dim == 2:
         ang = np.linspace(0.0, 2.0 * np.pi, NET_DIRECTIONS, endpoint=False)
-        net = np.column_stack([np.cos(ang), np.sin(ang)])
-    else:
-        from scipy.stats import qmc  # slow to import; only Sobol nets need it
+        return np.column_stack([np.cos(ang), np.sin(ang)])
+    from scipy import special, stats  # slow to import: Sobol nets only
 
-        sob = qmc.Sobol(d=dim, scramble=True, seed=_NET_SEED)
-        u = sob.random(NET_DIRECTIONS)
-        z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-        norms = np.linalg.norm(z, axis=1)
-        norms[norms < 1e-12] = 1.0
-        net = z / norms[:, None]
-    _net_cache[dim] = net
-    return net
+    sob = stats.qmc.Sobol(d=dim, scramble=True, seed=_NET_SEED)
+    u = sob.random(NET_DIRECTIONS)
+    z = special.ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    norms = np.linalg.norm(z, axis=1)
+    norms[norms < 1e-12] = 1.0
+    return z / norms[:, None]
 
 
 class ConstraintSet:

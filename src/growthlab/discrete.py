@@ -222,7 +222,7 @@ class ScenarioTree:
         if nbytes > min(np.iinfo(np.intp).max, physical_memory() or np.inf):
             raise InvalidSpec(f"tree depth {self.depth} too large: its (depth "
                               "+ 1, 2**depth) arrays need more bytes than "
-                              "numpy can index or the machine's memory holds")
+                              "numpy can index or the process's memory holds")
         up = self.up_probs
         if up is None:
             up = np.full(self.depth, 0.5)

@@ -15,12 +15,15 @@ count: paths are split into fixed-size blocks, each block drawing from its
 own spawned bit generator in a fixed order, tile by tile.
 """
 
+import contextlib
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr
+import numpy.ma  # np.unique reads np.ma: loaded here, not inside a run
+import numpy.random  # numpy 2 loads it on first use: here, not in a run
 
 from .errors import (
     DimensionMismatch, InvalidSpec, UnsupportedSignalModel,
@@ -33,6 +36,8 @@ PATH_TILE = PATH_BLOCK // 2  # paths a job holds at once
 DENSITY_FLOOR = 1e-12
 ENERGY_CAP = 50.0  # largest tilt energy sum |lam1|_c^2 dG of density_paths
 ORTHOGONAL_STREAM = 165
+CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max",  # cgroup v2
+                 "/sys/fs/cgroup/memory/memory.limit_in_bytes")  # cgroup v1
 
 
 def cumsum_from_zero(increments):
@@ -194,11 +199,16 @@ def market_steps(spec):
 
 
 def physical_memory():
-    """Bytes of the machine's physical memory, or None without sysconf."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf (Windows)
-        return None
+    """Bytes of memory this process may use: the smaller of the machine's
+    physical memory and a cgroup limit (none at "max" or from 2^62, v1's
+    sentinel), or None if neither can be read."""
+    sizes = []
+    with contextlib.suppress(AttributeError, ValueError, OSError):  # Windows
+        sizes.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    for path in CGROUP_LIMITS:
+        with contextlib.suppress(OSError, ValueError), open(path) as fh:
+            sizes.append(int(fh.read()))  # "max" raises ValueError
+    return min((n for n in sizes if n < 2 ** 62), default=None)
 
 
 def check_paths(n_paths, n_steps, dim=1):
@@ -216,7 +226,7 @@ def check_paths(n_paths, n_steps, dim=1):
     memory = physical_memory()
     if memory is not None and 8 * int(n_paths) > memory:
         raise InvalidSpec(f"path count too large: one float a path needs "
-                          f"more than the machine's {memory} bytes of memory")
+                          f"more than the {memory} bytes of memory it may use")
 
 
 def stream_paths(market, n_paths, seed, job, threads=1, out=None):
@@ -392,6 +402,51 @@ def filtered_drift(signal, level):
             + peek[:, None] * peek_prec + signal.stat
         mean /= prec
     return scale_last(mean, v), mean, prec
+
+
+# the coefficients of ndtr's Cephes erfc, from the highest power
+ERFC_P = (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699,
+          48.63719709856814, 196.5208329560771, 526.4451949954773,
+          934.5285271719576, 1027.5518868951572, 557.5353353693994)
+ERFC_Q = (1.0, 13.228195115474499, 86.70721408859897, 354.9377788878199,
+          975.7085017432055, 1823.9091668790973, 2246.3376081871097,
+          1656.6630919416134, 557.5353408177277)
+ERFC_R = (0.5641895835477551, 1.275366707599781, 5.019050422511805,
+          6.160210979930536, 7.4097426995044895, 2.9788666537210022)
+ERFC_S = (1.0, 2.2605286322011726, 9.396035249380015, 12.048953980809666,
+          17.08144507475659, 9.608968090632859, 3.369076451000815)
+ERFC_T = (9.604973739870516, 90.02601972038427, 2232.005345946843,
+          7003.325141128051, 55592.30130103949)
+ERFC_U = (1.0, 33.56171416475031, 521.3579497801527, 4594.323829709801,
+          22629.000061389095, 49267.39426086359)
+MAXLOG = 709.782712893384  # exp(-x^2) underflows past it: erfc is 0 or 2
+
+
+def _polevl(x, coefs):
+    """Horner's rule in Cephes' order, coefs from the highest power."""
+    return functools.reduce(lambda acc, c: acc * x + c, coefs[1:], coefs[0])
+
+
+def ndtr(a, out=None):
+    """Standard normal CDF 0.5 erfc(x), x = -a / sqrt 2, by Cephes' erfc
+    (Moshier 1989) on Cody's (1969) rational approximations, as scipy
+    evaluates it: 1 - erf by T/U on |x| < 1, P/Q to 8, R/S beyond. Its bits
+    are scipy's where no exp is taken, else within 4 ulp (np.exp and glibc's
+    exp may differ by 1 ulp). erfc(x <= -6) is 2: 2 - erfc(6) rounds to 2."""
+    x = np.multiply(a, -np.sqrt(0.5), out=out)
+    x2 = x * x
+    near = x2 < 1.0
+    mid = (x2 < 64.0) & (x > -6.0) & ~near
+    far = ~((x < 8.0) | (x2 > MAXLOG))  # and NaN
+    v = x[near]
+    parts = [1.0 - v * _polevl(v * v, ERFC_T) / _polevl(v * v, ERFC_U)]
+    for mask, num, den in ((mid, ERFC_P, ERFC_Q), (far, ERFC_R, ERFC_S)):
+        v = x[mask]
+        y = np.exp(v * -v) * _polevl(abs(v), num) / _polevl(abs(v), den)
+        parts.append(np.where(v < 0.0, 2.0 - y, y))
+    np.copyto(x, x <= -6.0)
+    x[near], x[mid], x[far] = (0.5 * y for y in parts)
+    return x
 
 
 def event_probabilities(mean, prec, threshold):

@@ -16,6 +16,7 @@ trust region Newton step of Moré & Sorensen (1983) on the multiplier of
 ``K``'s ball.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,18 +118,25 @@ class NullspaceSplit:
 
 
 def nullspace_split(c):
-    """Eigendecomposition split with cutoff 1e-12 * trace(c) (1 if trace is 0)."""
-    c = check_psd_matrix(c)
+    """Eigendecomposition split with cutoff 1e-12 * trace(c) (1 if trace is
+    0), made once per distinct covariance; its arrays are read-only."""
+    c = np.asarray(c, dtype=float)
+    return _split(c.shape, c.tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _split(shape, data):
+    c = check_psd_matrix(np.frombuffer(data).reshape(shape))
     trace = float(np.trace(c))
     threshold = NULLSPACE_RTOL * trace if trace > 0.0 else 1.0
     w, v = np.linalg.eigh(0.5 * (c + c.T))
     null_mask = w <= threshold
-    return NullspaceSplit(
-        null_basis=v[:, null_mask].copy(),
-        range_basis=v[:, ~null_mask].copy(),
-        threshold=threshold,
-        eigenvalues=w.copy(),
-    )
+    split = NullspaceSplit(null_basis=v[:, null_mask].copy(),
+                           range_basis=v[:, ~null_mask].copy(),
+                           threshold=threshold, eigenvalues=w)
+    for arr in (split.null_basis, split.range_basis, w):
+        arr.flags.writeable = False
+    return split
 
 
 def _check_null_in_constraint(constraint, split):

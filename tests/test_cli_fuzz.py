@@ -172,6 +172,35 @@ def test_mutated_configs_keep_the_exit_code_contract(mutant):
     assert strict, cfg
 
 
+def stratified_mutants():
+    """(command, config, entry, kind) covering every MUTATIONS kind on every
+    VALID config, in a fixed order: the kinds in turn over the config's keys
+    and the first entry of each list (wrapping round until every kind has
+    run), then the type kinds, string and mapping, on every key."""
+    for command, cfg in VALID:
+        paths = [p for p in entries(cfg)
+                 if not any(isinstance(k, int) and k for k in p)]
+        for i in range(max(len(paths), len(MUTATIONS))):
+            how = MUTATIONS[i % len(MUTATIONS)]
+            yield command, cfg, paths[i % len(paths)], how
+        for path in paths:
+            if isinstance(path[-1], str):
+                yield command, cfg, path, "string"
+                yield command, cfg, path, "mapping"
+
+
+def test_every_mutation_kind_keeps_the_contract_on_every_config():
+    escapes = []
+    for command, cfg, path, how in stratified_mutants():
+        try:
+            code, err, strict = run_mutant(command, mutate(cfg, path, how))
+        except Exception as exc:  # escaped main
+            code, err, strict = repr(exc), "", True
+        if code not in (0, 1, 2, 3) or "Traceback" in err or not strict:
+            escapes.append((cfg["kind"], path, how, code))
+    assert not escapes
+
+
 NOT_BOOLEAN = st.one_of(st.none(), st.integers(), st.floats(),
                         st.text(max_size=8), st.lists(st.booleans(),
                                                       max_size=2))

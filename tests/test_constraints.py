@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -75,6 +76,19 @@ def test_truncated_distance_against_support_scan():
     scan_b, _ = support_scan(b, dirs, 2.0, n_grid=401)
     # each scanned support is within one grid diagonal below the exact one
     assert abs(d - np.max(np.abs(scan_a - scan_b))) <= step * np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("dim, digest", [
+    (3, "ade988b6948195626ed5251434323eac1ab43b10e871bc83ed899e38219f505f"),
+    (5, "12db60aca96699dc53a6b4384cedb03f1b64634bd148f37d8885463e317c6c11"),
+])
+def test_sobol_nets_keep_their_bits(dim, digest):
+    # The d >= 3 net imports scipy's ndtri and qmc on first use; its bits
+    # are those of scipy 1.17's scrambled Sobol points.
+    direction_net.cache_clear()
+    net = direction_net(dim)
+    assert net.shape == (constraints.NET_DIRECTIONS, dim)
+    assert hashlib.sha256(net.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -2,6 +2,9 @@ import os
 
 import numpy as np
 import pytest
+import scipy.special
+
+import growthlab.market as market
 
 from growthlab.constraints import FullSpace, HalfspacePolytope
 from growthlab.discrete import (
@@ -11,9 +14,10 @@ from growthlab.errors import (
     InfeasibleConstraint, InvalidSpec, UnsupportedSignalModel,
 )
 from growthlab.market import (
-    GaussianSignalModel, MarketSpec, TiltSpec, check_paths, density_paths,
-    event_probabilities, filtered_drift, girsanov_drift, orthogonal_draws,
-    simulate_paths, simulate_signal_paths, tilt_decomposition, tilt_field,
+    MAXLOG, GaussianSignalModel, MarketSpec, TiltSpec, check_paths,
+    density_paths, event_probabilities, filtered_drift, girsanov_drift, ndtr,
+    orthogonal_draws, physical_memory, simulate_paths, simulate_signal_paths,
+    tilt_decomposition, tilt_field,
 )
 from growthlab.quadform import check_psd_matrix, cov_inner
 from growthlab.stability import filtration_ladder
@@ -214,6 +218,27 @@ def test_event_probability_limits():
     assert np.all((flat > 0.0) & (flat < 1.0))
 
 
+def test_ndtr_is_scipys_without_exp_and_within_8_ulp_with_it():
+    # Cephes' erfc takes an exponential only on 1 <= |x| < 8 and 8 <= x with
+    # x^2 <= MAXLOG, x = -a / sqrt 2; there np.exp may round otherwise than
+    # the exp scipy's build calls. Everywhere else the bits are scipy's.
+    rng = np.random.default_rng(24)
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+               -1e-310, 2.2250738585072014e-308, 8.48, -8.48, 37.6, -37.6]
+    for scale in (0.3, 1.0, 4.0, 12.0, 40.0):
+        a = np.concatenate((rng.standard_normal(10 ** 6) * scale, special))
+        want = scipy.special.ndtr(a)
+        got = ndtr(a.reshape(-1, 2)).ravel()  # any shape
+        assert np.array_equal(np.isnan(got), np.isnan(a))
+        x = a * -np.sqrt(0.5)
+        no_exp = (x * x < 1.0) | (x <= -6.0) | (x * x > MAXLOG) | np.isnan(a)
+        assert np.array_equal(got[no_exp], want[no_exp], equal_nan=True)
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))[~no_exp]
+        assert ulps.max() <= 8
+    out = np.array([-1.0, 0.0, 1.0])
+    assert ndtr(out, out=out) is out and out[1] == 0.5
+
+
 def test_density_is_mean_one_and_positive():
     spec = make_spec(n_steps=50)
     b = simulate_paths(spec, 60_000, 5)
@@ -316,7 +341,40 @@ def test_path_count_bound_is_the_machines_memory(monkeypatch):
     with pytest.raises(InvalidSpec, match="path count too large"):
         simulate_paths(make_spec(), 131073, 1)
     monkeypatch.delattr(os, "sysconf")  # no sysconf: the indexing bound only
+    monkeypatch.setattr(market, "CGROUP_LIMITS", ())
     check_paths(10 ** 15, 1)
+
+
+def test_memory_is_the_smaller_of_machine_and_cgroup_limit(tmp_path,
+                                                           monkeypatch):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}  # 1 MiB
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
+    monkeypatch.setattr(market, "CGROUP_LIMITS", (str(v2), str(v1)))
+    assert physical_memory() == 2 ** 20  # neither file exists
+    v2.write_text("max\n")
+    v1.write_text("9223372036854771712\n")  # v1's "no limit"
+    assert physical_memory() == 2 ** 20
+    v1.write_text(f"{2 ** 62}\n")
+    assert physical_memory() == 2 ** 20
+    v2.write_text("524288\n")
+    assert physical_memory() == 524288
+    v1.write_text("262144\n")
+    assert physical_memory() == 262144
+    check_paths(32768, 1)  # 8 bytes a path
+    with pytest.raises(InvalidSpec, match="path count too large"):
+        check_paths(32769, 1)
+    v2.write_text(f"{2 ** 30}\n")  # above the machine: the machine holds
+    v1.unlink()
+    assert physical_memory() == 2 ** 20
+    monkeypatch.delattr(os, "sysconf")
+    assert physical_memory() == 2 ** 30
+    v2.write_text("max\n")
+    v1.write_text("9223372036854771712\n")
+    assert physical_memory() is None  # no sysconf and no limit
+    v2.unlink()
+    v1.unlink()
+    assert physical_memory() is None
 
 
 def test_energy_cap_rejects_wild_tilts(monkeypatch):

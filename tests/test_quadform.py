@@ -281,6 +281,21 @@ def test_box_solution_beats_any_grid_point():
         quadratic_growth(c, a, ref[None, :])[0] - 1e-9
 
 
+def test_nullspace_split_is_made_once_per_distinct_covariance():
+    c = np.array([[0.5, 0.1], [0.1, 0.4]])
+    split = nullspace_split(c)
+    assert nullspace_split(c.copy()) is split
+    assert nullspace_split(c.tolist()) is split
+    for arr in (split.null_basis, split.range_basis, split.eigenvalues):
+        assert not arr.flags.writeable
+    changed = c.copy()
+    changed[1, 1] = 0.41
+    other = nullspace_split(changed)
+    assert other is not split
+    assert not np.array_equal(other.eigenvalues, split.eigenvalues)
+    assert nullspace_split(c) is split
+
+
 def test_nullspace_component_of_drift_is_ignored():
     # c has a one-dimensional nullspace; shifting the drift along it must
     # leave the optimum unchanged, and the optimum stays in the range.
