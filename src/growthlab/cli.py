@@ -84,9 +84,17 @@ def _require_keys(cfg, required, optional, where):
         raise ConfigError(f"missing keys in {where}: {', '.join(missing)}")
 
 
+def _holds_bool(value):
+    """A bool at any depth of a config value: JSON and YAML booleans are
+    ints to Python, yet no number in a config may be one."""
+    inner = value.values() if isinstance(value, dict) else value
+    return isinstance(value, bool) or isinstance(value, (dict, list)) \
+        and any(map(_holds_bool, inner))
+
+
 def _int(value, name):
     try:
-        if int(value) == value:
+        if int(value) == value and not isinstance(value, bool):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -111,7 +119,7 @@ def _floats(value, name):
     (0-d for a number); ConfigError otherwise, NaN and infinity included."""
     try:
         arr = np.asarray(value, dtype=float)  # a missing value gives NaN
-        if np.all(np.isfinite(arr)):
+        if np.all(np.isfinite(arr)) and not _holds_bool(value):
             return arr
     except (TypeError, ValueError):
         pass
@@ -179,6 +187,8 @@ def _constraint(cfg, default_fullspace=True):
         if default_fullspace:
             return FullSpace()
         raise ConfigError("constraint config is required")
+    if _holds_bool(cfg):
+        raise ConfigError(f"constraint numbers cannot be booleans, got {cfg!r}")
     return _build("constraint", constraint_from_config, cfg=cfg)
 
 
@@ -235,12 +245,16 @@ def _write(out_dir, manifest, name, writer, *args):
 
 
 def _write_ladder(out_dir, manifest, csv_name, report, runtime, **payload):
-    """Ladder table, one decay check per metric, and a summary of payload
-    plus the run's path count and seed and the slopes."""
+    """Ladder table, one decay check per metric, the share of resamples on
+    which every fitted metric decays, and a summary of payload plus the
+    run's path count and seed and the slopes."""
     slopes = report.slopes()  # first: a ladder it rejects writes nothing
     _write(out_dir, manifest, csv_name, write_ladder_csv, report)
     for name, res in slopes.items():
         manifest.record_check(f"decay:{name}", res["passed"])
+    draws = np.array([res["draws"] for res in slopes.values() if not res["zero"]])
+    manifest.record_diagnostic("decay_joint_share",
+                               float(np.mean(np.all(draws < 0.0, axis=0))))
     _write(out_dir, manifest, "summary.json", write_json,
            dict(payload, n_paths=runtime[1], seed=runtime[0],
                 slopes=_slope_summary(slopes)))

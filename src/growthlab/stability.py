@@ -96,8 +96,10 @@ class LadderReport:
 
         The fit regresses log(mean) on log(1/scale); decay means negative
         slope. Columns that are identically zero cannot be fitted and count
-        as decayed. passed is True when the 97.5% quantile of the slope over
-        BOOTSTRAP_DRAWS resamples drawn from BOOTSTRAP_SEED is below zero.
+        as decayed. All per-path columns share one set of BOOTSTRAP_DRAWS
+        resamples drawn from BOOTSTRAP_SEED; "draws" is a column's slope on
+        each (its point slope if deterministic, None if zero). passed is
+        True when their 97.5% quantile is below zero.
         """
         scales = np.asarray(self.scales, dtype=float)
         if scales.size < 2 or not np.all(scales > 0.0) \
@@ -105,44 +107,47 @@ class LadderReport:
             raise InvalidSpec(f"a slope needs two or more rungs with distinct "
                               f"positive scales, got {scales.tolist()}")
         x = -np.log(scales)
-        rng = np.random.default_rng(BOOTSTRAP_SEED)
-        out = {}
+        out, sampled = {}, {}
         for name, arr in {**self.per_path, **self.deterministic}.items():
             means = arr.mean(axis=1) if arr.ndim == 2 else arr
             if np.max(np.abs(means)) <= ZERO_COLUMN_LEVEL:
-                out[name] = {"slope": None, "ci": (None, None),
-                             "zero": True, "passed": True}
+                out[name] = {"slope": None, "ci": (None, None), "zero": True,
+                             "passed": True, "draws": None}
                 continue
             slope = float(_fit_slope(x, means))
-            lo = hi = slope  # a deterministic column has no sampling error
+            out[name] = {"slope": slope, "ci": (slope, slope), "zero": False,
+                         "passed": slope < 0.0,
+                         "draws": (slope,) * BOOTSTRAP_DRAWS}
             if arr.ndim == 2:
-                boot_means = _bootstrap_means(arr, rng, BOOTSTRAP_DRAWS)
-                lo, hi = np.percentile(_fit_slope(x, boot_means), [2.5, 97.5])
-            out[name] = {"slope": slope, "ci": (float(lo), float(hi)),
-                         "zero": False, "passed": bool(hi < 0.0)}
+                sampled[name] = arr
+        boot_means = _bootstrap_means(
+            list(sampled.values()), np.random.default_rng(BOOTSTRAP_SEED),
+            BOOTSTRAP_DRAWS)
+        for name, means in zip(sampled, boot_means):
+            draws = _fit_slope(x, means)
+            lo, hi = np.percentile(draws, [2.5, 97.5])
+            out[name].update(ci=(float(lo), float(hi)), passed=bool(hi < 0.0),
+                             draws=tuple(draws.tolist()))
         return out
 
 
-def _resample_sums(arr, sel):
-    """Sums (L, B) of arr's rows (L, P) over each resample of sel (B, P).
-    einsum, unlike a BLAS matmul, adds in an order that depends on neither
-    the number of resamples nor the BLAS threads."""
-    n_b, n_p = sel.shape
-    sel += n_p * np.arange(n_b)[:, None]
-    counts = np.bincount(sel.ravel(), minlength=n_b * n_p)
-    return np.einsum("lp,bp->lb", arr, counts.reshape(n_b, n_p).astype(float))
-
-
-def _bootstrap_means(arr, rng, n_boot):
-    """Means (L, n_boot) of n_boot resamples of arr's paths (L, P), drawn
-    from rng in order, BOOTSTRAP_CHUNK path draws at a time."""
-    n_p = arr.shape[1]
+def _bootstrap_means(arrs, rng, n_boot):
+    """Means (L, n_boot) of n_boot resamples of the paths of each (L, P)
+    array in arrs, all on one count matrix per BOOTSTRAP_CHUNK path draws,
+    drawn from rng in order. einsum, unlike a BLAS matmul, adds in an order
+    that depends on neither the number of resamples nor the BLAS threads."""
+    n_p = arrs[0].shape[1] if arrs else 1  # no array: the draws go unused
     step = max(1, BOOTSTRAP_CHUNK // n_p)
-    sums = []
+    sums = [[] for _ in arrs]
     for lo in range(0, n_boot, step):
-        sel = rng.integers(0, n_p, (min(step, n_boot - lo), n_p))
-        sums.append(_resample_sums(arr, sel))
-    return np.concatenate(sums, axis=1) / n_p
+        n_b = min(step, n_boot - lo)
+        sel = rng.integers(0, n_p, (n_b, n_p))
+        sel += n_p * np.arange(n_b)[:, None]
+        counts = np.bincount(sel.ravel(), minlength=n_b * n_p)
+        counts = counts.reshape(n_b, n_p).astype(float)
+        for arr, out in zip(arrs, sums):
+            out.append(np.einsum("lp,bp->lb", arr, counts))
+    return [np.concatenate(out, axis=1) / n_p for out in sums]
 
 
 def _fit_slope(x, values):

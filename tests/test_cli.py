@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 import yaml
 
-from growthlab.cli import main
+import growthlab.stability as stability
+from growthlab.cli import _write_ladder, main
 from growthlab.errors import GrowthlabError
 from growthlab.reporting import (
-    atomic_write_json, canonical_json, config_hash, write_csv,
+    RunManifest, atomic_write_json, canonical_json, config_hash, write_csv,
 )
+from growthlab.stability import LadderReport
 
 MARKET = {
     "dim": 2,
@@ -159,7 +161,8 @@ def test_constraint_ladder_manifest_counts_unchecked_steps(
     usage = {"peak_rss_mb", "minor_page_faults", "cpu_user_s", "cpu_sys_s"}
     diagnostics = manifest["diagnostics"]
     assert set(diagnostics) == usage | {"bound_unchecked_steps",
-                                        "ladder_scale", "malloc_retained"}
+                                        "ladder_scale", "malloc_retained",
+                                        "decay_joint_share"}
     assert diagnostics["bound_unchecked_steps"] == unchecked
     assert diagnostics["ladder_scale"] == scale
     assert all(diagnostics[key] >= 0 for key in usage)
@@ -583,6 +586,36 @@ def test_malformed_config_numbers_exit_2(tmp_path, capsys, command, payload):
                    for name in os.listdir(tmp_path / "run"))
 
 
+FILTRATION = {"kind": "stability-filtration", "market": MARKET,
+              "signal": {"direction": [1.0, 0.3],
+                         "noise_scales": [0.5, 0.25]}, "paths": 8}
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("stability", dict(FILTRATION, paths=True), "paths"),
+    ("stability", dict(FILTRATION, seed=True), "seed"),
+    ("stability", dict(FILTRATION, threads=True), "threads"),
+    ("stability", dict(FILTRATION, constraint={"type": "ball",
+                                               "radius": True}), "radius"),
+    ("solve", dict(SOLVE, covariance=[[0.5, 0.1], [0.1, True]]),
+     "covariance"),
+    ("stability", dict(PROBABILITY, eps_ladder=[True, 0.5]), "eps_ladder"),
+    ("stability", dict(FILTRATION, signal={"direction": [1.0, 0.3],
+                                           "noise_scales": [True, 0.5]}),
+     "noise_scales"),
+], ids=["paths", "seed", "threads", "ball-radius", "covariance-entry",
+        "eps-ladder-entry", "noise-scales-entry"])
+def test_boolean_numbers_exit_2(tmp_path, capsys, command, payload, key):
+    # JSON and YAML booleans are ints to Python: true once ran as 1 path,
+    # seed 1 or a unit radius.
+    cfg = write_config(tmp_path, "bool.yaml", payload)
+    assert run_cli(command, "--config", cfg,
+                   "--out", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert key in err
+
+
 @pytest.mark.parametrize("command, payload", [
     ("counterexample", {"kind": "counterexample", "p": 0.6, "levels": 5}),
     ("counterexample", {"kind": "counterexample", "p": 0.6, "levels": []}),
@@ -847,3 +880,55 @@ def test_filtration_summary_ignores_blas_threads(tmp_path):
         assert result.returncode == 0, result.stderr
         outputs.append((out / "summary.json").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_decay_joint_share_matches_per_draw_oracle(tmp_path, monkeypatch):
+    # The share of resamples on which every fitted column decays, against
+    # one rng.integers call per draw and a degree-one polyfit per column;
+    # a zero column is left out and a deterministic one uses its point
+    # slope. One growing column brings the share to 0.
+    monkeypatch.setattr(stability, "BOOTSTRAP_DRAWS", 80)
+    monkeypatch.setattr(stability, "BOOTSTRAP_SEED", 13)
+    rng = np.random.default_rng(6)
+    scales = 2.0 ** -np.arange(1, 5)
+    per_path = {"a": rng.exponential(1.0, (4, 41)) * scales[:, None] ** 0.1,
+                "zero": np.zeros((4, 41)),
+                "b": rng.exponential(1.0, (4, 41)) * scales[:, None] ** 0.5}
+
+    def joint_share(**extra):
+        report = LadderReport(family="synthetic", indices=np.arange(1, 5),
+                              scales=scales, per_path={**per_path, **extra},
+                              deterministic={"d": scales})
+        manifest = RunManifest(config={}, seed=0, version="test")
+        _write_ladder(str(tmp_path), manifest, "ladder.csv", report,
+                      (0, 41, 1))
+        return manifest.diagnostics["decay_joint_share"]
+
+    x = -np.log(scales)
+    draws = np.random.default_rng(13)
+    picks = [draws.integers(0, 41, 41) for _ in range(80)]
+    decayed = [all(np.polyfit(x, np.log(per_path[k][:, pick].mean(axis=1)),
+                              1)[0] < 0.0 for k in ("a", "b"))
+               for pick in picks]
+    share = joint_share()
+    assert share == np.mean(decayed)
+    assert 0.0 < share < 1.0
+    assert joint_share(up=np.linspace(1.0, 2.0, 4)[:, None]
+                       * rng.exponential(1.0, 41)) == 0.0
+
+
+def test_filtration_joint_share_is_recorded_and_thread_free(tmp_path):
+    cfg = write_config(tmp_path, "filtration.yaml", dict(
+        FILTRATION, signal={"direction": [1.0, 0.3],
+                            "noise_scales": [0.5, 0.25, 0.125]}, paths=256))
+    shares, summaries = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert run_cli("stability", "--config", cfg, "--seed", "7",
+                       "--threads", threads, "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        shares.append(manifest["diagnostics"]["decay_joint_share"])
+        assert "decay_joint_share" not in manifest["checks"]
+        summaries.append((out / "summary.json").read_bytes())
+    assert 0.0 <= shares[0] <= 1.0 and shares[0] == shares[1]
+    assert summaries[0] == summaries[1]

@@ -316,8 +316,9 @@ def test_slope_fit_flags_increasing_columns():
 
 def test_bootstrap_matches_per_draw_resampling(monkeypatch):
     # The count-matrix bootstrap draws the same resamples, in the same
-    # order, as one rng.integers call per draw, and its closed-form slope
-    # agrees with a degree-one polyfit.
+    # order, as one rng.integers call per draw; every column is resampled
+    # on that one set of draws, and the closed-form slope agrees with a
+    # degree-one polyfit.
     rng = np.random.default_rng(3)
     scales = 2.0 ** -np.arange(1, 6)
     per_path = {
@@ -332,17 +333,36 @@ def test_bootstrap_matches_per_draw_resampling(monkeypatch):
     slopes = report.slopes()
     x = -np.log(scales)
     draws = np.random.default_rng(11)
+    picks = [draws.integers(0, 101, 101) for _ in range(60)]
     for name in ("a", "b"):
         arr = per_path[name]
-        boots = [np.polyfit(x, np.log(arr[:, draws.integers(0, 101, 101)]
-                                      .mean(axis=1)), 1)[0]
-                 for _ in range(60)]
+        boots = [np.polyfit(x, np.log(arr[:, pick].mean(axis=1)), 1)[0]
+                 for pick in picks]
         lo, hi = np.percentile(boots, [2.5, 97.5])
+        assert slopes[name]["draws"] == pytest.approx(boots, abs=1e-12)
         assert slopes[name]["slope"] == pytest.approx(
             np.polyfit(x, np.log(arr.mean(axis=1)), 1)[0], abs=1e-12)
         assert slopes[name]["ci"] == (pytest.approx(lo, abs=1e-12),
                                       pytest.approx(hi, abs=1e-12))
     assert slopes["zero"]["zero"]
+
+
+def test_a_column_interval_depends_only_on_its_own_data():
+    # Every column is resampled on one shared set of draws, so adding,
+    # removing or reordering the other columns moves no bit of a column's
+    # slope, interval or per-draw slopes.
+    rng = np.random.default_rng(5)
+    scales = 2.0 ** -np.arange(1, 6)
+    a = rng.exponential(1.0, (5, 301)) * scales[:, None]
+    b = rng.exponential(1.0, (5, 301)) * scales[:, None] ** 2
+
+    def slopes_of_b(**per_path):
+        return LadderReport(family="synthetic", indices=np.arange(1, 6),
+                            scales=scales, per_path=per_path).slopes()["b"]
+
+    alone = slopes_of_b(b=b)
+    assert slopes_of_b(a=a, b=b) == alone
+    assert slopes_of_b(b=b, a=a, zero=np.zeros((5, 301))) == alone
 
 
 def test_bootstrap_does_not_depend_on_chunk_size(monkeypatch):
