@@ -25,6 +25,7 @@ from .errors import (
     ConfigError, DensityFloorHit, DimensionMismatch, GrowthlabError,
     InfeasibleConstraint, InvalidSpec, NonConvergence, NonNestedPartitions,
     QuadratureUnderResolved, ThresholdFailure, UnsupportedSignalModel,
+    as_floats, as_int,
 )
 from .market import (
     GaussianSignalModel, MarketSpec, TiltSpec, cumsum_from_zero,
@@ -76,7 +77,7 @@ def _load_config(path):
 def _require_keys(cfg, required, optional, where):
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where} must be a mapping, got {cfg!r}")
-    unknown = sorted(set(cfg) - set(required) - set(optional))
+    unknown = sorted(map(str, set(cfg) - set(required) - set(optional)))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
     missing = sorted(set(required) - set(cfg))
@@ -84,83 +85,20 @@ def _require_keys(cfg, required, optional, where):
         raise ConfigError(f"missing keys in {where}: {', '.join(missing)}")
 
 
-def _holds_bool(value):
-    """A bool at any depth of a config value: JSON and YAML booleans are
-    ints to Python, yet no number in a config may be one."""
-    inner = value.values() if isinstance(value, dict) else value
-    return isinstance(value, bool) or isinstance(value, (dict, list)) \
-        and any(map(_holds_bool, inner))
-
-
-def _int(value, name):
-    try:
-        if int(value) == value and not isinstance(value, bool):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _ints(value, name):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{name} must be a nonempty list of integers, got {value!r}")
-    return [_int(n, name) for n in value]
-
-
-def _positive_int(cfg_value, name):
-    value = _int(cfg_value, name)
-    if value <= 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
-    return value
-
-
-def _floats(value, name):
-    """A finite config number or nested list of numbers as a float array
-    (0-d for a number); ConfigError otherwise, NaN and infinity included."""
-    try:
-        arr = np.asarray(value, dtype=float)  # a missing value gives NaN
-        if np.all(np.isfinite(arr)) and not _holds_bool(value):
-            return arr
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{name} must be finite numbers, got {value!r}")
-
-
-def _float(value, name):
-    arr = _floats(value, name)
-    if arr.ndim != 0:
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(arr)
-
-
 def _ladder(value, name):
     """A list of two or more distinct finite numbers, as a slope needs."""
-    arr = _floats(value, name)
-    if arr.ndim != 1 or arr.size < 2 or np.unique(arr).size < arr.size:
+    arr = as_floats(value, name, 1)
+    if arr.size < 2 or np.unique(arr).size < arr.size:
         raise ConfigError(f"{name} must list at least two distinct numbers, "
                           f"got {value!r}")
     return arr
 
 
-def _optional(cfg, key, name, convert=_floats):
-    """convert(cfg[key], name), or None when key is unset or null."""
-    return None if cfg.get(key) is None else convert(cfg[key], name)
-
-
-def _seed_value(raw):
-    seed = _int(raw, "seed")
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"seed must fit in 64 bits, got {seed}")
-    return seed
-
-
 def _build(where, make, **kwargs):
-    """make(**kwargs), a library error raised as a ConfigError; the caller
-    converts kwargs first, so a conversion error keeps its own message."""
+    """make(**kwargs), a library error raised as a ConfigError."""
     try:
         return make(**kwargs)
-    except (InvalidSpec, DimensionMismatch, InfeasibleConstraint,
-            UnsupportedSignalModel, ValueError, TypeError) as exc:
+    except GrowthlabError as exc:
         raise ConfigError(f"bad {where} config: {exc}") from exc
 
 
@@ -168,18 +106,7 @@ def _market_spec(cfg):
     _require_keys(cfg, ("dim", "n_steps"),
                   ("horizon", "covariance", "drift", "clock", "normalize_clock"),
                   "market")
-    clock = cfg.get("clock", "uniform")
-    if isinstance(clock, list):
-        clock = _floats(clock, "market.clock")
-    return _build(
-        "market", MarketSpec,
-        dim=_positive_int(cfg["dim"], "market.dim"),
-        n_steps=_positive_int(cfg["n_steps"], "market.n_steps"),
-        horizon=_float(cfg.get("horizon", 1.0), "market.horizon"),
-        covariance=_optional(cfg, "covariance", "market.covariance"),
-        drift=_optional(cfg, "drift", "market.drift"),
-        clock=clock,
-        normalize_clock=cfg.get("normalize_clock", True))
+    return _build("market", MarketSpec, **cfg)
 
 
 def _constraint(cfg, default_fullspace=True):
@@ -187,28 +114,18 @@ def _constraint(cfg, default_fullspace=True):
         if default_fullspace:
             return FullSpace()
         raise ConfigError("constraint config is required")
-    if _holds_bool(cfg):
-        raise ConfigError(f"constraint numbers cannot be booleans, got {cfg!r}")
     return _build("constraint", constraint_from_config, cfg=cfg)
 
 
 def _signal_model(cfg):
     _require_keys(cfg, ("direction",),
                   ("prior_mean", "prior_std", "noise_scales"), "signal")
-    return _build(
-        "signal", GaussianSignalModel,
-        direction=_floats(cfg["direction"], "signal.direction"),
-        prior_mean=_float(cfg.get("prior_mean", 0.0), "signal.prior_mean"),
-        prior_std=_float(cfg.get("prior_std", 1.0), "signal.prior_std"),
-        noise_scales=_optional(cfg, "noise_scales", "signal.noise_scales"))
+    return _build("signal", GaussianSignalModel, **cfg)
 
 
 def _tilt_spec(cfg):
     _require_keys(cfg, ("lam1",), ("orthogonal_vol",), "tilt")
-    return _build(
-        "tilt", TiltSpec, lam1=_floats(cfg["lam1"], "tilt.lam1"),
-        orthogonal_vol=_float(cfg.get("orthogonal_vol", 0.0),
-                              "tilt.orthogonal_vol"))
+    return _build("tilt", TiltSpec, **cfg)
 
 
 def _runtime(cfg, args):
@@ -216,8 +133,8 @@ def _runtime(cfg, args):
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     paths = args.paths if args.paths is not None else cfg.get("paths", 1024)
     threads = args.threads if args.threads is not None else cfg.get("threads", 1)
-    return (_seed_value(seed), _positive_int(paths, "paths"),
-            _positive_int(threads, "threads"))
+    return (as_int(seed, "seed", 0, 2 ** 64 - 1), as_int(paths, "paths", 1),
+            as_int(threads, "threads", 1))
 
 
 def _slope_summary(slopes):
@@ -261,8 +178,8 @@ def _write_ladder(out_dir, manifest, csv_name, report, runtime, **payload):
 
 
 def cmd_solve(cfg, runtime, out_dir, manifest):
-    cov = _floats(cfg["covariance"], "covariance")
-    drift = _floats(cfg["drift"], "drift")
+    cov = as_floats(cfg["covariance"], "covariance")
+    drift = as_floats(cfg["drift"], "drift")
     constraint = _constraint(cfg.get("constraint"))
     fraction = optimal_fraction_batch(cov, drift, constraint)
     growth = float(growth_rate(cov, drift, fraction))
@@ -305,8 +222,7 @@ def cmd_filtration(cfg, runtime, out_dir, manifest):
     report = filtration_ladder(
         _market_spec(cfg["market"]), _signal_model(cfg["signal"]),
         _constraint(cfg.get("constraint")), paths, seed, threads=threads,
-        event_threshold=_optional(cfg, "event_threshold", "event_threshold",
-                                  _float))
+        event_threshold=cfg.get("event_threshold"))
     _write_ladder(out_dir, manifest, "ladder.csv", report, runtime,
                   family=report.family, scales=report.scales)
 
@@ -316,7 +232,7 @@ def cmd_probability(cfg, runtime, out_dir, manifest):
     report = probability_ladder(
         _market_spec(cfg["market"]), _tilt_spec(cfg["tilt"]),
         _constraint(cfg.get("constraint")), paths, seed, threads=threads,
-        eps_ladder=_optional(cfg, "eps_ladder", "eps_ladder", _ladder))
+        eps_ladder=cfg.get("eps_ladder"))
     _write_ladder(out_dir, manifest, "ladder.csv", report, runtime,
                   family=report.family, scales=report.scales)
 
@@ -340,12 +256,10 @@ def cmd_sensitivity(cfg, runtime, out_dir, manifest):
     seed, paths, threads = runtime
     spec = _market_spec(cfg["market"])
     tilt = _tilt_spec(cfg["tilt"])
-    eps_ladder = _ladder(cfg.get("eps_ladder", [0.2, 0.1, 0.05, 0.025]),
-                         "eps_ladder")
-    if np.any(eps_ladder <= 0.0) or np.any(eps_ladder > 1.0):
-        raise ConfigError("eps_ladder entries must lie in (0, 1]")
     identity_err, first, second = streamed_expansion_ladder(
-        spec, tilt, eps_ladder, paths, seed, threads=threads)
+        spec, tilt, cfg.get("eps_ladder", [0.2, 0.1, 0.05, 0.025]), paths,
+        seed, threads=threads)
+    eps_ladder = first["eps"]
     rows = [{"ladder_index": i + 1, "metric": f"{tag}_{m}",
              "value": table[f"{m}_error"][i], "stderr": table[f"{m}_stderr"][i]}
             for table, tag in ((first, "first"), (second, "second"))
@@ -375,13 +289,12 @@ def cmd_sensitivity(cfg, runtime, out_dir, manifest):
 
 
 def cmd_counterexample(cfg, runtime, out_dir, manifest):
-    p = _float(cfg["p"], "p")
-    levels = _ints(cfg.get("levels", list(range(1, 9))), "levels")
-    kwargs = {key: convert(cfg[key], key) for key, convert in (
-        ("quad_nodes", _int), ("quad_range", _float), ("signal_mean", _float))
-        if key in cfg}
-    report = discontinuity_report(p, levels, **kwargs)
-    limit = one_period_optimal(OnePeriodMarket(p=p, level=None))
+    kwargs = {key: cfg[key] for key in ("quad_nodes", "quad_range",
+                                        "signal_mean") if key in cfg}
+    report = discontinuity_report(cfg["p"], cfg.get("levels", range(1, 9)),
+                                  **kwargs)
+    market = OnePeriodMarket(p=cfg["p"])
+    limit, p = one_period_optimal(market), market.p
     rows = [{"level": n, "theta_star": t, "gap": g}
             for n, t, g in zip(report["level"], report["theta_star"],
                                report["gap"])]
@@ -399,26 +312,23 @@ def cmd_counterexample(cfg, runtime, out_dir, manifest):
 
 
 def cmd_tree(cfg, runtime, out_dir, manifest):
-    depth = _positive_int(cfg["depth"], "depth")
-    tree = _build("tree", ScenarioTree, depth=depth,
-                  up_probs=_optional(cfg, "up_probs", "up_probs"),
-                  clock_increments=_optional(cfg, "clock_increments",
-                                             "clock_increments"))
+    tree = _build("tree", ScenarioTree, depth=cfg["depth"],
+                  up_probs=cfg.get("up_probs"),
+                  clock_increments=cfg.get("clock_increments"))
     chi_cfg = cfg["chi"]
     _require_keys(chi_cfg, (), ("leaf_indicator", "values"), "chi")
     if ("leaf_indicator" in chi_cfg) == ("values" in chi_cfg):
         raise ConfigError("chi needs exactly one of leaf_indicator, values")
     if "leaf_indicator" in chi_cfg:
-        idx = _int(chi_cfg["leaf_indicator"], "leaf_indicator")
-        if not 0 <= idx < tree.n_scenarios:
-            raise ConfigError(f"leaf_indicator {idx} out of range")
         chi = np.zeros(tree.n_scenarios)
-        chi[idx] = 1.0
+        chi[as_int(chi_cfg["leaf_indicator"], "leaf_indicator", 0,
+                   tree.n_scenarios - 1)] = 1.0
     else:
-        chi = _floats(chi_cfg["values"], "chi.values")
-    caps = _ints(cfg.get("caps", list(range(depth + 1))), "caps")
-    conv = tree_projection_convergence(tree, chi, caps)
-    expected = conv["expected"]
+        chi = chi_cfg["values"]
+    depth = tree.depth
+    conv = tree_projection_convergence(tree, chi,
+                                       cfg.get("caps", range(depth + 1)))
+    caps, expected = conv["caps"], conv["expected"]
     rows = [{"cap": n, "expected_gap": g} for n, g in zip(caps, expected)]
     _write(out_dir, manifest, "projection.csv", write_csv,
            ["cap", "expected_gap"], rows)
@@ -435,8 +345,7 @@ def cmd_tree(cfg, runtime, out_dir, manifest):
 def cmd_density_check(cfg, runtime, out_dir, manifest):
     seed, paths, _ = runtime
     family = cfg["family"]
-    n_steps = _positive_int(cfg.get("n_steps", 256), "n_steps")
-    horizon = _float(cfg.get("horizon", 1.0), "horizon")
+    n_steps, horizon = cfg.get("n_steps", 256), cfg.get("horizon", 1.0)
     if family == "lognormal":
         if "vols" not in cfg:
             raise ConfigError("lognormal family needs vols")
@@ -447,9 +356,8 @@ def cmd_density_check(cfg, runtime, out_dir, manifest):
         if "sizes" not in cfg:
             raise ConfigError("excursion family needs sizes")
         sizes = _ladder(cfg["sizes"], "sizes")
-        kappa = _float(cfg.get("kappa", 1.0), "kappa")
-        z_list = excursion_density_ladder(sizes, kappa, paths, n_steps,
-                                          horizon, seed)
+        z_list = excursion_density_ladder(sizes, cfg.get("kappa", 1.0), paths,
+                                          n_steps, horizon, seed)
         scales = 1.0 / sizes
     else:
         raise ConfigError(f"unknown density family: {family!r}")

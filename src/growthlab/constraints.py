@@ -21,7 +21,9 @@ import itertools
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleConstraint, NonConvergence
+from .errors import (
+    DimensionMismatch, InfeasibleConstraint, NonConvergence, as_floats,
+)
 
 _NET_SEED = 20260817
 NET_DIRECTIONS = 4096  # direction net behind every numeric set distance
@@ -127,8 +129,8 @@ class Ball(ConstraintSet):
     """Euclidean ball of given radius centered at the origin."""
 
     def __init__(self, radius):
-        self.radius = float(radius)
-        if not np.isfinite(self.radius) or self.radius <= 0.0:
+        self.radius = float(as_floats(radius, "radius", 0))
+        if not self.radius > 0.0:
             raise InfeasibleConstraint(f"ball radius must be positive, got {self.radius}")
 
     def halfspaces(self, dim):
@@ -146,16 +148,14 @@ class Box(ConstraintSet):
     """Axis-aligned box [lower, upper] per coordinate; must straddle 0."""
 
     def __init__(self, lower, upper):
-        self.lower = np.asarray(lower, dtype=float).ravel()
-        self.upper = np.asarray(upper, dtype=float).ravel()
+        self.lower = as_floats(lower, "lower").ravel()
+        self.upper = as_floats(upper, "upper").ravel()
 
     def validate(self, dim):
         if self.lower.size != dim or self.upper.size != dim:
             raise DimensionMismatch(
                 f"box bounds have size {self.lower.size}/{self.upper.size}, expected {dim}"
             )
-        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
-            raise InfeasibleConstraint("box bounds must be finite")
         if np.any(self.lower > 0.0) or np.any(self.upper < 0.0):
             raise InfeasibleConstraint("box must contain the origin: lower <= 0 <= upper")
         if np.any(self.lower > self.upper):
@@ -192,19 +192,15 @@ class HalfspacePolytope(ConstraintSet):
     """Intersection of halfspaces {x : <n_i, x> <= b_i} with b_i >= 0."""
 
     def __init__(self, normals, offsets):
-        self.normals = np.atleast_2d(np.asarray(normals, dtype=float))
-        self.offsets = np.asarray(offsets, dtype=float).ravel()
+        self.normals = np.atleast_2d(as_floats(normals, "normals"))
+        self.offsets = as_floats(offsets, "offsets").ravel()
 
     def validate(self, dim):
-        if self.normals.shape[1] != dim:
-            raise DimensionMismatch(
-                f"polytope normals have dim {self.normals.shape[1]}, expected {dim}"
-            )
+        if self.normals.ndim != 2 or self.normals.shape[1] != dim:
+            raise DimensionMismatch(f"polytope normals must have shape "
+                                    f"(m, {dim}), got {self.normals.shape}")
         if self.normals.shape[0] != self.offsets.size:
             raise DimensionMismatch("one offset per halfspace required")
-        if not (np.all(np.isfinite(self.normals))
-                and np.all(np.isfinite(self.offsets))):
-            raise InfeasibleConstraint("polytope normals and offsets must be finite")
         if np.any(np.linalg.norm(self.normals, axis=1) < 1e-12):
             raise InfeasibleConstraint("zero normal vector in polytope")
         if np.any(self.offsets < 0.0):
@@ -468,8 +464,9 @@ def constraint_from_config(cfg):
         raise InfeasibleConstraint(f"constraint config needs a known 'type': {cfg!r}")
     keys = _CONFIG_KEYS[kind]
     if set(cfg) != {"type", *keys}:
+        got = sorted(map(str, set(cfg) - {"type"}))  # YAML keys may be numbers
         raise InfeasibleConstraint(f"{kind} config needs exactly the keys "
-                                   f"{sorted(keys)}, got {sorted(set(cfg) - {'type'})}")
+                                   f"{sorted(keys)}, got {got}")
     if kind == "intersection":
         if not isinstance(cfg["members"], list):
             raise InfeasibleConstraint(f"intersection members must be a list: {cfg!r}")

@@ -22,7 +22,8 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import (
-    InvalidSpec, NonNestedPartitions, QuadratureUnderResolved,
+    InvalidSpec, NonNestedPartitions, QuadratureUnderResolved, as_floats,
+    as_int,
 )
 from .market import per_step, physical_memory
 
@@ -48,19 +49,21 @@ class OnePeriodMarket:
     signal_mean: float = 0.0
 
     def __post_init__(self):
+        vars(self).update(
+            p=float(as_floats(self.p, "p", 0)),
+            level=None if self.level is None else as_int(self.level, "level", 1),
+            quad_nodes=as_int(self.quad_nodes, "quad_nodes", 3),
+            quad_range=float(as_floats(self.quad_range, "quad_range", 0)),
+            signal_mean=float(as_floats(self.signal_mean, "signal_mean", 0)))
         if not 0.0 < self.p < 1.0:
             raise InvalidSpec(f"jump probability must be in (0, 1), got {self.p}")
-        if self.level is not None and (int(self.level) != self.level or self.level < 1):
-            raise InvalidSpec(f"truncation level must be a positive integer, got {self.level}")
-        if self.quad_nodes < 3 or not 0.0 < self.quad_range < np.inf:
-            raise InvalidSpec("quadrature needs at least 3 nodes and a positive range")
+        if not self.quad_range > 0.0:
+            raise InvalidSpec(f"quad_range must be positive, got {self.quad_range}")
         if self.quad_nodes > MAX_QUAD_NODES:
             raise QuadratureUnderResolved(
                 f"Gauss-Hermite rule with {self.quad_nodes} nodes is not "
                 "finite; use fewer nodes"
             )
-        if not np.isfinite(self.signal_mean):
-            raise InvalidSpec(f"signal mean must be finite, got {self.signal_mean}")
 
     def residual_std(self):
         """Std of the unobserved dyadic tail: the digit-j term is 2^-j
@@ -181,6 +184,9 @@ def discontinuity_report(p, levels, **market_kwargs):
     optimizes to a near-zero fraction, so its conditional-mean wealth stays
     at one and the gap sits at |2p - 1| for every level.
     """
+    levels = as_floats(levels, "levels", 1)
+    if levels.size == 0:
+        raise InvalidSpec("levels must list at least one level")
     revealed = one_period_optimal(OnePeriodMarket(p=p, level=None))
     rule = OnePeriodMarket(p=p, **market_kwargs).hermite_rule()
     rows = {"level": [], "theta_star": [], "gap": []}
@@ -192,7 +198,7 @@ def discontinuity_report(p, levels, **market_kwargs):
         mean_down = 1.0 - res.theta_star * float(np.dot(w, pts))
         gap = max(abs(mean_up - revealed.wealth_values[0]),
                   abs(mean_down - revealed.wealth_values[1]))
-        rows["level"].append(int(n))
+        rows["level"].append(market.level)
         rows["theta_star"].append(res.theta_star)
         rows["gap"].append(gap)
     return rows
@@ -215,10 +221,9 @@ class ScenarioTree:
     clock_increments: np.ndarray = None
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise InvalidSpec(f"tree depth must be positive, got {self.depth}")
+        vars(self)["depth"] = as_int(self.depth, "tree depth", 1)
         # every run holds a level process, (depth + 1, 2**depth) floats
-        nbytes = 8 * (int(self.depth) + 1) * 2 ** int(self.depth)
+        nbytes = 8 * (self.depth + 1) * 2 ** self.depth
         if nbytes > min(np.iinfo(np.intp).max, physical_memory() or np.inf):
             raise InvalidSpec(f"tree depth {self.depth} too large: its (depth "
                               "+ 1, 2**depth) arrays need more bytes than "
@@ -226,16 +231,16 @@ class ScenarioTree:
         up = self.up_probs
         if up is None:
             up = np.full(self.depth, 0.5)
-        up = np.asarray(up, dtype=float)
+        up = as_floats(up, "up_probs")
         if up.shape != (self.depth,) or not np.all((up > 0.0) & (up < 1.0)):
             raise InvalidSpec("up probabilities must be in (0, 1) per level")
         object.__setattr__(self, "up_probs", up)
         dg = self.clock_increments
         if dg is None:
             dg = np.full(self.depth, 1.0 / self.depth)
-        dg = np.asarray(dg, dtype=float)
-        if dg.shape != (self.depth,) or not np.all((dg >= 0.0) & (dg < np.inf)):
-            raise InvalidSpec("clock increments must be finite and nonnegative per level")
+        dg = as_floats(dg, "clock_increments")
+        if dg.shape != (self.depth,) or not np.all(dg >= 0.0):
+            raise InvalidSpec("clock increments must be nonnegative per level")
         object.__setattr__(self, "clock_increments", dg)
 
     @property
@@ -286,10 +291,9 @@ def tree_projection_convergence(tree, chi, caps):
     expectation under the scenario probabilities. Caps must lie in
     0..depth and strictly increase, so the partitions are nested.
     """
-    caps = [int(n) for n in caps]
-    if any(not 0 <= n <= tree.depth for n in caps):
-        raise InvalidSpec(f"caps must be nonnegative and at most the depth "
-                          f"{tree.depth}, got {caps}")
+    caps = [as_int(n, "caps", 0, tree.depth) for n in as_floats(caps, "caps", 1)]
+    if not caps:
+        raise InvalidSpec("caps must list at least one cap")
     if any(b <= a for a, b in zip(caps, caps[1:])):
         raise NonNestedPartitions(
             f"cap ladder {caps} is not strictly increasing"

@@ -26,7 +26,7 @@ import numpy.ma  # np.unique reads np.ma: loaded here, not inside a run
 import numpy.random  # numpy 2 loads it on first use: here, not in a run
 
 from .errors import (
-    DimensionMismatch, InvalidSpec, UnsupportedSignalModel,
+    DimensionMismatch, InvalidSpec, UnsupportedSignalModel, as_floats, as_int,
 )
 from .constraints import apply_last, dot_last, scale_last
 from .quadform import check_psd_matrix, cov_inner, step_runs
@@ -54,17 +54,13 @@ def path_stderr(values):
 def per_step(value, n_steps, shape_tail, name):
     """A constant of shape tail or one value per step, finite, as a fresh
     (n_steps, *tail) array."""
-    arr = np.asarray(value, dtype=float)
+    arr = as_floats(value, name)
     if arr.shape == shape_tail:
-        out = np.broadcast_to(arr, (n_steps,) + shape_tail).copy()
-    elif arr.shape == (n_steps,) + shape_tail:
-        out = arr.astype(float, copy=True)
-    else:
-        raise InvalidSpec(f"{name} must have shape {shape_tail} or "
-                          f"{(n_steps,) + shape_tail}, got {arr.shape}")
-    if not np.all(np.isfinite(out)):
-        raise InvalidSpec(f"{name} must be finite")
-    return out
+        return np.broadcast_to(arr, (n_steps,) + shape_tail).copy()
+    if arr.shape == (n_steps,) + shape_tail:
+        return arr.astype(float, copy=True)
+    raise InvalidSpec(f"{name} must have shape {shape_tail} or "
+                      f"{(n_steps,) + shape_tail}, got {arr.shape}")
 
 
 def _at_steps(value, grid, shape_tail, name):
@@ -77,25 +73,13 @@ def _at_steps(value, grid, shape_tail, name):
     return per_step(value, grid.size - 1, shape_tail, name)
 
 
-def _is_clock(clock):
-    """Whether clock is "uniform", None, a callable or numbers; materialize
-    checks the increments' shape and sign."""
-    if isinstance(clock, str):
-        return clock == "uniform"
-    try:
-        np.asarray(clock, dtype=float)
-    except (TypeError, ValueError):
-        return callable(clock)
-    return True
-
-
 def _clock_increments(clock, n_steps, horizon, grid):
-    if clock is None or isinstance(clock, str):  # "uniform": MarketSpec checks
+    if isinstance(clock, str):  # "uniform": MarketSpec checks
         return np.full(n_steps, horizon / n_steps)
     if callable(clock):
         dg = np.diff([float(clock(float(t))) for t in grid])
     else:
-        dg = np.asarray(clock, dtype=float)
+        dg = clock  # MarketSpec made it a float array
         if dg.shape != (n_steps,):
             raise InvalidSpec(f"explicit clock increments need shape ({n_steps},), got {dg.shape}")
     if not np.all(dg >= 0.0):  # NaN fails too
@@ -109,7 +93,8 @@ class MarketSpec:
 
     covariance and drift accept a constant, a per-step array, or a callable
     of time (evaluated at left endpoints). clock is "uniform", an increment
-    array, or a callable time change evaluated on the grid.
+    array, or a callable time change evaluated on the grid. None stands for
+    the default; the numbers are stored as float arrays.
     """
 
     dim: int
@@ -121,22 +106,27 @@ class MarketSpec:
     normalize_clock: bool = True
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidSpec(f"dimension must be positive, got {self.dim}")
-        if self.n_steps < 1:
-            raise InvalidSpec(f"need at least one step, got {self.n_steps}")
-        if not 0.0 < self.horizon < np.inf:
-            raise InvalidSpec(f"horizon must be positive and finite, got {self.horizon}")
+        vars(self).update(dim=as_int(self.dim, "dim", 1),
+                          n_steps=as_int(self.n_steps, "n_steps", 1),
+                          horizon=float(as_floats(self.horizon, "horizon", 0)))
+        if not self.horizon > 0.0:
+            raise InvalidSpec(f"horizon must be positive, got {self.horizon}")
         if not isinstance(self.normalize_clock, (bool, np.bool_)):
             raise InvalidSpec("normalize_clock must be true or false, got "
                               f"{self.normalize_clock!r}")
-        if not _is_clock(self.clock):
+        if isinstance(self.clock, str) and self.clock != "uniform":
             raise InvalidSpec('clock must be "uniform", increments or a '
                               f"callable, got {self.clock!r}")
-        if self.covariance is None:
-            object.__setattr__(self, "covariance", np.eye(self.dim) / self.dim)
-        if self.drift is None:
-            object.__setattr__(self, "drift", np.zeros(self.dim))
+        defaults = {"covariance": np.eye(self.dim) / self.dim,
+                    "drift": np.zeros(self.dim), "clock": "uniform"}
+        for key, default in defaults.items():
+            value = getattr(self, key)
+            if value is None:
+                value = default
+            elif not (callable(value)
+                      or key == "clock" and isinstance(value, str)):
+                value = as_floats(value, key)
+            vars(self)[key] = value
 
     @property
     def grid(self):
@@ -212,21 +202,30 @@ def physical_memory():
 
 
 def check_paths(n_paths, n_steps, dim=1):
-    """Reject, before any draw or seed spawn, a path count below one, one
-    whose float array (n_paths, n_steps, dim) has more bytes than numpy can
-    index, and one whose 8 bytes a path exceed the machine's physical
-    memory. Every run keeps at least one float per path, so it could never
-    hold such a count; stream_paths would first spend hours spawning one
-    seed child per PATH_BLOCK paths."""
-    if n_paths < 1:
-        raise InvalidSpec(f"need at least one path, got {n_paths}")
-    if 8 * int(n_paths) * int(n_steps) * int(dim) > np.iinfo(np.intp).max:
+    """n_paths as an int. Rejected before any draw or seed spawn: a path
+    count that is no integer or below one, one whose float array (n_paths,
+    n_steps, dim) has more bytes than numpy can index, and one whose 8 bytes
+    a path exceed the machine's physical memory. Every run keeps at least
+    one float per path, so it could never hold such a count; stream_paths
+    would first spend hours spawning one seed child per PATH_BLOCK paths."""
+    n_paths = as_int(n_paths, "n_paths", 1)
+    if 8 * n_paths * int(n_steps) * int(dim) > np.iinfo(np.intp).max:
         raise InvalidSpec(f"path count too large: its (paths, {n_steps}, "
                           f"{dim}) array needs more bytes than numpy can index")
     memory = physical_memory()
-    if memory is not None and 8 * int(n_paths) > memory:
+    if memory is not None and 8 * n_paths > memory:
         raise InvalidSpec(f"path count too large: one float a path needs "
                           f"more than the {memory} bytes of memory it may use")
+    return n_paths
+
+
+def seed_sequence(seed):
+    """seed, an integer in [0, 2**64), as a SeedSequence; a SeedSequence as
+    it is. None, which would draw entropy from the OS, raises like any other
+    non-integer."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(as_int(seed, "seed", 0, 2 ** 64 - 1))
 
 
 def stream_paths(market, n_paths, seed, job, threads=1, out=None):
@@ -235,13 +234,13 @@ def stream_paths(market, n_paths, seed, job, threads=1, out=None):
     in order from the b-th child of seed (slab by slab, the same numbers as
     one draw), shares market's per-step arrays, writes its noise dM to
     out[lo:hi] if out is given, and runs on worker b % threads (0 is the
-    caller), so no path depends on the thread count or on later blocks."""
-    check_paths(n_paths, *market.dM.shape[1:])
-    ss = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
+    caller), so no path depends on the thread count or on later blocks.
+    seed is an integer or a SeedSequence (see seed_sequence)."""
+    n_paths = check_paths(n_paths, *market.dM.shape[1:])
+    threads = as_int(threads, "threads", 1)
     n_blocks = (n_paths + PATH_BLOCK - 1) // PATH_BLOCK
-    children = ss.spawn(n_blocks)
-    workers = max(1, min(threads, n_blocks))
+    children = seed_sequence(seed).spawn(n_blocks)
+    workers = min(threads, n_blocks)
     results = [[] for _ in range(n_blocks)]
     sqrt_dg = np.sqrt(market.dG)
 
@@ -267,7 +266,7 @@ def stream_paths(market, n_paths, seed, job, threads=1, out=None):
 
 def simulate_paths(spec, n_paths, seed, threads=1):
     """Generate a PathBundle; identical output for any thread count."""
-    check_paths(n_paths, spec.n_steps, spec.dim)
+    n_paths = check_paths(n_paths, spec.n_steps, spec.dim)
     market = market_steps(spec)
     dM = np.empty((n_paths, spec.n_steps, spec.dim))
     stream_paths(market, n_paths, seed, lambda *block: None, threads, out=dM)
@@ -296,23 +295,19 @@ class GaussianSignalModel:
     noise_scales: np.ndarray = None
 
     def __post_init__(self):
-        v = np.asarray(self.direction, dtype=float)
-        if v.ndim != 1 or not np.all(np.isfinite(v)):
-            raise UnsupportedSignalModel("direction must be a finite vector")
-        object.__setattr__(self, "direction", v)
-        if not 0.0 < self.prior_std < np.inf:
-            raise UnsupportedSignalModel("prior std must be positive and finite")
-        if not np.isfinite(self.prior_mean):
-            raise UnsupportedSignalModel("prior mean must be finite")
         scales = self.noise_scales
-        if scales is None:
-            scales = 2.0 ** -np.arange(1, 9)
-        scales = np.asarray(scales, dtype=float)
-        if scales.ndim != 1 or not np.all((scales >= 0.0) & (scales < np.inf)):
-            raise UnsupportedSignalModel("noise scales must be nonnegative and finite")
-        if np.any(np.diff(scales) >= 0.0):
+        vars(self).update(
+            direction=as_floats(self.direction, "direction", 1),
+            prior_mean=float(as_floats(self.prior_mean, "prior_mean", 0)),
+            prior_std=float(as_floats(self.prior_std, "prior_std", 0)),
+            noise_scales=as_floats(2.0 ** -np.arange(1, 9) if scales is None
+                                   else scales, "noise_scales", 1))
+        if not self.prior_std > 0.0:
+            raise UnsupportedSignalModel("prior std must be positive")
+        if np.any(self.noise_scales < 0.0):
+            raise UnsupportedSignalModel("noise scales must be nonnegative")
+        if np.any(np.diff(self.noise_scales) >= 0.0):
             raise UnsupportedSignalModel("noise scales must strictly decrease")
-        object.__setattr__(self, "noise_scales", scales)
 
     @property
     def n_levels(self):
@@ -359,8 +354,8 @@ def signal_draws(spec, model, n_paths, seed):
     if model.direction.shape != (spec.dim,):
         raise DimensionMismatch(f"signal direction dim {model.direction.shape}"
                                 f" vs market dim {spec.dim}")
-    check_paths(n_paths, spec.n_steps, spec.dim)
-    latent_ss, path_ss = np.random.SeedSequence(seed).spawn(2)
+    n_paths = check_paths(n_paths, spec.n_steps, spec.dim)
+    latent_ss, path_ss = seed_sequence(seed).spawn(2)
     rng = np.random.default_rng(latent_ss)
     theta = model.prior_mean + model.prior_std * rng.standard_normal(n_paths)
     zeta = rng.standard_normal(n_paths)
@@ -476,8 +471,8 @@ class TiltSpec:
     orthogonal_vol: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.orthogonal_vol):
-            raise InvalidSpec("tilt needs a finite orthogonal vol")
+        vol = float(as_floats(self.orthogonal_vol, "orthogonal_vol", 0))
+        vars(self).update(lam1=as_floats(self.lam1, "lam1"), orthogonal_vol=vol)
 
     def field(self, n_steps, dim):
         return per_step(self.lam1, n_steps, (dim,), "tilt lam1")
@@ -498,9 +493,12 @@ class DensityRecord:
 
 def orthogonal_draws(seed, n_paths, n_steps):
     """Standard normals (P, N) behind the orthogonal tilt factor: one draw
-    from stream ORTHOGONAL_STREAM of the integer path seed, row p for path p."""
-    check_paths(n_paths, n_steps)
-    ss = np.random.SeedSequence((int(seed), ORTHOGONAL_STREAM))
+    from stream ORTHOGONAL_STREAM of the path seed (see seed_sequence), row
+    p for path p."""
+    n_paths = check_paths(n_paths, n_steps)
+    ss = seed_sequence(seed)
+    ss = np.random.SeedSequence((ss.entropy, ORTHOGONAL_STREAM),
+                                spawn_key=ss.spawn_key)
     return np.random.default_rng(ss).standard_normal((n_paths, n_steps))
 
 

@@ -20,7 +20,7 @@ couples the optimum to the set geometry and is out of scope.
 import numpy as np
 
 from .constraints import FullSpace, scale_last
-from .errors import DimensionMismatch, InvalidSpec
+from .errors import DimensionMismatch, InvalidSpec, as_floats
 from .market import (
     cumsum_from_zero, density_paths, market_steps, orthogonal_draws,
     path_stderr, stream_paths, tilt_field,
@@ -84,6 +84,16 @@ def _order_fit(eps_ladder, means):
     return float(np.polyfit(np.log(eps_ladder), y, 1)[0])
 
 
+def _eps_sizes(eps_ladder):
+    """eps_ladder as two or more distinct tilt sizes in (0, 1]."""
+    eps = as_floats(eps_ladder, "eps_ladder", 1)
+    if eps.size < 2 or np.unique(eps).size < eps.size:
+        raise InvalidSpec(f"need two or more distinct eps sizes, got {eps_ladder}")
+    if np.any(eps <= 0.0) or np.any(eps > 1.0):
+        raise InvalidSpec(f"eps_ladder entries must lie in (0, 1], got {eps_ladder}")
+    return eps
+
+
 def _ladder_rows(bundle, record, eps_ladder, frac_ref=None):
     """Worst identity error and the per-path errors, shape (4, L, P): first
     fv, first qv, second fv, second qv, one quotient per eps at a time, all
@@ -94,10 +104,6 @@ def _ladder_rows(bundle, record, eps_ladder, frac_ref=None):
     first-order limit. Second order: the same distances from the centered,
     rescaled remainder to the second-order limit. All scale like eps.
     """
-    eps_ladder = np.asarray(eps_ladder, dtype=float)
-    if eps_ladder.ndim != 1 or eps_ladder.size < 2 \
-            or np.unique(eps_ladder).size < eps_ladder.size:
-        raise InvalidSpec(f"need two or more distinct eps sizes, got {eps_ladder}")
     first_inc, lim_fv, lim_mart = _limit_increments(bundle, record)
     reference = reference_increments(bundle, frac_ref)
     identity, rows = [], []
@@ -117,7 +123,6 @@ def _ladder_rows(bundle, record, eps_ladder, frac_ref=None):
 def _ladder_tables(eps_ladder, parts):
     """(worst identity error, first-order table, second-order table) of
     per-tile _ladder_rows results, joined in path order."""
-    eps_ladder = np.asarray(eps_ladder, dtype=float)
     rows = np.concatenate([p[1] for p in parts], axis=2)
     return (float(np.max([p[0] for p in parts])),
             _error_table(eps_ladder, rows[0], rows[1]),
@@ -126,6 +131,7 @@ def _ladder_tables(eps_ladder, parts):
 
 def expansion_ladder(bundle, record, eps_ladder):
     """_ladder_tables of one whole bundle and its density record."""
+    eps_ladder = _eps_sizes(eps_ladder)
     return _ladder_tables(eps_ladder,
                           [_ladder_rows(bundle, record, eps_ladder)])
 
@@ -135,6 +141,7 @@ def streamed_expansion_ladder(spec, tilt, eps_ladder, n_paths, seed, *,
     """expansion_ladder of simulate_paths(spec, n_paths, seed) and its
     density_paths (xi: orthogonal_draws(seed, n_paths, spec.n_steps)), bit
     for bit, run one stream_paths tile at a time."""
+    eps_ladder = _eps_sizes(eps_ladder)
     market = market_steps(spec)
     frac_ref = numeraire_fractions(market, FullSpace())
     xi = None if tilt.orthogonal_vol == 0.0 \

@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import closed_limit_distances
-from .errors import DensityFloorHit, InvalidSpec
+from .errors import DensityFloorHit, InvalidSpec, as_floats, as_int
 from .market import (
     SignalBundle, check_paths, cumsum_from_zero, density_paths,
     event_probabilities, filtered_drift, market_steps, orthogonal_draws,
-    path_stderr, signal_draws, stream_paths, tilt_field,
+    path_stderr, seed_sequence, signal_draws, stream_paths, tilt_field,
 )
 from .numeraire import (
     growth_path, numeraire_fractions, numeraire_paths, wealth_paths,
@@ -183,10 +183,9 @@ def filtration_ladder(spec, model, constraint, n_paths, seed, *,
     """Information ladder: noisy peeks at the latent drift, sharpening to
     full revelation. Reports wealth distances to the revealed-limit
     numéraire plus drift and conditional-event diagnostics."""
-    if event_threshold is None:
-        event_threshold = model.prior_mean
-    if not np.isfinite(event_threshold):
-        raise InvalidSpec(f"event threshold must be finite, got {event_threshold}")
+    event_threshold = float(as_floats(
+        model.prior_mean if event_threshold is None else event_threshold,
+        "event_threshold", 0))
     market_spec, theta, zeta, path_ss = signal_draws(spec, model, n_paths, seed)
     market = market_steps(market_spec)
     v = model.direction
@@ -222,7 +221,7 @@ def filtration_ladder(spec, model, constraint, n_paths, seed, *,
         scales=model.noise_scales.copy(),
         per_path=_join(stream_paths(market, n_paths, path_ss, tile, threads)),
         meta={"n_paths": n_paths, "seed": seed,
-              "event_threshold": float(event_threshold)},
+              "event_threshold": event_threshold},
     )
 
 
@@ -231,11 +230,12 @@ def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
     """Measure ladder: mixtures (1 - eps) + eps Z1 shrinking to the
     reference measure. Reports density diagnostics and wealth distances
     between the tilted-measure optimum and the reference optimum."""
-    if eps_ladder is None:
-        eps_ladder = 2.0 ** -np.arange(1, 9)
-    eps_ladder = np.asarray(eps_ladder, dtype=float)
-    if np.any(eps_ladder <= 0.0) or np.any(np.diff(eps_ladder) >= 0.0):
-        raise InvalidSpec("eps ladder must be positive and strictly decreasing")
+    eps_ladder = as_floats(2.0 ** -np.arange(1, 9) if eps_ladder is None
+                           else eps_ladder, "eps_ladder", 1)
+    if eps_ladder.size < 2 or np.any(eps_ladder <= 0.0) \
+            or np.any(np.diff(eps_ladder) >= 0.0):
+        raise InvalidSpec("eps_ladder must list two or more positive, "
+                          f"strictly decreasing sizes, got {eps_ladder}")
 
     market = market_steps(spec)
     xi = None if tilt.orthogonal_vol == 0.0 \
@@ -384,13 +384,22 @@ def density_sequence_check(z_paths):
     return table
 
 
+def _brownian(n_paths, n_steps, horizon, seed):
+    """(rng, dt, dw): the generator of seed, the step and Brownian
+    increments dw of shape (n_paths, n_steps) drawn from it."""
+    n_steps = as_int(n_steps, "n_steps", 1)
+    dt = float(as_floats(horizon, "horizon", 0)) / n_steps
+    if not dt > 0.0:
+        raise InvalidSpec(f"horizon must be positive, got {horizon}")
+    n_paths = check_paths(n_paths, n_steps + 1)
+    rng = np.random.default_rng(seed_sequence(seed))
+    return rng, dt, rng.standard_normal((n_paths, n_steps)) * np.sqrt(dt)
+
+
 def lognormal_density_ladder(vols, n_paths, n_steps, horizon, seed):
     """Stochastic exponentials of vol * W on common Brownian draws."""
-    vols = np.asarray(vols, dtype=float)
-    check_paths(n_paths, n_steps + 1)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    dt = horizon / n_steps
-    dw = rng.standard_normal((n_paths, n_steps)) * np.sqrt(dt)
+    vols = as_floats(vols, "vols", 1)
+    _, dt, dw = _brownian(n_paths, n_steps, horizon, seed)
     out = []
     for s in vols:
         out.append(np.exp(cumsum_from_zero(s * dw - 0.5 * s * s * dt)))
@@ -401,11 +410,12 @@ def excursion_density_ladder(sizes, kappa, n_paths, n_steps, horizon, seed):
     """Rare large excursions: with probability 1/size a path runs a
     volatility-kappa exponential, otherwise stays at one. Terminal values
     converge to one in L^1 while individual excursions stay large."""
-    check_paths(n_paths, n_steps + 1)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    dt = horizon / n_steps
-    dw = rng.standard_normal((n_paths, n_steps)) * np.sqrt(dt)
-    u = rng.random(n_paths)
+    sizes = as_floats(sizes, "sizes", 1)
+    if np.any(sizes <= 0.0):  # the rung's scale is 1 / size
+        raise InvalidSpec(f"sizes must be positive, got {sizes}")
+    kappa = float(as_floats(kappa, "kappa", 0))
+    rng, dt, dw = _brownian(n_paths, n_steps, horizon, seed)
+    u = rng.random(dw.shape[0])
     big = np.exp(cumsum_from_zero(kappa * dw - 0.5 * kappa * kappa * dt))
     out = []
     for size in sizes:

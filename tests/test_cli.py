@@ -119,7 +119,7 @@ def test_tree_cap_above_depth_exits_2(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("tree", "--config", cfg, "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "at most the depth 3" in err
+    assert err.startswith("config error:") and "at most 3, got 7" in err
     assert len(err.splitlines()) == 1
     assert not (out / "projection.csv").exists()
 
@@ -203,6 +203,13 @@ def test_unknown_config_key_exits_2(tmp_path):
         "mystery": 1,
     })
     assert run_cli("solve", "--config", cfg,
+                   "--out", str(tmp_path / "o")) == 2
+    # YAML keys need not be strings: 1 once escaped sorting and joining
+    # the names as a TypeError, exit 1
+    cfg = write_config(tmp_path, "int-key.yaml", {
+        "kind": "tree-projection", "depth": 3,
+        "chi": {"leaf_indicator": 0}, 1: 2, "mystery": 1})
+    assert run_cli("tree", "--config", cfg,
                    "--out", str(tmp_path / "o")) == 2
 
 
@@ -563,6 +570,8 @@ SOLVE = {"kind": "solve", "covariance": [[0.5, 0.1], [0.1, 0.4]],
                    "paths": 8}),
     ("density-check", {"kind": "density-check", "family": "lognormal",
                        "vols": [0.4, -0.2], "paths": 8, "n_steps": 8}),
+    ("density-check", {"kind": "density-check", "family": "excursion",
+                       "sizes": [0.0, 2.0], "paths": 8, "n_steps": 8}),
 ], ids=["solve-ragged-covariance", "solve-ragged-drift",
         "density-check-text-vol", "sensitivity-ragged-eps",
         "probability-text-eps", "tree-ragged-chi", "counterexample-text-p",
@@ -575,7 +584,7 @@ SOLVE = {"kind": "solve", "covariance": [[0.5, 0.1], [0.1, 0.4]],
         "fractional-n-steps", "ball-without-radius",
         "intersection-without-members", "box-without-upper",
         "polytope-without-offsets", "sets-not-a-list", "one-set-ladder",
-        "one-noise-scale", "negative-vol"])
+        "one-noise-scale", "negative-vol", "zero-size"])
 def test_malformed_config_numbers_exit_2(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, "bad.yaml", payload)
     assert run_cli(command, "--config", cfg,
@@ -686,6 +695,23 @@ def test_non_finite_json_exits_3_without_traceback(tmp_path, monkeypatch,
     assert err.startswith("error:") and "growth = nan" in err
     assert "Traceback" not in err
     assert not (tmp_path / "run" / "summary.json").exists()
+
+
+def test_library_type_error_escapes_as_a_crash(tmp_path, monkeypatch,
+                                               capsys):
+    # A TypeError inside a constructor is a bug in the library, not a bad
+    # config: it once printed "config error:" and exited 2.
+    import growthlab.market as market
+
+    def broken(self):
+        raise TypeError("a bug in MarketSpec")
+
+    monkeypatch.setattr(market.MarketSpec, "__post_init__", broken)
+    cfg = write_config(tmp_path, "sim.yaml", {
+        "kind": "simulate", "market": MARKET, "paths": 8})
+    with pytest.raises(TypeError, match="a bug in MarketSpec"):
+        run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "run"))
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_atomic_write_replaces_existing(tmp_path):

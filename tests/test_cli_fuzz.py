@@ -1,9 +1,10 @@
 """The CLI's exit-code contract under mutated configs.
 
-Each subcommand's small valid config is mutated at one key or list entry:
-the entry is dropped, a scalar and a list are swapped, a list is made
-ragged, a number becomes NaN, infinity, negative or non-integral, or the
-entry becomes a string or a mapping. Every run must exit 0, 1, 2 or 3
+Each subcommand's small valid config is mutated at one key or list entry,
+one kind of tests/malformed.py's table at a time: the entry is dropped, a
+scalar and a list are swapped, a list is made ragged, a number becomes NaN,
+infinity, negative or non-integral, or the entry becomes a word, a numeral
+string, a boolean, a null or a mapping. Every run must exit 0, 1, 2 or 3
 without an exception escaping `main`, and a run that exits 0 must write
 strict JSON and finite CSV numbers. A market's `normalize_clock` set to
 anything but a boolean, and a `clock` that is neither "uniform" nor a list
@@ -27,6 +28,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import growthlab
 from growthlab.cli import main
+from malformed import MUTATIONS, malformed
 
 MARKET = {"dim": 2, "n_steps": 4, "covariance": [[0.5, 0.1], [0.1, 0.4]],
           "drift": [0.8, 0.5], "clock": "uniform"}
@@ -76,10 +78,6 @@ VALID = [
                        "paths": 8}),
 ]
 
-MUTATIONS = ("drop", "swap", "ragged", "nan", "inf", "negative",
-             "fractional", "string", "mapping")
-
-
 def entries(node, prefix=()):
     """Key or index path of every entry below the root, except 'kind'."""
     items = node.items() if isinstance(node, dict) else \
@@ -95,22 +93,10 @@ def mutate(cfg, path, how):
     parent = cfg
     for key in path[:-1]:
         parent = parent[key]
-    key = path[-1]
-    value = parent[key]
-    number = value if isinstance(value, (int, float)) else 1.0
     if how == "drop":
-        del parent[key]
-    elif how == "swap":
-        parent[key] = (value[0] if value else 1.0) \
-            if isinstance(value, list) else [value]
-    elif how == "ragged":
-        parent[key] = value + [[number]] if isinstance(value, list) \
-            else [value, [value]]
+        del parent[path[-1]]
     else:
-        parent[key] = {"nan": float("nan"), "inf": float("inf"),
-                       "negative": -abs(number) - 1.0,
-                       "fractional": number + 0.5, "string": "weird",
-                       "mapping": {"a": 1}}[how]
+        parent[path[-1]] = malformed(parent[path[-1]], how)
     return cfg
 
 
@@ -176,7 +162,7 @@ def stratified_mutants():
     """(command, config, entry, kind) covering every MUTATIONS kind on every
     VALID config, in a fixed order: the kinds in turn over the config's keys
     and the first entry of each list (wrapping round until every kind has
-    run), then the type kinds, string and mapping, on every key."""
+    run), then every kind that changes the value's type on every key."""
     for command, cfg in VALID:
         paths = [p for p in entries(cfg)
                  if not any(isinstance(k, int) and k for k in p)]
@@ -185,8 +171,8 @@ def stratified_mutants():
             yield command, cfg, paths[i % len(paths)], how
         for path in paths:
             if isinstance(path[-1], str):
-                yield command, cfg, path, "string"
-                yield command, cfg, path, "mapping"
+                for how in ("string", "numeral", "boolean", "null", "mapping"):
+                    yield command, cfg, path, how
 
 
 def test_every_mutation_kind_keeps_the_contract_on_every_config():

@@ -12,7 +12,9 @@ from growthlab.constraints import (
     NonnegativeOrthant, constraint_from_config, direction_net, faces,
     hausdorff_distance, truncated_pair_distance,
 )
-from growthlab.errors import InfeasibleConstraint
+from growthlab.errors import (
+    DimensionMismatch, InfeasibleConstraint, InvalidSpec,
+)
 
 from oracles import member_mask, support_scan
 
@@ -30,7 +32,10 @@ def _cut_polytope(dim):
 @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0])
 def test_ball_rejects_bad_radius_when_built(radius):
     # A NaN radius would project nothing and a negative one reflect points.
-    with pytest.raises(InfeasibleConstraint, match="radius must be positive"):
+    # NaN and infinity are no finite number, the rest no positive one.
+    error, text = (InfeasibleConstraint, "radius must be positive") \
+        if np.isfinite(radius) else (InvalidSpec, "radius must be a finite")
+    with pytest.raises(error, match=text):
         Ball(radius)
 
 
@@ -247,6 +252,13 @@ def test_halfspace_offsets_must_admit_origin():
         HalfspacePolytope(normals=[[1.0, 0.0]], offsets=[-0.5]).validate(2)
 
 
+def test_halfspace_normals_must_be_rows():
+    # (1, 2, 2) normals once passed validate and failed in the solve
+    with pytest.raises(DimensionMismatch):
+        HalfspacePolytope(normals=[[[1.0, 0.0], [0.0, 1.0]]],
+                          offsets=[1.0]).validate(2)
+
+
 def test_config_round_trip():
     sets = [
         FullSpace(),
@@ -277,9 +289,10 @@ def test_config_rejects_unknown_keys():
     {"type": "intersection", "members": [{"type": "ball"}]},
     {"type": ["ball"], "radius": 1.0},
     {"type": "ball", "radius": 1.0, "lower": [-1.0]},
+    {"type": "ball", "radius": 1.0, 1: 2},
 ], ids=["ball", "intersection", "box-no-upper", "polytope-no-offsets",
         "members-not-a-list", "member-no-radius", "type-not-a-name",
-        "key-of-another-type"])
+        "key-of-another-type", "key-not-a-name"])
 def test_config_missing_or_foreign_keys_raise(cfg):
     with pytest.raises(InfeasibleConstraint):
         constraint_from_config(cfg)

@@ -198,7 +198,7 @@ def test_caps_above_the_depth_rejected():
     tree = ScenarioTree(depth=3)
     chi = np.zeros(8)
     chi[0] = 1.0
-    with pytest.raises(InvalidSpec, match="at most the depth 3"):
+    with pytest.raises(InvalidSpec, match="at most 3, got 7"):
         tree_projection_convergence(tree, chi, [0, 2, 7])
     table = tree_projection_convergence(tree, chi, [0, 2, 3])
     assert table["expected"][-1] == 0.0

@@ -10,9 +10,7 @@ from growthlab.constraints import FullSpace, HalfspacePolytope
 from growthlab.discrete import (
     OnePeriodMarket, ScenarioTree, tree_predictable_projection,
 )
-from growthlab.errors import (
-    InfeasibleConstraint, InvalidSpec, UnsupportedSignalModel,
-)
+from growthlab.errors import InvalidSpec, UnsupportedSignalModel
 from growthlab.market import (
     MAXLOG, GaussianSignalModel, MarketSpec, TiltSpec, check_paths,
     density_paths, event_probabilities, filtered_drift, girsanov_drift, ndtr,
@@ -401,9 +399,9 @@ NAN = float("nan")
 
 @pytest.mark.parametrize("build, error", [
     (lambda: HalfspacePolytope([[NAN, 1.0]], [1.0]).validate(2)
-     .project(np.array([[3.0, 3.0]])), InfeasibleConstraint),
+     .project(np.array([[3.0, 3.0]])), InvalidSpec),
     (lambda: HalfspacePolytope([[1.0, 1.0]], [NAN]).validate(2),
-     InfeasibleConstraint),
+     InvalidSpec),
     (lambda: check_psd_matrix([[NAN, 0.0], [0.0, 1.0]]), InvalidSpec),
     (lambda: simulate_paths(MarketSpec(dim=2, n_steps=4,
                                        drift=[NAN, 0.0]), 3, 1), InvalidSpec),
@@ -412,13 +410,13 @@ NAN = float("nan")
                                        clock=[NAN, 0.1]), 3, 1), InvalidSpec),
     (lambda: TiltSpec(lam1=[NAN, 0.0]).field(4, 2), InvalidSpec),
     (lambda: GaussianSignalModel(direction=np.array([1.0]), prior_std=NAN),
-     UnsupportedSignalModel),
+     InvalidSpec),
     (lambda: GaussianSignalModel(direction=np.array([1.0]),
                                  noise_scales=[NAN, 0.1]),
-     UnsupportedSignalModel),
+     InvalidSpec),
     (lambda: TiltSpec(lam1=[0.1, 0.0], orthogonal_vol=NAN), InvalidSpec),
     (lambda: GaussianSignalModel(direction=np.array([1.0]), prior_mean=NAN),
-     UnsupportedSignalModel),
+     InvalidSpec),
     (lambda: ScenarioTree(depth=2, up_probs=[NAN, 0.5]), InvalidSpec),
     (lambda: ScenarioTree(depth=2, clock_increments=[NAN, 0.5]), InvalidSpec),
     (lambda: tree_predictable_projection(ScenarioTree(depth=2),

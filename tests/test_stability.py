@@ -394,7 +394,7 @@ def test_orthogonal_factor_ladders_reject_bad_path_counts(ladder, n_paths):
     # the orthogonal draw comes before the blocks, so it checks the count too
     tilt = TiltSpec(lam1=np.array([0.4, -0.2]), orthogonal_vol=0.4)
     eps = np.array([0.2, 0.1])
-    with pytest.raises(InvalidSpec, match="at least one path"):
+    with pytest.raises(InvalidSpec, match="n_paths must be positive"):
         if ladder == "probability":
             probability_ladder(make_spec(n_steps=10), tilt, FullSpace(),
                                n_paths, 3, eps_ladder=eps)
