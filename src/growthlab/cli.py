@@ -25,7 +25,7 @@ from .errors import (
     ConfigError, DensityFloorHit, DimensionMismatch, GrowthlabError,
     InfeasibleConstraint, InvalidSpec, NonConvergence, NonNestedPartitions,
     QuadratureUnderResolved, ThresholdFailure, UnsupportedSignalModel,
-    as_floats, as_int,
+    as_floats, as_int, as_ladder,
 )
 from .market import (
     GaussianSignalModel, MarketSpec, TiltSpec, cumsum_from_zero,
@@ -83,15 +83,6 @@ def _require_keys(cfg, required, optional, where):
     missing = sorted(set(required) - set(cfg))
     if missing:
         raise ConfigError(f"missing keys in {where}: {', '.join(missing)}")
-
-
-def _ladder(value, name):
-    """A list of two or more distinct finite numbers, as a slope needs."""
-    arr = as_floats(value, name, 1)
-    if arr.size < 2 or np.unique(arr).size < arr.size:
-        raise ConfigError(f"{name} must list at least two distinct numbers, "
-                          f"got {value!r}")
-    return arr
 
 
 def _build(where, make, **kwargs):
@@ -349,13 +340,12 @@ def cmd_density_check(cfg, runtime, out_dir, manifest):
     if family == "lognormal":
         if "vols" not in cfg:
             raise ConfigError("lognormal family needs vols")
-        vols = _ladder(cfg["vols"], "vols")
-        z_list = lognormal_density_ladder(vols, paths, n_steps, horizon, seed)
-        scales = vols
+        scales = as_ladder(cfg["vols"], "vols")
+        z_list = lognormal_density_ladder(scales, paths, n_steps, horizon, seed)
     elif family == "excursion":
         if "sizes" not in cfg:
             raise ConfigError("excursion family needs sizes")
-        sizes = _ladder(cfg["sizes"], "sizes")
+        sizes = as_ladder(cfg["sizes"], "sizes")
         z_list = excursion_density_ladder(sizes, cfg.get("kappa", 1.0), paths,
                                           n_steps, horizon, seed)
         scales = 1.0 / sizes
@@ -363,7 +353,7 @@ def cmd_density_check(cfg, runtime, out_dir, manifest):
         raise ConfigError(f"unknown density family: {family!r}")
     report = LadderReport(family=f"density-{family}",
                           indices=np.arange(1, len(z_list) + 1),
-                          scales=np.asarray(scales, dtype=float),
+                          scales=scales,
                           per_path=density_sequence_check(z_list)["per_path"])
     _write_ladder(out_dir, manifest, "density.csv", report, runtime,
                   family=family)

@@ -184,8 +184,8 @@ def discontinuity_report(p, levels, **market_kwargs):
     optimizes to a near-zero fraction, so its conditional-mean wealth stays
     at one and the gap sits at |2p - 1| for every level.
     """
-    levels = as_floats(levels, "levels", 1)
-    if levels.size == 0:
+    levels = [as_int(n, "levels", 1) for n in as_floats(levels, "levels", 1)]
+    if not levels:
         raise InvalidSpec("levels must list at least one level")
     revealed = one_period_optimal(OnePeriodMarket(p=p, level=None))
     rule = OnePeriodMarket(p=p, **market_kwargs).hermite_rule()
@@ -198,7 +198,7 @@ def discontinuity_report(p, levels, **market_kwargs):
         mean_down = 1.0 - res.theta_star * float(np.dot(w, pts))
         gap = max(abs(mean_up - revealed.wealth_values[0]),
                   abs(mean_down - revealed.wealth_values[1]))
-        rows["level"].append(market.level)
+        rows["level"].append(n)
         rows["theta_star"].append(res.theta_star)
         rows["gap"].append(gap)
     return rows
@@ -221,27 +221,23 @@ class ScenarioTree:
     clock_increments: np.ndarray = None
 
     def __post_init__(self):
-        vars(self)["depth"] = as_int(self.depth, "tree depth", 1)
+        vars(self).update(depth=as_int(self.depth, "tree depth", 1))
         # every run holds a level process, (depth + 1, 2**depth) floats
         nbytes = 8 * (self.depth + 1) * 2 ** self.depth
         if nbytes > min(np.iinfo(np.intp).max, physical_memory() or np.inf):
             raise InvalidSpec(f"tree depth {self.depth} too large: its (depth "
                               "+ 1, 2**depth) arrays need more bytes than "
                               "numpy can index or the process's memory holds")
-        up = self.up_probs
-        if up is None:
-            up = np.full(self.depth, 0.5)
-        up = as_floats(up, "up_probs")
+        up = as_floats(np.full(self.depth, 0.5) if self.up_probs is None
+                       else self.up_probs, "up_probs")
         if up.shape != (self.depth,) or not np.all((up > 0.0) & (up < 1.0)):
             raise InvalidSpec("up probabilities must be in (0, 1) per level")
-        object.__setattr__(self, "up_probs", up)
-        dg = self.clock_increments
-        if dg is None:
-            dg = np.full(self.depth, 1.0 / self.depth)
-        dg = as_floats(dg, "clock_increments")
+        dg = as_floats(np.full(self.depth, 1.0 / self.depth)
+                       if self.clock_increments is None
+                       else self.clock_increments, "clock_increments")
         if dg.shape != (self.depth,) or not np.all(dg >= 0.0):
             raise InvalidSpec("clock increments must be nonnegative per level")
-        object.__setattr__(self, "clock_increments", dg)
+        vars(self).update(up_probs=up, clock_increments=dg)
 
     @property
     def n_scenarios(self):

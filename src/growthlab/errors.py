@@ -89,3 +89,13 @@ def as_floats(value, name, ndim=None):
             ndim, f"a finite {ndim}-d array")
         raise InvalidSpec(f"{name} must be {what}, got {value!r}")
     return arr
+
+
+def as_ladder(value, name):
+    """value as a 1-d float array of two or more distinct finite sizes, as a
+    ladder's slope fit needs; raises InvalidSpec like as_floats otherwise."""
+    arr = as_floats(value, name, 1)
+    if arr.size < 2 or np.unique(arr).size < arr.size:
+        raise InvalidSpec(f"{name} must list two or more distinct sizes, "
+                          f"got {value!r}")
+    return arr

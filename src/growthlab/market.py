@@ -87,6 +87,14 @@ def _clock_increments(clock, n_steps, horizon, grid):
     return dg
 
 
+def _field(value, name, default):
+    """A MarketSpec field as stored: default() for None, a callable as it
+    is, anything else as finite numbers."""
+    if value is None:
+        return default()
+    return value if callable(value) else as_floats(value, name)
+
+
 @dataclass(frozen=True)
 class MarketSpec:
     """Static description of a discretized market.
@@ -106,27 +114,30 @@ class MarketSpec:
     normalize_clock: bool = True
 
     def __post_init__(self):
-        vars(self).update(dim=as_int(self.dim, "dim", 1),
-                          n_steps=as_int(self.n_steps, "n_steps", 1),
-                          horizon=float(as_floats(self.horizon, "horizon", 0)))
-        if not self.horizon > 0.0:
-            raise InvalidSpec(f"horizon must be positive, got {self.horizon}")
-        if not isinstance(self.normalize_clock, (bool, np.bool_)):
-            raise InvalidSpec("normalize_clock must be true or false, got "
-                              f"{self.normalize_clock!r}")
+        dim = as_int(self.dim, "dim", 1)
+        n_steps = as_int(self.n_steps, "n_steps", 1)
+        # every run holds per-step covariances, (n_steps, dim, dim) floats
+        nbytes = 8 * n_steps * dim * dim
+        if nbytes > min(np.iinfo(np.intp).max, physical_memory() or np.inf):
+            raise InvalidSpec(f"market too large: its ({n_steps}, {dim}, "
+                              f"{dim}) covariances need more bytes than numpy "
+                              "can index or the process's memory holds")
         if isinstance(self.clock, str) and self.clock != "uniform":
             raise InvalidSpec('clock must be "uniform", increments or a '
                               f"callable, got {self.clock!r}")
-        defaults = {"covariance": np.eye(self.dim) / self.dim,
-                    "drift": np.zeros(self.dim), "clock": "uniform"}
-        for key, default in defaults.items():
-            value = getattr(self, key)
-            if value is None:
-                value = default
-            elif not (callable(value)
-                      or key == "clock" and isinstance(value, str)):
-                value = as_floats(value, key)
-            vars(self)[key] = value
+        if not isinstance(self.normalize_clock, (bool, np.bool_)):
+            raise InvalidSpec("normalize_clock must be true or false, got "
+                              f"{self.normalize_clock!r}")
+        vars(self).update(
+            dim=dim, n_steps=n_steps,
+            horizon=float(as_floats(self.horizon, "horizon", 0)),
+            covariance=_field(self.covariance, "covariance",
+                              lambda: np.eye(dim) / dim),
+            drift=_field(self.drift, "drift", lambda: np.zeros(dim)),
+            clock=self.clock if isinstance(self.clock, str)
+            else _field(self.clock, "clock", lambda: "uniform"))
+        if not self.horizon > 0.0:
+            raise InvalidSpec(f"horizon must be positive, got {self.horizon}")
 
     @property
     def grid(self):

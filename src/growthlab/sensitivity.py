@@ -20,7 +20,7 @@ couples the optimum to the set geometry and is out of scope.
 import numpy as np
 
 from .constraints import FullSpace, scale_last
-from .errors import DimensionMismatch, InvalidSpec, as_floats
+from .errors import DimensionMismatch, InvalidSpec, as_ladder
 from .market import (
     cumsum_from_zero, density_paths, market_steps, orthogonal_draws,
     path_stderr, stream_paths, tilt_field,
@@ -86,9 +86,7 @@ def _order_fit(eps_ladder, means):
 
 def _eps_sizes(eps_ladder):
     """eps_ladder as two or more distinct tilt sizes in (0, 1]."""
-    eps = as_floats(eps_ladder, "eps_ladder", 1)
-    if eps.size < 2 or np.unique(eps).size < eps.size:
-        raise InvalidSpec(f"need two or more distinct eps sizes, got {eps_ladder}")
+    eps = as_ladder(eps_ladder, "eps_ladder")
     if np.any(eps <= 0.0) or np.any(eps > 1.0):
         raise InvalidSpec(f"eps_ladder entries must lie in (0, 1], got {eps_ladder}")
     return eps

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import closed_limit_distances
-from .errors import DensityFloorHit, InvalidSpec, as_floats, as_int
+from .errors import DensityFloorHit, InvalidSpec, as_floats, as_int, as_ladder
 from .market import (
     SignalBundle, check_paths, cumsum_from_zero, density_paths,
     event_probabilities, filtered_drift, market_steps, orthogonal_draws,
@@ -183,6 +183,7 @@ def filtration_ladder(spec, model, constraint, n_paths, seed, *,
     """Information ladder: noisy peeks at the latent drift, sharpening to
     full revelation. Reports wealth distances to the revealed-limit
     numéraire plus drift and conditional-event diagnostics."""
+    n_paths = check_paths(n_paths, spec.n_steps, spec.dim)
     event_threshold = float(as_floats(
         model.prior_mean if event_threshold is None else event_threshold,
         "event_threshold", 0))
@@ -230,12 +231,12 @@ def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
     """Measure ladder: mixtures (1 - eps) + eps Z1 shrinking to the
     reference measure. Reports density diagnostics and wealth distances
     between the tilted-measure optimum and the reference optimum."""
-    eps_ladder = as_floats(2.0 ** -np.arange(1, 9) if eps_ladder is None
-                           else eps_ladder, "eps_ladder", 1)
-    if eps_ladder.size < 2 or np.any(eps_ladder <= 0.0) \
-            or np.any(np.diff(eps_ladder) >= 0.0):
-        raise InvalidSpec("eps_ladder must list two or more positive, "
-                          f"strictly decreasing sizes, got {eps_ladder}")
+    n_paths = check_paths(n_paths, spec.n_steps, spec.dim)
+    eps_ladder = as_ladder(2.0 ** -np.arange(1, 9) if eps_ladder is None
+                           else eps_ladder, "eps_ladder")
+    if np.any(eps_ladder <= 0.0) or np.any(np.diff(eps_ladder) >= 0.0):
+        raise InvalidSpec("eps_ladder must be positive and strictly "
+                          f"decreasing, got {eps_ladder}")
 
     market = market_steps(spec)
     xi = None if tilt.orthogonal_vol == 0.0 \
@@ -304,6 +305,7 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *, threads=1):
     """
     if len(sets) == 0:
         raise InvalidSpec("constraint ladder needs at least one set")
+    n_paths = check_paths(n_paths, spec.n_steps, spec.dim)
     market = market_steps(spec)
     frac_inf = numeraire_fractions(market, limit_set)
     growth_inf = growth_path(market, frac_inf).total
@@ -398,7 +400,7 @@ def _brownian(n_paths, n_steps, horizon, seed):
 
 def lognormal_density_ladder(vols, n_paths, n_steps, horizon, seed):
     """Stochastic exponentials of vol * W on common Brownian draws."""
-    vols = as_floats(vols, "vols", 1)
+    vols = as_ladder(vols, "vols")
     _, dt, dw = _brownian(n_paths, n_steps, horizon, seed)
     out = []
     for s in vols:
@@ -410,7 +412,7 @@ def excursion_density_ladder(sizes, kappa, n_paths, n_steps, horizon, seed):
     """Rare large excursions: with probability 1/size a path runs a
     volatility-kappa exponential, otherwise stays at one. Terminal values
     converge to one in L^1 while individual excursions stay large."""
-    sizes = as_floats(sizes, "sizes", 1)
+    sizes = as_ladder(sizes, "sizes")
     if np.any(sizes <= 0.0):  # the rung's scale is 1 / size
         raise InvalidSpec(f"sizes must be positive, got {sizes}")
     kappa = float(as_floats(kappa, "kappa", 0))

@@ -824,6 +824,27 @@ def test_tree_config_no_run_can_hold_exits_2(tmp_path, payload, message):
     assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("market", [
+    {"dim": 10 ** 10, "n_steps": 4},
+    dict(MARKET, dim=10 ** 10),
+    dict(MARKET, n_steps=10 ** 12),
+], ids=["default-covariance", "given-covariance", "steps"])
+def test_market_config_no_run_can_hold_exits_2(tmp_path, market):
+    # A default covariance of dim 1e10 once escaped np.eye as a ValueError
+    # with a traceback; a given covariance must not build the default. A
+    # child with a timeout turns an allocation that starts into a failure.
+    cfg = write_config(tmp_path, "market.yaml",
+                       {"kind": "simulate", "market": market})
+    result = subprocess.run(
+        [sys.executable, "-m", "growthlab.cli", "simulate", "--config", cfg,
+         "--out", str(tmp_path / "run")],
+        env=src_env(), capture_output=True, text=True, timeout=30)
+    assert result.returncode == 2
+    assert result.stderr.startswith(
+        "config error: bad market config: market too large")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
 def test_counterexample_rejects_a_huge_quadrature_at_once(tmp_path, capsys):
     # building the non-finite 6000-node rule took 18 s before the run gave up
     cfg = write_config(tmp_path, "quad.yaml", {

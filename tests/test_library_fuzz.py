@@ -17,6 +17,8 @@ from growthlab import (
     filtration_ladder, lognormal_density_ladder, probability_ladder,
     simulate_paths, streamed_expansion_ladder, tree_projection_convergence,
 )
+import growthlab.discrete as discrete
+import growthlab.stability as stability
 from growthlab.errors import GrowthlabError, InvalidSpec
 from growthlab.market import market_steps, orthogonal_draws, stream_paths
 
@@ -143,3 +145,29 @@ def test_stream_paths_takes_only_a_positive_thread_count(threads):
     # one worker
     with pytest.raises(InvalidSpec, match="threads"):
         stream_paths(market_steps(SPEC), 4096, 7, lambda *tile: None, threads)
+
+
+def test_ladders_reject_bad_rungs_before_the_first_solve(monkeypatch):
+    # a fractional level once reached OnePeriodMarket only after the revealed
+    # optimum and the earlier levels were solved; a repeated density scale
+    # was refused by the CLI alone
+    def fail(*args, **kwargs):
+        pytest.fail("a rung was solved or drawn before the check")
+
+    monkeypatch.setattr(discrete, "one_period_optimal", fail)
+    monkeypatch.setattr(stability, "_brownian", fail)
+    for levels in ([1, 2.5], [1, 0], [-1]):
+        with pytest.raises(InvalidSpec, match="levels must be"):
+            discontinuity_report(0.6, levels)
+    with pytest.raises(InvalidSpec, match="vols must list two or more"):
+        lognormal_density_ladder([0.2, 0.2], 4, 4, 1.0, 7)
+    with pytest.raises(InvalidSpec, match="sizes must list two or more"):
+        excursion_density_ladder([4.0], 1.0, 4, 4, 1.0, 7)
+
+
+@pytest.mark.parametrize("name", ["filtration_ladder", "probability_ladder",
+                                  "constraint_ladder"])
+def test_ladder_meta_holds_the_converted_path_count(name):
+    call, valid = next((c, v) for n, c, v in ENTRIES if n == name)
+    n_paths = call(**dict(valid, n_paths=4.0)).meta["n_paths"]
+    assert n_paths == 4 and type(n_paths) is int

@@ -119,6 +119,19 @@ def test_malformed_clock_raises_at_construction(clock):
         make_spec(n_steps=2, clock=clock)
 
 
+def test_market_no_run_can_hold_raises_before_building_defaults(monkeypatch):
+    # np.eye(1e10) once raised numpy's ValueError, and a given covariance
+    # still built the (dim, dim) default first
+    cov = np.eye(2) / 2
+    monkeypatch.setattr(np, "eye", lambda *args: pytest.fail("default built"))
+    MarketSpec(dim=2, n_steps=3, covariance=cov)
+    for kwargs in ({}, {"covariance": cov}):
+        with pytest.raises(InvalidSpec, match="market too large"):
+            MarketSpec(dim=10 ** 10, n_steps=1, **kwargs)
+    with pytest.raises(InvalidSpec, match="market too large"):
+        MarketSpec(dim=1, n_steps=10 ** 12)
+
+
 @pytest.mark.parametrize("clock, increments", [
     ("uniform", [0.5, 0.5]), (None, [0.5, 0.5]), ([0.25, 0.75], [0.25, 0.75]),
     (lambda t: t * t, [0.25, 0.75]),

@@ -236,10 +236,10 @@ def test_sensitivity_rejects_eps_ladders_without_a_slope(eps_ladder):
     # once gave numpy's RankWarning and an order from a degenerate fit.
     spec = MarketSpec(dim=2, n_steps=5, covariance=COV, drift=DRIFT)
     tilt = TiltSpec(lam1=np.array([0.5, -0.3]))
-    with pytest.raises(InvalidSpec, match="two or more distinct eps sizes"):
+    with pytest.raises(InvalidSpec, match="eps_ladder must list two or more distinct sizes"):
         streamed_expansion_ladder(spec, tilt, eps_ladder, 10, 1)
     bundle = simulate_paths(spec, 10, 1)
-    with pytest.raises(InvalidSpec, match="two or more distinct eps sizes"):
+    with pytest.raises(InvalidSpec, match="eps_ladder must list two or more distinct sizes"):
         expansion_ladder(bundle, density_paths(bundle, tilt), eps_ladder)
 
 
