@@ -12,7 +12,9 @@ import numpy as np
 
 from growthlab import MarketSpec, TiltSpec
 from growthlab.market import density_paths, simulate_paths
-from growthlab.sensitivity import expansion_ladder, response_quotient
+from growthlab.sensitivity import (
+    expansion_ladder, expansion_orders, response_quotient,
+)
 
 
 def main():
@@ -27,15 +29,18 @@ def main():
     print(f"pathwise identity residual at eps=0.25: {gap:.2e}")
 
     eps = np.array([0.2, 0.1, 0.05, 0.025])
-    _, first, second = expansion_ladder(bundle, record, eps)
-    for label, table in (("first", first), ("second", second)):
+    report = expansion_ladder(bundle, record, eps)
+    means = {name: arr.mean(axis=1) for name, arr in report.per_path.items()}
+    orders = expansion_orders(report)
+    for label in ("first", "second"):
+        fv, qv = means[f"{label}_fv"], means[f"{label}_qv"]
         print(f"\n{label}-order remainder:")
         print(f"{'eps':>8s} {'fv error':>12s} {'qv error':>12s}")
         for i, e in enumerate(eps):
-            print(f"{e:8.3f} {table['fv_error'][i]:12.6f} "
-                  f"{table['qv_error'][i]:12.8f}")
-        print(f"  fitted order: fv {table['order_fv']:.3f}, "
-              f"qv {table['order_qv']:.3f}")
+            print(f"{e:8.3f} {fv[i]:12.6f} {qv[i]:12.8f}")
+        order = orders[f"{label}_order"]
+        print(f"  fitted order: fv {order['order_fv']:.3f}, "
+              f"qv {order['order_qv']:.3f}")
 
 
 if __name__ == "__main__":

@@ -36,8 +36,9 @@ from .stability import (
     probability_ladder,
 )
 from .sensitivity import (
-    expansion_ladder, first_order_check, reference_increments,
-    response_quotient, second_order_check, streamed_expansion_ladder,
+    expansion_ladder, expansion_orders, first_order_check,
+    reference_increments, response_quotient, second_order_check,
+    streamed_expansion_ladder,
 )
 from .discrete import (
     OnePeriodMarket, OnePeriodResult, ScenarioTree, discontinuity_report,

@@ -36,7 +36,7 @@ from .quadform import cov_norm, optimal_fraction_batch
 from .reporting import (
     RunManifest, write_csv, write_json, write_ladder_csv, write_wealth_csv,
 )
-from .sensitivity import streamed_expansion_ladder
+from .sensitivity import expansion_orders, streamed_expansion_ladder
 from .stability import (
     LadderReport, constraint_ladder, density_sequence_check,
     excursion_density_ladder, filtration_ladder, lognormal_density_ladder,
@@ -244,39 +244,25 @@ def cmd_constraint(cfg, runtime, out_dir, manifest):
 
 
 def cmd_sensitivity(cfg, runtime, out_dir, manifest):
+    # point orders only: slopes() would add a bootstrap and a summary key
     seed, paths, threads = runtime
-    spec = _market_spec(cfg["market"])
-    tilt = _tilt_spec(cfg["tilt"])
-    identity_err, first, second = streamed_expansion_ladder(
-        spec, tilt, cfg.get("eps_ladder", [0.2, 0.1, 0.05, 0.025]), paths,
-        seed, threads=threads)
-    eps_ladder = first["eps"]
-    rows = [{"ladder_index": i + 1, "metric": f"{tag}_{m}",
-             "value": table[f"{m}_error"][i], "stderr": table[f"{m}_stderr"][i]}
-            for table, tag in ((first, "first"), (second, "second"))
-            for i in range(len(eps_ladder)) for m in ("fv", "qv")]
-    _write(out_dir, manifest, "errors.csv", write_csv,
-           ["ladder_index", "metric", "value", "stderr"], rows)
+    report = streamed_expansion_ladder(
+        _market_spec(cfg["market"]), _tilt_spec(cfg["tilt"]),
+        cfg.get("eps_ladder", [0.2, 0.1, 0.05, 0.025]), paths, seed,
+        threads=threads)
+    _write(out_dir, manifest, "errors.csv", write_ladder_csv, report)
+    identity_err = report.meta["identity_max_error"]
     manifest.record_check("response_identity", identity_err <= IDENTITY_TOL)
-    payload = {
-        "identity_max_error": identity_err,
-        "identity_tol": IDENTITY_TOL,
-        "eps_ladder": eps_ladder,
-        "first_order": {"order_fv": first["order_fv"],
-                        "order_qv": first["order_qv"],
-                        "fv_ratios": first["fv_ratios"]},
-        "second_order": {"order_fv": second["order_fv"],
-                         "order_qv": second["order_qv"]},
-        "n_paths": paths,
-        "seed": seed,
-    }
-    for tag, table in (("first", first), ("second", second)):
+    orders = expansion_orders(report)
+    for tag in ("first", "second"):
         for key in ("order_fv", "order_qv"):
-            order = table[key]
+            order = orders[f"{tag}_order"][key]
             if order is not None:
                 manifest.record_check(f"{tag}_{key}_in_range",
                                       0.8 <= order <= 1.2)
-    _write(out_dir, manifest, "summary.json", write_json, payload)
+    _write(out_dir, manifest, "summary.json", write_json, dict(
+        orders, identity_max_error=identity_err, identity_tol=IDENTITY_TOL,
+        eps_ladder=report.scales, n_paths=paths, seed=seed))
 
 
 def cmd_counterexample(cfg, runtime, out_dir, manifest):
@@ -351,9 +337,7 @@ def cmd_density_check(cfg, runtime, out_dir, manifest):
         scales = 1.0 / sizes
     else:
         raise ConfigError(f"unknown density family: {family!r}")
-    report = LadderReport(family=f"density-{family}",
-                          indices=np.arange(1, len(z_list) + 1),
-                          scales=scales,
+    report = LadderReport(family=f"density-{family}", scales=scales,
                           per_path=density_sequence_check(z_list)["per_path"])
     _write_ladder(out_dir, manifest, "density.csv", report, runtime,
                   family=family)

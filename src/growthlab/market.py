@@ -390,9 +390,8 @@ def filtered_drift(signal, level):
     parameters, shape (P, N) and (N,)."""
     model, base = signal.model, signal.base
     v = model.direction
-    if not 0 <= level < model.n_levels:
-        raise InvalidSpec(f"ladder level {level} out of range")
-    sigma_n = model.noise_scales[level]
+    sigma_n = model.noise_scales[as_int(level, "level", 0,
+                                        model.n_levels - 1)]
     peek_prec = np.inf if sigma_n == 0.0 else 1.0 / sigma_n ** 2
     if np.isinf(peek_prec):
         # a noiseless peek reveals theta, as the limit does

@@ -20,14 +20,16 @@ couples the optimum to the set geometry and is out of scope.
 import numpy as np
 
 from .constraints import FullSpace, scale_last
-from .errors import DimensionMismatch, InvalidSpec, as_ladder
+from .errors import DimensionMismatch, InvalidSpec, as_floats, as_ladder
 from .market import (
     cumsum_from_zero, density_paths, market_steps, orthogonal_draws,
-    path_stderr, stream_paths, tilt_field,
+    stream_paths, tilt_field,
 )
 from .numeraire import numeraire_fractions, wealth_paths
 from .quadform import cov_inner, dot_last
-from .stability import ZERO_COLUMN_LEVEL
+from .stability import LadderReport, _join, _stack
+
+EXPANSION_COLUMNS = ("first_fv", "first_qv", "second_fv", "second_qv")
 
 
 def reference_increments(bundle, fractions=None):
@@ -47,6 +49,7 @@ def response_quotient(bundle, record, eps, *, reference=None):
     |lam^eps|_c^2 dG. reference, when given, is the bundle's
     reference_increments, which do not depend on eps.
     """
+    eps = float(as_floats(eps, "eps", 0))
     if not 0.0 < eps <= 1.0:
         raise InvalidSpec(f"tilt size must lie in (0, 1], got {eps}")
     reference = reference_increments(bundle) if reference is None else reference
@@ -77,13 +80,6 @@ def _limit_increments(bundle, record):
     return first_inc, lim_fv, lim_mart
 
 
-def _order_fit(eps_ladder, means):
-    if np.max(means) <= ZERO_COLUMN_LEVEL:
-        return None
-    y = np.log(np.maximum(means, np.max(means) * 1e-300))
-    return float(np.polyfit(np.log(eps_ladder), y, 1)[0])
-
-
 def _eps_sizes(eps_ladder):
     """eps_ladder as two or more distinct tilt sizes in (0, 1]."""
     eps = as_ladder(eps_ladder, "eps_ladder")
@@ -93,9 +89,9 @@ def _eps_sizes(eps_ladder):
 
 
 def _ladder_rows(bundle, record, eps_ladder, frac_ref=None):
-    """Worst identity error and the per-path errors, shape (4, L, P): first
-    fv, first qv, second fv, second qv, one quotient per eps at a time, all
-    against the reference wealth of frac_ref (see reference_increments).
+    """Worst identity error and the per-path errors, EXPANSION_COLUMNS
+    arrays of shape (L, P), one quotient per eps at a time, all against the
+    reference wealth of frac_ref (see reference_increments).
 
     First order: total variation of the quotient's drift part (the limit
     has none) and quadratic variation of its martingale part against the
@@ -110,28 +106,29 @@ def _ladder_rows(bundle, record, eps_ladder, frac_ref=None):
         identity.append(np.max(np.abs(q["direct"] - q["formula"])))
         mart_gap = q["mart_increments"] - first_inc
         rem_fv = -0.5 * q["energy_increments"]
-        rows.append([np.sum(np.abs(q["fv_increments"]), axis=1),
-                     np.sum(mart_gap ** 2, axis=1),
-                     np.sum(np.abs(rem_fv - lim_fv), axis=1),
-                     np.sum((mart_gap / eps - lim_mart) ** 2, axis=1)])
+        rows.append(dict(zip(EXPANSION_COLUMNS, (
+            np.sum(np.abs(q["fv_increments"]), axis=1),
+            np.sum(mart_gap ** 2, axis=1),
+            np.sum(np.abs(rem_fv - lim_fv), axis=1),
+            np.sum((mart_gap / eps - lim_mart) ** 2, axis=1)))))
         del q, mart_gap, rem_fv  # freed before the next quotient is solved
-    return float(np.max(identity)), np.stack(rows, axis=1)
+    return float(np.max(identity)), _stack(rows, EXPANSION_COLUMNS)
 
 
-def _ladder_tables(eps_ladder, parts):
-    """(worst identity error, first-order table, second-order table) of
-    per-tile _ladder_rows results, joined in path order."""
-    rows = np.concatenate([p[1] for p in parts], axis=2)
-    return (float(np.max([p[0] for p in parts])),
-            _error_table(eps_ladder, rows[0], rows[1]),
-            _error_table(eps_ladder, rows[2], rows[3]))
+def _report(eps_ladder, parts):
+    """The LadderReport of per-tile _ladder_rows results, in path order."""
+    return LadderReport(
+        family="sensitivity", scales=eps_ladder,
+        per_path=_join([p[1] for p in parts]),
+        meta={"identity_max_error": max(p[0] for p in parts)})
 
 
 def expansion_ladder(bundle, record, eps_ladder):
-    """_ladder_tables of one whole bundle and its density record."""
+    """LadderReport(family="sensitivity") of one bundle and its density
+    record: the eps ladder as scales, the EXPANSION_COLUMNS errors and
+    meta["identity_max_error"], the worst pathwise identity error."""
     eps_ladder = _eps_sizes(eps_ladder)
-    return _ladder_tables(eps_ladder,
-                          [_ladder_rows(bundle, record, eps_ladder)])
+    return _report(eps_ladder, [_ladder_rows(bundle, record, eps_ladder)])
 
 
 def streamed_expansion_ladder(spec, tilt, eps_ladder, n_paths, seed, *,
@@ -149,35 +146,36 @@ def streamed_expansion_ladder(spec, tilt, eps_ladder, n_paths, seed, *,
         record = density_paths(bundle, tilt, None if xi is None else xi[lo:hi])
         return _ladder_rows(bundle, record, eps_ladder, frac_ref)
 
-    return _ladder_tables(
-        eps_ladder, stream_paths(market, n_paths, seed, tile, threads))
+    return _report(eps_ladder,
+                   stream_paths(market, n_paths, seed, tile, threads))
+
+
+def expansion_orders(report):
+    """Orders in eps of an expansion_ladder report, minus its point slopes:
+    order_fv and order_qv (None for a zero column) per "first_order" and
+    "second_order", and first-order fv_ratios, of consecutive fv errors
+    (None where the next error is zero, as on a flat tilt)."""
+    slopes = report.point_slopes()
+    out = {}
+    for tag in ("first", "second"):
+        fv, qv = slopes[f"{tag}_fv"], slopes[f"{tag}_qv"]
+        # qv is a squared distance, so first-order behavior means order 2
+        # in eps; report half the fitted exponent for comparability.
+        out[f"{tag}_order"] = {"order_fv": None if fv is None else -fv,
+                               "order_qv": None if qv is None else -0.5 * qv}
+    fv = report.per_path["first_fv"].mean(axis=1)
+    out["first_order"]["fv_ratios"] = [
+        float(a / b) if b != 0.0 else None for a, b in zip(fv[:-1], fv[1:])]
+    return out
 
 
 def first_order_check(bundle, record, eps_ladder):
-    """First-order error table of expansion_ladder."""
-    return expansion_ladder(bundle, record, eps_ladder)[1]
+    """The "first_order" entry of expansion_orders(expansion_ladder(...))."""
+    return expansion_orders(
+        expansion_ladder(bundle, record, eps_ladder))["first_order"]
 
 
 def second_order_check(bundle, record, eps_ladder):
-    """Second-order error table of expansion_ladder."""
-    return expansion_ladder(bundle, record, eps_ladder)[2]
-
-
-def _error_table(eps_ladder, fv, qv):
-    fv_mean, qv_mean = fv.mean(axis=1), qv.mean(axis=1)
-    return {
-        "eps": eps_ladder,
-        "fv_error": fv_mean,
-        "fv_stderr": path_stderr(fv),
-        "qv_error": qv_mean,
-        "qv_stderr": path_stderr(qv),
-        # None (JSON null) where the next error is zero, as on a flat tilt
-        "fv_ratios": [float(a / b) if b != 0.0 else None
-                      for a, b in zip(fv_mean[:-1], fv_mean[1:])],
-        "order_fv": _order_fit(eps_ladder, fv_mean),
-        # qv is a squared distance, so first-order behavior means order 2
-        # in eps; report half the fitted exponent for comparability.
-        "order_qv": None if _order_fit(eps_ladder, qv_mean) is None
-        else 0.5 * _order_fit(eps_ladder, qv_mean),
-        "per_path": {"fv": fv, "qv": qv},
-    }
+    """The "second_order" entry of expansion_orders(expansion_ladder(...))."""
+    return expansion_orders(
+        expansion_ladder(bundle, record, eps_ladder))["second_order"]

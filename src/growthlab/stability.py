@@ -54,11 +54,11 @@ class LadderReport:
 
     per_path maps metric name to an (L, P) array of per-path values;
     deterministic maps metric name to an (L,) array (no Monte Carlo error).
-    scales is the decreasing ladder scale used as the x-axis of slope fits.
+    scales is the decreasing ladder scale used as the x-axis of slope fits;
+    rung i is ladder index i + 1.
     """
 
     family: str
-    indices: np.ndarray
     scales: np.ndarray
     per_path: dict = field(default_factory=dict)
     deterministic: dict = field(default_factory=dict)
@@ -86,43 +86,49 @@ class LadderReport:
                 for name, arr in self.per_path.items()}
         cols.update((name, (vals, np.zeros_like(vals)))
                     for name, vals in self.deterministic.items())
-        return [{"ladder_index": int(idx), "metric": name,
+        return [{"ladder_index": i + 1, "metric": name,
                  "value": float(mean[i]), "stderr": float(err[i])}
                 for name, (mean, err) in cols.items()
-                for i, idx in enumerate(self.indices)]
+                for i in range(len(mean))]
 
-    def slopes(self):
-        """Decay slope per metric with a bootstrap confidence interval.
-
-        The fit regresses log(mean) on log(1/scale); decay means negative
-        slope. Columns that are identically zero cannot be fitted and count
-        as decayed. All per-path columns share one set of BOOTSTRAP_DRAWS
-        resamples drawn from BOOTSTRAP_SEED; "draws" is a column's slope on
-        each (its point slope if deterministic, None if zero). passed is
-        True when their 97.5% quantile is below zero.
-        """
+    def point_slopes(self):
+        """Least-squares slope of log(mean) on log(1/scale) per metric, so
+        decay means a negative slope; None for a column that is identically
+        zero, which cannot be fitted."""
         scales = np.asarray(self.scales, dtype=float)
         if scales.size < 2 or not np.all(scales > 0.0) \
                 or np.unique(scales).size < scales.size:
             raise InvalidSpec(f"a slope needs two or more rungs with distinct "
                               f"positive scales, got {scales.tolist()}")
         x = -np.log(scales)
-        out, sampled = {}, {}
+        out = {}
         for name, arr in {**self.per_path, **self.deterministic}.items():
             means = arr.mean(axis=1) if arr.ndim == 2 else arr
-            if np.max(np.abs(means)) <= ZERO_COLUMN_LEVEL:
-                out[name] = {"slope": None, "ci": (None, None), "zero": True,
-                             "passed": True, "draws": None}
-                continue
-            slope = float(_fit_slope(x, means))
-            out[name] = {"slope": slope, "ci": (slope, slope), "zero": False,
-                         "passed": slope < 0.0,
-                         "draws": (slope,) * BOOTSTRAP_DRAWS}
-            if arr.ndim == 2:
-                sampled[name] = arr
+            out[name] = None if np.max(np.abs(means)) <= ZERO_COLUMN_LEVEL \
+                else float(_fit_slope(x, means))
+        return out
+
+    def slopes(self):
+        """Decay slope per metric with a bootstrap confidence interval.
+
+        Each point slope is point_slopes'; zero columns count as decayed.
+        All per-path columns share one set of BOOTSTRAP_DRAWS resamples
+        drawn from BOOTSTRAP_SEED; "draws" is a column's slope on each (its
+        point slope if deterministic, None if zero). passed is True when
+        their 97.5% quantile is below zero.
+        """
+        out, sampled = {}, {}
+        for name, slope in self.point_slopes().items():
+            zero = slope is None
+            out[name] = {"slope": slope, "ci": (slope, slope), "zero": zero,
+                         "passed": zero or slope < 0.0,
+                         "draws": None if zero else (slope,) * BOOTSTRAP_DRAWS}
+            if not zero and name in self.per_path:
+                sampled[name] = self.per_path[name]
         boot_means = _bootstrap_means(
             list(sampled.values()), np.random.default_rng(BOOTSTRAP_SEED),
             BOOTSTRAP_DRAWS)
+        x = -np.log(np.asarray(self.scales, dtype=float))
         for name, means in zip(sampled, boot_means):
             draws = _fit_slope(x, means)
             lo, hi = np.percentile(draws, [2.5, 97.5])
@@ -218,7 +224,6 @@ def filtration_ladder(spec, model, constraint, n_paths, seed, *,
 
     return LadderReport(
         family="filtration",
-        indices=np.arange(1, model.n_levels + 1),
         scales=model.noise_scales.copy(),
         per_path=_join(stream_paths(market, n_paths, path_ss, tile, threads)),
         meta={"n_paths": n_paths, "seed": seed,
@@ -275,7 +280,6 @@ def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
                               "hit the positivity floor")
     return LadderReport(
         family="probability",
-        indices=np.arange(1, eps_ladder.size + 1),
         scales=eps_ladder.copy(),
         per_path=per_path,
         meta={"n_paths": n_paths, "seed": seed,
@@ -343,7 +347,6 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *, threads=1):
     scales = dists if by_distance else 1.0 / np.arange(1, len(sets) + 1)
     return LadderReport(
         family="constraint",
-        indices=np.arange(1, len(sets) + 1),
         scales=scales,
         per_path=_join(stream_paths(market, n_paths, seed, tile, threads)),
         deterministic={"set_distance": dists,

@@ -260,3 +260,15 @@ def expansion_limits(bundle, record):
     zero = np.zeros((n_paths, 1))
     return (np.concatenate((zero, np.cumsum(mart, axis=1)), axis=1),
             np.concatenate((zero, np.cumsum(second, axis=1)), axis=1))
+
+
+def expansion_order(eps, errors, squared=False):
+    """Order in eps of the mean of per-path errors (L, P) on the eps ladder,
+    from its definition: the degree-one polyfit slope of log mean error on
+    log eps, halved for a squared distance (order 2 in eps is order 1 of the
+    distance). None when every mean is zero."""
+    means = np.asarray(errors).mean(axis=1)
+    if not np.any(means > 0.0):
+        return None
+    slope = np.polyfit(np.log(eps), np.log(means), 1)[0]
+    return float(slope / 2.0 if squared else slope)

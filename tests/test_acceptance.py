@@ -31,13 +31,13 @@ from growthlab.quadform import (
     cov_inner, cov_norm, nullspace_split, optimal_fraction_batch,
 )
 from growthlab.sensitivity import (
-    first_order_check, response_quotient, second_order_check,
+    expansion_ladder, expansion_orders, response_quotient,
 )
 from growthlab.stability import (
     constraint_ladder, filtration_ladder, probability_ladder,
 )
 
-from oracles import expansion_limits, grid_argmax_fraction
+from oracles import expansion_limits, expansion_order, grid_argmax_fraction
 
 COV = np.array([[0.5, 0.1], [0.1, 0.4]])
 DRIFT = np.array([0.8, 0.5])
@@ -316,18 +316,23 @@ def test_c09_sensitivity_expansion():
         q = response_quotient(bundle, record, eps)
         assert np.max(np.abs(q["direct"] - q["formula"])) <= 1e-8
     eps_ladder = np.array([0.2, 0.1, 0.05, 0.025])
-    first = first_order_check(bundle, record, eps_ladder)
-    second = second_order_check(bundle, record, eps_ladder)
-    for table in (first, second):
+    report = expansion_ladder(bundle, record, eps_ladder)
+    orders = expansion_orders(report)
+    for tag in ("first", "second"):
+        table = orders[f"{tag}_order"]
         assert 0.8 <= table["order_fv"] <= 1.2, table["order_fv"]
         assert 0.8 <= table["order_qv"] <= 1.2, table["order_qv"]
+        for key, squared in (("fv", False), ("qv", True)):
+            want = expansion_order(eps_ladder, report.per_path[f"{tag}_{key}"],
+                                   squared)
+            assert abs(table[f"order_{key}"] - want) <= 1e-12, (tag, key)
     flat = density_paths(bundle, TiltSpec(lam1=np.zeros(2)))
     first_order, second_order = expansion_limits(bundle, flat)
     assert np.max(np.abs(first_order)) == 0.0
     assert np.max(np.abs(second_order)) == 0.0
-    zero = first_order_check(bundle, flat, eps_ladder)
-    assert np.max(zero["fv_error"]) == 0.0
-    assert np.max(zero["qv_error"]) == 0.0
+    zero = expansion_ladder(bundle, flat, eps_ladder).per_path
+    assert np.max(zero["first_fv"].mean(axis=1)) == 0.0
+    assert np.max(zero["first_qv"].mean(axis=1)) == 0.0
 
 
 def test_c10_terminal_deflation():

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -11,8 +12,12 @@ import yaml
 import growthlab.stability as stability
 from growthlab.cli import _write_ladder, main
 from growthlab.errors import GrowthlabError
+from growthlab.market import MarketSpec, TiltSpec
 from growthlab.reporting import (
     RunManifest, atomic_write_json, canonical_json, config_hash, write_csv,
+)
+from growthlab.sensitivity import (
+    EXPANSION_COLUMNS, expansion_orders, streamed_expansion_ladder,
 )
 from growthlab.stability import LadderReport
 
@@ -410,6 +415,33 @@ def test_sensitivity_flat_tilt_writes_strict_json(tmp_path):
                          parse_constant=reject)
     assert summary["first_order"]["fv_ratios"] == [None, None, None]
     assert summary["identity_max_error"] == 0.0
+
+
+def test_sensitivity_errors_are_the_reports_rows(tmp_path):
+    # errors.csv is write_ladder_csv of the expansion report, metric-major,
+    # and the summary holds point orders alone: no slopes, no bootstrap
+    eps = [0.2, 0.1, 0.05]
+    cfg = write_config(tmp_path, "sens.yaml", {
+        "kind": "sensitivity", "market": MARKET,
+        "tilt": {"lam1": [0.4, -0.2]}, "paths": 64, "eps_ladder": eps,
+    })
+    out = tmp_path / "run"
+    assert run_cli("sensitivity", "--config", cfg, "--seed", "5",
+                   "--out", str(out)) in (0, 1)
+    report = streamed_expansion_ladder(
+        MarketSpec(**MARKET), TiltSpec(lam1=[0.4, -0.2]), eps, 64, 5)
+    with open(out / "errors.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(int(r["ladder_index"]), r["metric"], float(r["value"]),
+             float(r["stderr"])) for r in rows] \
+        == [tuple(r.values()) for r in report.rows()]
+    assert [r["metric"] for r in rows] \
+        == [name for name in EXPANSION_COLUMNS for _ in eps]
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == {"identity_max_error", "identity_tol",
+                            "eps_ladder", "first_order", "second_order",
+                            "n_paths", "seed"}
+    assert summary["first_order"] == expansion_orders(report)["first_order"]
 
 
 @pytest.mark.parametrize("eps_ladder", [[], 0.1], ids=["empty", "scalar"])
@@ -943,8 +975,8 @@ def test_decay_joint_share_matches_per_draw_oracle(tmp_path, monkeypatch):
                 "b": rng.exponential(1.0, (4, 41)) * scales[:, None] ** 0.5}
 
     def joint_share(**extra):
-        report = LadderReport(family="synthetic", indices=np.arange(1, 5),
-                              scales=scales, per_path={**per_path, **extra},
+        report = LadderReport(family="synthetic", scales=scales,
+                              per_path={**per_path, **extra},
                               deterministic={"d": scales})
         manifest = RunManifest(config={}, seed=0, version="test")
         _write_ladder(str(tmp_path), manifest, "ladder.csv", report,

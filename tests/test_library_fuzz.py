@@ -14,8 +14,10 @@ from growthlab import (
     Ball, Box, GaussianSignalModel, HalfspacePolytope, MarketSpec,
     OnePeriodMarket, ScenarioTree, TiltSpec, constraint_from_config,
     constraint_ladder, discontinuity_report, excursion_density_ladder,
-    filtration_ladder, lognormal_density_ladder, probability_ladder,
-    simulate_paths, streamed_expansion_ladder, tree_projection_convergence,
+    density_paths, filtered_drift, filtration_ladder,
+    lognormal_density_ladder, probability_ladder, response_quotient,
+    simulate_paths, simulate_signal_paths, streamed_expansion_ladder,
+    tree_projection_convergence,
 )
 import growthlab.discrete as discrete
 import growthlab.stability as stability
@@ -29,6 +31,9 @@ SPEC = MarketSpec(dim=2, n_steps=4, covariance=COV, drift=[0.8, 0.5])
 MODEL = GaussianSignalModel(direction=[1.0, 0.3], noise_scales=[0.5, 0.25])
 TILT = TiltSpec(lam1=[0.4, -0.2], orthogonal_vol=0.2)
 RUN = {"n_paths": 4, "seed": 7, "threads": 1}
+SIGNAL = simulate_signal_paths(SPEC, MODEL, 4, 7)
+BUNDLE = simulate_paths(SPEC, 4, 7)
+RECORD = density_paths(BUNDLE, TiltSpec(lam1=[0.4, -0.2]))
 
 # (entry point, call, valid keyword arguments): call(**valid) succeeds.
 # Constructors are followed by the first use that reads the stored values.
@@ -70,6 +75,10 @@ ENTRIES = [
     ("streamed_expansion_ladder",
      lambda **kw: streamed_expansion_ladder(SPEC, TILT, **kw),
      dict(RUN, eps_ladder=[0.2, 0.1])),
+    ("filtered_drift", lambda **kw: filtered_drift(SIGNAL, **kw),
+     {"level": 1}),
+    ("response_quotient", lambda **kw: response_quotient(BUNDLE, RECORD, **kw),
+     {"eps": 0.5}),
     ("lognormal_density_ladder", lognormal_density_ladder,
      {"vols": [0.4, 0.2], "n_paths": 4, "n_steps": 4, "horizon": 1.0,
       "seed": 7}),
@@ -110,9 +119,11 @@ def test_every_mutation_kind_raises_only_library_errors():
     lambda: OnePeriodMarket(p=0.6, level=True),
     lambda: constraint_from_config({"type": "box", "lower": [False, -1.0],
                                     "upper": [1.0, 1.0]}),
+    lambda: response_quotient(BUNDLE, RECORD, True),
 ], ids=["fractional-steps", "nan-steps", "boolean-dims", "boolean-horizon",
         "boolean-radius", "numeral-radius", "listed-orthogonal-vol",
-        "boolean-orthogonal-vol", "boolean-level", "boolean-box-bound"])
+        "boolean-orthogonal-vol", "boolean-level", "boolean-box-bound",
+        "boolean-eps"])
 def test_values_once_accepted_raise_invalid_spec(build):
     with pytest.raises(InvalidSpec):
         build()

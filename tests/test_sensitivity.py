@@ -10,8 +10,9 @@ from growthlab.market import (
 from growthlab.numeraire import numeraire_fractions, wealth_paths
 from growthlab.quadform import cov_inner
 from growthlab.sensitivity import (
-    expansion_ladder, first_order_check, reference_increments,
-    response_quotient, second_order_check, streamed_expansion_ladder,
+    expansion_ladder, expansion_orders, first_order_check,
+    reference_increments, response_quotient, second_order_check,
+    streamed_expansion_ladder,
 )
 
 from oracles import expansion_limits
@@ -49,9 +50,10 @@ def test_zero_tilt_gives_zero_everywhere():
     q = response_quotient(b, rec, 0.5)
     assert np.max(np.abs(q["direct"])) < 1e-12
     assert np.max(np.abs(q["formula"])) < 1e-12
+    per_path = expansion_ladder(b, rec, EPS).per_path
+    assert np.max(per_path["first_fv"].mean(axis=1)) == 0.0
+    assert np.max(per_path["first_qv"].mean(axis=1)) == 0.0
     first = first_order_check(b, rec, EPS)
-    assert np.max(first["fv_error"]) == 0.0
-    assert np.max(first["qv_error"]) == 0.0
     assert first["order_fv"] is None and first["order_qv"] is None
     assert first["fv_ratios"] == [None] * 3
 
@@ -171,15 +173,14 @@ def test_one_pass_matches_three_passes_bitwise(cov):
     b = make_bundle(n_paths=200, cov=cov)
     rec = density_paths(b, TiltSpec(lam1=np.array([0.5, -0.3])))
     identity, rows = three_pass_rows(b, rec, EPS)
-    got_identity, first, second = expansion_ladder(b, rec, EPS)
-    assert got_identity == identity
-    for tag, table in (("first", first), ("second", second)):
-        assert np.array_equal(table["per_path"]["fv"], rows[f"{tag}_fv"])
-        assert np.array_equal(table["per_path"]["qv"], rows[f"{tag}_qv"])
-    for key in ("fv_error", "fv_stderr", "qv_error", "qv_stderr"):
-        assert np.array_equal(first_order_check(b, rec, EPS)[key], first[key])
-        assert np.array_equal(second_order_check(b, rec, EPS)[key],
-                              second[key])
+    report = expansion_ladder(b, rec, EPS)
+    assert report.meta["identity_max_error"] == identity
+    assert list(report.per_path) == list(rows)
+    for name, arr in rows.items():
+        assert np.array_equal(report.per_path[name], arr), name
+    orders = expansion_orders(report)
+    assert first_order_check(b, rec, EPS) == orders["first_order"]
+    assert second_order_check(b, rec, EPS) == orders["second_order"]
 
 
 def test_precomputed_reference_gives_the_same_quotient():
@@ -205,17 +206,15 @@ def test_streamed_sensitivity_matches_whole_bundle(n_paths, orthogonal_vol):
     tilt = TiltSpec(lam1=np.array([0.5, -0.3]), orthogonal_vol=orthogonal_vol)
     bundle = simulate_paths(spec, n_paths, 11)
     xi = orthogonal_draws(11, n_paths, spec.n_steps)
-    identity, first, second = expansion_ladder(
-        bundle, density_paths(bundle, tilt, xi), EPS)
+    want = expansion_ladder(bundle, density_paths(bundle, tilt, xi), EPS)
     for threads in (1, 2, 8):
         got = streamed_expansion_ladder(spec, tilt, EPS, n_paths, 11,
                                         threads=threads)
-        assert got[0] == identity, threads
-        for want, table in ((first, got[1]), (second, got[2])):
-            for key in ("fv", "qv"):
-                assert table["per_path"][key].shape == (EPS.size, n_paths)
-                assert np.array_equal(table["per_path"][key],
-                                      want["per_path"][key]), (threads, key)
+        assert got.meta == want.meta, threads
+        assert np.array_equal(got.scales, want.scales)
+        for key, arr in want.per_path.items():
+            assert got.per_path[key].shape == (EPS.size, n_paths)
+            assert np.array_equal(got.per_path[key], arr), (threads, key)
 
 
 def test_streamed_sensitivity_blocks_do_not_depend_on_later_blocks():
@@ -223,10 +222,8 @@ def test_streamed_sensitivity_blocks_do_not_depend_on_later_blocks():
     tilt = TiltSpec(lam1=np.array([0.5, -0.3]), orthogonal_vol=0.5)
     short = streamed_expansion_ladder(spec, tilt, EPS, PATH_BLOCK, 11)
     long = streamed_expansion_ladder(spec, tilt, EPS, 1500, 11, threads=2)
-    for table, longer in zip(short[1:], long[1:]):
-        for key in ("fv", "qv"):
-            assert np.array_equal(longer["per_path"][key][:, :PATH_BLOCK],
-                                  table["per_path"][key]), key
+    for key, arr in short.per_path.items():
+        assert np.array_equal(long.per_path[key][:, :PATH_BLOCK], arr), key
 
 
 @pytest.mark.parametrize("eps_ladder", [[0.1, 0.1], [0.2, 0.1, 0.2], [0.1]],

@@ -303,8 +303,7 @@ def test_excursion_family_shrinks_in_the_mean_but_not_pathwise():
 
 def test_slope_fit_flags_increasing_columns():
     report = LadderReport(
-        family="synthetic", indices=np.arange(1, 5),
-        scales=np.array([0.5, 0.25, 0.125, 0.0625]),
+        family="synthetic", scales=np.array([0.5, 0.25, 0.125, 0.0625]),
         per_path={"up": np.linspace(1.0, 2.0, 4)[:, None]
                   * np.ones((4, 100)),
                   "down": np.linspace(2.0, 1.0, 4)[:, None]
@@ -326,8 +325,7 @@ def test_bootstrap_matches_per_draw_resampling(monkeypatch):
         "zero": np.zeros((5, 101)),
         "b": rng.exponential(1.0, (5, 101)) * scales[:, None] ** 2,
     }
-    report = LadderReport(family="synthetic", indices=np.arange(1, 6),
-                          scales=scales, per_path=per_path)
+    report = LadderReport(family="synthetic", scales=scales, per_path=per_path)
     monkeypatch.setattr(stability, "BOOTSTRAP_DRAWS", 60)
     monkeypatch.setattr(stability, "BOOTSTRAP_SEED", 11)
     slopes = report.slopes()
@@ -357,8 +355,8 @@ def test_a_column_interval_depends_only_on_its_own_data():
     b = rng.exponential(1.0, (5, 301)) * scales[:, None] ** 2
 
     def slopes_of_b(**per_path):
-        return LadderReport(family="synthetic", indices=np.arange(1, 6),
-                            scales=scales, per_path=per_path).slopes()["b"]
+        return LadderReport(family="synthetic", scales=scales,
+                            per_path=per_path).slopes()["b"]
 
     alone = slopes_of_b(b=b)
     assert slopes_of_b(a=a, b=b) == alone
@@ -372,7 +370,7 @@ def test_bootstrap_does_not_depend_on_chunk_size(monkeypatch):
     rng = np.random.default_rng(4)
     scales = 2.0 ** -np.arange(1, 7)
     report = LadderReport(
-        family="synthetic", indices=np.arange(1, 7), scales=scales,
+        family="synthetic", scales=scales,
         per_path={"a": rng.exponential(1.0, (6, 1501)) * scales[:, None],
                   "zero": np.zeros((6, 1501)),
                   "b": rng.exponential(1.0, (6, 1501)) * scales[:, None] ** 2},
@@ -405,8 +403,7 @@ def test_orthogonal_factor_ladders_reject_bad_path_counts(ladder, n_paths):
 
 def test_ladder_rows_are_long_format():
     report = LadderReport(
-        family="synthetic", indices=np.array([1, 2]),
-        scales=np.array([0.5, 0.25]),
+        family="synthetic", scales=np.array([0.5, 0.25]),
         per_path={"m": np.array([[1.0, 3.0], [0.5, 1.5]])})
     rows = report.rows()
     assert len(rows) == 2
@@ -417,9 +414,7 @@ def test_ladder_rows_are_long_format():
 @pytest.mark.parametrize("scales", [[0.5], [0.5, 0.0], [0.5, -0.25]],
                          ids=["one-rung", "zero-scale", "negative-scale"])
 def test_slopes_need_two_rungs_with_positive_scales(scales):
-    report = LadderReport(family="synthetic",
-                          indices=np.arange(1, len(scales) + 1),
-                          scales=np.array(scales),
+    report = LadderReport(family="synthetic", scales=np.array(scales),
                           per_path={"m": np.ones((len(scales), 4))})
     with pytest.raises(InvalidSpec, match="two or more rungs"):
         report.slopes()
@@ -430,9 +425,7 @@ def test_slopes_need_two_rungs_with_positive_scales(scales):
 def test_slopes_reject_repeated_scales(scales):
     # All-equal scales once gave a NaN slope, with numpy warnings, and a
     # NaN in summary.json.
-    report = LadderReport(family="synthetic",
-                          indices=np.arange(1, len(scales) + 1),
-                          scales=np.array(scales),
+    report = LadderReport(family="synthetic", scales=np.array(scales),
                           per_path={"m": np.arange(1.0, len(scales) + 1)[:, None]
                                     * np.ones(4)})
     with warnings.catch_warnings():
@@ -554,11 +547,10 @@ def _tiled_runs(dim, threads):
     for family, report in _small_ladders(1500, threads, dim).items():
         for name, arr in report.per_path.items():
             runs[family, name] = arr
-    _, first, second = streamed_expansion_ladder(
-        spec, tilt, [0.2, 0.1], 1500, 3, threads=threads)
-    for order, table in (("first", first), ("second", second)):
-        for name, arr in table["per_path"].items():
-            runs["sensitivity", order, name] = arr
+    report = streamed_expansion_ladder(spec, tilt, [0.2, 0.1], 1500, 3,
+                                       threads=threads)
+    for name, arr in report.per_path.items():
+        runs["sensitivity", name] = arr
     return runs
 
 
