@@ -42,8 +42,10 @@ CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max",  # cgroup v2
 
 def cumsum_from_zero(increments):
     """Paths (P, N + 1) from zero of per-step increments (P, N)."""
-    zeros = np.zeros((increments.shape[0], 1))
-    return np.concatenate((zeros, np.cumsum(increments, axis=1)), axis=1)
+    out = np.empty((increments.shape[0], increments.shape[1] + 1))
+    out[:, 0] = 0.0
+    np.cumsum(increments, axis=1, out=out[:, 1:])
+    return out
 
 
 def path_stderr(values):
@@ -493,12 +495,15 @@ class DensityRecord:
     """Base tilt density Z1 with its building blocks.
 
     z has shape (P, N + 1), z[:, 0] = 1. floor_hits counts paths whose
-    density ever fell below the positivity floor DENSITY_FLOOR.
+    density ever fell below the positivity floor DENSITY_FLOOR. lam_dM is
+    <lam1, dM>, shape (P, N), and lam_energy |lam1|_c^2 dG, shape (N,).
     """
 
     lam1: np.ndarray
     z: np.ndarray
     floor_hits: int
+    lam_dM: np.ndarray
+    lam_energy: np.ndarray
 
 
 def orthogonal_draws(seed, n_paths, n_steps):
@@ -517,15 +522,14 @@ def density_paths(bundle, tilt, xi=None):
     With an orthogonal factor, xi holds the bundle's own (P, N) rows of
     orthogonal_draws (rows lo:hi for the paths lo:hi of a tile)."""
     lam = tilt.field(bundle.n_steps, bundle.dim)
-    lam_sq = cov_inner(bundle.cov, lam, lam)
-    energy = float(np.sum(lam_sq * bundle.dG))
+    lam_energy = cov_inner(bundle.cov, lam, lam) * bundle.dG
+    energy = float(np.sum(lam_energy))
     if energy > ENERGY_CAP:
         raise InvalidSpec(
             f"tilt energy {energy:.3g} exceeds cap {ENERGY_CAP:.3g}"
         )
-    expo = dot_last(lam, bundle.dM)
-    expo -= 0.5 * (lam_sq * bundle.dG)[None, :]
-    z = np.exp(cumsum_from_zero(expo))
+    lam_dM = dot_last(lam, bundle.dM)
+    z = np.exp(cumsum_from_zero(lam_dM - 0.5 * lam_energy))
     if tilt.orthogonal_vol != 0.0:
         if np.shape(xi) != (bundle.n_paths, bundle.n_steps):
             raise InvalidSpec("orthogonal factor needs the bundle's xi rows, "
@@ -536,7 +540,8 @@ def density_paths(bundle, tilt, xi=None):
         z = z * orth
     floor_hits = int(np.sum(np.min(z, axis=1) < DENSITY_FLOOR))
     z = np.maximum(z, DENSITY_FLOOR)
-    return DensityRecord(lam1=lam, z=z, floor_hits=floor_hits)
+    return DensityRecord(lam1=lam, z=z, floor_hits=floor_hits, lam_dM=lam_dM,
+                         lam_energy=lam_energy)
 
 
 @dataclass
@@ -557,12 +562,17 @@ class DensityDecomposition:
     remainder: np.ndarray
 
 
-def tilt_field(record, eps):
-    """Tilt field lam^eps = (Z1 / Z^eps) lam1 at left endpoints, (P, N, d)."""
+def tilt_ratio(record, eps):
+    """Ratio Z1 / Z^eps = Z1 / ((1 - eps) + eps Z1) at left endpoints, (P, N)."""
     if not 0.0 <= eps <= 1.0:
         raise InvalidSpec(f"mixture size must lie in [0, 1], got {eps}")
     z_left = record.z[:, :-1]
-    return scale_last(z_left / ((1.0 - eps) + eps * z_left), record.lam1)
+    return z_left / ((1.0 - eps) + eps * z_left)
+
+
+def tilt_field(record, eps):
+    """Tilt field lam^eps = (Z1 / Z^eps) lam1 at left endpoints, (P, N, d)."""
+    return scale_last(tilt_ratio(record, eps), record.lam1)
 
 
 def tilt_decomposition(bundle, record, eps):

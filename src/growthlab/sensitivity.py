@@ -23,10 +23,9 @@ from .constraints import FullSpace, scale_last
 from .errors import DimensionMismatch, InvalidSpec, as_floats, as_ladder
 from .market import (
     cumsum_from_zero, density_paths, market_steps, orthogonal_draws,
-    stream_paths, tilt_field,
+    stream_paths, tilt_ratio,
 )
 from .numeraire import numeraire_fractions, wealth_paths
-from .quadform import cov_inner, dot_last
 from .stability import LadderReport, _join, _stack
 
 EXPANSION_COLUMNS = ("first_fv", "first_qv", "second_fv", "second_qv")
@@ -39,43 +38,53 @@ def reference_increments(bundle, fractions=None):
                         if fractions is None else fractions).increments
 
 
+def _check_record(bundle, record):
+    """DimensionMismatch unless record's z is (P, N + 1) and lam1 (N, d)."""
+    want = ((bundle.n_paths, bundle.n_steps + 1), (bundle.n_steps, bundle.dim))
+    if (record.z.shape, record.lam1.shape) != want:
+        raise DimensionMismatch(f"density record z {record.z.shape}, lam1 "
+                                f"{record.lam1.shape}; the bundle needs {want}")
+
+
 def response_quotient(bundle, record, eps, *, reference=None):
     """The rescaled log-wealth response at one tilt size, both routes.
 
     Returns a dict with cumulative paths "direct" (from the two wealth
-    processes) and "formula" (the right side of the identity), both of
-    shape (P, N + 1), plus per-step increments: the formula's
-    finite-variation and martingale parts and the tilt energy
-    |lam^eps|_c^2 dG. reference, when given, is the bundle's
-    reference_increments, which do not depend on eps.
+    processes, the tilted one solved on a + eps lam^eps) and "formula" (the
+    right side of the identity, from tilt_ratio and the record's lam_dM and
+    lam_energy), both of shape (P, N + 1), plus per-step increments: the
+    formula's "fv_increments" and "mart_increments" and the tilt energy
+    "energy_increments", |lam^eps|_c^2 dG. reference, when given, is the
+    bundle's reference_increments, which do not depend on eps.
     """
     eps = float(as_floats(eps, "eps", 0))
     if not 0.0 < eps <= 1.0:
         raise InvalidSpec(f"tilt size must lie in (0, 1], got {eps}")
+    _check_record(bundle, record)
     reference = reference_increments(bundle) if reference is None else reference
     if np.shape(reference) != (bundle.n_paths, bundle.n_steps):
         raise DimensionMismatch(f"reference shape {np.shape(reference)} "
                                 "is not (n_paths, n_steps)")
-    lam = tilt_field(record, eps)
-    w_eps = wealth_paths(bundle, numeraire_fractions(
-        bundle, FullSpace(), drifts=bundle.drift + eps * lam))
+    ratio = tilt_ratio(record, eps)
+    w_eps = wealth_paths(bundle, numeraire_fractions(  # drift freed on return
+        bundle, FullSpace(),
+        drifts=bundle.drift + scale_last(eps * ratio, record.lam1)))
     direct = cumsum_from_zero(((w_eps.dB + w_eps.dL) - reference) / eps)
-    energy = cov_inner(bundle.cov, lam, lam) * bundle.dG
+    energy = ratio * ratio * record.lam_energy
     fv_inc = -(eps / 2.0) * energy
-    mart_inc = dot_last(lam, bundle.dM)
+    mart_inc = ratio * record.lam_dM
     return {"direct": direct, "formula": cumsum_from_zero(fv_inc + mart_inc),
             "fv_increments": fv_inc, "mart_increments": mart_inc,
-            "energy_increments": energy, "lam_path": lam}
+            "energy_increments": energy}
 
 
-def _limit_increments(bundle, record):
+def _limit_increments(record):
     """The per-step increments of the limits, with lam0 = Z1_- lam1: the
     first-order <lam0, dM>, and the second order's finite-variation part
     -0.5 |lam0|_c^2 dG and martingale part (1 - Z1_-) <lam0, dM>."""
     z_left = record.z[:, :-1]
-    lam0 = scale_last(z_left, record.lam1)
-    first_inc = dot_last(lam0, bundle.dM)
-    lim_fv = -0.5 * cov_inner(bundle.cov, lam0, lam0) * bundle.dG
+    first_inc = z_left * record.lam_dM
+    lim_fv = -0.5 * (z_left * z_left * record.lam_energy)
     lim_mart = (1.0 - z_left) * first_inc
     return first_inc, lim_fv, lim_mart
 
@@ -98,7 +107,7 @@ def _ladder_rows(bundle, record, eps_ladder, frac_ref=None):
     first-order limit. Second order: the same distances from the centered,
     rescaled remainder to the second-order limit. All scale like eps.
     """
-    first_inc, lim_fv, lim_mart = _limit_increments(bundle, record)
+    first_inc, lim_fv, lim_mart = _limit_increments(record)
     reference = reference_increments(bundle, frac_ref)
     identity, rows = [], []
     for eps in eps_ladder:
@@ -128,6 +137,7 @@ def expansion_ladder(bundle, record, eps_ladder):
     record: the eps ladder as scales, the EXPANSION_COLUMNS errors and
     meta["identity_max_error"], the worst pathwise identity error."""
     eps_ladder = _eps_sizes(eps_ladder)
+    _check_record(bundle, record)
     return _report(eps_ladder, [_ladder_rows(bundle, record, eps_ladder)])
 
 

@@ -12,12 +12,12 @@ from growthlab.discrete import (
 )
 from growthlab.errors import InvalidSpec, UnsupportedSignalModel
 from growthlab.market import (
-    MAXLOG, GaussianSignalModel, MarketSpec, TiltSpec, check_paths,
-    density_paths, event_probabilities, filtered_drift, girsanov_drift, ndtr,
-    orthogonal_draws, physical_memory, simulate_paths, simulate_signal_paths,
-    tilt_decomposition, tilt_field,
+    DENSITY_FLOOR, MAXLOG, GaussianSignalModel, MarketSpec, TiltSpec,
+    check_paths, cumsum_from_zero, density_paths, event_probabilities,
+    filtered_drift, girsanov_drift, ndtr, orthogonal_draws, physical_memory,
+    simulate_paths, simulate_signal_paths, tilt_decomposition, tilt_field,
 )
-from growthlab.quadform import check_psd_matrix, cov_inner
+from growthlab.quadform import check_psd_matrix, cov_inner, dot_last
 from growthlab.stability import filtration_ladder
 
 from oracles import particle_posterior_mean
@@ -260,6 +260,40 @@ def test_density_is_mean_one_and_positive():
     assert np.max(np.abs(rec.z[:, 0] - 1.0)) == 0.0
     term = rec.z[:, -1]
     assert abs(term.mean() - 1.0) < 4.0 * term.std() / np.sqrt(len(term))
+
+
+@pytest.mark.parametrize("orthogonal_vol", [0.0, 0.5])
+def test_density_record_pieces_are_their_definitions(orthogonal_vol):
+    # lam_dM and lam_energy are kept for the sensitivity formula side; the
+    # density is still the stochastic exponential of lam_dM - lam_energy / 2
+    spec = make_spec(n_steps=30)
+    b = simulate_paths(spec, 200, 3)
+    tilt = TiltSpec(lam1=np.array([0.4, -0.2]), orthogonal_vol=orthogonal_vol)
+    rec = density_paths(b, tilt, orthogonal_draws(3, b.n_paths, b.n_steps))
+    lam_energy = cov_inner(b.cov, rec.lam1, rec.lam1) * b.dG
+    assert rec.lam_energy.shape == (b.n_steps,)
+    assert np.array_equal(rec.lam_energy, lam_energy)
+    assert np.array_equal(rec.lam_dM, dot_last(rec.lam1, b.dM))
+    if orthogonal_vol == 0.0:
+        expo = dot_last(rec.lam1, b.dM)
+        expo -= 0.5 * lam_energy[None, :]
+        z = np.exp(np.concatenate(
+            (np.zeros((b.n_paths, 1)), np.cumsum(expo, axis=1)), axis=1))
+        assert np.array_equal(rec.z, np.maximum(z, DENSITY_FLOOR))
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (0, 4), (3, 0), (0, 0), (1, 1)],
+                         ids=["3x5", "no-paths", "no-steps", "empty", "1x1"])
+def test_cumsum_from_zero_is_the_concatenated_cumsum(shape):
+    # one (P, N + 1) array written in place: the bits, signed zeros
+    # included, of a zero column joined to np.cumsum
+    inc = np.random.default_rng(4).standard_normal(shape)
+    inc[:, ::2] = -0.0
+    want = np.concatenate((np.zeros((shape[0], 1)),
+                           np.cumsum(inc, axis=1)), axis=1)
+    got = cumsum_from_zero(inc)
+    assert got.shape == want.shape == (shape[0], shape[1] + 1)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_orthogonal_factor_keeps_mean_one():
