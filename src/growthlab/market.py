@@ -16,7 +16,6 @@ own spawned bit generator in a fixed order, tile by tile.
 """
 
 import contextlib
-import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -331,34 +330,27 @@ class GaussianSignalModel:
 class SignalBundle:
     """Paths of a market whose drift is theta * direction per path.
 
-    base.dM is the shared martingale noise; dS adds the theta-scaled drift
-    compensator. theta and zeta are the latent draw and the shared peek
-    noise per path. stat is the observation statistic sum_{j<k} <dS_j, v>,
-    shape (P, N): no ladder level changes it, so it is formed once.
+    base.dM is the shared martingale noise; the price increments add the
+    compensator theta c v dG. theta and zeta are the latent draw and the
+    shared peek noise per path. vcv_dg is <v, c v> dG (N,), dMv is <dM, v>
+    and stat the observation statistic sum_{j<k} dMv_j + theta vcv_dg_j,
+    both (P, N): no ladder level changes them, so they are formed once.
     """
 
     base: PathBundle
     model: GaussianSignalModel
     theta: np.ndarray
     zeta: np.ndarray
+    vcv_dg: np.ndarray = field(init=False)
+    dMv: np.ndarray = field(init=False)
     stat: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        obs = dot_last(self.dS, self.model.direction)
-        self.stat = cumsum_from_zero(obs)[:, :-1]
-
-    @property
-    def dS(self):
-        """Price increments dM + theta c v dG, shape (P, N, d)."""
-        base = self.base
-        cv = np.einsum("kij,j->ki", base.cov, self.model.direction)  # c v, not <., c v>
-        return base.dM + self.theta[:, None, None] * (cv * base.dG[:, None])[None, :, :]
-
-    def true_drift(self):
-        """Per-path drift theta_p * direction as a read-only (P, N, d) view
-        of one (P, 1, d) array."""
-        return np.broadcast_to(scale_last(self.theta[:, None], self.model.direction),
-                               self.base.dM.shape)
+        base, v = self.base, self.model.direction
+        self.vcv_dg = cov_inner(base.cov, v, v) * base.dG
+        self.dMv = dot_last(base.dM, v)
+        obs = self.theta[:, None] * self.vcv_dg
+        self.stat = cumsum_from_zero(obs + self.dMv)[:, :-1]
 
 
 def signal_draws(spec, model, n_paths, seed):
@@ -384,14 +376,15 @@ def simulate_signal_paths(spec, model, n_paths, seed, threads=1):
 
 
 def filtered_drift(signal, level):
-    """Posterior-mean drift per path under ladder level ``level``.
+    """Posterior-mean drift mean v (P, N, d), mean and precision: posterior."""
+    mean, prec = posterior(signal, level)
+    return scale_last(mean, signal.model.direction), mean, prec
 
-    Returns (drift, mean, precision): drift has shape (P, N, d) and is
-    predictable (the entry at step k conditions on observations strictly
-    before k plus the level's peek); mean and precision are the posterior
-    parameters, shape (P, N) and (N,)."""
+
+def posterior(signal, level):
+    """Posterior mean (P, N) and precision (N,) of theta under ladder level
+    ``level``, predictable: step k sees the path before k and the peek."""
     model, base = signal.model, signal.base
-    v = model.direction
     sigma_n = model.noise_scales[as_int(level, "level", 0,
                                         model.n_levels - 1)]
     peek_prec = np.inf if sigma_n == 0.0 else 1.0 / sigma_n ** 2
@@ -400,15 +393,14 @@ def filtered_drift(signal, level):
         mean = np.broadcast_to(signal.theta[:, None], base.dM.shape[:2]).copy()
         prec = np.full(base.n_steps, np.inf)
     else:
-        vcv = cov_inner(base.cov, v, v) * base.dG
-        info = np.concatenate(([0.0], np.cumsum(vcv)))[:-1]
+        info = np.concatenate(([0.0], np.cumsum(signal.vcv_dg)))[:-1]
         prior_prec = 1.0 / model.prior_std ** 2
         peek = signal.theta + sigma_n * signal.zeta
         prec = prior_prec + peek_prec + info
         mean = model.prior_mean * prior_prec \
             + peek[:, None] * peek_prec + signal.stat
         mean /= prec
-    return scale_last(mean, v), mean, prec
+    return mean, prec
 
 
 # the coefficients of ndtr's Cephes erfc, from the highest power
@@ -430,8 +422,12 @@ MAXLOG = 709.782712893384  # exp(-x^2) underflows past it: erfc is 0 or 2
 
 
 def _polevl(x, coefs):
-    """Horner's rule in Cephes' order, coefs from the highest power."""
-    return functools.reduce(lambda acc, c: acc * x + c, coefs[1:], coefs[0])
+    """Horner's rule in Cephes' order, in place, coefs from the highest."""
+    acc = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        acc *= x
+        acc += c
+    return acc
 
 
 def ndtr(a, out=None):

@@ -127,14 +127,14 @@ def numeraire_fractions(bundle, constraint, *, drifts=None):
     return _solve_steps(bundle.cov, drifts, constraint)
 
 
-def numeraire_paths(bundle, constraint, *, drifts=None, true_drift=None):
+def numeraire_paths(bundle, constraint, *, drifts=None):
     """Wealth paths of the growth-optimal portfolio under a constraint set.
 
-    drifts feeds the per-step optimization (estimated drift); true_drift
-    feeds the realized finite-variation part (defaults to the bundle's).
+    drifts feeds the per-step optimization (estimated drift); the realized
+    finite-variation part uses the bundle's drift.
     """
     fractions = numeraire_fractions(bundle, constraint, drifts=drifts)
-    return wealth_paths(bundle, fractions, drift=true_drift)
+    return wealth_paths(bundle, fractions)
 
 
 @dataclass

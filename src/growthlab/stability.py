@@ -21,18 +21,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import closed_limit_distances
+from .constraints import closed_limit_distances, dot_last, inside, scale_last
 from .errors import DensityFloorHit, InvalidSpec, as_floats, as_int, as_ladder
 from .market import (
     SignalBundle, check_paths, cumsum_from_zero, density_paths,
-    event_probabilities, filtered_drift, market_steps, orthogonal_draws,
-    path_stderr, seed_sequence, signal_draws, stream_paths, tilt_field,
+    event_probabilities, market_steps, orthogonal_draws, path_stderr,
+    posterior, seed_sequence, signal_draws, stream_paths, tilt_ratio,
 )
 from .numeraire import (
-    growth_path, numeraire_fractions, numeraire_paths, wealth_paths,
-    wealth_process_gap,
+    WealthPaths, growth_path, growth_rate, numeraire_fractions,
+    numeraire_paths, wealth_paths, wealth_process_gap,
 )
-from .quadform import cov_inner, cov_norm
+from .quadform import (cov_inner, cov_norm, nullspace_split,
+                       optimal_fraction_batch, step_runs)
 
 ZERO_COLUMN_LEVEL = 1e-14
 BOOTSTRAP_DRAWS = 400
@@ -188,32 +189,57 @@ def filtration_ladder(spec, model, constraint, n_paths, seed, *,
                       threads=1, event_threshold=None):
     """Information ladder: noisy peeks at the latent drift, sharpening to
     full revelation. Reports wealth distances to the revealed-limit
-    numéraire plus drift and conditional-event diagnostics."""
+    numéraire plus drift and conditional-event diagnostics.
+
+    The drift is theta v and level n solves on m_n v, so its fraction is m_n
+    u, u = v on the range of c, until the set binds: the rungs work in (P, N)
+    scalars and solve only where it binds, the limit once per path."""
     n_paths = check_paths(n_paths, spec.n_steps, spec.dim)
     event_threshold = float(as_floats(
         model.prior_mean if event_threshold is None else event_threshold,
         "event_threshold", 0))
     market_spec, theta, zeta, path_ss = signal_draws(spec, model, n_paths, seed)
     market = market_steps(market_spec)
-    v = model.direction
-    vcv_dg = cov_inner(market.cov, v, v) * market.dG
+    v, runs = model.direction, []
+    for lo, hi in step_runs(market.cov):
+        c = market.cov[lo]
+        optimal_fraction_batch(c, v, constraint)  # raises for a set it refuses
+        runs.append((lo, hi, c, nullspace_split(c).project_range(v)))
+    halfspaces = constraint.halfspaces(v.size)
+
+    def wealth(signal, mean):
+        """Wealth on the optimal fractions for drift rows mean v, mean (P, N)
+        or (P, 1) for every step: dB = m (theta - 0.5 m) <v,c v> dG and dL =
+        m <dM, v> (c u = c v), but from the solver's f where m u leaves the
+        set."""
+        base = signal.base
+        dB = mean * (mean * -0.5 + signal.theta[:, None]) * signal.vcv_dg
+        dL = mean * signal.dMv
+        for a, b, c, u in runs:
+            m = mean if mean.shape[1] == 1 else mean[:, a:b]
+            p, k = np.nonzero(~inside(scale_last(m, u), *halfspaces, 0.0))
+            if p.size:  # a hard row of one column holds for every step
+                f = optimal_fraction_batch(c, scale_last(m[p, k], v), constraint)
+                at = p[:, None], k[:, None] if m.shape[1] > 1 else np.arange(b - a)
+                rate = growth_rate(c, scale_last(signal.theta[p], v), f)
+                dB[:, a:b][at] = rate[:, None] * base.dG[a:b][at[1]]
+                dL[:, a:b][at] = dot_last(f[:, None, :], base.dM[:, a:b][at])
+        return WealthPaths(dB, dL)
 
     def tile(base, lo, hi):
         signal = SignalBundle(base, model, theta[lo:hi], zeta[lo:hi])
-        true_drift = signal.true_drift()
-        w_inf = numeraire_paths(base, constraint, drifts=true_drift,
-                                true_drift=true_drift)
+        w_inf = wealth(signal, signal.theta[:, None])
         hit = (signal.theta > event_threshold).astype(float)
         rows = []
         for n in range(model.n_levels):
-            drift_n, mean_n, prec_n = filtered_drift(signal, n)
-            row = wealth_process_gap(numeraire_paths(
-                base, constraint, drifts=drift_n, true_drift=true_drift), w_inf)
+            mean_n, prec_n = posterior(signal, n)
+            row = wealth_process_gap(wealth(signal, mean_n), w_inf)
             # in place, in the order of sum((m - theta)^2 vcv_dg) and
             # sum(|p - hit| dG)
             err = mean_n - signal.theta[:, None]
             err *= err
-            row["drift_gap"] = np.sum(np.multiply(err, vcv_dg, out=err), axis=1)
+            row["drift_gap"] = np.sum(np.multiply(err, signal.vcv_dg, out=err),
+                                      axis=1)
             probs = event_probabilities(mean_n, prec_n, event_threshold)
             probs -= hit[:, None]
             np.abs(probs, out=probs)
@@ -257,10 +283,11 @@ def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
         zeros = np.zeros(hi - lo)
         for eps in eps_ladder:
             row = _density_columns((1.0 - eps) + eps * record.z)
-            # Girsanov: the tilted drift is a + eps * lam^eps.
-            shift = eps * tilt_field(record, eps)
-            row["drift_gap"] = np.sum(
-                cov_inner(bundle.cov, shift, shift) * bundle.dG, axis=1)
+            # Girsanov: the tilted drift is a + eps * ratio * lam1.
+            ratio = tilt_ratio(record, eps)
+            shift = eps * scale_last(ratio, record.lam1)
+            row["drift_gap"] = eps * eps * np.sum(
+                ratio * ratio * record.lam_energy, axis=1)
             gaps = wealth_process_gap(numeraire_paths(
                 bundle, constraint, drifts=bundle.drift[None, :, :] + shift),
                 w_ref)

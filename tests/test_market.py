@@ -1,3 +1,4 @@
+import functools
 import os
 
 import numpy as np
@@ -190,9 +191,12 @@ def test_posterior_matches_particle_filter():
     _, mean, prec = filtered_drift(sig, 1)
     path = 2
     noisy = sig.theta[path] + model.noise_scales[1] * sig.zeta[path]
+    base = sig.base
+    dS = base.dM[path] + sig.theta[path] * np.einsum(
+        "kij,j->ki", base.cov, model.direction) * base.dG[:, None]
     ref = particle_posterior_mean(
         (model.prior_mean, model.prior_std), model.direction,
-        sig.base.cov, sig.base.dG, sig.dS[path],
+        base.cov, base.dG, dS,
         model.noise_scales[1], noisy, n_particles=400_000, seed=11)
     assert np.max(np.abs(mean[path] - ref)) < 5e-3
 
@@ -205,7 +209,8 @@ def test_zero_noise_level_reveals_theta():
     drift_rev, mean_rev, prec_rev = filtered_drift(sig, 1)
     assert np.max(np.abs(mean_rev - sig.theta[:, None])) < 1e-12
     assert np.all(np.isinf(prec_rev))
-    assert np.max(np.abs(drift_rev - sig.true_drift())) < 1e-12
+    assert np.max(np.abs(drift_rev - sig.theta[:, None, None]
+                         * model.direction)) < 1e-12
 
 
 def test_posterior_precision_increases_with_information():
@@ -248,6 +253,18 @@ def test_ndtr_is_scipys_without_exp_and_within_8_ulp_with_it():
         assert ulps.max() <= 8
     out = np.array([-1.0, 0.0, 1.0])
     assert ndtr(out, out=out) is out and out[1] == 0.5
+
+
+def test_ndtr_horner_loop_has_the_bits_of_the_fold(monkeypatch):
+    # _polevl runs Horner's rule in place; acc * x + c rounds the same
+    # twice whether the product is a new array or written over acc
+    rng = np.random.default_rng(30)
+    a = np.concatenate((rng.standard_normal(10 ** 6) * 6.0,
+                        [np.inf, -np.inf, np.nan, 0.0, -0.0, 8.48, -37.6]))
+    got = ndtr(a)
+    monkeypatch.setattr(market, "_polevl", lambda x, coefs: functools.reduce(
+        lambda acc, c: acc * x + c, coefs[1:], coefs[0]))
+    assert np.array_equal(ndtr(a), got, equal_nan=True)
 
 
 def test_density_is_mean_one_and_positive():

@@ -9,14 +9,16 @@ from scipy.stats import norm
 import growthlab.constraints as constraints
 import growthlab.stability as stability
 
-from growthlab.constraints import Ball, Box, FullSpace
+from growthlab.constraints import Ball, Box, FullSpace, Intersection
 from growthlab.errors import DensityFloorHit, InvalidSpec
 from growthlab.market import (
     PATH_BLOCK, PATH_TILE, GaussianSignalModel, MarketSpec, TiltSpec, density_paths,
     event_probabilities, filtered_drift, market_steps, orthogonal_draws,
     simulate_paths, simulate_signal_paths, stream_paths, tilt_field,
 )
-from growthlab.numeraire import numeraire_paths, wealth_process_gap
+from growthlab.numeraire import (
+    numeraire_fractions, numeraire_paths, wealth_paths, wealth_process_gap,
+)
 from growthlab.quadform import cov_inner
 from growthlab.sensitivity import streamed_expansion_ladder
 from growthlab.stability import (
@@ -571,33 +573,77 @@ def test_path_tiles_leave_every_path_unchanged(monkeypatch, dim):
             assert np.array_equal(tiled[threads][key], arr), (key, threads)
 
 
+RANK_ONE = np.array([[0.5, 0.5], [0.5, 0.5]])
+FILTRATION_BRANCHES = {
+    # name: (spec, direction, constraint, paths, least share of hard rows)
+    # every step its own covariance, so its own run of solves
+    "per-step-covariance": (
+        make_spec(n_steps=20, covariance=lambda t: np.array(
+            [[0.5 + 0.4 * t, 0.1 - 0.2 * t], [0.1 - 0.2 * t, 0.4]])),
+        [1.0, 0.3], Ball(1.0), 1500, 0.2),
+    # rank one: the fractions are m u with u, v projected on the range of
+    # c, not v; the ball holds the unit null vectors the solver asks for,
+    # and |m u| < |m v| decides which rows are hard
+    "rank-deficient": (make_spec(n_steps=20, covariance=RANK_ONE),
+                       [1.0, 0.3], FullSpace(), 1500, 0.0),
+    "rank-deficient-ball": (make_spec(n_steps=20, covariance=RANK_ONE),
+                            [1.0, 0.3], Ball(1.2), 1500, 0.1),
+    "ball-and-box-d3": (
+        MarketSpec(dim=3, n_steps=20, covariance=COV3, drift=DRIFT3),
+        [1.0, 0.3, -0.5],
+        Intersection([Ball(1.2), Box([-0.3, -0.3, -0.3], [0.9, 0.6, 0.5])]),
+        600, 0.5),
+    "small-ball": (make_spec(n_steps=20), [1.0, 0.3], Ball(0.05), 1500, 0.9),
+}
+
+
 def test_streamed_filtration_ladder_matches_whole_bundle():
-    spec = make_spec(n_steps=20)
-    model = GaussianSignalModel(direction=np.array([1.0, 0.3]),
+    _check_filtration_against_whole_bundle(
+        make_spec(n_steps=20), [1.0, 0.3], Ball(1.0), 1500, 0.2)
+
+
+@pytest.mark.parametrize("case", list(FILTRATION_BRANCHES))
+def test_filtration_ladder_branches_match_whole_bundle(case):
+    _check_filtration_against_whole_bundle(*FILTRATION_BRANCHES[case])
+
+
+def _check_filtration_against_whole_bundle(spec, direction, constraint,
+                                           n_paths, hard_share):
+    model = GaussianSignalModel(direction=np.array(direction),
                                 noise_scales=np.array([0.5, 0.25, 0.125]))
-    constraint, n_paths, seed = Ball(1.0), 1500, 17
+    seed = 17
     report = filtration_ladder(spec, model, constraint, n_paths, seed,
                                threads=2)
-    # The whole-bundle pipeline: every rung over all paths at once.
+    # The whole-bundle pipeline: every rung over all paths at once, on the
+    # (P, N, d) drift arrays and the per-step solver.
     signal = simulate_signal_paths(spec, model, n_paths, seed)
-    base, true_drift = signal.base, signal.true_drift()
-    w_inf = numeraire_paths(base, constraint,
-                            drifts=true_drift,
-                            true_drift=true_drift)
+    base = signal.base
+    true_drift = np.broadcast_to(
+        signal.theta[:, None, None] * model.direction, base.dM.shape)
+    w_inf = wealth_paths(base, numeraire_fractions(base, constraint,
+                                                   drifts=true_drift),
+                         drift=true_drift)
     vcv_dg = cov_inner(base.cov, model.direction, model.direction) * base.dG
     hit = (signal.theta > 0.0).astype(float)
     for n in range(model.n_levels):
         drift_n, mean_n, prec_n = filtered_drift(signal, n)
+        fractions = numeraire_fractions(base, constraint, drifts=drift_n)
+        free = numeraire_fractions(base, FullSpace(), drifts=drift_n)
+        hard = np.linalg.norm(fractions - free, axis=-1) > 1e-9
+        assert hard.mean() >= hard_share, (n, hard.mean())
         gaps = wealth_process_gap(
-            numeraire_paths(base, constraint, drifts=drift_n,
-                            true_drift=true_drift), w_inf)
+            wealth_paths(base, fractions, drift=true_drift), w_inf)
         gaps["drift_gap"] = np.sum(
             (mean_n - signal.theta[:, None]) ** 2 * vcv_dg, axis=1)
         probs = event_probabilities(mean_n, prec_n, 0.0)
         gaps["event_gap"] = np.sum(np.abs(probs - hit[:, None]) * base.dG,
                                    axis=1)
         for name, arr in report.per_path.items():
-            assert np.array_equal(arr[n], gaps[name]), (n, name)
+            # fv sums |dB_n - dB_inf|, whose terms cancel: the (P, N)
+            # scalar wealth moves it in the last digits of the largest value
+            scale = np.max(np.abs(gaps[name]))
+            assert np.max(np.abs(arr[n] - gaps[name])) <= 1e-10 * scale, \
+                (n, name)
 
 
 def test_probability_ladder_with_orthogonal_factor_matches_whole_bundle():
@@ -623,5 +669,8 @@ def test_probability_ladder_with_orthogonal_factor_matches_whole_bundle():
                              axis=1),
             main2_fv=gaps["fv"], main2_qv=gaps["qv"],
             sup_rel_inf=gaps["sup_rel_inf"], sup_rel_n=gaps["sup_rel_n"])
+        # drift_gap is eps^2 sum ratio^2 lam_energy, the same sum in scalars
+        assert np.allclose(report.per_path["drift_gap"][i],
+                           expected.pop("drift_gap"), rtol=1e-12, atol=0.0)
         for name, arr in expected.items():
             assert np.array_equal(report.per_path[name][i], arr), (i, name)
