@@ -349,8 +349,8 @@ class SignalBundle:
         base, v = self.base, self.model.direction
         self.vcv_dg = cov_inner(base.cov, v, v) * base.dG
         self.dMv = dot_last(base.dM, v)
-        obs = self.theta[:, None] * self.vcv_dg
-        self.stat = cumsum_from_zero(obs + self.dMv)[:, :-1]
+        obs = self.theta[:, None] * self.vcv_dg + self.dMv
+        self.stat = cumsum_from_zero(obs)[:, :-1]
 
 
 def signal_draws(spec, model, n_paths, seed):
