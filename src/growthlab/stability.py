@@ -32,8 +32,8 @@ from .numeraire import (
     WealthPaths, growth_path, growth_rate, numeraire_fractions,
     numeraire_paths, wealth_paths, wealth_process_gap,
 )
-from .quadform import (cov_inner, cov_norm, nullspace_split,
-                       optimal_fraction_batch, step_runs)
+from .quadform import (cov_norm, nullspace_split, optimal_fraction_batch,
+                       step_runs)
 
 ZERO_COLUMN_LEVEL = 1e-14
 BOOTSTRAP_DRAWS = 400
