@@ -6,8 +6,6 @@ shows the radius dependence: rows are truncation radii, columns the ladder
 index, entries the distance between the truncated pair.
 """
 
-import numpy as np
-
 from growthlab import Ball, Box
 from growthlab.constraints import closed_limit_distances, truncated_pair_distance
 

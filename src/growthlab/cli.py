@@ -153,9 +153,9 @@ def _write(out_dir, manifest, name, writer, *args):
 
 
 def _write_ladder(out_dir, manifest, csv_name, report, runtime, **payload):
-    """Ladder table, one decay check per metric, the share of resamples on
-    which every fitted metric decays, and a summary of payload plus the
-    run's path count and seed and the slopes."""
+    """Ladder table, one decay check per metric, the share of the slopes'
+    joint-normal draws on which every fitted metric decays, and a summary of
+    payload plus the run's path count and seed and the slopes."""
     slopes = report.slopes()  # first: a ladder it rejects writes nothing
     _write(out_dir, manifest, csv_name, write_ladder_csv, report)
     for name, res in slopes.items():
@@ -244,7 +244,7 @@ def cmd_constraint(cfg, runtime, out_dir, manifest):
 
 
 def cmd_sensitivity(cfg, runtime, out_dir, manifest):
-    # point orders only: slopes() would add a bootstrap and a summary key
+    # point orders only: slopes() adds a key the benchmark reference lacks
     seed, paths, threads = runtime
     report = streamed_expansion_ladder(
         _market_spec(cfg["market"]), _tilt_spec(cfg["tilt"]),

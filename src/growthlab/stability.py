@@ -7,7 +7,7 @@ numbers, one stream_paths tile at a time, and measure its distance to the
 limit rung with one wealth_process_gap: the finite-variation gap, the
 quadratic-variation gap, and the uniform relative wealth errors both ways.
 A report column passes when its log-log decay slope against the ladder
-scale is negative with bootstrap confidence.
+scale is negative with 95% delta-method confidence.
 
 The probability family additionally reports the density diagnostics
 (terminal L^1 gap, uniform gap, quadratic variation of the density and of
@@ -36,13 +36,8 @@ from .quadform import (cov_norm, nullspace_split, optimal_fraction_batch,
                        step_runs)
 
 ZERO_COLUMN_LEVEL = 1e-14
-BOOTSTRAP_DRAWS = 400
-BOOTSTRAP_SEED = 20260817
-# Path draws per bootstrap chunk: 25 resamples of 2048 paths. A chunk
-# holds whole resamples, at least one, so its arrays stay near 400 KB for
-# any path count; 25 resamples of 40k paths made 8 MB arrays whose pages
-# were faulted in afresh for every chunk.
-BOOTSTRAP_CHUNK = 51_200
+JOINT_DRAWS = 400  # draws of the slopes' joint normal behind "draws"
+JOINT_SEED = 20260817
 DENSITY_FLOOR_FRACTION = 1e-3  # share of paths allowed below the floor
 BOUND_SLACK = 1e-6  # largest per-step bound excess the constraint ladder passes
 WEALTH_COLUMNS = ("fv", "qv", "sup_rel_inf", "sup_rel_n")
@@ -110,60 +105,63 @@ class LadderReport:
         return out
 
     def slopes(self):
-        """Decay slope per metric with a bootstrap confidence interval.
+        """Decay slope per metric with a 95% delta-method interval.
 
-        Each point slope is point_slopes'; zero columns count as decayed.
-        All per-path columns share one set of BOOTSTRAP_DRAWS resamples
-        drawn from BOOTSTRAP_SEED; "draws" is a column's slope on each (its
-        point slope if deterministic, None if zero). passed is True when
-        their 97.5% quantile is below zero.
+        A per-path column's point slope s = sum_l w_l log mu_l (point_slopes,
+        x = -log(scales), w = xc / (xc . xc)) has interval s -/+ 1.96 se
+        (Oehlert 1992), se^2 = sum_p h_p^2 / (P (P - 1)) over the paths'
+        projections h_p = sum_l (w_l / mu_l) (x_lp - mu_l), and passed when
+        its top is below zero; zero columns count as decayed, and a
+        deterministic column's interval is its point slope. "draws" holds
+        JOINT_DRAWS draws from JOINT_SEED of the slopes' joint normal, of
+        covariance sum_p h_p h_p' / (P (P - 1)) (a point slope repeated if
+        deterministic, None if zero).
         """
-        out, sampled = {}, {}
-        for name, slope in self.point_slopes().items():
+        point = self.point_slopes()  # first: it checks the scales
+        x = -np.log(np.asarray(self.scales, dtype=float))
+        xc = x - x.mean()
+        w = xc / (xc @ xc)
+        out, proj = {}, {}
+        for name, slope in point.items():
             zero = slope is None
             out[name] = {"slope": slope, "ci": (slope, slope), "zero": zero,
                          "passed": zero or slope < 0.0,
-                         "draws": None if zero else (slope,) * BOOTSTRAP_DRAWS}
+                         "draws": None if zero else (slope,) * JOINT_DRAWS}
             if not zero and name in self.per_path:
-                sampled[name] = self.per_path[name]
-        boot_means = _bootstrap_means(
-            list(sampled.values()), np.random.default_rng(BOOTSTRAP_SEED),
-            BOOTSTRAP_DRAWS)
-        x = -np.log(np.asarray(self.scales, dtype=float))
-        for name, means in zip(sampled, boot_means):
-            draws = _fit_slope(x, means)
-            lo, hi = np.percentile(draws, [2.5, 97.5])
-            out[name].update(ci=(float(lo), float(hi)), passed=bool(hi < 0.0),
+                arr = self.per_path[name]
+                mu = arr.mean(axis=1)  # g_l = 0 where the log's floor holds
+                g = np.divide(w, mu, out=np.zeros_like(w),
+                              where=mu > _log_floor(mu))
+                proj[name] = dot_last((arr - mu[:, None]).T, g)  # no BLAS
+        if not proj:
+            return out
+        n_p = next(iter(proj.values())).size
+        cov = np.array([[np.sum(a * b) for b in proj.values()]
+                        for a in proj.values()]) / (n_p * max(n_p - 1, 1))
+        vals, vecs = np.linalg.eigh(cov)
+        root = vecs * np.sqrt(np.maximum(vals, 0.0)) @ vecs.T
+        normal = np.random.default_rng(JOINT_SEED).standard_normal(
+            (len(proj), JOINT_DRAWS))
+        slope = np.array([out[name]["slope"] for name in proj])
+        for name, s, var, draws in zip(proj, slope, np.diag(cov),
+                                       slope[:, None] + root @ normal):
+            half = 1.96 * np.sqrt(var)
+            out[name].update(ci=(float(s - half), float(s + half)),
+                             passed=bool(s + half < 0.0),
                              draws=tuple(draws.tolist()))
         return out
 
 
-def _bootstrap_means(arrs, rng, n_boot):
-    """Means (L, n_boot) of n_boot resamples of the paths of each (L, P)
-    array in arrs, all on one count matrix per BOOTSTRAP_CHUNK path draws,
-    drawn from rng in order. einsum, unlike a BLAS matmul, adds in an order
-    that depends on neither the number of resamples nor the BLAS threads."""
-    n_p = arrs[0].shape[1] if arrs else 1  # no array: the draws go unused
-    step = max(1, BOOTSTRAP_CHUNK // n_p)
-    sums = [[] for _ in arrs]
-    for lo in range(0, n_boot, step):
-        n_b = min(step, n_boot - lo)
-        sel = rng.integers(0, n_p, (n_b, n_p))
-        sel += n_p * np.arange(n_b)[:, None]
-        counts = np.bincount(sel.ravel(), minlength=n_b * n_p)
-        counts = counts.reshape(n_b, n_p).astype(float)
-        for arr, out in zip(arrs, sums):
-            out.append(np.einsum("lp,bp->lb", arr, counts))
-    return [np.concatenate(out, axis=1) / n_p for out in sums]
+def _log_floor(means):
+    """The least value a slope logs: it guards exact zeros in rung means."""
+    return np.maximum(np.max(means) * 1e-300, 1e-300)
 
 
-def _fit_slope(x, values):
-    """Least-squares slope of log(values) on x, per column of values."""
-    # Guard exact zeros inside an otherwise positive column before logging.
-    floor = np.maximum(np.max(values, axis=0) * 1e-300, 1e-300)
-    y = np.log(np.maximum(values, floor))
+def _fit_slope(x, means):
+    """Least-squares slope of log(means) on x."""
+    y = np.log(np.maximum(means, _log_floor(means)))
     xc = x - x.mean()
-    return xc @ (y - y.mean(axis=0)) / (xc @ xc)
+    return xc @ (y - y.mean()) / (xc @ xc)
 
 
 def _stack(rows, names):
@@ -397,8 +395,8 @@ def density_sequence_check(z_paths):
     """
     rows = []
     for z in z_paths:
-        z = np.asarray(z, dtype=float)
-        if z.ndim != 2 or z.shape[1] < 2:
+        z = as_floats(z, "density paths", 2)
+        if z.shape[0] < 1 or z.shape[1] < 2:
             raise InvalidSpec(f"density paths must be (paths, steps+1), got {z.shape}")
         if np.any(z <= 0.0):
             raise InvalidSpec("density paths must be strictly positive")

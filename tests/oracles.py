@@ -272,3 +272,37 @@ def expansion_order(eps, errors, squared=False):
         return None
     slope = np.polyfit(np.log(eps), np.log(means), 1)[0]
     return float(slope / 2.0 if squared else slope)
+
+
+def delta_slope_cov(scales, arrs, step=1e-3):
+    """Point slopes of (L, P) columns arrs on one set of paths and the
+    delta-method covariance of those slopes (Oehlert 1992), from the
+    definition: the slope is the degree-one polyfit slope of log rung mean
+    on log(1/scale), its gradient in the rung means is a five-point central
+    difference with a relative step, and the rung means of all columns have
+    covariance np.cov / P."""
+    x = -np.log(np.asarray(scales, dtype=float))
+    n_l, n_p = arrs[0].shape
+
+    def slope(means):
+        return np.polyfit(x, np.log(means), 1)[0]
+
+    jac = np.zeros((len(arrs), len(arrs) * n_l))
+    for k, arr in enumerate(arrs):
+        means = arr.mean(axis=1)
+        for l in range(n_l):
+            h = step * means[l]
+            at = [slope(means + t * h * (np.arange(n_l) == l))
+                  for t in (-2, -1, 1, 2)]
+            jac[k, k * n_l + l] = (at[0] - 8 * at[1] + 8 * at[2] - at[3]) \
+                / (12 * h)
+    cov = jac @ (np.cov(np.vstack(arrs)) / n_p) @ jac.T
+    return np.array([slope(arr.mean(axis=1)) for arr in arrs]), cov
+
+
+def delta_slope_interval(scales, arr):
+    """95% delta-method interval s -/+ 1.96 se of one (L, P) column's slope,
+    from delta_slope_cov."""
+    slopes, cov = delta_slope_cov(scales, [arr])
+    half = 1.96 * np.sqrt(max(cov[0, 0], 0.0))
+    return slopes[0] - half, slopes[0] + half

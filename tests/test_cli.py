@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 import yaml
+from scipy.linalg import sqrtm
 
 import growthlab.stability as stability
 from growthlab.cli import _write_ladder, main
@@ -20,6 +21,7 @@ from growthlab.sensitivity import (
     EXPANSION_COLUMNS, expansion_orders, streamed_expansion_ladder,
 )
 from growthlab.stability import LadderReport
+from oracles import delta_slope_cov
 
 MARKET = {
     "dim": 2,
@@ -419,7 +421,7 @@ def test_sensitivity_flat_tilt_writes_strict_json(tmp_path):
 
 def test_sensitivity_errors_are_the_reports_rows(tmp_path):
     # errors.csv is write_ladder_csv of the expansion report, metric-major,
-    # and the summary holds point orders alone: no slopes, no bootstrap
+    # and the summary holds point orders alone: no slopes, no intervals
     eps = [0.2, 0.1, 0.05]
     cfg = write_config(tmp_path, "sens.yaml", {
         "kind": "sensitivity", "market": MARKET,
@@ -937,8 +939,9 @@ def test_malloc_policy_keeps_freed_rung_arrays_mapped():
 
 
 def test_filtration_summary_ignores_blas_threads(tmp_path):
-    # The bootstrap sums its resamples with einsum, not a BLAS matmul, so
-    # OpenBLAS's own threading leaves every digit of summary.json in place.
+    # The intervals sum per-path projections with dot_last and np.sum, not a
+    # BLAS matmul, so OpenBLAS's own threading leaves every digit of
+    # summary.json in place.
     cfg = write_config(tmp_path, "filtration.yaml", {
         "kind": "stability-filtration",
         "market": dict(MARKET, n_steps=100),
@@ -961,13 +964,14 @@ def test_filtration_summary_ignores_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_decay_joint_share_matches_per_draw_oracle(tmp_path, monkeypatch):
-    # The share of resamples on which every fitted column decays, against
-    # one rng.integers call per draw and a degree-one polyfit per column;
-    # a zero column is left out and a deterministic one uses its point
-    # slope. One growing column brings the share to 0.
-    monkeypatch.setattr(stability, "BOOTSTRAP_DRAWS", 80)
-    monkeypatch.setattr(stability, "BOOTSTRAP_SEED", 13)
+def test_decay_joint_share_matches_joint_normal_oracle(tmp_path, monkeypatch):
+    # The share of draws of the slopes' joint normal on which every fitted
+    # column decays, against the oracle's delta-method covariance, its
+    # symmetric root by sqrtm and the same standard normal draws; a zero
+    # column is left out and a deterministic one uses its point slope. One
+    # growing column brings the share to 0.
+    monkeypatch.setattr(stability, "JOINT_DRAWS", 80)
+    monkeypatch.setattr(stability, "JOINT_SEED", 13)
     rng = np.random.default_rng(6)
     scales = 2.0 ** -np.arange(1, 5)
     per_path = {"a": rng.exponential(1.0, (4, 41)) * scales[:, None] ** 0.1,
@@ -983,14 +987,11 @@ def test_decay_joint_share_matches_per_draw_oracle(tmp_path, monkeypatch):
                       (0, 41, 1))
         return manifest.diagnostics["decay_joint_share"]
 
-    x = -np.log(scales)
-    draws = np.random.default_rng(13)
-    picks = [draws.integers(0, 41, 41) for _ in range(80)]
-    decayed = [all(np.polyfit(x, np.log(per_path[k][:, pick].mean(axis=1)),
-                              1)[0] < 0.0 for k in ("a", "b"))
-               for pick in picks]
+    slopes, cov = delta_slope_cov(scales, [per_path["a"], per_path["b"]])
+    draws = slopes[:, None] + np.real(sqrtm(cov)) \
+        @ np.random.default_rng(13).standard_normal((2, 80))
     share = joint_share()
-    assert share == np.mean(decayed)
+    assert share == np.mean(np.all(draws < 0.0, axis=0))
     assert 0.0 < share < 1.0
     assert joint_share(up=np.linspace(1.0, 2.0, 4)[:, None]
                        * rng.exponential(1.0, 41)) == 0.0

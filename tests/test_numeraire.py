@@ -10,7 +10,7 @@ from growthlab.numeraire import (
     WealthPaths, growth_path, growth_rate, numeraire_fractions,
     numeraire_paths, terminal_deflation, wealth_paths, wealth_process_gap,
 )
-from growthlab.quadform import cov_inner, cov_norm, optimal_fraction_batch
+from growthlab.quadform import cov_inner, optimal_fraction_batch
 
 COV = np.array([[0.5, 0.1], [0.1, 0.4]])
 DRIFT = np.array([0.8, 0.5])

@@ -7,7 +7,6 @@ import pytest
 from scipy.stats import norm
 
 import growthlab.constraints as constraints
-import growthlab.stability as stability
 
 from growthlab.constraints import Ball, Box, FullSpace, Intersection
 from growthlab.errors import DensityFloorHit, InvalidSpec
@@ -27,7 +26,7 @@ from growthlab.stability import (
     probability_ladder,
 )
 
-from oracles import ball_ladder_bound
+from oracles import ball_ladder_bound, delta_slope_interval
 
 COV = np.array([[0.5, 0.1], [0.1, 0.4]])
 DRIFT = np.array([0.8, 0.5])
@@ -263,6 +262,22 @@ def test_density_check_rejects_bad_paths():
         density_sequence_check([np.array([[0.9, 1.0]])])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_density_check_rejects_non_finite_paths(bad):
+    # A NaN passed both the positivity and the start-at-one test and gave a
+    # NaN z_sup with RuntimeWarnings; an inf gave an infinite z_sup.
+    ones = [1.0, 1.0, 1.0, 1.0, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpec, match="density paths"):
+            density_sequence_check([[[1.0, 1.0, 1.0, bad, 1.0], ones]])
+
+
+def test_density_check_rejects_a_rung_with_no_paths():
+    with pytest.raises(InvalidSpec, match="density paths"):
+        density_sequence_check([np.ones((0, 5))])
+
+
 def test_density_check_constant_one_is_all_zero():
     z = np.ones((16, 11))
     table = density_sequence_check([z, z])
@@ -315,77 +330,69 @@ def test_slope_fit_flags_increasing_columns():
     assert slopes["down"]["passed"]
 
 
-def test_bootstrap_matches_per_draw_resampling(monkeypatch):
-    # The count-matrix bootstrap draws the same resamples, in the same
-    # order, as one rng.integers call per draw; every column is resampled
-    # on that one set of draws, and the closed-form slope agrees with a
-    # degree-one polyfit.
+def test_delta_interval_matches_the_finite_difference_oracle():
+    # Each per-path column's interval is the delta method's s -/+ 1.96 se,
+    # against a finite-difference gradient of the polyfit slope in the rung
+    # means and np.cov / P; a zero column keeps no interval.
     rng = np.random.default_rng(3)
     scales = 2.0 ** -np.arange(1, 6)
     per_path = {
         "a": rng.exponential(1.0, (5, 101)) * scales[:, None],
         "zero": np.zeros((5, 101)),
         "b": rng.exponential(1.0, (5, 101)) * scales[:, None] ** 2,
+        "flat": rng.exponential(1.0, (5, 101)),
     }
-    report = LadderReport(family="synthetic", scales=scales, per_path=per_path)
-    monkeypatch.setattr(stability, "BOOTSTRAP_DRAWS", 60)
-    monkeypatch.setattr(stability, "BOOTSTRAP_SEED", 11)
-    slopes = report.slopes()
+    slopes = LadderReport(family="synthetic", scales=scales,
+                          per_path=per_path).slopes()
     x = -np.log(scales)
-    draws = np.random.default_rng(11)
-    picks = [draws.integers(0, 101, 101) for _ in range(60)]
-    for name in ("a", "b"):
+    for name in ("a", "b", "flat"):
         arr = per_path[name]
-        boots = [np.polyfit(x, np.log(arr[:, pick].mean(axis=1)), 1)[0]
-                 for pick in picks]
-        lo, hi = np.percentile(boots, [2.5, 97.5])
-        assert slopes[name]["draws"] == pytest.approx(boots, abs=1e-12)
+        lo, hi = delta_slope_interval(scales, arr)
         assert slopes[name]["slope"] == pytest.approx(
             np.polyfit(x, np.log(arr.mean(axis=1)), 1)[0], abs=1e-12)
-        assert slopes[name]["ci"] == (pytest.approx(lo, abs=1e-12),
-                                      pytest.approx(hi, abs=1e-12))
-    assert slopes["zero"]["zero"]
+        assert slopes[name]["ci"] == (pytest.approx(lo, rel=1e-10),
+                                      pytest.approx(hi, rel=1e-10))
+        assert slopes[name]["passed"] == (hi < 0.0)
+    assert slopes["a"]["passed"] and not slopes["flat"]["passed"]
+    assert slopes["zero"]["zero"] and slopes["zero"]["ci"] == (None, None)
+
+
+def test_a_column_proportional_to_the_scale_has_a_zero_width_interval():
+    # x_lp = scale_l Y_p has slope -1 whatever the paths, so its delta
+    # variance is zero; the density columns of a mixture (1 - eps) + eps Z
+    # are such columns up to rounding: z - 1 = eps (Z - 1).
+    rng = np.random.default_rng(8)
+    scales = 2.0 ** -np.arange(1, 9)
+    z = rng.lognormal(0.0, 0.5, 2048)
+    per_path = {"exact": scales[:, None] * rng.exponential(1.0, 2048),
+                "mixture": np.abs((1.0 - scales[:, None])
+                                  + scales[:, None] * z - 1.0)}
+    slopes = LadderReport(family="synthetic", scales=scales,
+                          per_path=per_path).slopes()
+    for name, res in slopes.items():
+        lo, hi = res["ci"]
+        assert res["slope"] == pytest.approx(-1.0, abs=1e-12), name
+        assert 0.0 <= hi - lo <= 1e-12, name
+        assert res["passed"], name
 
 
 def test_a_column_interval_depends_only_on_its_own_data():
-    # Every column is resampled on one shared set of draws, so adding,
-    # removing or reordering the other columns moves no bit of a column's
-    # slope, interval or per-draw slopes.
+    # A column's interval comes from its own per-path projections, so
+    # adding, removing or reordering the other columns moves no bit of its
+    # slope, interval or verdict (its joint-normal draws do move).
     rng = np.random.default_rng(5)
     scales = 2.0 ** -np.arange(1, 6)
     a = rng.exponential(1.0, (5, 301)) * scales[:, None]
     b = rng.exponential(1.0, (5, 301)) * scales[:, None] ** 2
 
     def slopes_of_b(**per_path):
-        return LadderReport(family="synthetic", scales=scales,
-                            per_path=per_path).slopes()["b"]
+        res = LadderReport(family="synthetic", scales=scales,
+                           per_path=per_path).slopes()["b"]
+        return res["slope"], res["ci"], res["passed"]
 
     alone = slopes_of_b(b=b)
     assert slopes_of_b(a=a, b=b) == alone
     assert slopes_of_b(b=b, a=a, zero=np.zeros((5, 301))) == alone
-
-
-def test_bootstrap_does_not_depend_on_chunk_size(monkeypatch):
-    # The resamples are drawn in chunks, in order, from one generator, and
-    # each chunk is summed by einsum, so the chunk size moves no bit of the
-    # confidence interval.
-    rng = np.random.default_rng(4)
-    scales = 2.0 ** -np.arange(1, 7)
-    report = LadderReport(
-        family="synthetic", scales=scales,
-        per_path={"a": rng.exponential(1.0, (6, 1501)) * scales[:, None],
-                  "zero": np.zeros((6, 1501)),
-                  "b": rng.exponential(1.0, (6, 1501)) * scales[:, None] ** 2},
-        deterministic={"d": scales ** 0.5})
-    def slopes(n_boot):
-        monkeypatch.setattr(stability, "BOOTSTRAP_DRAWS", n_boot)
-        return report.slopes()
-
-    reference, short = slopes(400), slopes(37)
-    for chunk in (1, 7 * 1501, 400 * 1501):  # 1, 7 and 400 resamples
-        monkeypatch.setattr(stability, "BOOTSTRAP_CHUNK", chunk)
-        assert slopes(400) == reference
-        assert slopes(37) == short
 
 
 @pytest.mark.parametrize("ladder", ["probability", "sensitivity"])
