@@ -7,7 +7,7 @@ numbers, one stream_paths tile at a time, and measure its distance to the
 limit rung with one wealth_process_gap: the finite-variation gap, the
 quadratic-variation gap, and the uniform relative wealth errors both ways.
 A report column passes when its log-log decay slope against the ladder
-scale is negative with 95% delta-method confidence.
+scale is negative with 95% confidence (delta method, skew-corrected).
 
 The probability family additionally reports the density diagnostics
 (terminal L^1 gap, uniform gap, quadratic variation of the density and of
@@ -91,37 +91,30 @@ class LadderReport:
         """Least-squares slope of log(mean) on log(1/scale) per metric, so
         decay means a negative slope; None for a column that is identically
         zero, which cannot be fitted."""
-        scales = np.asarray(self.scales, dtype=float)
-        if scales.size < 2 or not np.all(scales > 0.0) \
-                or np.unique(scales).size < scales.size:
-            raise InvalidSpec(f"a slope needs two or more rungs with distinct "
-                              f"positive scales, got {scales.tolist()}")
-        x = -np.log(scales)
-        out = {}
+        xc, out = _centred_x(self.scales), {}
         for name, arr in {**self.per_path, **self.deterministic}.items():
             means = arr.mean(axis=1) if arr.ndim == 2 else arr
+            y = np.log(np.maximum(means, _log_floor(means)))
             out[name] = None if np.max(np.abs(means)) <= ZERO_COLUMN_LEVEL \
-                else float(_fit_slope(x, means))
+                else float(xc @ (y - y.mean()) / (xc @ xc))
         return out
 
     def slopes(self):
-        """Decay slope per metric with a 95% delta-method interval.
+        """Decay slope per metric with a 95% interval.
 
-        A per-path column's point slope s = sum_l w_l log mu_l (point_slopes,
-        x = -log(scales), w = xc / (xc . xc)) has interval s -/+ 1.96 se
-        (Oehlert 1992), se^2 = sum_p h_p^2 / (P (P - 1)) over the paths'
-        projections h_p = sum_l (w_l / mu_l) (x_lp - mu_l), and passed when
-        its top is below zero; zero columns count as decayed, and a
+        A per-path column's interval is s + _percentile_shift -/+ 1.96 se,
+        se^2 = sum_p h_p^2 / (P (P - 1)) the delta-method variance (Oehlert
+        1992) of its point slope s = sum_l w_l log mu_l (w = xc / (xc . xc))
+        by the projections h_p = sum_l (w_l / mu_l) (x_lp - mu_l); passed
+        when its top is below zero. Zero columns count as decayed, and a
         deterministic column's interval is its point slope. "draws" holds
-        JOINT_DRAWS draws from JOINT_SEED of the slopes' joint normal, of
-        covariance sum_p h_p h_p' / (P (P - 1)) (a point slope repeated if
-        deterministic, None if zero).
-        """
+        JOINT_DRAWS draws from JOINT_SEED of the slopes' joint normal about
+        s, of covariance sum_p h_p h_p' / (P (P - 1)) (a point slope
+        repeated if deterministic, None if zero)."""
         point = self.point_slopes()  # first: it checks the scales
-        x = -np.log(np.asarray(self.scales, dtype=float))
-        xc = x - x.mean()
+        xc = _centred_x(self.scales)
         w = xc / (xc @ xc)
-        out, proj = {}, {}
+        out, proj, shift = {}, {}, {}
         for name, slope in point.items():
             zero = slope is None
             out[name] = {"slope": slope, "ci": (slope, slope), "zero": zero,
@@ -132,36 +125,56 @@ class LadderReport:
                 mu = arr.mean(axis=1)  # g_l = 0 where the log's floor holds
                 g = np.divide(w, mu, out=np.zeros_like(w),
                               where=mu > _log_floor(mu))
-                proj[name] = dot_last((arr - mu[:, None]).T, g)  # no BLAS
+                dev = arr - mu[:, None]
+                proj[name] = h = dot_last(dev.T, g)  # no BLAS
+                shift[name] = _percentile_shift(dev, h, g, mu)
         if not proj:
             return out
         n_p = next(iter(proj.values())).size
         cov = np.array([[np.sum(a * b) for b in proj.values()]
                         for a in proj.values()]) / (n_p * max(n_p - 1, 1))
-        vals, vecs = np.linalg.eigh(cov)
-        root = vecs * np.sqrt(np.maximum(vals, 0.0)) @ vecs.T
+        vals, vecs = np.linalg.eigh(cov)  # root @ normal by einsum, no BLAS
         normal = np.random.default_rng(JOINT_SEED).standard_normal(
             (len(proj), JOINT_DRAWS))
         slope = np.array([out[name]["slope"] for name in proj])
-        for name, s, var, draws in zip(proj, slope, np.diag(cov),
-                                       slope[:, None] + root @ normal):
-            half = 1.96 * np.sqrt(var)
-            out[name].update(ci=(float(s - half), float(s + half)),
-                             passed=bool(s + half < 0.0),
-                             draws=tuple(draws.tolist()))
+        draws = slope[:, None] + np.einsum("ij,jb->ib", np.einsum(
+            "ik,jk->ij", vecs * np.sqrt(np.maximum(vals, 0.0)), vecs), normal)
+        for name, s, var, d in zip(proj, slope, np.diag(cov), draws):
+            mid, half = s + shift[name], 1.96 * np.sqrt(var)
+            out[name].update(ci=(float(mid - half), float(mid + half)),
+                             passed=bool(mid + half < 0.0),
+                             draws=tuple(d.tolist()))
         return out
+
+
+def _centred_x(scales):
+    """x = -log(scales) less its mean, the abscissa of every slope."""
+    scales = np.asarray(scales, dtype=float)
+    if scales.size < 2 or not np.all(scales > 0.0) \
+            or np.unique(scales).size < scales.size:
+        raise InvalidSpec(f"a slope needs two or more rungs with distinct "
+                          f"positive scales, got {scales.tolist()}")
+    x = -np.log(scales)
+    return x - x.mean()
+
+
+def _percentile_shift(dev, h, g, mu):
+    """Second-order gap of the percentile bootstrap's interval from the delta
+    interval (Hall 1992, sec. 3.5): sum_l a_l v_l / 2P + (m3 + 3 sum_l a_l
+    c_l^2) (1.96^2 - 1) / (6 sum_p h_p^2), a_l = -g_l / mu_l; on 1/P, v_l
+    are the rung variances, m3 the third moment of h, c_l its covariances
+    with the rungs. The first term is the log's bias, the second the skew."""
+    n_p, curv = h.size, -g / np.maximum(mu, _log_floor(mu))  # 0 if g = 0
+    cross = np.sum(dev * h, axis=1) / n_p
+    skew = np.sum(h * h * h) / n_p + 3.0 * np.sum(curv * cross * cross)
+    bias = np.sum(curv * np.sum(dev * dev, axis=1)) / (2.0 * n_p * n_p)
+    m2 = np.sum(h * h)
+    return bias + (skew * (1.96 ** 2 - 1.0) / (6.0 * m2) if m2 > 0.0 else 0.0)
 
 
 def _log_floor(means):
     """The least value a slope logs: it guards exact zeros in rung means."""
     return np.maximum(np.max(means) * 1e-300, 1e-300)
-
-
-def _fit_slope(x, means):
-    """Least-squares slope of log(means) on x."""
-    y = np.log(np.maximum(means, _log_floor(means)))
-    xc = x - x.mean()
-    return xc @ (y - y.mean()) / (xc @ xc)
 
 
 def _stack(rows, names):

@@ -300,9 +300,55 @@ def delta_slope_cov(scales, arrs, step=1e-3):
     return np.array([slope(arr.mean(axis=1)) for arr in arrs]), cov
 
 
-def delta_slope_interval(scales, arr):
-    """95% delta-method interval s -/+ 1.96 se of one (L, P) column's slope,
-    from delta_slope_cov."""
-    slopes, cov = delta_slope_cov(scales, [arr])
+def delta_slope_interval(scales, arr, step=1e-3):
+    """95% interval s + shift -/+ 1.96 se of one (L, P) column's slope:
+    se from delta_slope_cov, and shift the second-order term that takes it
+    to the percentile bootstrap's interval (Hall 1992, sec. 3.5), from the
+    definition: with a_i and a_ij the gradient and Hessian of the polyfit
+    slope in the rung means (five-point differences on the diagonal, four
+    corners off it) and m_ij, m_ijk the rungs' central moments on 1/P,
+    shift = sum a_ij m_ij / 2P + (sum a_i a_j a_k m_ijk + 3 sum a_i a_j
+    a_kl m_ik m_jl) (1.96^2 - 1) / (6 P a' m a)."""
+    x = -np.log(np.asarray(scales, dtype=float))
+    n_l, n_p = arr.shape
+    means = arr.mean(axis=1)
+    h = step * means
+
+    def slope(*moves):  # moves: (rung, steps of h) pairs
+        at = means.copy()
+        for l, t in moves:
+            at[l] += t * h[l]
+        return np.polyfit(x, np.log(at), 1)[0]
+
+    grad = np.array([(slope((l, -2)) - 8 * slope((l, -1)) + 8 * slope((l, 1))
+                      - slope((l, 2))) / (12 * h[l]) for l in range(n_l)])
+    hess = np.array([[
+        (-slope((k, 2)) + 16 * slope((k, 1)) - 30 * slope()
+         + 16 * slope((k, -1)) - slope((k, -2))) / (12 * h[k] ** 2) if k == l
+        else (slope((k, 1), (l, 1)) - slope((k, 1), (l, -1))
+              - slope((k, -1), (l, 1)) + slope((k, -1), (l, -1)))
+        / (4 * h[k] * h[l]) for l in range(n_l)] for k in range(n_l)])
+    dev = arr - means[:, None]
+    m2 = dev @ dev.T / n_p
+    m3 = np.einsum("ip,jp,kp->ijk", dev, dev, dev) / n_p
+    var = grad @ m2 @ grad
+    skew = np.einsum("i,j,k,ijk->", grad, grad, grad, m3) \
+        + 3 * np.einsum("i,j,kl,ik,jl->", grad, grad, hess, m2, m2)
+    shift = np.sum(hess * m2) / (2 * n_p) \
+        + skew * (1.96 ** 2 - 1) / (6 * n_p * var)
+    slopes, cov = delta_slope_cov(scales, [arr], step)
     half = 1.96 * np.sqrt(max(cov[0, 0], 0.0))
-    return slopes[0] - half, slopes[0] + half
+    return slopes[0] + shift - half, slopes[0] + shift + half
+
+
+def percentile_bootstrap_interval(scales, arr, n_boot, seed):
+    """2.5% and 97.5% quantiles of the polyfit slope of log rung means over
+    n_boot resamples of the paths of one (L, P) column, drawn with
+    replacement by rng.integers in blocks of 1000."""
+    x = -np.log(np.asarray(scales, dtype=float))
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(n_boot // 1000):
+        means = arr[:, rng.integers(0, arr.shape[1], (1000, arr.shape[1]))]
+        draws.extend(np.polyfit(x, np.log(means.mean(axis=2)), 1)[0])
+    return tuple(np.percentile(draws, [2.5, 97.5]))

@@ -939,9 +939,10 @@ def test_malloc_policy_keeps_freed_rung_arrays_mapped():
 
 
 def test_filtration_summary_ignores_blas_threads(tmp_path):
-    # The intervals sum per-path projections with dot_last and np.sum, not a
-    # BLAS matmul, so OpenBLAS's own threading leaves every digit of
-    # summary.json in place.
+    # The intervals sum per-path projections with dot_last and np.sum, and
+    # the joint-normal draws multiply by einsum, not a BLAS matmul, so
+    # OpenBLAS's own threading leaves every digit of summary.json and of
+    # decay_joint_share in place.
     cfg = write_config(tmp_path, "filtration.yaml", {
         "kind": "stability-filtration",
         "market": dict(MARKET, n_steps=100),
@@ -960,7 +961,9 @@ def test_filtration_summary_ignores_blas_threads(tmp_path):
              cfg, "--out", str(out)], env=dict(env, **blas_env),
             capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
-        outputs.append((out / "summary.json").read_bytes())
+        manifest = json.loads((out / "manifest.json").read_text())
+        outputs.append(((out / "summary.json").read_bytes(),
+                        manifest["diagnostics"]["decay_joint_share"]))
     assert outputs[0] == outputs[1]
 
 

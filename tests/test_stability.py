@@ -26,7 +26,8 @@ from growthlab.stability import (
     probability_ladder,
 )
 
-from oracles import ball_ladder_bound, delta_slope_interval
+from oracles import (ball_ladder_bound, delta_slope_interval,
+                     percentile_bootstrap_interval)
 
 COV = np.array([[0.5, 0.1], [0.1, 0.4]])
 DRIFT = np.array([0.8, 0.5])
@@ -331,9 +332,11 @@ def test_slope_fit_flags_increasing_columns():
 
 
 def test_delta_interval_matches_the_finite_difference_oracle():
-    # Each per-path column's interval is the delta method's s -/+ 1.96 se,
-    # against a finite-difference gradient of the polyfit slope in the rung
-    # means and np.cov / P; a zero column keeps no interval.
+    # Each per-path column's interval is the delta method's s -/+ 1.96 se
+    # moved by the percentile bootstrap's second-order shift, against a
+    # finite-difference gradient and Hessian of the polyfit slope in the
+    # rung means, np.cov / P and the rungs' third moments; a zero column
+    # keeps no interval.
     rng = np.random.default_rng(3)
     scales = 2.0 ** -np.arange(1, 6)
     per_path = {
@@ -355,6 +358,24 @@ def test_delta_interval_matches_the_finite_difference_oracle():
         assert slopes[name]["passed"] == (hi < 0.0)
     assert slopes["a"]["passed"] and not slopes["flat"]["passed"]
     assert slopes["zero"]["zero"] and slopes["zero"]["ci"] == (None, None)
+
+
+def test_interval_tracks_the_percentile_bootstrap_on_a_skewed_column():
+    # At a few dozen paths a right-skewed column's percentile bootstrap
+    # interval sits below the symmetric delta interval; the second-order
+    # shift closes most of the gap at both ends.
+    rng = np.random.default_rng(0)
+    scales = 2.0 ** -np.arange(1, 5)
+    arr = rng.exponential(1.0, 48) ** 2 * scales[:, None] ** 0.5 \
+        + 0.3 * rng.exponential(1.0, (4, 48))
+    res = LadderReport(family="synthetic", scales=scales,
+                       per_path={"a": arr}).slopes()["a"]
+    boot = percentile_bootstrap_interval(scales, arr, 20000, 99)
+    half = (res["ci"][1] - res["ci"][0]) / 2.0
+    for end, sign in ((0, -1.0), (1, 1.0)):
+        delta_gap = abs(res["slope"] + sign * half - boot[end])
+        assert delta_gap > 0.15 * half
+        assert abs(res["ci"][end] - boot[end]) < 0.5 * delta_gap
 
 
 def test_a_column_proportional_to_the_scale_has_a_zero_width_interval():
