@@ -1,6 +1,11 @@
 """Shared exception types and the argument rules that raise them."""
 
+import reprlib
+
 import numpy as np
+
+_SHOWN = reprlib.Repr()  # a value in a message: 6 items a level, 3 levels
+_SHOWN.maxlevel, _SHOWN.maxother = 3, 80
 
 
 class GrowthlabError(Exception):
@@ -56,7 +61,7 @@ def as_int(value, name, low, high=None):
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or out != value or isinstance(value, (bool, np.bool_)):
-        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+        raise InvalidSpec(f"{name} must be an integer, got {_SHOWN.repr(value)}")
     if out < low or high is not None and out > high:
         bound = {0: "nonnegative", 1: "positive"}.get(low, f"at least {low}")
         top = "" if high is None else f" and at most {high}"
@@ -87,7 +92,7 @@ def as_floats(value, name, ndim=None):
             or not np.all(np.isfinite(arr)) or _holds_non_number(value):
         what = {None: "finite numbers", 0: "a finite number"}.get(
             ndim, f"a finite {ndim}-d array")
-        raise InvalidSpec(f"{name} must be {what}, got {value!r}")
+        raise InvalidSpec(f"{name} must be {what}, got {_SHOWN.repr(value)}")
     return arr
 
 
@@ -97,5 +102,5 @@ def as_ladder(value, name):
     arr = as_floats(value, name, 1)
     if arr.size < 2 or np.unique(arr).size < arr.size:
         raise InvalidSpec(f"{name} must list two or more distinct sizes, "
-                          f"got {value!r}")
+                          f"got {_SHOWN.repr(value)}")
     return arr

@@ -563,7 +563,9 @@ def tilt_ratio(record, eps):
     if not 0.0 <= eps <= 1.0:
         raise InvalidSpec(f"mixture size must lie in [0, 1], got {eps}")
     z_left = record.z[:, :-1]
-    return z_left / ((1.0 - eps) + eps * z_left)
+    out = np.multiply(z_left, eps)
+    out += 1.0 - eps
+    return np.divide(z_left, out, out=out)
 
 
 def tilt_field(record, eps):

@@ -22,8 +22,7 @@ import numpy as np
 from .constraints import FullSpace, scale_last
 from .errors import DimensionMismatch, InvalidSpec, as_floats, as_ladder
 from .market import (
-    cumsum_from_zero, density_paths, market_steps, orthogonal_draws,
-    stream_paths, tilt_ratio,
+    density_paths, market_steps, orthogonal_draws, stream_paths, tilt_ratio,
 )
 from .numeraire import numeraire_fractions, wealth_paths
 from .stability import LadderReport, _join, _stack
@@ -47,15 +46,14 @@ def _check_record(bundle, record):
 
 
 def response_quotient(bundle, record, eps, *, reference=None):
-    """The rescaled log-wealth response at one tilt size, both routes.
-
-    Returns a dict with cumulative paths "direct" (from the two wealth
-    processes, the tilted one solved on a + eps lam^eps) and "formula" (the
-    right side of the identity, from tilt_ratio and the record's lam_dM and
-    lam_energy), both of shape (P, N + 1), plus per-step increments: the
-    formula's "fv_increments" and "mart_increments" and the tilt energy
-    "energy_increments", |lam^eps|_c^2 dG. reference, when given, is the
-    bundle's reference_increments, which do not depend on eps.
+    """The rescaled log-wealth response at one tilt size, both routes, as
+    new per-step arrays of shape (P, N), in this key order:
+    "direct_increments" (from the two wealth processes, the tilted one
+    solved on a + eps lam^eps), the formula's "fv_increments" and
+    "mart_increments" (from tilt_ratio and the record's lam_dM and
+    lam_energy), "energy_increments" (|lam^eps|_c^2 dG), then
+    "identity_error", max |cumsum(direct - fv - mart)| over paths and steps.
+    reference, when given, is the bundle's reference_increments.
     """
     eps = float(as_floats(eps, "eps", 0))
     if not 0.0 < eps <= 1.0:
@@ -69,13 +67,19 @@ def response_quotient(bundle, record, eps, *, reference=None):
     w_eps = wealth_paths(bundle, numeraire_fractions(  # drift freed on return
         bundle, FullSpace(),
         drifts=bundle.drift + scale_last(eps * ratio, record.lam1)))
-    direct = cumsum_from_zero(((w_eps.dB + w_eps.dL) - reference) / eps)
-    energy = ratio * ratio * record.lam_energy
-    fv_inc = -(eps / 2.0) * energy
-    mart_inc = ratio * record.lam_dM
-    return {"direct": direct, "formula": cumsum_from_zero(fv_inc + mart_inc),
-            "fv_increments": fv_inc, "mart_increments": mart_inc,
-            "energy_increments": energy}
+    direct = np.add(w_eps.dB, w_eps.dL, out=w_eps.dB)  # dB, dL written over
+    direct -= reference
+    direct /= eps
+    energy = np.multiply(ratio, ratio)
+    energy *= record.lam_energy
+    fv_inc = np.multiply(energy, -(eps / 2.0))
+    mart_inc = np.multiply(ratio, record.lam_dM, out=ratio)
+    gap = np.subtract(direct, fv_inc, out=w_eps.dL)
+    gap -= mart_inc
+    np.cumsum(gap, axis=1, out=gap)
+    return {"direct_increments": direct, "fv_increments": fv_inc,
+            "mart_increments": mart_inc, "energy_increments": energy,
+            "identity_error": float(np.max(np.abs(gap, out=gap)))}
 
 
 def _limit_increments(record):
@@ -84,8 +88,10 @@ def _limit_increments(record):
     -0.5 |lam0|_c^2 dG and martingale part (1 - Z1_-) <lam0, dM>."""
     z_left = record.z[:, :-1]
     first_inc = z_left * record.lam_dM
-    lim_fv = -0.5 * (z_left * z_left * record.lam_energy)
-    lim_mart = (1.0 - z_left) * first_inc
+    lim_fv = z_left * z_left
+    lim_fv *= -0.5 * record.lam_energy  # exact: -0.5 is a power of two
+    lim_mart = np.subtract(1.0, z_left)
+    lim_mart *= first_inc
     return first_inc, lim_fv, lim_mart
 
 
@@ -99,8 +105,8 @@ def _eps_sizes(eps_ladder):
 
 def _ladder_rows(bundle, record, eps_ladder, frac_ref=None):
     """Worst identity error and the per-path errors, EXPANSION_COLUMNS
-    arrays of shape (L, P), one quotient per eps at a time, all against the
-    reference wealth of frac_ref (see reference_increments).
+    arrays of shape (L, P), one quotient per eps at a time against the
+    reference_increments of frac_ref; columns reuse the quotient's arrays.
 
     First order: total variation of the quotient's drift part (the limit
     has none) and quadratic variation of its martingale part against the
@@ -109,19 +115,23 @@ def _ladder_rows(bundle, record, eps_ladder, frac_ref=None):
     """
     first_inc, lim_fv, lim_mart = _limit_increments(record)
     reference = reference_increments(bundle, frac_ref)
-    identity, rows = [], []
+    identity, rows = 0.0, []
     for eps in eps_ladder:
-        q = response_quotient(bundle, record, eps, reference=reference)
-        identity.append(np.max(np.abs(q["direct"] - q["formula"])))
-        mart_gap = q["mart_increments"] - first_inc
-        rem_fv = -0.5 * q["energy_increments"]
+        rem_mart, fv, mart_gap, rem_fv, err = response_quotient(
+            bundle, record, eps, reference=reference).values()
+        identity = max(identity, err)
+        mart_gap -= first_inc
+        np.divide(mart_gap, eps, out=rem_mart)  # over the direct increments
+        rem_mart -= lim_mart
+        rem_fv *= -0.5
+        rem_fv -= lim_fv
         rows.append(dict(zip(EXPANSION_COLUMNS, (
-            np.sum(np.abs(q["fv_increments"]), axis=1),
-            np.sum(mart_gap ** 2, axis=1),
-            np.sum(np.abs(rem_fv - lim_fv), axis=1),
-            np.sum((mart_gap / eps - lim_mart) ** 2, axis=1)))))
-        del q, mart_gap, rem_fv  # freed before the next quotient is solved
-    return float(np.max(identity)), _stack(rows, EXPANSION_COLUMNS)
+            np.sum(np.abs(fv, out=fv), axis=1),
+            np.sum(np.square(mart_gap, out=mart_gap), axis=1),
+            np.sum(np.abs(rem_fv, out=rem_fv), axis=1),
+            np.sum(np.square(rem_mart, out=rem_mart), axis=1)))))
+        del rem_mart, fv, mart_gap, rem_fv  # freed before the next quotient
+    return identity, _stack(rows, EXPANSION_COLUMNS)
 
 
 def _report(eps_ladder, parts):

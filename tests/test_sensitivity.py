@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import growthlab.sensitivity as sensitivity
+from growthlab.cli import IDENTITY_TOL
 from growthlab.constraints import FullSpace
 from growthlab.errors import DimensionMismatch, InvalidSpec
 from growthlab.market import (
-    PATH_BLOCK, MarketSpec, TiltSpec, density_paths, girsanov_drift,
-    orthogonal_draws, simulate_paths, tilt_decomposition, tilt_field,
+    PATH_BLOCK, MarketSpec, TiltSpec, cumsum_from_zero, density_paths,
+    girsanov_drift, orthogonal_draws, simulate_paths, tilt_decomposition,
+    tilt_field,
 )
 from growthlab.numeraire import numeraire_fractions, wealth_paths
 from growthlab.quadform import cov_inner, dot_last
@@ -27,12 +32,19 @@ def make_bundle(n_paths=400, seed=5, n_steps=40, cov=COV):
     return simulate_paths(spec, n_paths, seed)
 
 
+def routes(q):
+    """The quotient's two cumulative paths (P, N + 1): the direct route and
+    the formula, sum of its finite-variation and martingale increments."""
+    return (cumsum_from_zero(q["direct_increments"]),
+            cumsum_from_zero(q["fv_increments"] + q["mart_increments"]))
+
+
 def test_response_identity_is_exact_pathwise():
     b = make_bundle()
     rec = density_paths(b, TiltSpec(lam1=np.array([0.5, -0.3])))
     for eps in (1.0, 0.4, 0.1, 0.01):
         q = response_quotient(b, rec, eps)
-        assert np.max(np.abs(q["direct"] - q["formula"])) < 1e-8
+        assert q["identity_error"] < 1e-8
 
 
 def test_identity_survives_rank_deficient_covariance():
@@ -40,7 +52,7 @@ def test_identity_survives_rank_deficient_covariance():
     b = make_bundle(cov=cov)
     rec = density_paths(b, TiltSpec(lam1=np.array([0.3, 0.1])))
     q = response_quotient(b, rec, 0.25)
-    assert np.max(np.abs(q["direct"] - q["formula"])) < 1e-8
+    assert q["identity_error"] < 1e-8
 
 
 def test_zero_tilt_gives_zero_everywhere():
@@ -48,8 +60,8 @@ def test_zero_tilt_gives_zero_everywhere():
     rec = density_paths(b, TiltSpec(lam1=np.zeros(2)))
     assert np.max(np.abs(rec.z - 1.0)) == 0.0
     q = response_quotient(b, rec, 0.5)
-    assert np.max(np.abs(q["direct"])) < 1e-12
-    assert np.max(np.abs(q["formula"])) < 1e-12
+    for path in routes(q):
+        assert np.max(np.abs(path)) < 1e-12
     per_path = expansion_ladder(b, rec, EPS).per_path
     assert np.max(per_path["first_fv"].mean(axis=1)) == 0.0
     assert np.max(per_path["first_qv"].mean(axis=1)) == 0.0
@@ -83,7 +95,7 @@ def test_expansion_limits_match_small_eps_quotient():
     eps = 1e-6
     q = response_quotient(b, rec, eps)
     # the quotient converges to the first-order limit as eps -> 0
-    assert np.max(np.abs(q["formula"] - first_order)) < 1e-5
+    assert np.max(np.abs(routes(q)[1] - first_order)) < 1e-5
 
 
 def test_orthogonal_noise_does_not_change_the_quotient():
@@ -97,7 +109,7 @@ def test_orthogonal_noise_does_not_change_the_quotient():
     assert not np.allclose(rec_flat.z, rec_orth.z)
     q_flat = response_quotient(b, rec_flat, 0.2)
     q_orth = response_quotient(b, rec_orth, 0.2)
-    assert np.max(np.abs(q_orth["direct"] - q_orth["formula"])) < 1e-8
+    assert q_orth["identity_error"] < 1e-8
     assert not np.allclose(expansion_limits(b, rec_flat)[0],
                            expansion_limits(b, rec_orth)[0])
 
@@ -107,8 +119,90 @@ def test_eps_one_reproduces_full_tilt():
     rec = density_paths(b, TiltSpec(lam1=np.array([0.3, 0.2])))
     q = response_quotient(b, rec, 1.0)
     # at eps = 1 the perturbed market is the fully tilted one
-    assert np.max(np.abs(q["direct"] - q["formula"])) < 1e-8
-    assert np.max(np.abs(q["direct"][:, 0])) == 0.0
+    assert q["identity_error"] < 1e-8
+
+
+def test_identity_error_is_the_gap_of_the_two_routes():
+    b = make_bundle(n_paths=200)
+    rec = density_paths(b, TiltSpec(lam1=np.array([0.5, -0.3])))
+    for eps in (1.0, 0.2, 0.025):
+        q = response_quotient(b, rec, eps)
+        direct, formula = routes(q)
+        assert abs(q["identity_error"]
+                   - np.max(np.abs(direct - formula))) <= 1e-13, eps
+
+
+def test_identity_fails_on_a_mistaken_energy():
+    # A tilt energy off by one part in 1e4 breaks the identity on every
+    # path: the check has the power to see it.
+    b = make_bundle(n_paths=200)
+    rec = density_paths(b, TiltSpec(lam1=np.array([0.5, -0.3])))
+    wrong = dataclasses.replace(rec, lam_energy=rec.lam_energy * (1 + 1e-4))
+    for eps in (1.0, 0.2, 0.025):
+        assert response_quotient(b, rec, eps)["identity_error"] < 1e-12
+        assert response_quotient(b, wrong, eps)["identity_error"] \
+            > IDENTITY_TOL, eps
+
+
+def snapshot(*objects):
+    """Copies of every array field of the given dataclass instances and
+    arrays, to compare bit for bit after a call."""
+    out = []
+    for obj in objects:
+        fields = [obj] if isinstance(obj, np.ndarray) else [
+            v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        out += [f.copy() for f in fields]
+    return out
+
+
+def same_bits(a, b):
+    return len(a) == len(b) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def test_quotient_and_ladder_leave_their_inputs_unchanged():
+    # The quotient and the ladder columns are written in place over their
+    # own arrays; no input array may be touched, and a repeat is identical.
+    b = make_bundle(n_paths=100)
+    rec = density_paths(b, TiltSpec(lam1=np.array([0.5, -0.3]),
+                                    orthogonal_vol=0.5),
+                        orthogonal_draws(5, b.n_paths, b.n_steps))
+    reference = reference_increments(b)
+    before = snapshot(b, rec, reference)
+    for eps in (1.0, 0.1):
+        first = response_quotient(b, rec, eps, reference=reference)
+        again = response_quotient(b, rec, eps, reference=reference)
+        assert same_bits(snapshot(b, rec, reference), before)
+        assert first.keys() == again.keys()
+        for key in first:
+            assert np.array_equal(first[key], again[key]), key
+    report, again = (expansion_ladder(b, rec, EPS) for _ in range(2))
+    assert same_bits(snapshot(b, rec, reference), before)
+    assert report.meta == again.meta
+    for key, arr in report.per_path.items():
+        assert np.array_equal(again.per_path[key], arr), key
+
+
+def test_streamed_ladder_leaves_each_tile_input_unchanged(monkeypatch):
+    # Every tile shares the reference fractions; each tile's bundle and
+    # density record must come out of its rows as they went in.
+    rows, seen = sensitivity._ladder_rows, []
+
+    def checked_rows(bundle, record, eps_ladder, frac_ref=None):
+        before = snapshot(bundle, record, frac_ref)
+        out = rows(bundle, record, eps_ladder, frac_ref)
+        seen.append(same_bits(snapshot(bundle, record, frac_ref), before))
+        return out
+
+    monkeypatch.setattr(sensitivity, "_ladder_rows", checked_rows)
+    spec = MarketSpec(dim=2, n_steps=30, covariance=COV, drift=DRIFT)
+    tilt = TiltSpec(lam1=np.array([0.5, -0.3]), orthogonal_vol=0.5)
+    first, again = (streamed_expansion_ladder(spec, tilt, EPS, 1500, 11)
+                    for _ in range(2))
+    assert seen == [True] * 6
+    assert first.meta == again.meta
+    for key, arr in first.per_path.items():
+        assert np.array_equal(again.per_path[key], arr), key
 
 
 def test_rejects_eps_outside_unit_interval():

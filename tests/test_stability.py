@@ -274,6 +274,16 @@ def test_density_check_rejects_non_finite_paths(bad):
             density_sequence_check([[[1.0, 1.0, 1.0, bad, 1.0], ones]])
 
 
+def test_a_malformed_value_is_summarised_in_its_message():
+    # The message once held the repr of the whole nested list: 301,446
+    # characters for this call.
+    with pytest.raises(InvalidSpec) as info:
+        density_sequence_check([[[1.0] * 300 + [np.nan]] * 200])
+    text = str(info.value)
+    assert len(text) < 500
+    assert text.startswith("density paths must be a finite 2-d array, got [[")
+
+
 def test_density_check_rejects_a_rung_with_no_paths():
     with pytest.raises(InvalidSpec, match="density paths"):
         density_sequence_check([np.ones((0, 5))])
