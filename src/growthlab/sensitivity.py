@@ -99,7 +99,7 @@ def _eps_sizes(eps_ladder):
     """eps_ladder as two or more distinct tilt sizes in (0, 1]."""
     eps = as_ladder(eps_ladder, "eps_ladder")
     if np.any(eps <= 0.0) or np.any(eps > 1.0):
-        raise InvalidSpec(f"eps_ladder entries must lie in (0, 1], got {eps_ladder}")
+        raise InvalidSpec(f"eps_ladder entries must lie in (0, 1], got {eps}")
     return eps
 
 

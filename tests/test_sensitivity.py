@@ -372,6 +372,17 @@ def test_sensitivity_rejects_eps_ladders_without_a_slope(eps_ladder):
         expansion_ladder(bundle, density_paths(bundle, tilt), eps_ladder)
 
 
+def test_an_out_of_range_eps_ladder_is_summarised_in_its_message():
+    # The message once held the whole list: 3,179,687 characters here.
+    spec = MarketSpec(dim=2, n_steps=5, covariance=COV, drift=DRIFT)
+    with pytest.raises(InvalidSpec) as info:
+        streamed_expansion_ladder(spec, TiltSpec(lam1=np.array([0.5, -0.3])),
+                                  list(np.linspace(0.5, 2.0, 100000)), 10, 1)
+    text = str(info.value)
+    assert len(text) < 500
+    assert text.startswith("eps_ladder entries must lie in (0, 1], got [0.5")
+
+
 @pytest.mark.parametrize("eps_ladder", [[], 0.1], ids=["empty", "scalar"])
 def test_streamed_sensitivity_rejects_malformed_eps_ladder(eps_ladder):
     spec = MarketSpec(dim=2, n_steps=5, covariance=COV, drift=DRIFT)
