@@ -28,7 +28,7 @@ from .market import (
 )
 from .numeraire import (
     GrowthPath, WealthPaths, growth_path, growth_rate, numeraire_fractions,
-    numeraire_paths, terminal_deflation, wealth_paths, wealth_process_gap,
+    terminal_deflation, wealth_paths, wealth_process_gap,
 )
 from .stability import (
     LadderReport, constraint_ladder, density_sequence_check,

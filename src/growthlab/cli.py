@@ -25,7 +25,7 @@ from .errors import (
     ConfigError, DensityFloorHit, DimensionMismatch, GrowthlabError,
     InfeasibleConstraint, InvalidSpec, NonConvergence, NonNestedPartitions,
     QuadratureUnderResolved, ThresholdFailure, UnsupportedSignalModel,
-    as_floats, as_int, as_ladder,
+    _SHOWN, as_floats, as_int, as_ladder,
 )
 from .market import (
     GaussianSignalModel, MarketSpec, TiltSpec, cumsum_from_zero,
@@ -67,7 +67,7 @@ def _load_config(path):
         load, errors = yaml.safe_load, yaml.YAMLError
     try:
         cfg = load(text)
-    except errors as exc:
+    except (errors, ValueError) as exc:  # ValueError: an int past str()'s limit
         raise ConfigError(f"could not parse {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config root must be a mapping, got {type(cfg).__name__}")
@@ -76,7 +76,7 @@ def _load_config(path):
 
 def _require_keys(cfg, required, optional, where):
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{where} must be a mapping, got {cfg!r}")
+        raise ConfigError(f"{where} must be a mapping, got {_SHOWN.repr(cfg)}")
     unknown = sorted(map(str, set(cfg) - set(required) - set(optional)))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
@@ -232,7 +232,7 @@ def cmd_constraint(cfg, runtime, out_dir, manifest):
     seed, paths, threads = runtime
     spec = _market_spec(cfg["market"])
     if not isinstance(cfg["sets"], list):
-        raise ConfigError(f"sets must be a list, got {cfg['sets']!r}")
+        raise ConfigError(f"sets must be a list, got {_SHOWN.repr(cfg['sets'])}")
     sets = [_constraint(c, default_fullspace=False) for c in cfg["sets"]]
     limit = _constraint(cfg["limit_set"], default_fullspace=False)
     report = constraint_ladder(spec, sets, limit, paths, seed, threads=threads)

@@ -22,7 +22,7 @@ import itertools
 import numpy as np
 
 from .errors import (
-    DimensionMismatch, InfeasibleConstraint, NonConvergence, as_floats,
+    _SHOWN, DimensionMismatch, InfeasibleConstraint, NonConvergence, as_floats,
 )
 
 _NET_SEED = 20260817
@@ -461,15 +461,17 @@ def constraint_from_config(cfg):
     keys _CONFIG_KEYS names for its type."""
     kind = cfg.get("type") if isinstance(cfg, dict) else None
     if not isinstance(kind, str) or kind not in _CONFIG_KEYS:
-        raise InfeasibleConstraint(f"constraint config needs a known 'type': {cfg!r}")
+        raise InfeasibleConstraint("constraint config needs a known 'type': "
+                                   f"{_SHOWN.repr(cfg)}")
     keys = _CONFIG_KEYS[kind]
     if set(cfg) != {"type", *keys}:
         got = sorted(map(str, set(cfg) - {"type"}))  # YAML keys may be numbers
         raise InfeasibleConstraint(f"{kind} config needs exactly the keys "
-                                   f"{sorted(keys)}, got {got}")
+                                   f"{sorted(keys)}, got {_SHOWN.repr(got)}")
     if kind == "intersection":
         if not isinstance(cfg["members"], list):
-            raise InfeasibleConstraint(f"intersection members must be a list: {cfg!r}")
+            raise InfeasibleConstraint("intersection members must be a list: "
+                                       f"{_SHOWN.repr(cfg)}")
         return Intersection([constraint_from_config(m) for m in cfg["members"]])
     return {"full_space": FullSpace, "ball": Ball, "box": Box,
             "nonnegative_orthant": NonnegativeOrthant,

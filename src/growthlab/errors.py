@@ -4,8 +4,6 @@ import reprlib
 
 import numpy as np
 
-_SHOWN = reprlib.Repr()  # a value in a message: 6 items a level, 3 levels
-_SHOWN.maxlevel, _SHOWN.maxother = 3, 80
 
 
 class GrowthlabError(Exception):
@@ -52,6 +50,18 @@ class ThresholdFailure(GrowthlabError, RuntimeError):
     pass
 
 
+class _Shown(reprlib.Repr):
+    def repr_int(self, x, level):  # repr raises past str()'s digit limit
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"<int of {x.bit_length()} bits>"
+
+
+_SHOWN = _Shown()  # a value in a message: 6 items a level, 3 levels
+_SHOWN.maxlevel, _SHOWN.maxother = 3, 80
+
+
 def as_int(value, name, low, high=None):
     """value as a Python int in [low, high]: an integral int, numpy integer
     or float. A bool, a fraction, NaN, infinity or any other value raises
@@ -65,7 +75,7 @@ def as_int(value, name, low, high=None):
     if out < low or high is not None and out > high:
         bound = {0: "nonnegative", 1: "positive"}.get(low, f"at least {low}")
         top = "" if high is None else f" and at most {high}"
-        raise InvalidSpec(f"{name} must be {bound}{top}, got {out}")
+        raise InvalidSpec(f"{name} must be {bound}{top}, got {_SHOWN.repr(out)}")
     return out
 
 

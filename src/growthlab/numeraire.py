@@ -57,84 +57,45 @@ def growth_rate(c, drift, fraction):
     return rate
 
 
-def _broadcast_fractions(fractions, n_paths, n_steps, dim):
-    f = np.asarray(fractions, dtype=float)
-    if f.shape == (dim,):
-        f = np.broadcast_to(f, (n_steps, dim))
-    if f.shape in ((n_steps, dim), (n_paths, n_steps, dim)):
-        return f
-    raise DimensionMismatch(
-        f"fractions shape {f.shape} incompatible with "
-        f"{(n_paths, n_steps, dim)} paths"
-    )
-
-
-def wealth_paths(bundle, fractions, drift=None):
-    """Log-wealth decomposition of a predictable fraction process.
-
-    drift overrides the bundle's reference drift in the finite-variation
-    part, per step (N, d) or per path (P, N, d); the martingale part always
-    uses the bundle's noise increments. The caller is responsible for
-    predictability: a path-dependent fraction at step k must only use
-    information up to step k - 1.
+def wealth_paths(bundle, fractions):
+    """Log-wealth decomposition of a predictable fraction process, (d,), (N,
+    d) or (P, N, d), under the bundle's drift and noise increments. The
+    caller is responsible for predictability: a path-dependent fraction at
+    step k must only use information up to step k - 1.
     """
-    f = _broadcast_fractions(
-        fractions, bundle.n_paths, bundle.n_steps, bundle.dim
-    )
-    a = bundle.drift if drift is None else drift
-    dB = growth_rate(bundle.cov, a, f)
+    f, shape = np.asarray(fractions, dtype=float), bundle.dM.shape
+    if f.shape not in (shape[2:], shape[1:], shape):
+        raise DimensionMismatch(
+            f"fractions shape {f.shape} incompatible with {shape} paths")
+    dB = growth_rate(bundle.cov, bundle.drift, f)
     dB *= bundle.dG
-    if dB.shape != bundle.dM.shape[:2]:  # one fraction and drift per step
-        dB = np.broadcast_to(dB, bundle.dM.shape[:2]).copy()
+    if dB.shape != shape[:2]:  # one fraction and drift per step
+        dB = np.broadcast_to(dB, shape[:2]).copy()
     # <f, dM> has no covariance in it: a plain dot
     dL = dot_last(f, bundle.dM)
     return WealthPaths(dB=dB, dL=dL)
 
 
-def _solve_steps(cov, drifts, constraint):
-    """Optimal fractions for drifts (P, N, d) under per-step covariances
-    (N, d, d). Each run of consecutive steps sharing one covariance and one
-    constraint object is solved as a single (P * steps, d) batch."""
-    n_paths, _, dim = drifts.shape
-    steps = constraint if isinstance(constraint, (list, tuple)) \
-        else [constraint] * len(cov)
-    runs = step_runs(cov, steps)
-    if len(runs) == 1:
-        return optimal_fraction_batch(
-            cov[0], drifts.reshape(-1, dim), steps[0]).reshape(drifts.shape)
-    out = np.empty_like(drifts)
-    for lo, hi in runs:
-        rows = drifts[:, lo:hi].reshape(-1, dim)
-        out[:, lo:hi] = optimal_fraction_batch(
-            cov[lo], rows, steps[lo]).reshape(n_paths, hi - lo, dim)
-    return out
-
-
 def numeraire_fractions(bundle, constraint, *, drifts=None):
-    """Optimal fraction per step (and per path when drifts are path based).
-
-    constraint is a single set or a per-step sequence. drifts defaults to
-    the market reference drift; pass an array of shape (n_paths, n_steps,
-    dim) for estimated, path-dependent drifts.
-    """
-    if drifts is None:
-        return _solve_steps(bundle.cov, bundle.drift[None], constraint)[0]
-    drifts = np.asarray(drifts, dtype=float)
-    if drifts.shape != (bundle.n_paths, bundle.n_steps, bundle.dim):
+    """Optimal fraction per step (N, d) under one constraint set for the
+    market reference drift, or per path (P, N, d) for drifts of that shape:
+    estimated, path-dependent drifts. Each run of consecutive steps sharing
+    one covariance is solved as one (P * steps, d) batch."""
+    rows = bundle.drift[None] if drifts is None else np.asarray(drifts, dtype=float)
+    if drifts is not None and rows.shape != bundle.dM.shape:
         raise DimensionMismatch(
-            f"drift array shape {drifts.shape} does not match bundle"
-        )
-    return _solve_steps(bundle.cov, drifts, constraint)
-
-
-def numeraire_paths(bundle, constraint, *, drifts=None):
-    """Wealth paths of the growth-optimal portfolio under a constraint set.
-
-    drifts feeds the per-step optimization (estimated drift); the realized
-    finite-variation part uses the bundle's drift.
-    """
-    fractions = numeraire_fractions(bundle, constraint, drifts=drifts)
-    return wealth_paths(bundle, fractions)
+            f"drift array shape {rows.shape} does not match bundle")
+    runs, dim = step_runs(bundle.cov), bundle.dim
+    if len(runs) == 1:
+        out = optimal_fraction_batch(bundle.cov[0], rows.reshape(-1, dim),
+                                     constraint).reshape(rows.shape)
+    else:
+        out = np.empty_like(rows)
+        for lo, hi in runs:
+            out[:, lo:hi] = optimal_fraction_batch(
+                bundle.cov[lo], rows[:, lo:hi].reshape(-1, dim),
+                constraint).reshape(out[:, lo:hi].shape)
+    return out[0] if drifts is None else out
 
 
 @dataclass

@@ -45,14 +45,9 @@ def check_psd_matrix(c):
     return c
 
 
-def step_runs(cov, steps=None):
-    """(start, stop) of each run of consecutive steps sharing one covariance
-    of cov (N, d, d) and, when given, one object of the per-step sequence
-    steps."""
+def step_runs(cov):
+    """(start, stop) of each run of steps sharing one covariance of cov."""
     new = np.any(cov[1:] != cov[:-1], axis=(1, 2))
-    if steps is not None:
-        new |= np.array([b is not a for a, b in zip(steps[:-1], steps[1:])],
-                        dtype=bool)  # empty for one step
     edges = [0, *(np.flatnonzero(new) + 1).tolist(), len(cov)]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -105,10 +100,6 @@ class NullspaceSplit:
     @property
     def null_dim(self):
         return self.null_basis.shape[1]
-
-    @property
-    def range_dim(self):
-        return self.range_basis.shape[1]
 
     def project_range(self, x):
         x = np.asarray(x, dtype=float)
@@ -175,7 +166,7 @@ def optimal_fraction_batch(c, drifts, constraint):
     constraint.validate(c.shape[0])
     _check_null_in_constraint(constraint, split)
 
-    if split.range_dim == 0:
+    if split.range_basis.size == 0:
         out = np.zeros_like(rows)
         return out[0] if single else out
 

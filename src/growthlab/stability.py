@@ -29,8 +29,8 @@ from .market import (
     posterior, seed_sequence, signal_draws, stream_paths, tilt_ratio,
 )
 from .numeraire import (
-    WealthPaths, growth_path, growth_rate, numeraire_fractions,
-    numeraire_paths, wealth_paths, wealth_process_gap,
+    WealthPaths, growth_path, growth_rate, numeraire_fractions, wealth_paths,
+    wealth_process_gap,
 )
 from .quadform import (cov_norm, nullspace_split, optimal_fraction_batch,
                        step_runs)
@@ -196,55 +196,89 @@ def _density_columns(z):
             "rr_qv": np.sum((dz / z[:, :-1]) ** 2, axis=1)}
 
 
+def _on_line(o, l, s):
+    """Rows o + s l: s[..., None] l, plus o unless it is None."""
+    out = scale_last(s, l)
+    return out if o is None else np.add(out, o, out=out)
+
+
+def _line_wealth(market, constraint, offset, direction):
+    """wealth(bundle, s, tau, energy, l_dM): wealth on the optimal fractions
+    for drift rows o_k + s l_k, measured under o_k + tau l_k. o = offset is
+    (N, d) with tau None, or None with tau (P, 1); l = direction is (d,) or
+    (N, d); s (P, N), or (P, 1) for o None and l (d,); energy <l, c l> dG
+    (N,) and l_dM <l, dM> (P, N). Where the set holds p + s q, p and q the
+    range projections of o and l, it is the fraction (c o = c p and dM lies
+    in c's range): dB = s (tau - s/2) energy and dL = s l_dM, plus the wealth
+    of p. The solver takes the other rows, a whole run of steps sharing one
+    covariance in one batch when all of its rows bind."""
+    halfspaces, runs = constraint.halfspaces(market.dim), []
+    for lo, hi in step_runs(market.cov):
+        c, o = market.cov[lo], None if offset is None else offset[lo:hi]
+        l = direction if direction.ndim == 1 else direction[lo:hi]
+        optimal_fraction_batch(c, np.zeros(len(c)), constraint)  # raises on a bad set
+        proj = nullspace_split(c).project_range
+        runs.append((lo, hi, c, o, l, None if o is None else proj(o), proj(l)))
+
+    def wealth(bundle, s, tau, energy, l_dM):
+        dB, dL = np.empty(l_dM.shape), np.empty(l_dM.shape)
+        for lo, hi, c, o, l, p, q in runs:
+            run, m = np.s_[:, lo:hi], s if s.shape[1] == 1 else s[:, lo:hi]
+            x = _on_line(p, q, m)
+            hard = ~inside(x, *halfspaces, 0.0)
+            if hard.all():  # no gathers: they would cost more than the solves
+                f = optimal_fraction_batch(c, x.reshape(-1, len(c)),
+                                           constraint).reshape(x.shape)
+                rate = growth_rate(c, o if tau is None else _on_line(o, l, tau), f)
+                dB[run] = rate * bundle.dG[lo:hi]
+                dL[run] = dot_last(f, bundle.dM[run])
+                continue
+            np.multiply(m * (m * -0.5 if tau is None else m * -0.5 + tau),
+                        energy[lo:hi], out=dB[run])
+            np.multiply(m, l_dM[run], out=dL[run])
+            if o is not None:
+                dB[run] += growth_rate(c, o, p) * bundle.dG[lo:hi]
+                dL[run] += dot_last(p, bundle.dM[run])
+            i, k = np.nonzero(hard)
+            if i.size:  # a hard row of one column holds for every step
+                o_k, l_k = o if o is None else o[k], l if l.ndim == 1 else l[k]
+                f = optimal_fraction_batch(c, x[i, k], constraint)
+                at = i[:, None], k[:, None] if m.shape[1] > 1 else np.arange(hi - lo)
+                rate = growth_rate(c, o_k if tau is None
+                                   else _on_line(o_k, l_k, tau[i, 0]), f)
+                dB[run][at] = rate[:, None] * bundle.dG[lo:hi][at[1]]
+                dL[run][at] = dot_last(f[:, None, :], bundle.dM[run][at])
+        return WealthPaths(dB, dL)
+
+    return wealth
+
+
 def filtration_ladder(spec, model, constraint, n_paths, seed, *,
                       threads=1, event_threshold=None):
     """Information ladder: noisy peeks at the latent drift, sharpening to
     full revelation. Reports wealth distances to the revealed-limit
     numéraire plus drift and conditional-event diagnostics.
 
-    The drift is theta v and level n solves on m_n v, so its fraction is m_n
-    u, u = v on the range of c, until the set binds: the rungs work in (P, N)
-    scalars and solve only where it binds, the limit once per path."""
+    Level n solves on drift m_n v: _line_wealth with o = 0, l = v, s = m_n,
+    tau = theta; the limit is s = theta for every step."""
     n_paths = check_paths(n_paths, spec.n_steps, spec.dim)
     event_threshold = float(as_floats(
         model.prior_mean if event_threshold is None else event_threshold,
         "event_threshold", 0))
     market_spec, theta, zeta, path_ss = signal_draws(spec, model, n_paths, seed)
     market = market_steps(market_spec)
-    v, runs = model.direction, []
-    for lo, hi in step_runs(market.cov):
-        c = market.cov[lo]
-        optimal_fraction_batch(c, v, constraint)  # raises for a set it refuses
-        runs.append((lo, hi, c, nullspace_split(c).project_range(v)))
-    halfspaces = constraint.halfspaces(v.size)
-
-    def wealth(signal, mean):
-        """Wealth on the optimal fractions for drift rows mean v, mean (P, N)
-        or (P, 1) for every step: dB = m (theta - 0.5 m) <v,c v> dG and dL =
-        m <dM, v> (c u = c v), but from the solver's f where m u leaves the
-        set."""
-        base = signal.base
-        dB = mean * (mean * -0.5 + signal.theta[:, None]) * signal.vcv_dg
-        dL = mean * signal.dMv
-        for a, b, c, u in runs:
-            m = mean if mean.shape[1] == 1 else mean[:, a:b]
-            p, k = np.nonzero(~inside(scale_last(m, u), *halfspaces, 0.0))
-            if p.size:  # a hard row of one column holds for every step
-                f = optimal_fraction_batch(c, scale_last(m[p, k], v), constraint)
-                at = p[:, None], k[:, None] if m.shape[1] > 1 else np.arange(b - a)
-                rate = growth_rate(c, scale_last(signal.theta[p], v), f)
-                dB[:, a:b][at] = rate[:, None] * base.dG[a:b][at[1]]
-                dL[:, a:b][at] = dot_last(f[:, None, :], base.dM[:, a:b][at])
-        return WealthPaths(dB, dL)
+    wealth = _line_wealth(market, constraint, None, model.direction)
 
     def tile(base, lo, hi):
         signal = SignalBundle(base, model, theta[lo:hi], zeta[lo:hi])
-        w_inf = wealth(signal, signal.theta[:, None])
+        tau = signal.theta[:, None]
+        w_inf = wealth(base, tau, tau, signal.vcv_dg, signal.dMv)
         hit = (signal.theta > event_threshold).astype(float)
         rows = []
         for n in range(model.n_levels):
             mean_n, prec_n = posterior(signal, n)
-            row = wealth_process_gap(wealth(signal, mean_n), w_inf)
+            row = wealth_process_gap(
+                wealth(base, mean_n, tau, signal.vcv_dg, signal.dMv), w_inf)
             # in place, in the order of sum((m - theta)^2 vcv_dg) and
             # sum(|p - hit| dG)
             err = mean_n - signal.theta[:, None]
@@ -284,6 +318,8 @@ def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
     xi = None if tilt.orthogonal_vol == 0.0 \
         else orthogonal_draws(seed, n_paths, spec.n_steps)
     frac_ref = numeraire_fractions(market, constraint)
+    wealth = _line_wealth(market, constraint, market.drift,
+                          tilt.field(spec.n_steps, spec.dim))
     names = DENSITY_COLUMNS + ("drift_gap", "main1_fv", "main1_qv", "main2_fv",
                                "main2_qv", "sup_rel_inf", "sup_rel_n")
 
@@ -296,11 +332,10 @@ def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
             row = _density_columns((1.0 - eps) + eps * record.z)
             # Girsanov: the tilted drift is a + eps * ratio * lam1.
             ratio = tilt_ratio(record, eps)
-            shift = eps * scale_last(ratio, record.lam1)
             row["drift_gap"] = eps * eps * np.sum(
                 ratio * ratio * record.lam_energy, axis=1)
-            gaps = wealth_process_gap(numeraire_paths(
-                bundle, constraint, drifts=bundle.drift[None, :, :] + shift),
+            gaps = wealth_process_gap(wealth(
+                bundle, eps * ratio, None, record.lam_energy, record.lam_dM),
                 w_ref)
             row.update(gaps)
             # The filtration is held fixed along this ladder, so the

@@ -19,6 +19,24 @@ def quadratic_growth(c, a, pts):
     return pts @ ca - 0.5 * np.einsum("ki,ij,kj->k", pts, c, pts)
 
 
+def einsum_wealth(b, f, a):
+    """(dB, dL) of fractions f, (N, d) or (P, N, d), measured under drift a,
+    (N, d) or (P, N, d), on bundle b: the per-step einsum formulas, with no
+    matmul kernel."""
+    if a.ndim == 3 or f.ndim == 3:
+        f = np.broadcast_to(f, b.dM.shape)
+        ca = np.einsum("kij,pkj->pki", b.cov, np.broadcast_to(a, b.dM.shape))
+        lin = np.einsum("pki,pki->pk", f, ca)
+        quad = np.einsum("pki,kij,pkj->pk", f, b.cov, f)
+        return (lin - 0.5 * quad) * b.dG[None, :], \
+            np.einsum("pki,pki->pk", f, b.dM)
+    ca = np.einsum("kij,kj->ki", b.cov, a)
+    lin = np.einsum("ki,ki->k", f, ca)
+    quad = np.einsum("ki,kij,kj->k", f, b.cov, f)
+    return np.broadcast_to((lin - 0.5 * quad) * b.dG, b.dM.shape[:2]), \
+        np.einsum("ki,pki->pk", f, b.dM)
+
+
 def member_mask(constraint, pts, tol=1e-9):
     """Vectorized membership test straight from the set definitions."""
     if isinstance(constraint, FullSpace):

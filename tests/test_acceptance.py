@@ -25,7 +25,7 @@ from growthlab.market import (
     GaussianSignalModel, MarketSpec, TiltSpec, density_paths, simulate_paths,
 )
 from growthlab.numeraire import (
-    numeraire_paths, terminal_deflation, wealth_paths,
+    numeraire_fractions, terminal_deflation, wealth_paths,
 )
 from growthlab.quadform import (
     cov_inner, cov_norm, nullspace_split, optimal_fraction_batch,
@@ -339,7 +339,7 @@ def test_c10_terminal_deflation():
     spec = MarketSpec(dim=2, n_steps=30, covariance=COV, drift=DRIFT)
     bundle = simulate_paths(spec, 10_000, 41)
     constraint = Ball(1.0)
-    benchmark = numeraire_paths(bundle, constraint)
+    benchmark = wealth_paths(bundle, numeraire_fractions(bundle, constraint))
     rng = np.random.default_rng(42)
     for _ in range(20):
         pi = constraint.project(rng.standard_normal(2) * 2.0)

@@ -1015,3 +1015,49 @@ def test_filtration_joint_share_is_recorded_and_thread_free(tmp_path):
         summaries.append((out / "summary.json").read_bytes())
     assert 0.0 <= shares[0] <= 1.0 and shares[0] == shares[1]
     assert summaries[0] == summaries[1]
+
+
+HUGE_INT = "9" * 5000  # past str()'s 4300-digit limit for int conversion
+
+
+@pytest.mark.parametrize("name, text", [
+    ("huge.json", '{"kind": "sensitivity", "market": {"dim": 2, "n_steps": 5},'
+                  ' "tilt": {"lam1": [0.4, -0.2]}, "paths": ' + HUGE_INT + "}"),
+    ("huge.yaml", "kind: sensitivity\nmarket: {dim: 2, n_steps: 5}\n"
+                  "tilt: {lam1: [0.4, -0.2]}\npaths: " + HUGE_INT + "\n"),
+], ids=["json", "yaml"])
+def test_a_huge_integer_in_the_config_exits_2(tmp_path, capsys, name, text):
+    # the loaders raise a bare ValueError on the integer
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    assert run_cli("sensitivity", "--config", str(cfg),
+                   "--out", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: could not parse")
+    assert err.count("\n") == 1 and len(err) < 500
+    assert "Traceback" not in err
+
+
+def test_a_long_value_is_summarised_in_config_messages(tmp_path, capsys):
+    from growthlab.cli import _require_keys
+    from growthlab.constraints import constraint_from_config
+    from growthlab.errors import ConfigError, InfeasibleConstraint
+
+    long = [0.5] * 100000  # 500,030 characters as a repr
+    with pytest.raises(ConfigError) as info:
+        _require_keys(long, ("dim",), (), "market")
+    assert len(str(info.value)) < 500
+    for cfg in (long, {"type": "intersection", "members": {"x": long}},
+                {"type": "ball", "radius": 1.0, **{str(i): 0 for i in range(
+                    100000)}}):
+        with pytest.raises(InfeasibleConstraint) as info:
+            constraint_from_config(cfg)
+        assert len(str(info.value)) < 500
+    cfg = write_config(tmp_path, "sets.yaml", {
+        "kind": "stability-constraint", "market": MARKET,
+        "sets": {"radius": long}, "limit_set": {"type": "ball", "radius": 1.0}})
+    assert run_cli("stability", "--config", cfg,
+                   "--out", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sets must be a list")
+    assert len(err) < 500

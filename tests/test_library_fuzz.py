@@ -182,3 +182,14 @@ def test_ladder_meta_holds_the_converted_path_count(name):
     call, valid = next((c, v) for n, c, v in ENTRIES if n == name)
     n_paths = call(**dict(valid, n_paths=4.0)).meta["n_paths"]
     assert n_paths == 4 and type(n_paths) is int
+
+
+def test_a_huge_integer_out_of_range_raises_invalid_spec():
+    # str() of an int past 4300 digits raises ValueError, and so did the
+    # message that showed it
+    from growthlab.errors import as_int
+
+    with pytest.raises(InvalidSpec) as info:
+        as_int(10 ** 5000, "paths", 1, 10)
+    assert str(info.value) == "paths must be positive and at most 10, " \
+        "got <int of 16610 bits>"

@@ -16,7 +16,7 @@ from growthlab.market import (
     simulate_paths, simulate_signal_paths, stream_paths, tilt_field,
 )
 from growthlab.numeraire import (
-    numeraire_fractions, numeraire_paths, wealth_paths, wealth_process_gap,
+    WealthPaths, numeraire_fractions, wealth_paths, wealth_process_gap,
 )
 from growthlab.quadform import cov_inner
 from growthlab.sensitivity import streamed_expansion_ladder
@@ -26,7 +26,7 @@ from growthlab.stability import (
     probability_ladder,
 )
 
-from oracles import (ball_ladder_bound, delta_slope_interval,
+from oracles import (ball_ladder_bound, delta_slope_interval, einsum_wealth,
                      percentile_bootstrap_interval)
 
 COV = np.array([[0.5, 0.1], [0.1, 0.4]])
@@ -658,9 +658,8 @@ def _check_filtration_against_whole_bundle(spec, direction, constraint,
     base = signal.base
     true_drift = np.broadcast_to(
         signal.theta[:, None, None] * model.direction, base.dM.shape)
-    w_inf = wealth_paths(base, numeraire_fractions(base, constraint,
-                                                   drifts=true_drift),
-                         drift=true_drift)
+    w_inf = WealthPaths(*einsum_wealth(base, numeraire_fractions(
+        base, constraint, drifts=true_drift), true_drift))
     vcv_dg = cov_inner(base.cov, model.direction, model.direction) * base.dG
     hit = (signal.theta > 0.0).astype(float)
     for n in range(model.n_levels):
@@ -670,7 +669,7 @@ def _check_filtration_against_whole_bundle(spec, direction, constraint,
         hard = np.linalg.norm(fractions - free, axis=-1) > 1e-9
         assert hard.mean() >= hard_share, (n, hard.mean())
         gaps = wealth_process_gap(
-            wealth_paths(base, fractions, drift=true_drift), w_inf)
+            WealthPaths(*einsum_wealth(base, fractions, true_drift)), w_inf)
         gaps["drift_gap"] = np.sum(
             (mean_n - signal.theta[:, None]) ** 2 * vcv_dg, axis=1)
         probs = event_probabilities(mean_n, prec_n, 0.0)
@@ -684,31 +683,99 @@ def _check_filtration_against_whole_bundle(spec, direction, constraint,
                 (n, name)
 
 
+STEPS20 = np.arange(20) / 20.0
+PROBABILITY_BRANCHES = {
+    # name: (spec, lam1, constraint, paths, least share of hard rows); a run
+    # whose every row is hard is solved whole, any other row by row
+    "per-step-covariance": (
+        make_spec(n_steps=20, covariance=lambda t: np.array(
+            [[0.5 + 0.4 * t, 0.1 - 0.2 * t], [0.1 - 0.2 * t, 0.4]])),
+        [0.5, -0.3], Ball(1.0), 1500, 0.02),
+    # rank one: p and q are a and lam1 projected on the range of c
+    "rank-deficient-ball": (make_spec(n_steps=20, covariance=RANK_ONE),
+                            [1.2, 0.4], Ball(1.1), 1500, 0.1),
+    "ball-and-box-d3": (
+        MarketSpec(dim=3, n_steps=20, covariance=COV3, drift=DRIFT3), TILT3,
+        Intersection([Ball(1.2), Box([-0.3, -0.3, -0.3], [0.9, 0.6, 0.5])]),
+        600, 0.01),
+    "small-ball": (make_spec(n_steps=20), [0.5, -0.3], Ball(0.05), 1500, 1.0),
+    # a on the unit sphere, lam1 tangent to it: every row a + s lam1 leaves
+    # the ball, by less than 1e-6, so a membership slack would keep it
+    "tangent-ball": (make_spec(n_steps=20, drift=[0.6, 0.8]),
+                     [0.0016, -0.0012], Ball(1.0), 1500, 1.0),
+    "per-step-drift-and-tilt": (
+        make_spec(n_steps=20, drift=lambda t: np.array([0.8 - 0.6 * t,
+                                                        0.5 + 0.3 * t])),
+        np.outer(1.0 + STEPS20, [0.5, -0.3]), Ball(1.0), 1500, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", list(PROBABILITY_BRANCHES))
+def test_probability_ladder_branches_match_vector_route(case):
+    spec, lam1, constraint, n_paths, hard_share = PROBABILITY_BRANCHES[case]
+    tilt = TiltSpec(lam1=np.array(lam1))
+    eps_ladder = [0.5, 0.25, 0.125]
+    report = probability_ladder(spec, tilt, constraint, n_paths, 19,
+                                eps_ladder=eps_ladder, threads=2)
+    shares = []
+    for i, expected in enumerate(_vector_route(
+            spec, tilt, constraint, n_paths, 19, eps_ladder, None, shares)):
+        for name, arr in expected.items():
+            scale = np.max(np.abs(arr))
+            assert np.max(np.abs(report.per_path[name][i] - arr)) \
+                <= 1e-10 * scale, (i, name)
+    assert min(shares) >= hard_share, shares
+
+
+def _vector_route(spec, tilt, constraint, n_paths, seed, eps_ladder, xi,
+                  shares):
+    """Per rung, every per-path column of probability_ladder from the
+    whole-bundle (P, N, d) drift arrays, the per-step solver and
+    wealth_paths; each rung's share of hard rows goes to shares."""
+    bundle = simulate_paths(spec, n_paths, seed)
+    record = density_paths(bundle, tilt, xi)
+    w_ref = wealth_paths(bundle, numeraire_fractions(bundle, constraint))
+    table = density_sequence_check(
+        [(1.0 - e) + e * record.z for e in eps_ladder])
+    for i, eps in enumerate(eps_ladder):
+        shift = eps * tilt_field(record, eps)
+        fractions = numeraire_fractions(bundle, constraint,
+                                        drifts=bundle.drift + shift)
+        free = numeraire_fractions(bundle, FullSpace(),
+                                   drifts=bundle.drift + shift)
+        shares.append(np.mean(np.linalg.norm(fractions - free, axis=-1)
+                              > 1e-9))
+        gaps = wealth_process_gap(wealth_paths(bundle, fractions), w_ref)
+        expected = {name: table["per_path"][name][i]
+                    for name in ("z_l1", "z_sup", "zz_qv", "rr_qv")}
+        expected.update(
+            drift_gap=np.sum(cov_inner(bundle.cov, shift, shift) * bundle.dG,
+                             axis=1),
+            main1_fv=np.zeros(n_paths), main1_qv=np.zeros(n_paths),
+            main2_fv=gaps["fv"], main2_qv=gaps["qv"],
+            sup_rel_inf=gaps["sup_rel_inf"], sup_rel_n=gaps["sup_rel_n"])
+        yield expected
+
+
 def test_probability_ladder_with_orthogonal_factor_matches_whole_bundle():
     # the market, constraint, paths and seed of test_c07
     spec = make_spec(n_steps=100)
     tilt = TiltSpec(lam1=np.array([0.5, -0.3]), orthogonal_vol=0.4)
     eps_ladder = 2.0 ** -np.arange(1, 9)
     report = probability_ladder(spec, tilt, Ball(2.0), 4096, 23, threads=2)
-    bundle = simulate_paths(spec, 4096, 23)
-    record = density_paths(bundle, tilt, orthogonal_draws(23, 4096, 100))
-    assert report.meta["floor_hits"] == record.floor_hits
-    w_ref = numeraire_paths(bundle, Ball(2.0))
-    table = density_sequence_check(
-        [(1.0 - e) + e * record.z for e in eps_ladder])
-    for i, eps in enumerate(eps_ladder):
-        shift = eps * tilt_field(record, eps)
-        gaps = wealth_process_gap(numeraire_paths(
-            bundle, Ball(2.0), drifts=bundle.drift + shift), w_ref)
-        expected = {name: table["per_path"][name][i]
-                    for name in ("z_l1", "z_sup", "zz_qv", "rr_qv")}
-        expected.update(
-            drift_gap=np.sum(cov_inner(bundle.cov, shift, shift) * bundle.dG,
-                             axis=1),
-            main2_fv=gaps["fv"], main2_qv=gaps["qv"],
-            sup_rel_inf=gaps["sup_rel_inf"], sup_rel_n=gaps["sup_rel_n"])
+    xi = orthogonal_draws(23, 4096, 100)
+    assert report.meta["floor_hits"] == density_paths(
+        simulate_paths(spec, 4096, 23), tilt, xi).floor_hits
+    for i, expected in enumerate(_vector_route(
+            spec, tilt, Ball(2.0), 4096, 23, eps_ladder, xi, [])):
         # drift_gap is eps^2 sum ratio^2 lam_energy, the same sum in scalars
         assert np.allclose(report.per_path["drift_gap"][i],
                            expected.pop("drift_gap"), rtol=1e-12, atol=0.0)
+        # the wealth columns come from the scalar line formula on rows the
+        # ball holds, so they match in the last digits of the largest value
         for name, arr in expected.items():
-            assert np.array_equal(report.per_path[name][i], arr), (i, name)
+            if name in ("main2_fv", "main2_qv", "sup_rel_inf", "sup_rel_n"):
+                assert np.max(np.abs(report.per_path[name][i] - arr)) \
+                    <= 1e-10 * np.max(np.abs(arr)), (i, name)
+            else:
+                assert np.array_equal(report.per_path[name][i], arr), (i, name)
