@@ -5,6 +5,17 @@ import reprlib
 import numpy as np
 
 
+class _Shown(reprlib.Repr):
+    def repr_int(self, x, level):  # repr raises past str()'s digit limit
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"<int of {x.bit_length()} bits>"
+
+
+_SHOWN = _Shown()  # a value in a message: 6 items a level, 3 levels
+_SHOWN.maxlevel, _SHOWN.maxother = 3, 80
+
 
 class GrowthlabError(Exception):
     pass
@@ -48,18 +59,6 @@ class ConfigError(GrowthlabError, ValueError):
 
 class ThresholdFailure(GrowthlabError, RuntimeError):
     pass
-
-
-class _Shown(reprlib.Repr):
-    def repr_int(self, x, level):  # repr raises past str()'s digit limit
-        try:
-            return super().repr_int(x, level)
-        except ValueError:
-            return f"<int of {x.bit_length()} bits>"
-
-
-_SHOWN = _Shown()  # a value in a message: 6 items a level, 3 levels
-_SHOWN.maxlevel, _SHOWN.maxother = 3, 80
 
 
 def as_int(value, name, low, high=None):

@@ -241,7 +241,7 @@ def _line_wealth(market, constraint, offset, direction):
                 dL[run] += dot_last(p, bundle.dM[run])
             i, k = np.nonzero(hard)
             if i.size:  # a hard row of one column holds for every step
-                o_k, l_k = o if o is None else o[k], l if l.ndim == 1 else l[k]
+                o_k, l_k = None if o is None else o[k], l if l.ndim == 1 else l[k]
                 f = optimal_fraction_batch(c, x[i, k], constraint)
                 at = i[:, None], k[:, None] if m.shape[1] > 1 else np.arange(hi - lo)
                 rate = growth_rate(c, o_k if tau is None
