@@ -79,7 +79,7 @@ def _require_keys(cfg, required, optional, where):
         raise ConfigError(f"{where} must be a mapping, got {_SHOWN.repr(cfg)}")
     unknown = sorted(map(str, set(cfg) - set(required) - set(optional)))
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown keys in {where}: {_SHOWN.repr(unknown)}")
     missing = sorted(set(required) - set(cfg))
     if missing:
         raise ConfigError(f"missing keys in {where}: {', '.join(missing)}")
@@ -336,7 +336,7 @@ def cmd_density_check(cfg, runtime, out_dir, manifest):
                                           n_steps, horizon, seed)
         scales = 1.0 / sizes
     else:
-        raise ConfigError(f"unknown density family: {family!r}")
+        raise ConfigError(f"unknown density family: {_SHOWN.repr(family)}")
     report = LadderReport(family=f"density-{family}", scales=scales,
                           per_path=density_sequence_check(z_list)["per_path"])
     _write_ladder(out_dir, manifest, "density.csv", report, runtime,
@@ -407,8 +407,8 @@ def run(args, malloc_retained):
     allowed = [k for k, entry in KINDS.items() if entry[0] == args.command]
     if kind not in allowed:
         raise ConfigError(
-            f"config kind {kind!r} does not fit subcommand {args.command!r} "
-            f"(expected one of {', '.join(allowed)})")
+            f"config kind {_SHOWN.repr(kind)} does not fit subcommand "
+            f"{args.command!r} (expected one of {', '.join(allowed)})")
     out_dir = args.out if args.out is not None else f"growthlab-{args.command}"
     os.makedirs(out_dir, exist_ok=True)
     runtime = _runtime(cfg, args)

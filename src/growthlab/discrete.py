@@ -194,8 +194,8 @@ def discontinuity_report(p, levels, **market_kwargs):
         market = OnePeriodMarket(p=p, level=n, **market_kwargs)
         res = one_period_optimal(market, rule)
         pts, w = market.quadrature(rule)
-        mean_up = 1.0 + res.theta_star * float(np.dot(w, pts))
-        mean_down = 1.0 - res.theta_star * float(np.dot(w, pts))
+        step = res.theta_star * float(np.sum(w * pts))
+        mean_up, mean_down = 1.0 + step, 1.0 - step
         gap = max(abs(mean_up - revealed.wealth_values[0]),
                   abs(mean_down - revealed.wealth_values[1]))
         rows["level"].append(n)
@@ -305,5 +305,5 @@ def tree_projection_convergence(tree, chi, caps):
     return {
         "caps": caps,
         "per_scenario": per_scenario,
-        "expected": per_scenario @ probs,
+        "expected": np.sum(per_scenario * probs, axis=1),
     }

@@ -25,7 +25,7 @@ import numpy.ma  # np.unique reads np.ma: loaded here, not inside a run
 import numpy.random  # numpy 2 loads it on first use: here, not in a run
 
 from .errors import (
-    DimensionMismatch, InvalidSpec, UnsupportedSignalModel, as_floats, as_int,
+    _SHOWN, DimensionMismatch, InvalidSpec, UnsupportedSignalModel, as_floats, as_int,
 )
 from .constraints import apply_last, dot_last, scale_last
 from .quadform import check_psd_matrix, cov_inner, step_runs
@@ -125,10 +125,10 @@ class MarketSpec:
                               "can index or the process's memory holds")
         if isinstance(self.clock, str) and self.clock != "uniform":
             raise InvalidSpec('clock must be "uniform", increments or a '
-                              f"callable, got {self.clock!r}")
+                              f"callable, got {_SHOWN.repr(self.clock)}")
         if not isinstance(self.normalize_clock, (bool, np.bool_)):
             raise InvalidSpec("normalize_clock must be true or false, got "
-                              f"{self.normalize_clock!r}")
+                              f"{_SHOWN.repr(self.normalize_clock)}")
         vars(self).update(
             dim=dim, n_steps=n_steps,
             horizon=float(as_floats(self.horizon, "horizon", 0)),
@@ -161,7 +161,7 @@ class MarketSpec:
         sqrt_cov = np.empty_like(cov)
         for lo, hi in step_runs(cov):  # one eigh per distinct covariance
             w, v = np.linalg.eigh(cov[lo])
-            sqrt_cov[lo:hi] = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+            sqrt_cov[lo:hi] = apply_last(v * np.sqrt(np.maximum(w, 0.0)), v)
         return dg, cov, sqrt_cov, drift
 
 

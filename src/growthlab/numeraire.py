@@ -41,10 +41,6 @@ class WealthPaths:
         return self.dB + self.dL
 
     @property
-    def log_wealth(self):
-        return np.cumsum(self.dB + self.dL, axis=1)
-
-    @property
     def terminal_log_wealth(self):
         return np.sum(self.dB, axis=1) + np.sum(self.dL, axis=1)
 

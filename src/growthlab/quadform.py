@@ -24,7 +24,7 @@ import numpy as np
 from .constraints import (
     ConstraintSet, FullSpace, apply_last, dot_last, inside, nearest_points,
 )
-from .errors import DimensionMismatch, InfeasibleConstraint, InvalidSpec
+from .errors import _SHOWN, DimensionMismatch, InfeasibleConstraint, InvalidSpec
 
 NULLSPACE_RTOL = 1e-12
 
@@ -55,9 +55,10 @@ def step_runs(cov):
 def cov_inner(c, x, y):
     """Pseudo inner product <x, c y>. c is one (d, d) matrix or one per step
     (N, d, d); x and y broadcast against each other and c's steps over (d,),
-    (N, d) and (P, N, d). c is applied to y with one matmul per run of steps
-    sharing one covariance; x then multiplies that product in place where
-    it fits, else through dot_last, and the product is freed on return."""
+    (N, d) and (P, N, d), with no BLAS kernel. Where x fits c y's shape,
+    each (c y)_i is dot_last's index-ordered sum into one buffer, times x_i
+    in place, added in index order; else x meets apply_last(c, y) through
+    dot_last. Both give einsum's bits for d <= 2."""
     c, x, y = (np.asarray(v, dtype=float) for v in (c, x, y))
     try:
         if c.ndim not in (2, 3) or not \
@@ -67,19 +68,14 @@ def cov_inner(c, x, y):
     except ValueError:
         raise DimensionMismatch(f"vectors of shape {x.shape}/{y.shape} "
                                 f"against matrices {c.shape}") from None
-    if c.ndim == 2:
-        cy = y @ c.T
-    else:
-        cy = np.empty(np.broadcast_shapes(y.shape, c.shape[:-1]))
-        y = np.broadcast_to(y, cy.shape)
-        for lo, hi in step_runs(c):
-            np.matmul(y[..., lo:hi, :], c[lo].T, out=cy[..., lo:hi, :])
-    if cy.shape != np.broadcast_shapes(x.shape, cy.shape):
-        return dot_last(x, cy)
-    cy *= x
-    out = cy[..., 0] + 0.0  # the +0.0 start of dot_last
-    for i in range(1, cy.shape[-1]):
-        out += cy[..., i]
+    shape = np.broadcast_shapes(y.shape, c.shape[:-1])
+    if shape != np.broadcast_shapes(x.shape, shape):
+        return dot_last(x, apply_last(c, y))
+    out, cy = 0.0, np.empty(shape[:-1])  # out: the +0.0 start of dot_last
+    for i in range(c.shape[-1]):
+        dot_last(y, c[..., i, :], out=cy)
+        cy *= x[..., i]
+        out += cy
     return out
 
 
@@ -162,7 +158,8 @@ def optimal_fraction_batch(c, drifts, constraint):
     rows = np.atleast_2d(drifts)
     split = nullspace_split(c)
     if not isinstance(constraint, ConstraintSet):
-        raise InfeasibleConstraint(f"constraint must be a ConstraintSet, got {constraint!r}")
+        raise InfeasibleConstraint("constraint must be a ConstraintSet, got "
+                                   f"{_SHOWN.repr(constraint)}")
     constraint.validate(c.shape[0])
     _check_null_in_constraint(constraint, split)
 

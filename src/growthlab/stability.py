@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import closed_limit_distances, dot_last, inside, scale_last
-from .errors import DensityFloorHit, InvalidSpec, as_floats, as_int, as_ladder
+from .errors import _SHOWN, DensityFloorHit, InvalidSpec, as_floats, as_int, as_ladder
 from .market import (
     SignalBundle, check_paths, cumsum_from_zero, density_paths,
     event_probabilities, market_steps, orthogonal_draws, path_stderr,
@@ -96,7 +96,7 @@ class LadderReport:
             means = arr.mean(axis=1) if arr.ndim == 2 else arr
             y = np.log(np.maximum(means, _log_floor(means)))
             out[name] = None if np.max(np.abs(means)) <= ZERO_COLUMN_LEVEL \
-                else float(xc @ (y - y.mean()) / (xc @ xc))
+                else float(dot_last(xc, y - y.mean()) / dot_last(xc, xc))
         return out
 
     def slopes(self):
@@ -113,7 +113,7 @@ class LadderReport:
         repeated if deterministic, None if zero)."""
         point = self.point_slopes()  # first: it checks the scales
         xc = _centred_x(self.scales)
-        w = xc / (xc @ xc)
+        w = xc / dot_last(xc, xc)
         out, proj, shift = {}, {}, {}
         for name, slope in point.items():
             zero = slope is None
@@ -152,8 +152,8 @@ def _centred_x(scales):
     scales = np.asarray(scales, dtype=float)
     if scales.size < 2 or not np.all(scales > 0.0) \
             or np.unique(scales).size < scales.size:
-        raise InvalidSpec(f"a slope needs two or more rungs with distinct "
-                          f"positive scales, got {scales.tolist()}")
+        raise InvalidSpec("a slope needs two or more rungs with distinct "
+                          f"positive scales, got {_SHOWN.repr(scales.tolist())}")
     x = -np.log(scales)
     return x - x.mean()
 

@@ -967,6 +967,92 @@ def test_filtration_summary_ignores_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+KERNEL_MARKET = dict(MARKET, n_steps=100)
+KERNEL_RUNS = [
+    ("stability", {"kind": "stability-filtration", "market": KERNEL_MARKET,
+                   "signal": {"direction": [1.0, 0.3]},
+                   "constraint": {"type": "ball", "radius": 2.0},
+                   "paths": 512}),
+    ("stability", {"kind": "stability-filtration", "paths": 256,
+                   "market": dict(MARKET, covariance=[
+                       [[0.5, 0.1], [0.1, 0.4]]] * 10 + [
+                       [[0.9, -0.2], [-0.2, 0.3]]] * 15),
+                   "signal": {"direction": [1.0, 0.3]}}),
+    ("stability", {"kind": "stability-constraint", "paths": 256, "market": {
+                       "dim": 2, "n_steps": 600,
+                       "covariance": [[0.6, 0.1], [0.1, 0.4]],
+                       "drift": [5.0, 4.0], "normalize_clock": False},
+                   "sets": [{"type": "ball", "radius": 1.5 + 2.0 ** -n}
+                            for n in range(1, 9)],
+                   "limit_set": {"type": "ball", "radius": 1.5}}),
+    *[(command, {"kind": kind, "market": KERNEL_MARKET, "paths": 512,
+                 "tilt": {"lam1": [0.5, -0.3], "orthogonal_vol": vol}})
+      for command, kind in (("stability", "stability-probability"),
+                            ("sensitivity", "sensitivity"))
+      for vol in (0.0, 0.5)],
+    ("simulate", {"kind": "simulate", "market": KERNEL_MARKET, "paths": 512,
+                  "constraint": {"type": "ball", "radius": 1.0}}),
+    ("solve", {"kind": "solve", "covariance": [[0.5, 0.1], [0.1, 0.4]],
+               "drift": [0.8, 0.5]}),
+    ("density-check", {"kind": "density-check", "family": "lognormal",
+                       "vols": [0.4, 0.2, 0.1], "paths": 512}),
+    ("tree", {"kind": "tree-projection", "depth": 10,
+              "chi": {"values": [(7 * i % 13) / 13.0 for i in range(1024)]}}),
+    ("counterexample", {"kind": "counterexample", "p": 0.6}),
+]
+KERNEL_CHILD = """
+import ctypes, json, sys
+import numpy.linalg._umath_linalg as linalg
+from growthlab.cli import main
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+core = getattr(ctypes.CDLL(linalg.__file__),
+               "scipy_openblas_get_corename64_", None)
+codes = []
+if core is not None:  # else the kernel cannot be confirmed: run nothing
+    core.restype = ctypes.c_char_p
+    core = core().decode()
+    codes = [main([command, "--config", cfg, "--seed", "7",
+                   "--out", f"{out}/{i}"]) for i, (command, cfg) in enumerate(runs)]
+print(json.dumps([core, codes]))
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # Every product that reaches a CSV or summary.json is an index-ordered
+    # sum, so children on three OpenBLAS kernels write the same bytes. The
+    # face walk's BLAS products are left out: no run here has halfspace
+    # rows. The tree at depth 10 sums its 1024 scenarios with np.sum, which
+    # a BLAS dot would not reproduce.
+    runs = [(command, write_config(tmp_path, f"{i}.yaml", payload))
+            for i, (command, payload) in enumerate(KERNEL_RUNS)]
+    env = {k: v for k, v in src_env().items() if k != "OPENBLAS_CORETYPE"}
+    cores, exits, files = [], [], []
+    for coretype in ("", "Sandybridge", "Prescott"):
+        out = tmp_path / (coretype or "default")
+        result = subprocess.run(
+            [sys.executable, "-c", KERNEL_CHILD, str(out), json.dumps(runs)],
+            env=dict(env, OPENBLAS_CORETYPE=coretype) if coretype else env,
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        core, codes = json.loads(result.stdout.splitlines()[-1])
+        if core is None:
+            pytest.skip("numpy's OpenBLAS does not export "
+                        "scipy_openblas_get_corename64_, so the kernel a "
+                        "child runs cannot be confirmed")
+        cores.append(core)
+        exits.append(codes)
+        files.append({path.relative_to(out): path.read_bytes()
+                      for path in sorted(out.rglob("*"))
+                      if path.suffix == ".csv" or path.name == "summary.json"})
+    assert len(set(cores)) == 3, cores
+    assert exits[0] == exits[1] == exits[2] == [0] * len(KERNEL_RUNS)
+    assert len(files[0]) > len(KERNEL_RUNS)
+    for other in files[1:]:
+        assert other.keys() == files[0].keys()
+        moved = [str(name) for name in other if other[name] != files[0][name]]
+        assert not moved, (cores, moved)
+
+
 def test_decay_joint_share_matches_joint_normal_oracle(tmp_path, monkeypatch):
     # The share of draws of the slopes' joint normal on which every fitted
     # column decays, against the oracle's delta-method covariance, its
@@ -1041,12 +1127,34 @@ def test_a_huge_integer_in_the_config_exits_2(tmp_path, capsys, name, text):
 def test_a_long_value_is_summarised_in_config_messages(tmp_path, capsys):
     from growthlab.cli import _require_keys
     from growthlab.constraints import constraint_from_config
-    from growthlab.errors import ConfigError, InfeasibleConstraint
+    from growthlab.errors import ConfigError, InfeasibleConstraint, InvalidSpec
+    from growthlab.quadform import optimal_fraction_batch
 
     long = [0.5] * 100000  # 500,030 characters as a repr
-    with pytest.raises(ConfigError) as info:
-        _require_keys(long, ("dim",), (), "market")
-    assert len(str(info.value)) < 500
+    for cfg in (long, {f"k{i}": 0 for i in range(100000)}):  # unknown keys
+        with pytest.raises(ConfigError) as info:
+            _require_keys(cfg, ("dim",), (), "market")
+        assert len(str(info.value)) < 500
+    for make, error in (
+            (lambda: MarketSpec(dim=2, n_steps=4, clock="x" * 100000),
+             InvalidSpec),
+            (lambda: MarketSpec(dim=2, n_steps=4, normalize_clock=long),
+             InvalidSpec),
+            (lambda: LadderReport(family="f", scales=[1.0] * 100000,
+                                  per_path={}).point_slopes(), InvalidSpec),
+            (lambda: optimal_fraction_batch(np.eye(2), np.zeros(2), long),
+             InfeasibleConstraint)):
+        with pytest.raises(error) as info:
+            make()
+        assert len(str(info.value)) < 500
+    for payload in ({"kind": "density-check", "family": "x" * 500000},
+                    {"kind": "x" * 100000}):
+        cfg = tmp_path / "long.json"  # JSON: yaml would parse it slowly
+        cfg.write_text(json.dumps(payload))
+        assert run_cli("density-check", "--config", str(cfg),
+                       "--out", str(tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err) < 500
     for cfg in (long, {"type": "intersection", "members": {"x": long}},
                 {"type": "ball", "radius": 1.0, **{str(i): 0 for i in range(
                     100000)}}):

@@ -173,8 +173,8 @@ def test_materialize_factors_each_run_once_with_per_step_bits():
                 c = c / np.einsum("ii", c)
             w, v = np.linalg.eigh(c)
             assert np.array_equal(cov[k], c)
-            assert np.array_equal(sqrt_cov[k],
-                                  (v * np.sqrt(np.maximum(w, 0.0))) @ v.T)
+            assert np.array_equal(sqrt_cov[k], np.einsum(
+                "...ij,...j->...i", v * np.sqrt(np.maximum(w, 0.0)), v))
         assert np.array_equal(dG, ref_dg)
     bad = list(steps)
     bad[7] = np.array([[0.5, 0.6], [0.6, 0.4]])  # one step, inside a run

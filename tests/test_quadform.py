@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,8 +73,8 @@ def same_bits(a, b):
 def test_dot_last_matches_einsum(d):
     # Bitwise for d <= 2, signed zeros included: einsum sums two products
     # from +0.0 with the same roundings. Above that einsum adds in its own
-    # order, so within 1e-13 of the products' absolute sum. cov_inner's sum
-    # is checked against the einsum it replaced, of x and c y.
+    # order, so within 1e-13 of the products' absolute sum. cov_inner is
+    # checked against einsum's x . (c y), for one c and one c per step.
     rng = np.random.default_rng(40 + d)
     n_paths, n_steps = 5, 7
 
@@ -93,8 +95,11 @@ def test_dot_last_matches_einsum(d):
         dot_last(xi, root[:, i, :], out=out[..., i])
     cases.append((out, "pkj,kij->pki", xi, root))
     c = random_psd(rng, d, min_eig=0.1)
-    for x in xs:  # x multiplies c y in place, or c x is the smaller side
-        cases += [(cov_inner(c, a, b), "...i,...i->...", a, b @ c.T)
+    per_step = np.stack([random_psd(rng, d) for _ in range(n_steps)])
+    for c, x in itertools.product((c, per_step), xs):
+        # x multiplies c y in place, or c x is the smaller side
+        cases += [(cov_inner(c, a, b), "...i,...i->...", a,
+                   np.einsum("...ij,...j->...i", c, b))
                   for a, b in ((x, y), (y, x))]
     for got, spec, x, z in cases:
         ref = np.einsum(spec, x, z)
