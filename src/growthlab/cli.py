@@ -64,7 +64,8 @@ def _load_config(path):
         load, errors = json.loads, json.JSONDecodeError
     else:
         import yaml  # about 20 ms to import: only a non-JSON config needs it
-        load, errors = yaml.safe_load, yaml.YAMLError
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml if built
+        load, errors = (lambda t: yaml.load(t, Loader=loader)), yaml.YAMLError
     try:
         cfg = load(text)
     except (errors, ValueError) as exc:  # ValueError: an int past str()'s limit

@@ -124,31 +124,29 @@ def growth_path(market, fractions):
 
 
 def wealth_process_gap(a, b):
-    """Pathwise distance between two wealth decompositions.
+    """Pathwise distance between two wealth decompositions of one shape.
 
     Returns per-path arrays: fv = sum |dB_a - dB_b| (total variation of the
     drift gap), qv = sum (dL_a - dL_b)^2 (quadratic variation of the
-    martingale gap), and from one cumulative log gap on the grid
-    sup = max_k |log X_a - log X_b| and the relative wealth errors
-    sup_rel_inf = max_k |X_a / X_b - 1|, sup_rel_n = max_k |X_b / X_a - 1|.
-    """
-    if a.dB.shape != b.dB.shape:
-        raise DimensionMismatch(
-            f"wealth shapes {a.dB.shape} and {b.dB.shape} differ"
-        )
+    martingale gap), and the relative_errors of the cumulative log gap."""
+    shapes = [w.shape for w in (a.dB, a.dL, b.dB, b.dL)]
+    if len(set(shapes)) > 1:
+        raise DimensionMismatch(f"wealth shapes {shapes} differ")
     work = np.subtract(a.dB, b.dB)
     fv = np.sum(np.abs(work, out=work), axis=1)
     np.subtract(a.dL, b.dL, out=work)
     qv = np.sum(np.square(work, out=work), axis=1)
     np.add(a.dB, a.dL, out=work)
     work -= b.increments
-    gap = np.cumsum(work, axis=1, out=work)
-    # The largest |g|, |expm1(g)| and |expm1(-g)| of a row sit at its
-    # largest or smallest g: both functions are monotone.
-    hi, lo = np.max(gap, axis=1), np.min(gap, axis=1)
     return {"fv": fv, "qv": qv,
-            "sup": np.maximum(np.abs(hi), np.abs(lo)),
-            "sup_rel_inf": np.maximum(np.abs(np.expm1(hi)),
+            **relative_errors(np.cumsum(work, axis=1, out=work))}
+
+
+def relative_errors(gap):
+    """sup_rel_inf = max_k |X_a / X_b - 1|, sup_rel_n = max_k |X_b / X_a - 1|
+    per row of g = log X_a - log X_b, at its max or min g: expm1 is monotone."""
+    hi, lo = np.max(gap, axis=1), np.min(gap, axis=1)
+    return {"sup_rel_inf": np.maximum(np.abs(np.expm1(hi)),
                                       np.abs(np.expm1(lo))),
             "sup_rel_n": np.maximum(np.abs(np.expm1(-hi)),
                                     np.abs(np.expm1(-lo)))}

@@ -4,7 +4,7 @@ Three families, one protocol: build a ladder of markets that converges to a
 limit market along one axis (information, probability measure, constraint
 set), compute the optimal wealth process at every rung on common random
 numbers, one stream_paths tile at a time, and measure its distance to the
-limit rung with one wealth_process_gap: the finite-variation gap, the
+limit rung: the finite-variation gap (deterministic for constraints), the
 quadratic-variation gap, and the uniform relative wealth errors both ways.
 A report column passes when its log-log decay slope against the ladder
 scale is negative with 95% confidence (delta method, skew-corrected).
@@ -28,10 +28,8 @@ from .market import (
     event_probabilities, market_steps, orthogonal_draws, path_stderr,
     posterior, seed_sequence, signal_draws, stream_paths, tilt_ratio,
 )
-from .numeraire import (
-    WealthPaths, growth_path, growth_rate, numeraire_fractions, wealth_paths,
-    wealth_process_gap,
-)
+from .numeraire import (WealthPaths, growth_rate, numeraire_fractions,
+                        relative_errors, wealth_paths, wealth_process_gap)
 from .quadform import (cov_norm, nullspace_split, optimal_fraction_batch,
                        step_runs)
 
@@ -367,15 +365,17 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *, threads=1):
     Reports wealth distances to the limit-set numéraire, the truncated
     Hausdorff distance per rung (its largest over the steps, one per
     distinct drift norm), the worst per-step excess of the squared fraction
-    gap over 4 |a|_c dist, and the cumulative growth gap.
+    gap over 4 |a|_c dist, and the cumulative growth gap. Only the
+    martingale gaps <f_n - f, dM> are paths: the drift gaps (g(f_n) - g(f))
+    dG behind fv and growth_gap are deterministic, as the fractions are.
 
     dist truncates both sets at the Euclidean ball B(|a|_c), and in that
     form the bound is false in general. It is proved only where both
-    fractions lie in B(|a|_c), 0 lies in both sets and lambda_max(c) <= 4,
-    so only those steps are checked: the excess is nonpositive when the
-    bound holds on every checked step, and 0 on a rung with no checked
-    step. meta["bound_ok"] holds when no excess is above BOUND_SLACK.
-    meta["bound_unchecked_steps"] counts, per rung, the steps left
+    fractions lie in B(|a|_c), 0 lies in both sets (as in every valid set)
+    and lambda_max(c) <= 4, so only those steps are checked: the excess is
+    nonpositive when the bound holds on every checked step, and 0 on a rung
+    with no checked step. meta["bound_ok"] holds when no excess is above
+    BOUND_SLACK. meta["bound_unchecked_steps"] counts, per rung, the steps left
     unchecked (zero drift included). meta["ladder_scale"] names the slope
     axis: "set_distance", or "rung_index" (1/n) when a set distance is 0
     or two are equal.
@@ -385,35 +385,38 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *, threads=1):
     n_paths = check_paths(n_paths, spec.n_steps, spec.dim)
     market = market_steps(spec)
     frac_inf = numeraire_fractions(market, limit_set)
-    growth_inf = growth_path(market, frac_inf).total
     # Regime of the Euclidean form: the variational inequalities at phi and
     # phi', tested at the nearest points of the other truncated set, give
     # |phi' - phi|_c^2 <= 2 |a|_c sqrt(lambda_max(c)) dist when 0 is in both
-    # sets (so |a - phi|_c <= |a|_c) and both fractions lie in B(|a|_c).
+    # sets (so |a - phi|_c <= |a|_c; numeraire_fractions validates both, and
+    # a valid set holds 0) and both fractions lie in B(|a|_c).
     # A rank-deficient c is covered too: the solver requires null(c) inside
     # every set, so each set is invariant along null(c).
     m = cov_norm(market.cov, market.drift)
     regime = (m > 0.0) & (np.linalg.eigvalsh(market.cov)[:, -1] <= 4.0) \
         & (np.linalg.norm(frac_inf, axis=1) <= m)
-    fracs = [numeraire_fractions(market, K_n) for K_n in sets]  # validates K_n
+    fracs = np.stack([numeraire_fractions(market, K_n) for K_n in sets])
+    frac_gaps = fracs - frac_inf
     radii, step_radius = np.unique(m, return_inverse=True)
     table = closed_limit_distances(sets, limit_set, radii, market.dim)
     dists = table.max(axis=0)
-    origin = np.zeros(market.dim)
-    excesses, unchecked, growth_gaps = [], [], []
-    for K_n, frac_n, dist in zip(sets, fracs, table.T):
-        checked = regime & (np.linalg.norm(frac_n, axis=1) <= m) \
-            & bool(K_n.contains(origin) and limit_set.contains(origin))
-        gap_norm = cov_norm(market.cov, frac_n - frac_inf)[checked]
+    excesses, unchecked = [], []
+    for frac_n, frac_gap, dist in zip(fracs, frac_gaps, table.T):
+        checked = regime & (np.linalg.norm(frac_n, axis=1) <= m)
+        gap_norm = cov_norm(market.cov, frac_gap)[checked]
         excess = gap_norm ** 2 - 4.0 * m[checked] * dist[step_radius[checked]]
         excesses.append(float(excess.max()) if excess.size else 0.0)
         unchecked.append(int(market.n_steps - checked.sum()))
-        growth_gaps.append(abs(growth_path(market, frac_n).total - growth_inf))
+    drift_gaps = growth_rate(market.cov, market.drift, fracs) * market.dG
+    drift_gaps -= growth_rate(market.cov, market.drift, frac_inf) * market.dG
 
     def tile(bundle, lo, hi):
-        w_inf = wealth_paths(bundle, frac_inf)
-        return _stack([wealth_process_gap(wealth_paths(bundle, f), w_inf)
-                       for f in fracs], WEALTH_COLUMNS)
+        rows = []
+        for frac_gap, drift_gap in zip(frac_gaps, drift_gaps):
+            gap = dot_last(frac_gap, bundle.dM)
+            rows.append({"qv": np.sum(gap * gap, axis=1), **relative_errors(
+                np.cumsum(gap + drift_gap, axis=1))})
+        return _stack(rows, WEALTH_COLUMNS[1:])
 
     # slopes needs distinct positive scales: else fit against the rung index.
     by_distance = np.unique(dists[dists > 0.0]).size == dists.size
@@ -422,8 +425,9 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *, threads=1):
         family="constraint",
         scales=scales,
         per_path=_join(stream_paths(market, n_paths, seed, tile, threads)),
-        deterministic={"set_distance": dists,
-                       "growth_gap": np.asarray(growth_gaps)},
+        deterministic={"fv": np.sum(np.abs(drift_gaps), axis=1),
+                       "set_distance": dists,
+                       "growth_gap": np.abs(np.sum(drift_gaps, axis=1))},
         meta={"n_paths": n_paths, "seed": seed,
               "bound_excess": excesses,
               "bound_unchecked_steps": unchecked,

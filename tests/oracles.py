@@ -37,6 +37,28 @@ def einsum_wealth(b, f, a):
         np.einsum("ki,pki->pk", f, b.dM)
 
 
+def constraint_gap_columns(b, fractions, limit):
+    """Constraint-ladder columns of fraction schedules (N, d), one per rung,
+    against the limit schedule (N, d) on bundle b, from each one's full
+    einsum_wealth. Per rung, (P,) arrays from the (P, N) gaps dB_n - dB and
+    dL_n - dL: fv and growth_gap (the same on every path), qv, and the
+    relative wealth errors sup |X_n / X - 1| and sup |X / X_n - 1| taken
+    with exp over the whole cumulative log gap."""
+    dB_inf, dL_inf = einsum_wealth(b, limit, b.drift)
+    cols = {k: [] for k in ("fv", "qv", "sup_rel_inf", "sup_rel_n",
+                            "growth_gap")}
+    for f in fractions:
+        dB, dL = einsum_wealth(b, f, b.drift)
+        drift, mart = dB - dB_inf, dL - dL_inf
+        ratio = np.exp(np.cumsum(drift + mart, axis=1))
+        cols["fv"].append(np.sum(np.abs(drift), axis=1))
+        cols["qv"].append(np.sum(mart ** 2, axis=1))
+        cols["sup_rel_inf"].append(np.max(np.abs(ratio - 1.0), axis=1))
+        cols["sup_rel_n"].append(np.max(np.abs(1.0 / ratio - 1.0), axis=1))
+        cols["growth_gap"].append(np.abs(np.sum(drift, axis=1)))
+    return {k: np.array(v) for k, v in cols.items()}
+
+
 def member_mask(constraint, pts, tol=1e-9):
     """Vectorized membership test straight from the set definitions."""
     if isinstance(constraint, FullSpace):

@@ -174,6 +174,15 @@ def test_constraint_ladder_manifest_counts_unchecked_steps(
     assert diagnostics["ladder_scale"] == scale
     assert all(diagnostics[key] >= 0 for key in usage)
     assert diagnostics["peak_rss_mb"] > 0
+    # the per-path metrics, then the deterministic ones: fv has no
+    # Monte Carlo error
+    with open(out / "ladder.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(dict.fromkeys(row["metric"] for row in rows)) == [
+        "qv", "sup_rel_inf", "sup_rel_n", "fv", "set_distance", "growth_gap"]
+    fv = [row for row in rows if row["metric"] == "fv"]
+    assert len(fv) == len(radii)
+    assert all(float(row["stderr"]) == 0.0 for row in fv)
 
 
 def test_solve_asymmetric_covariance_exits_2(tmp_path, capsys):

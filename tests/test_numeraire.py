@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import growthlab.numeraire as numeraire
 
 from growthlab.constraints import Ball, Box, FullSpace
+from growthlab.errors import DimensionMismatch
 from growthlab.market import MarketSpec, simulate_paths
 from growthlab.numeraire import (
     WealthPaths, growth_path, growth_rate, numeraire_fractions,
@@ -132,7 +133,6 @@ def test_wealth_gap_metrics_vanish_for_identical_strategies():
     gaps = wealth_process_gap(w1, w2)
     assert np.max(gaps["fv"]) == 0.0
     assert np.max(gaps["qv"]) == 0.0
-    assert np.max(gaps["sup"]) == 0.0
     assert np.max(gaps["sup_rel_inf"]) == 0.0
     assert np.max(gaps["sup_rel_n"]) == 0.0
 
@@ -144,8 +144,6 @@ def test_wealth_gap_metrics_for_different_strategies():
     gaps = wealth_process_gap(w_a, w_b)
     diff = np.cumsum(w_a.dB + w_a.dL, axis=1) - np.cumsum(w_b.dB + w_b.dL, axis=1)
     assert np.min(np.max(np.abs(diff), axis=1)) > 0.0
-    assert np.allclose(gaps["sup"], np.max(np.abs(diff), axis=1),
-                       rtol=1e-12, atol=0.0)
     assert np.allclose(gaps["sup_rel_inf"],
                        np.max(np.abs(np.exp(diff) - 1.0), axis=1),
                        rtol=1e-9, atol=0.0)
@@ -156,6 +154,14 @@ def test_wealth_gap_metrics_for_different_strategies():
                        rtol=1e-12, atol=0.0)
     assert np.allclose(gaps["qv"], np.sum((w_a.dL - w_b.dL) ** 2, axis=1),
                        rtol=1e-12, atol=0.0)
+    # all four arrays share one shape: an (N,) dL must not broadcast against
+    # (P, N), and a (2, 4) one must not raise a bare ValueError
+    flat = WealthPaths(dB=w_b.dB, dL=w_b.dL[0])
+    narrow = WealthPaths(dB=np.zeros((2, 3)), dL=np.zeros((2, 3)))
+    wide = WealthPaths(dB=np.zeros((2, 3)), dL=np.zeros((2, 4)))
+    for pair in ((w_a, flat), (flat, w_a), (narrow, wide), (wide, narrow)):
+        with pytest.raises(DimensionMismatch, match="wealth shapes"):
+            wealth_process_gap(*pair)
 
 
 def test_per_path_drifts_give_per_path_fractions():
@@ -238,7 +244,7 @@ _GAP_ROW = st.tuples(
 @given(st.lists(_GAP_ROW, min_size=1, max_size=6),
        st.integers(0, 2 ** 32 - 1))
 def test_gap_sups_match_full_array_definitions_bitwise(rows, seed):
-    # sup, sup_rel_inf and sup_rel_n come from each row's largest and
+    # sup_rel_inf and sup_rel_n come from each row's largest and
     # smallest cumulative gap; they must carry the bits of the maxima over
     # the whole row, also where expm1 overflows.
     sign = {"positive": np.abs, "negative": lambda x: -np.abs(x),
@@ -255,8 +261,7 @@ def test_gap_sups_match_full_array_definitions_bitwise(rows, seed):
                                 dL=np.zeros_like(inc)))):
         gap = np.cumsum((a.dB + a.dL) - (ref.dB + ref.dL), axis=1)
         with np.errstate(over="ignore"):
-            expected = {"sup": np.max(np.abs(gap), axis=1),
-                        "sup_rel_inf": np.max(np.abs(np.expm1(gap)), axis=1),
+            expected = {"sup_rel_inf": np.max(np.abs(np.expm1(gap)), axis=1),
                         "sup_rel_n": np.max(np.abs(np.expm1(-gap)), axis=1)}
             got = wealth_process_gap(a, ref)
         for name, value in expected.items():

@@ -26,7 +26,8 @@ from growthlab.stability import (
     probability_ladder,
 )
 
-from oracles import (ball_ladder_bound, delta_slope_interval, einsum_wealth,
+from oracles import (ball_ladder_bound, constraint_gap_columns,
+                     delta_slope_interval, einsum_wealth,
                      percentile_bootstrap_interval)
 
 COV = np.array([[0.5, 0.1], [0.1, 0.4]])
@@ -221,6 +222,32 @@ def test_constraint_ladder_matches_per_step_reference(monkeypatch, covariance,
     for name in ("set_distance", "growth_gap"):
         assert report.deterministic[name] == pytest.approx(
             [rung[name] for rung in ref], rel=1e-9, abs=1e-12), name
+
+
+@pytest.mark.parametrize("spec, sets, limit", [
+    (make_spec(n_steps=24), [Ball(0.6 + 2.0 ** -n) for n in range(1, 5)],
+     Ball(0.6)),
+    # each box is wider than the limit on one side and narrower on another,
+    # so the drift gaps change sign and fv exceeds growth_gap
+    (make_spec(n_steps=24, covariance=_tv_covariance, drift=_tv_drift),
+     [Box([-1.0, -1.0 + 2.0 ** -n], [1.0 + 2.0 ** -n, 1.0])
+      for n in range(1, 5)], Box([-1.0, -1.0], [1.0, 1.0])),
+], ids=["constant", "per-step"])
+def test_constraint_ladder_matches_full_wealth_gaps(spec, sets, limit):
+    # The ladder simulates only the martingale gaps and solves the drift
+    # gaps once; the oracle forms every rung's and the limit's whole wealth.
+    report = constraint_ladder(spec, sets, limit, 300, 23, threads=2)
+    assert list(report.per_path) == ["qv", "sup_rel_inf", "sup_rel_n"]
+    assert list(report.deterministic) == ["fv", "set_distance", "growth_gap"]
+    bundle = simulate_paths(spec, 300, 23)
+    want = constraint_gap_columns(
+        bundle, [numeraire_fractions(bundle, k) for k in sets],
+        numeraire_fractions(bundle, limit))
+    assert np.min(want["growth_gap"]) > 0.0
+    for name, got in {**report.per_path, **report.deterministic}.items():
+        if name != "set_distance":  # a deterministic column on every path
+            assert np.allclose(got if got.ndim == 2 else got[:, None],
+                               want[name], rtol=1e-12, atol=0.0), name
 
 
 def test_constraint_ladder_makes_limit_supports_once_per_radius(monkeypatch):
