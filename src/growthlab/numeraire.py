@@ -9,13 +9,12 @@ a finite-variation part and a martingale part,
 mirroring the continuous-time decomposition. The growth-optimal wealth uses
 the constrained maximizer of the drift-rate objective per step.
 
-Distances between wealth processes are measured on the pair (B, L): total
-variation of the drift gap plus quadratic variation of the martingale gap,
-which dominates the uniform gap of the log-wealth paths.
+Distances between wealth processes are measured on their gap, which the
+caller forms: total variation of the drift gap plus quadratic variation of
+the martingale gap, which dominates the uniform gap of the log-wealth paths.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -32,13 +31,6 @@ class WealthPaths:
 
     dB: np.ndarray
     dL: np.ndarray
-
-    @cached_property
-    def increments(self):
-        """Log-wealth increments dB + dL, formed once and kept: a ladder
-        compares one limit wealth with every rung. Read it only on a
-        WealthPaths whose dB and dL stay as they are."""
-        return self.dB + self.dL
 
     @property
     def terminal_log_wealth(self):
@@ -123,30 +115,22 @@ def growth_path(market, fractions):
                       unconstrained_bound=bound)
 
 
-def wealth_process_gap(a, b):
-    """Pathwise distance between two wealth decompositions of one shape.
-
-    Returns per-path arrays: fv = sum |dB_a - dB_b| (total variation of the
-    drift gap), qv = sum (dL_a - dL_b)^2 (quadratic variation of the
-    martingale gap), and the relative_errors of the cumulative log gap."""
-    shapes = [w.shape for w in (a.dB, a.dL, b.dB, b.dL)]
-    if len(set(shapes)) > 1:
-        raise DimensionMismatch(f"wealth shapes {shapes} differ")
-    work = np.subtract(a.dB, b.dB)
-    fv = np.sum(np.abs(work, out=work), axis=1)
-    np.subtract(a.dL, b.dL, out=work)
-    qv = np.sum(np.square(work, out=work), axis=1)
-    np.add(a.dB, a.dL, out=work)
-    work -= b.increments
-    return {"fv": fv, "qv": qv,
-            **relative_errors(np.cumsum(work, axis=1, out=work))}
-
-
-def relative_errors(gap):
-    """sup_rel_inf = max_k |X_a / X_b - 1|, sup_rel_n = max_k |X_b / X_a - 1|
-    per row of g = log X_a - log X_b, at its max or min g: expm1 is monotone."""
-    hi, lo = np.max(gap, axis=1), np.min(gap, axis=1)
-    return {"sup_rel_inf": np.maximum(np.abs(np.expm1(hi)),
+def wealth_process_gap(gB, gL):
+    """Pathwise distance of two wealths X_a, X_b from their gap: the drift
+    gap gB = dB_a - dB_b, (P, N) or (N,) if the same on every path, and the
+    martingale gap gL = dL_a - dL_b, (P, N), else DimensionMismatch. fv =
+    sum |gB| (a number for (N,) gB), qv = sum gL^2, sup_rel_inf = max_k
+    |X_a / X_b - 1| and sup_rel_n = max_k |X_b / X_a - 1|, read off the
+    cumulative log gap at its max and min, as expm1 is monotone."""
+    shapes = np.shape(gB), np.shape(gL)
+    if len(shapes[1]) != 2 or shapes[0] not in (shapes[1], shapes[1][1:]):
+        raise DimensionMismatch(f"gap shapes {shapes[0]}/{shapes[1]} do not fit")
+    work = np.square(gL)
+    qv = np.sum(work, axis=1)
+    log_gap = np.cumsum(np.add(gL, gB, out=work), axis=1, out=work)
+    hi, lo = np.max(log_gap, axis=1), np.min(log_gap, axis=1)
+    return {"fv": np.sum(np.abs(gB), axis=-1), "qv": qv,
+            "sup_rel_inf": np.maximum(np.abs(np.expm1(hi)),
                                       np.abs(np.expm1(lo))),
             "sup_rel_n": np.maximum(np.abs(np.expm1(-hi)),
                                     np.abs(np.expm1(-lo)))}

@@ -33,8 +33,9 @@ EXPANSION_COLUMNS = ("first_fv", "first_qv", "second_fv", "second_qv")
 def reference_increments(bundle, fractions=None):
     """Untilted numéraire log-wealth increments dB + dL, shape (P, N), of
     the FullSpace reference fractions, which are solved when not given."""
-    return wealth_paths(bundle, numeraire_fractions(bundle, FullSpace())
-                        if fractions is None else fractions).increments
+    wealth = wealth_paths(bundle, numeraire_fractions(bundle, FullSpace())
+                          if fractions is None else fractions)
+    return np.add(wealth.dB, wealth.dL, out=wealth.dB)
 
 
 def _check_record(bundle, record):

@@ -2,10 +2,11 @@ r"""Perturbation ladders for the growth-optimal portfolio.
 
 Three families, one protocol: build a ladder of markets that converges to a
 limit market along one axis (information, probability measure, constraint
-set), compute the optimal wealth process at every rung on common random
-numbers, one stream_paths tile at a time, and measure its distance to the
-limit rung: the finite-variation gap (deterministic for constraints), the
-quadratic-variation gap, and the uniform relative wealth errors both ways.
+set), form each rung's optimal-wealth gap to the limit on common random
+numbers, one stream_paths tile at a time, never as the difference of two
+wealths, and measure it (wealth_process_gap): the finite-variation gap
+(deterministic for constraints), the quadratic-variation gap, and the
+uniform relative wealth errors both ways.
 A report column passes when its log-log decay slope against the ladder
 scale is negative with 95% confidence (delta method, skew-corrected).
 
@@ -28,10 +29,9 @@ from .market import (
     event_probabilities, market_steps, orthogonal_draws, path_stderr,
     posterior, seed_sequence, signal_draws, stream_paths, tilt_ratio,
 )
-from .numeraire import (WealthPaths, growth_rate, numeraire_fractions,
-                        relative_errors, wealth_paths, wealth_process_gap)
-from .quadform import (cov_norm, nullspace_split, optimal_fraction_batch,
-                       step_runs)
+from .numeraire import growth_rate, numeraire_fractions, wealth_process_gap
+from .quadform import (cov_inner, cov_norm, nullspace_split,
+                       optimal_fraction_batch, step_runs)
 
 ZERO_COLUMN_LEVEL = 1e-14
 JOINT_DRAWS = 400  # draws of the slopes' joint normal behind "draws"
@@ -200,16 +200,16 @@ def _on_line(o, l, s):
     return out if o is None else np.add(out, o, out=out)
 
 
-def _line_wealth(market, constraint, offset, direction):
-    """wealth(bundle, s, tau, energy, l_dM): wealth on the optimal fractions
-    for drift rows o_k + s l_k, measured under o_k + tau l_k. o = offset is
-    (N, d) with tau None, or None with tau (P, 1); l = direction is (d,) or
-    (N, d); s (P, N), or (P, 1) for o None and l (d,); energy <l, c l> dG
-    (N,) and l_dM <l, dM> (P, N). Where the set holds p + s q, p and q the
-    range projections of o and l, it is the fraction (c o = c p and dM lies
-    in c's range): dB = s (tau - s/2) energy and dL = s l_dM, plus the wealth
-    of p. The solver takes the other rows, a whole run of steps sharing one
-    covariance in one batch when all of its rows bind."""
+def _line_gap(market, constraint, offset, direction):
+    """(limit, gap) of a ladder whose rung drift rows o_k + s l_k move on a
+    line to the limit rows u = o_k + tau l_k; o = offset (N, d) or None, l =
+    direction (d,) or (N, d). limit(tau), tau (P, 1) or 0.0, solves the limit
+    fractions y; gap(bundle, s, lim, energy, l_dM), s (P, N), energy <l, c l>
+    dG, l_dM <l, dM>, is the gap (gB, gL) of the wealth on the rung fractions
+    f from that on y, both under u. A row p + s q the set holds (p, q the
+    range projections of o, l) is its fraction, as c o = c p and dM lies in
+    c's range. Where the set holds both points, gB = -(s - tau)^2 / 2 energy
+    and gL = (s - tau) l_dM; the other rows take _fraction_gap."""
     halfspaces, runs = constraint.halfspaces(market.dim), []
     for lo, hi in step_runs(market.cov):
         c, o = market.cov[lo], None if offset is None else offset[lo:hi]
@@ -218,37 +218,56 @@ def _line_wealth(market, constraint, offset, direction):
         proj = nullspace_split(c).project_range
         runs.append((lo, hi, c, o, l, None if o is None else proj(o), proj(l)))
 
-    def wealth(bundle, s, tau, energy, l_dM):
-        dB, dL = np.empty(l_dM.shape), np.empty(l_dM.shape)
-        for lo, hi, c, o, l, p, q in runs:
-            run, m = np.s_[:, lo:hi], s if s.shape[1] == 1 else s[:, lo:hi]
-            x = _on_line(p, q, m)
-            hard = ~inside(x, *halfspaces, 0.0)
-            if hard.all():  # no gathers: they would cost more than the solves
-                f = optimal_fraction_batch(c, x.reshape(-1, len(c)),
-                                           constraint).reshape(x.shape)
-                rate = growth_rate(c, o if tau is None else _on_line(o, l, tau), f)
-                dB[run] = rate * bundle.dG[lo:hi]
-                dL[run] = dot_last(f, bundle.dM[run])
-                continue
-            np.multiply(m * (m * -0.5 if tau is None else m * -0.5 + tau),
-                        energy[lo:hi], out=dB[run])
-            np.multiply(m, l_dM[run], out=dL[run])
-            if o is not None:
-                dB[run] += growth_rate(c, o, p) * bundle.dG[lo:hi]
-                dL[run] += dot_last(p, bundle.dM[run])
-            i, k = np.nonzero(hard)
-            if i.size:  # a hard row of one column holds for every step
-                o_k, l_k = None if o is None else o[k], l if l.ndim == 1 else l[k]
-                f = optimal_fraction_batch(c, x[i, k], constraint)
-                at = i[:, None], k[:, None] if m.shape[1] > 1 else np.arange(hi - lo)
-                rate = growth_rate(c, o_k if tau is None
-                                   else _on_line(o_k, l_k, tau[i, 0]), f)
-                dB[run][at] = rate[:, None] * bundle.dG[lo:hi][at[1]]
-                dL[run][at] = dot_last(f[:, None, :], bundle.dM[run][at])
-        return WealthPaths(dB, dL)
+    def solve(c, x):
+        """(fractions, hard) of rows x, solved in place where the set fails."""
+        hard = ~inside(x, *halfspaces, 0.0)
+        if hard.size and hard.all():  # one batch: gathers would cost more
+            return optimal_fraction_batch(c, x.reshape(-1, len(c)),
+                                          constraint).reshape(x.shape), hard
+        if hard.any():
+            x[hard] = optimal_fraction_batch(c, x[hard], constraint)
+        return x, hard
 
-    return wealth
+    def limit(tau):
+        return tau, [(*solve(c, _on_line(p, q, tau)), _on_line(o, l, tau))
+                     for lo, hi, c, o, l, p, q in runs]
+
+    def gap(bundle, s, lim, energy, l_dM):
+        (tau, lims), gB, gL = lim, np.empty(l_dM.shape), np.empty(l_dM.shape)
+        for (lo, hi, c, o, l, p, q), (y, bound, u) in zip(runs, lims):
+            run, n = np.s_[:, lo:hi], hi - lo
+            x, dG, dM = _on_line(p, q, s[run]), bundle.dG[lo:hi], bundle.dM[run]
+            general = ~inside(x, *halfspaces, 0.0) | bound
+            if general.all():  # the whole run: no gathers
+                gB[run], gL[run] = _fraction_gap(c, solve(c, x)[0], y, u, dG, dM)
+                continue
+            i = np.flatnonzero(general)
+            d = np.subtract(s[run], tau, out=gL[run])
+            np.multiply(d, d, out=gB[run])
+            gB[run] *= energy[lo:hi]
+            gB[run] *= -0.5
+            d *= l_dM[run]
+            k = i % n  # y and u are (n, d), or (P, 1, d) by path
+            y_i, u_i = (_take(v, k if v.ndim == 2 else i // n) for v in (y, u))
+            parts = _fraction_gap(c, solve(c, _take(x, i))[0], y_i, u_i,
+                                  dG[k], _take(dM, i))
+            np.put(gB[run], i, parts[0])
+            np.put(gL[run], i, parts[1])
+        return gB, gL
+
+    return limit, gap
+
+
+def _take(v, at):
+    """Rows at, flat over the leading axes, of v: faster than fancy (i, k)."""
+    return np.take(v.reshape(-1, v.shape[-1]), at, axis=0)
+
+
+def _fraction_gap(c, f, y, u, dG, dM):
+    """(<f - y, c (u - (f + y) / 2)> dG, <f - y, dM>): the wealth of
+    fractions f less that of y, both under drift u, with no cancellation."""
+    e = f - y
+    return cov_inner(c, e, u - 0.5 * (f + y)) * dG, dot_last(e, dM)
 
 
 def filtration_ladder(spec, model, constraint, n_paths, seed, *,
@@ -257,26 +276,25 @@ def filtration_ladder(spec, model, constraint, n_paths, seed, *,
     full revelation. Reports wealth distances to the revealed-limit
     numéraire plus drift and conditional-event diagnostics.
 
-    Level n solves on drift m_n v: _line_wealth with o = 0, l = v, s = m_n,
-    tau = theta; the limit is s = theta for every step."""
+    Level n solves on drift m_n v: _line_gap with o = 0, l = v, s = m_n
+    and tau = theta, whose limit fractions are solved once per tile."""
     n_paths = check_paths(n_paths, spec.n_steps, spec.dim)
     event_threshold = float(as_floats(
         model.prior_mean if event_threshold is None else event_threshold,
         "event_threshold", 0))
     market_spec, theta, zeta, path_ss = signal_draws(spec, model, n_paths, seed)
     market = market_steps(market_spec)
-    wealth = _line_wealth(market, constraint, None, model.direction)
+    limit, gap = _line_gap(market, constraint, None, model.direction)
 
     def tile(base, lo, hi):
         signal = SignalBundle(base, model, theta[lo:hi], zeta[lo:hi])
-        tau = signal.theta[:, None]
-        w_inf = wealth(base, tau, tau, signal.vcv_dg, signal.dMv)
+        lim = limit(signal.theta[:, None])
         hit = (signal.theta > event_threshold).astype(float)
         rows = []
         for n in range(model.n_levels):
             mean_n, prec_n = posterior(signal, n)
             row = wealth_process_gap(
-                wealth(base, mean_n, tau, signal.vcv_dg, signal.dMv), w_inf)
+                *gap(base, mean_n, lim, signal.vcv_dg, signal.dMv))
             # in place, in the order of sum((m - theta)^2 vcv_dg) and
             # sum(|p - hit| dG)
             err = mean_n - signal.theta[:, None]
@@ -315,15 +333,14 @@ def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
     market = market_steps(spec)
     xi = None if tilt.orthogonal_vol == 0.0 \
         else orthogonal_draws(seed, n_paths, spec.n_steps)
-    frac_ref = numeraire_fractions(market, constraint)
-    wealth = _line_wealth(market, constraint, market.drift,
-                          tilt.field(spec.n_steps, spec.dim))
+    limit, gap = _line_gap(market, constraint, market.drift,
+                           tilt.field(spec.n_steps, spec.dim))
+    lim = limit(0.0)  # the reference is the line's point s = 0
     names = DENSITY_COLUMNS + ("drift_gap", "main1_fv", "main1_qv", "main2_fv",
                                "main2_qv", "sup_rel_inf", "sup_rel_n")
 
     def tile(bundle, lo, hi):
         record = density_paths(bundle, tilt, None if xi is None else xi[lo:hi])
-        w_ref = wealth_paths(bundle, frac_ref)
         rows = []
         zeros = np.zeros(hi - lo)
         for eps in eps_ladder:
@@ -332,9 +349,8 @@ def probability_ladder(spec, tilt, constraint, n_paths, seed, *,
             ratio = tilt_ratio(record, eps)
             row["drift_gap"] = eps * eps * np.sum(
                 ratio * ratio * record.lam_energy, axis=1)
-            gaps = wealth_process_gap(wealth(
-                bundle, eps * ratio, None, record.lam_energy, record.lam_dM),
-                w_ref)
+            gaps = wealth_process_gap(*gap(
+                bundle, eps * ratio, lim, record.lam_energy, record.lam_dM))
             row.update(gaps)
             # The filtration is held fixed along this ladder, so the
             # information component of the proof split is identically zero.
@@ -411,12 +427,9 @@ def constraint_ladder(spec, sets, limit_set, n_paths, seed, *, threads=1):
     drift_gaps -= growth_rate(market.cov, market.drift, frac_inf) * market.dG
 
     def tile(bundle, lo, hi):
-        rows = []
-        for frac_gap, drift_gap in zip(frac_gaps, drift_gaps):
-            gap = dot_last(frac_gap, bundle.dM)
-            rows.append({"qv": np.sum(gap * gap, axis=1), **relative_errors(
-                np.cumsum(gap + drift_gap, axis=1))})
-        return _stack(rows, WEALTH_COLUMNS[1:])
+        return _stack([wealth_process_gap(drift_gap, dot_last(frac_gap, bundle.dM))
+                       for frac_gap, drift_gap in zip(frac_gaps, drift_gaps)],
+                      WEALTH_COLUMNS[1:])
 
     # slopes needs distinct positive scales: else fit against the rung index.
     by_distance = np.unique(dists[dists > 0.0]).size == dists.size

@@ -19,22 +19,41 @@ def quadratic_growth(c, a, pts):
     return pts @ ca - 0.5 * np.einsum("ki,ij,kj->k", pts, c, pts)
 
 
-def einsum_wealth(b, f, a):
+def einsum_wealth(b, f, a, dtype=float):
     """(dB, dL) of fractions f, (N, d) or (P, N, d), measured under drift a,
     (N, d) or (P, N, d), on bundle b: the per-step einsum formulas, with no
-    matmul kernel."""
+    matmul kernel, in dtype."""
+    cov, dM, dG = (np.asarray(x, dtype=dtype) for x in (b.cov, b.dM, b.dG))
+    f, a = np.asarray(f, dtype=dtype), np.asarray(a, dtype=dtype)
     if a.ndim == 3 or f.ndim == 3:
-        f = np.broadcast_to(f, b.dM.shape)
-        ca = np.einsum("kij,pkj->pki", b.cov, np.broadcast_to(a, b.dM.shape))
+        f = np.broadcast_to(f, dM.shape)
+        ca = np.einsum("kij,pkj->pki", cov, np.broadcast_to(a, dM.shape))
         lin = np.einsum("pki,pki->pk", f, ca)
-        quad = np.einsum("pki,kij,pkj->pk", f, b.cov, f)
-        return (lin - 0.5 * quad) * b.dG[None, :], \
-            np.einsum("pki,pki->pk", f, b.dM)
-    ca = np.einsum("kij,kj->ki", b.cov, a)
+        quad = np.einsum("pki,kij,pkj->pk", f, cov, f)
+        return (lin - 0.5 * quad) * dG[None, :], np.einsum("pki,pki->pk", f, dM)
+    ca = np.einsum("kij,kj->ki", cov, a)
     lin = np.einsum("ki,ki->k", f, ca)
-    quad = np.einsum("ki,kij,kj->k", f, b.cov, f)
-    return np.broadcast_to((lin - 0.5 * quad) * b.dG, b.dM.shape[:2]), \
-        np.einsum("ki,pki->pk", f, b.dM)
+    quad = np.einsum("ki,kij,kj->k", f, cov, f)
+    return np.broadcast_to((lin - 0.5 * quad) * dG, dM.shape[:2]), \
+        np.einsum("ki,pki->pk", f, dM)
+
+
+def two_wealth_gap(b, f, y, a):
+    """Per-path wealth-gap columns of fractions f against fractions y, each
+    (N, d) or (P, N, d), both measured under drift a on bundle b: the two
+    einsum_wealth decompositions in np.longdouble, subtracted. fv = sum
+    |dB_f - dB_y|, qv = sum (dL_f - dL_y)^2, sup_rel_inf = max |X_f / X_y -
+    1| and sup_rel_n = max |X_y / X_f - 1| over the whole cumulative log
+    gap, each rounded to float at the end."""
+    (dB_f, dL_f), (dB_y, dL_y) = (einsum_wealth(b, x, a, np.longdouble)
+                                  for x in (f, y))
+    drift, mart = dB_f - dB_y, dL_f - dL_y
+    log_gap = np.cumsum(drift + mart, axis=1)
+    cols = {"fv": np.sum(np.abs(drift), axis=1),
+            "qv": np.sum(mart * mart, axis=1),
+            "sup_rel_inf": np.max(np.abs(np.expm1(log_gap)), axis=1),
+            "sup_rel_n": np.max(np.abs(np.expm1(-log_gap)), axis=1)}
+    return {k: v.astype(float) for k, v in cols.items()}
 
 
 def constraint_gap_columns(b, fractions, limit):

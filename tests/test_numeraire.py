@@ -8,8 +8,8 @@ from growthlab.constraints import Ball, Box, FullSpace
 from growthlab.errors import DimensionMismatch
 from growthlab.market import MarketSpec, simulate_paths
 from growthlab.numeraire import (
-    WealthPaths, growth_path, growth_rate, numeraire_fractions,
-    terminal_deflation, wealth_paths, wealth_process_gap,
+    growth_path, growth_rate, numeraire_fractions, terminal_deflation,
+    wealth_paths, wealth_process_gap,
 )
 from growthlab.quadform import cov_inner, optimal_fraction_batch
 
@@ -130,18 +130,21 @@ def test_wealth_gap_metrics_vanish_for_identical_strategies():
     fractions = numeraire_fractions(b, Ball(1.0))
     w1 = wealth_paths(b, fractions)
     w2 = wealth_paths(b, fractions.copy())
-    gaps = wealth_process_gap(w1, w2)
-    assert np.max(gaps["fv"]) == 0.0
-    assert np.max(gaps["qv"]) == 0.0
-    assert np.max(gaps["sup_rel_inf"]) == 0.0
-    assert np.max(gaps["sup_rel_n"]) == 0.0
+    # a (P, N) drift gap, and the (N,) one the same on every path
+    for gB in (w1.dB - w2.dB, np.zeros(b.n_steps)):
+        gaps = wealth_process_gap(gB, w1.dL - w2.dL)
+        assert np.max(gaps["fv"]) == 0.0
+        assert np.max(gaps["qv"]) == 0.0
+        assert np.max(gaps["sup_rel_inf"]) == 0.0
+        assert np.max(gaps["sup_rel_n"]) == 0.0
 
 
 def test_wealth_gap_metrics_for_different_strategies():
     b = make_bundle(n_paths=40)
     w_a = wealth_paths(b, numeraire_fractions(b, Ball(1.0)))
     w_b = wealth_paths(b, numeraire_fractions(b, Ball(0.4)))
-    gaps = wealth_process_gap(w_a, w_b)
+    gB, gL = w_a.dB - w_b.dB, w_a.dL - w_b.dL
+    gaps = wealth_process_gap(gB, gL)
     diff = np.cumsum(w_a.dB + w_a.dL, axis=1) - np.cumsum(w_b.dB + w_b.dL, axis=1)
     assert np.min(np.max(np.abs(diff), axis=1)) > 0.0
     assert np.allclose(gaps["sup_rel_inf"],
@@ -154,13 +157,20 @@ def test_wealth_gap_metrics_for_different_strategies():
                        rtol=1e-12, atol=0.0)
     assert np.allclose(gaps["qv"], np.sum((w_a.dL - w_b.dL) ** 2, axis=1),
                        rtol=1e-12, atol=0.0)
-    # all four arrays share one shape: an (N,) dL must not broadcast against
-    # (P, N), and a (2, 4) one must not raise a bare ValueError
-    flat = WealthPaths(dB=w_b.dB, dL=w_b.dL[0])
-    narrow = WealthPaths(dB=np.zeros((2, 3)), dL=np.zeros((2, 3)))
-    wide = WealthPaths(dB=np.zeros((2, 3)), dL=np.zeros((2, 4)))
-    for pair in ((w_a, flat), (flat, w_a), (narrow, wide), (wide, narrow)):
-        with pytest.raises(DimensionMismatch, match="wealth shapes"):
+    # the fractions are deterministic, so the drift gap is the same on
+    # every path: its (N,) row gives every column's bits, fv as a number
+    flat = wealth_process_gap(gB[0], gL)
+    assert np.all(gB == gB[0])
+    assert np.all(flat.pop("fv") == gaps.pop("fv"))
+    for name, value in gaps.items():
+        assert flat[name].tobytes() == value.tobytes(), name
+    # gL is (P, N) and gB (P, N) or (N,): an (N,) gL must not broadcast
+    # against (P, N), and a (2, 4) one must not raise a bare ValueError
+    for pair in ((gB, gL[0]), (gB[0], gL[0]), (gB[:, :-1], gL),
+                 (np.zeros((2, 3)), np.zeros((2, 4))),
+                 (np.zeros(2), np.zeros((2, 4))),
+                 (np.zeros((1, 2, 3)), np.zeros((2, 3)))):
+        with pytest.raises(DimensionMismatch, match="gap shapes"):
             wealth_process_gap(*pair)
 
 
@@ -250,19 +260,16 @@ def test_gap_sups_match_full_array_definitions_bitwise(rows, seed):
     sign = {"positive": np.abs, "negative": lambda x: -np.abs(x),
             "mixed": lambda x: x, "zero": np.zeros_like}
     inc = np.array([sign[mode](np.array(vals)) for mode, vals in rows])
-    rng = np.random.default_rng(seed)
-    b = WealthPaths(dB=rng.standard_normal(inc.shape),
-                    dL=rng.standard_normal(inc.shape))
-    # a = b shifted by inc, and a pure shift with b zero, so the cumulative
-    # gaps keep each row's sign pattern
-    for a, ref in ((WealthPaths(dB=b.dB + inc, dL=b.dL.copy()), b),
-                   (WealthPaths(dB=inc, dL=np.zeros_like(inc)),
-                    WealthPaths(dB=np.zeros_like(inc),
-                                dL=np.zeros_like(inc)))):
-        gap = np.cumsum((a.dB + a.dL) - (ref.dB + ref.dL), axis=1)
+    noise = np.random.default_rng(seed).standard_normal(inc.shape)
+    # a pure drift gap keeps each row's sign pattern, a drift gap split
+    # with a martingale gap keeps it up to rounding, and an (N,) drift gap
+    # is the same on every path
+    for gB, gL in ((inc, np.zeros_like(inc)), (inc - noise, noise),
+                   (inc[0], np.zeros_like(inc))):
+        gap = np.cumsum(gL + gB, axis=1)
         with np.errstate(over="ignore"):
             expected = {"sup_rel_inf": np.max(np.abs(np.expm1(gap)), axis=1),
                         "sup_rel_n": np.max(np.abs(np.expm1(-gap)), axis=1)}
-            got = wealth_process_gap(a, ref)
+            got = wealth_process_gap(gB, gL)
         for name, value in expected.items():
             assert got[name].tobytes() == value.tobytes(), name

@@ -15,9 +15,7 @@ from growthlab.market import (
     event_probabilities, filtered_drift, market_steps, orthogonal_draws,
     simulate_paths, simulate_signal_paths, stream_paths, tilt_field,
 )
-from growthlab.numeraire import (
-    WealthPaths, numeraire_fractions, wealth_paths, wealth_process_gap,
-)
+from growthlab.numeraire import numeraire_fractions
 from growthlab.quadform import cov_inner
 from growthlab.sensitivity import streamed_expansion_ladder
 from growthlab.stability import (
@@ -27,8 +25,8 @@ from growthlab.stability import (
 )
 
 from oracles import (ball_ladder_bound, constraint_gap_columns,
-                     delta_slope_interval, einsum_wealth,
-                     percentile_bootstrap_interval)
+                     delta_slope_interval, percentile_bootstrap_interval,
+                     two_wealth_gap)
 
 COV = np.array([[0.5, 0.1], [0.1, 0.4]])
 DRIFT = np.array([0.8, 0.5])
@@ -685,8 +683,7 @@ def _check_filtration_against_whole_bundle(spec, direction, constraint,
     base = signal.base
     true_drift = np.broadcast_to(
         signal.theta[:, None, None] * model.direction, base.dM.shape)
-    w_inf = WealthPaths(*einsum_wealth(base, numeraire_fractions(
-        base, constraint, drifts=true_drift), true_drift))
+    limit = numeraire_fractions(base, constraint, drifts=true_drift)
     vcv_dg = cov_inner(base.cov, model.direction, model.direction) * base.dG
     hit = (signal.theta > 0.0).astype(float)
     for n in range(model.n_levels):
@@ -695,16 +692,15 @@ def _check_filtration_against_whole_bundle(spec, direction, constraint,
         free = numeraire_fractions(base, FullSpace(), drifts=drift_n)
         hard = np.linalg.norm(fractions - free, axis=-1) > 1e-9
         assert hard.mean() >= hard_share, (n, hard.mean())
-        gaps = wealth_process_gap(
-            WealthPaths(*einsum_wealth(base, fractions, true_drift)), w_inf)
+        gaps = two_wealth_gap(base, fractions, limit, true_drift)
         gaps["drift_gap"] = np.sum(
             (mean_n - signal.theta[:, None]) ** 2 * vcv_dg, axis=1)
         probs = event_probabilities(mean_n, prec_n, 0.0)
         gaps["event_gap"] = np.sum(np.abs(probs - hit[:, None]) * base.dG,
                                    axis=1)
         for name, arr in report.per_path.items():
-            # fv sums |dB_n - dB_inf|, whose terms cancel: the (P, N)
-            # scalar wealth moves it in the last digits of the largest value
+            # the oracle's two wealths, in long double, keep the digits
+            # that cancel in dB_n - dB_inf
             scale = np.max(np.abs(gaps[name]))
             assert np.max(np.abs(arr[n] - gaps[name])) <= 1e-10 * scale, \
                 (n, name)
@@ -758,10 +754,10 @@ def _vector_route(spec, tilt, constraint, n_paths, seed, eps_ladder, xi,
                   shares):
     """Per rung, every per-path column of probability_ladder from the
     whole-bundle (P, N, d) drift arrays, the per-step solver and
-    wealth_paths; each rung's share of hard rows goes to shares."""
+    two_wealth_gap; each rung's share of hard rows goes to shares."""
     bundle = simulate_paths(spec, n_paths, seed)
     record = density_paths(bundle, tilt, xi)
-    w_ref = wealth_paths(bundle, numeraire_fractions(bundle, constraint))
+    reference = numeraire_fractions(bundle, constraint)
     table = density_sequence_check(
         [(1.0 - e) + e * record.z for e in eps_ladder])
     for i, eps in enumerate(eps_ladder):
@@ -772,7 +768,7 @@ def _vector_route(spec, tilt, constraint, n_paths, seed, eps_ladder, xi,
                                    drifts=bundle.drift + shift)
         shares.append(np.mean(np.linalg.norm(fractions - free, axis=-1)
                               > 1e-9))
-        gaps = wealth_process_gap(wealth_paths(bundle, fractions), w_ref)
+        gaps = two_wealth_gap(bundle, fractions, reference, bundle.drift)
         expected = {name: table["per_path"][name][i]
                     for name in ("z_l1", "z_sup", "zz_qv", "rr_qv")}
         expected.update(
@@ -806,3 +802,20 @@ def test_probability_ladder_with_orthogonal_factor_matches_whole_bundle():
                     <= 1e-10 * np.max(np.abs(arr)), (i, name)
             else:
                 assert np.array_equal(report.per_path[name][i], arr), (i, name)
+
+
+def test_fullspace_fv_is_half_the_drift_gap_on_every_path():
+    # Under FullSpace every rung's gap has the short form, so fv is
+    # sum (s - tau)^2 <l, c l> dG / 2, half the drift gap, path by path, at
+    # the finest rungs too: a gap formed as the difference of two wealths
+    # loses those digits.
+    model = GaussianSignalModel(direction=np.array([1.0, 0.3]),
+                                noise_scales=2.0 ** -np.arange(1, 17))
+    tilt = TiltSpec(lam1=np.array([0.5, -0.3]), orthogonal_vol=0.5)
+    for report, fv in (
+            (filtration_ladder(make_spec(), model, FullSpace(), 512, 5), "fv"),
+            (probability_ladder(make_spec(), tilt, FullSpace(), 512, 5),
+             "main2_fv")):
+        half = report.per_path["drift_gap"] / 2.0
+        err = np.abs(report.per_path[fv] - half)
+        assert np.all(err <= 1e-12 * half), (fv, np.max(err / half))
